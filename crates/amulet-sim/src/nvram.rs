@@ -29,12 +29,21 @@
 //! checkpoint that passes its CRC, or reports corruption; it can never
 //! return torn or bit-rotted bytes as valid.
 //!
+//! Choosing a commit's target slot needs both slots' classification
+//! (empty / invalid / valid generation). The store memoizes it per
+//! slot, and the memo is a pure function of the region bytes: a complete
+//! commit sets its target's entry to the valid state it just wrote, and
+//! every torn commit and bit flip clears the memo, so the next reader
+//! re-verifies from the bytes. A steady-state commit therefore runs
+//! exactly one CRC pass, over its own new slot.
+//!
 //! This module models code inside the power-fail window, so it follows
 //! the embedded profile (no heap, no panics, no floats, no unchecked
 //! indexing) — certified by the analyzer's `ckpt-embedded-profile`
 //! rule.
 
 use crate::AmuletError;
+use ml::embedded::crc32;
 
 /// Size of the reserved checkpoint region, bytes (two slots).
 pub const NVRAM_BYTES: usize = 4096;
@@ -53,24 +62,14 @@ pub const MAX_PAYLOAD_BYTES: usize = SLOT_BYTES - HEADER_BYTES;
 /// previously zeroed field — can never reconstruct a valid magic.
 pub const MAGIC: u32 = 0x4B50_4331;
 
-/// CRC-32 (IEEE, reflected, polynomial `0xEDB8_8320`) over a byte
-/// iterator. Bitwise, table-free: the device would trade 1 KB of FRAM
-/// for the lookup table; the simulator keeps the footprint honest.
-pub fn crc32<'a, I>(bytes: I) -> u32
-where
-    I: IntoIterator<Item = &'a u8>,
-{
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        let mut k = 0;
-        while k < 8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            k += 1;
-        }
-    }
-    !crc
+/// The slot CRC over generation‖length‖payload, fed field by field
+/// through the workspace's bitwise, table-free CRC-32 (the device would
+/// trade 1 KB of FRAM for a lookup table; the simulator keeps the
+/// footprint honest).
+fn slot_crc(generation: u32, len: u32, payload: &[u8]) -> u32 {
+    let crc = crc32(0, &generation.to_le_bytes());
+    let crc = crc32(crc, &len.to_le_bytes());
+    crc32(crc, payload)
 }
 
 /// Read a little-endian `u32` at `at` (zero-padded past the end).
@@ -144,6 +143,9 @@ pub struct CheckpointStore {
     region: [u8; NVRAM_BYTES],
     next_generation: u32,
     stats: CheckpointStats,
+    /// Memoized classification of slots A and B (`None`: not yet
+    /// classified from the current bytes).
+    memo: [Option<SlotState>; 2],
 }
 
 impl core::fmt::Debug for CheckpointStore {
@@ -170,6 +172,7 @@ impl CheckpointStore {
             region: [0; NVRAM_BYTES],
             next_generation: 1,
             stats: CheckpointStats::default(),
+            memo: [None; 2],
         }
     }
 
@@ -193,7 +196,15 @@ impl CheckpointStore {
     /// Returns [`AmuletError::CheckpointTooLarge`] when the payload
     /// exceeds [`MAX_PAYLOAD_BYTES`]; nothing is written.
     pub fn commit(&mut self, payload: &[u8]) -> Result<u32, AmuletError> {
-        self.commit_inner(payload, usize::MAX)
+        let (slot, generation) = self.commit_inner(payload, usize::MAX)?;
+        // The complete write sequence leaves exactly this state behind.
+        if let Some(entry) = self.memo.get_mut(slot) {
+            *entry = Some(SlotState::Valid {
+                generation,
+                len: payload.len(),
+            });
+        }
+        Ok(generation)
     }
 
     /// Commit `payload` but lose power after exactly `cut_after_bytes`
@@ -210,12 +221,21 @@ impl CheckpointStore {
         payload: &[u8],
         cut_after_bytes: usize,
     ) -> Result<u32, AmuletError> {
-        let gen = self.commit_inner(payload, cut_after_bytes)?;
+        let (_, gen) = self.commit_inner(payload, cut_after_bytes)?;
         self.stats.torn_commits += 1;
+        // Whatever prefix landed, only the bytes can tell what it is.
+        self.memo = [None; 2];
         Ok(gen)
     }
 
-    fn commit_inner(&mut self, payload: &[u8], mut budget: usize) -> Result<u32, AmuletError> {
+    /// Run the ordered write sequence under `budget`, returning the
+    /// target slot and the generation written. Leaves the target's memo
+    /// entry stale: the caller settles it.
+    fn commit_inner(
+        &mut self,
+        payload: &[u8],
+        mut budget: usize,
+    ) -> Result<(usize, u32), AmuletError> {
         if payload.len() > MAX_PAYLOAD_BYTES {
             return Err(AmuletError::CheckpointTooLarge {
                 requested: payload.len(),
@@ -225,10 +245,12 @@ impl CheckpointStore {
         let generation = self.next_generation;
         self.next_generation = self.next_generation.wrapping_add(1);
         self.stats.commits += 1;
-        let base = self.target_slot() * SLOT_BYTES;
+        let slot = self.target_slot();
+        let base = slot * SLOT_BYTES;
+        let len = payload.len() as u32;
         let gen_bytes = generation.to_le_bytes();
-        let len_bytes = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(gen_bytes.iter().chain(len_bytes.iter()).chain(payload.iter()));
+        let len_bytes = len.to_le_bytes();
+        let crc = slot_crc(generation, len, payload);
         // The ordered write sequence; see the module docs for why any
         // prefix of it leaves the slot detectably incomplete.
         write_bytes(&mut self.region, base, &[0; 4], &mut budget);
@@ -237,15 +259,19 @@ impl CheckpointStore {
         write_bytes(&mut self.region, base + 8, &len_bytes, &mut budget);
         write_bytes(&mut self.region, base + 12, &crc.to_le_bytes(), &mut budget);
         write_bytes(&mut self.region, base, &MAGIC.to_le_bytes(), &mut budget);
-        Ok(generation)
+        Ok((slot, generation))
     }
 
     /// The newest checkpoint that passes its CRC, if any. Pure: restore
     /// never writes, so a failed recovery can be retried or abandoned
-    /// without further state loss.
+    /// without further state loss. Warm memo entries are trusted; a cold
+    /// slot is verified from its bytes, CRC included.
     pub fn restore(&self) -> Restore<'_> {
-        let a = self.slot_state(0);
-        let b = self.slot_state(1);
+        self.restore_from(self.current_slot_state(0), self.current_slot_state(1))
+    }
+
+    /// [`CheckpointStore::restore`] given both slots' classification.
+    fn restore_from(&self, a: SlotState, b: SlotState) -> Restore<'_> {
         let invalid = matches!(a, SlotState::Invalid) || matches!(b, SlotState::Invalid);
         let best = match (a, b) {
             (
@@ -284,24 +310,35 @@ impl CheckpointStore {
         if let Some(b) = self.region.get_mut(byte) {
             *b ^= 1u8 << (bit & 7);
         }
+        self.memo = [None; 2];
     }
 
-    /// Which slot the next commit overwrites: the one *not* holding the
-    /// newest valid generation, so the newest survivor is never put at
-    /// risk by a commit.
-    fn target_slot(&self) -> usize {
-        match (self.slot_state(0), self.slot_state(1)) {
-            (
-                SlotState::Valid { generation: ga, .. },
-                SlotState::Valid { generation: gb, .. },
-            ) if ga >= gb => 1,
-            (SlotState::Valid { .. }, SlotState::Valid { .. }) => 0,
-            (SlotState::Valid { .. }, _) => 1,
-            (_, SlotState::Valid { .. }) => 0,
-            _ => 0,
+    /// Which slot the next commit overwrites, memoizing both slots'
+    /// classification on the way.
+    fn target_slot(&mut self) -> usize {
+        target_of(self.memoize_slot(0), self.memoize_slot(1))
+    }
+
+    /// `slot`'s classification: the memo entry when warm, otherwise
+    /// verified from the bytes and memoized.
+    fn memoize_slot(&mut self, slot: usize) -> SlotState {
+        let state = self.current_slot_state(slot);
+        if let Some(entry) = self.memo.get_mut(slot) {
+            *entry = Some(state);
+        }
+        state
+    }
+
+    /// `slot`'s classification without touching the memo.
+    fn current_slot_state(&self, slot: usize) -> SlotState {
+        match self.memo.get(slot) {
+            Some(&Some(state)) => state,
+            _ => self.slot_state(slot),
         }
     }
 
+    /// Classify `slot` from its bytes alone, ignoring the memo: the
+    /// full CRC verification.
     fn slot_state(&self, slot: usize) -> SlotState {
         let base = slot * SLOT_BYTES;
         let header_zero = self
@@ -323,13 +360,26 @@ impl CheckpointStore {
         }
         let start = base + HEADER_BYTES;
         let payload = self.region.get(start..start + len).unwrap_or(&[]);
-        let gen_bytes = generation.to_le_bytes();
-        let len_bytes = (len as u32).to_le_bytes();
-        let computed = crc32(gen_bytes.iter().chain(len_bytes.iter()).chain(payload.iter()));
-        if computed != read_u32(&self.region, base + 12) {
+        if slot_crc(generation, len as u32, payload) != read_u32(&self.region, base + 12) {
             return SlotState::Invalid;
         }
         SlotState::Valid { generation, len }
+    }
+}
+
+/// The slot a commit overwrites given both slots' classification: the
+/// one *not* holding the newest valid generation, so the newest
+/// survivor is never put at risk by a commit.
+fn target_of(a: SlotState, b: SlotState) -> usize {
+    match (a, b) {
+        (
+            SlotState::Valid { generation: ga, .. },
+            SlotState::Valid { generation: gb, .. },
+        ) if ga >= gb => 1,
+        (SlotState::Valid { .. }, SlotState::Valid { .. }) => 0,
+        (SlotState::Valid { .. }, _) => 1,
+        (_, SlotState::Valid { .. }) => 0,
+        _ => 0,
     }
 }
 
@@ -545,10 +595,97 @@ mod tests {
         assert_eq!(store.stats().torn_commits, 1);
     }
 
+    /// The memo is a pure function of the region bytes: after any mix of
+    /// complete commits, torn commits at any cut and bit flips, every
+    /// warm entry equals a from-scratch classification, and the target
+    /// slot and `restore()` agree with one computed from the bytes alone.
+    mod memo_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn assert_memo_matches_bytes(store: &CheckpointStore, step: usize) {
+            let fresh = [store.slot_state(0), store.slot_state(1)];
+            for (slot, entry) in store.memo.iter().enumerate() {
+                if let Some(state) = entry {
+                    assert_eq!(*state, fresh[slot], "step {step}: slot {slot} memo");
+                }
+            }
+            assert_eq!(
+                store.clone().target_slot(),
+                target_of(fresh[0], fresh[1]),
+                "step {step}: target slot"
+            );
+            assert_eq!(
+                store.restore(),
+                store.restore_from(fresh[0], fresh[1]),
+                "step {step}: restore"
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            #[test]
+            fn memo_agrees_with_from_scratch_classification(
+                ops in prop::collection::vec(
+                    (0u8..4, 0usize..240, any::<u8>(), 0usize..4096, 0u8..8),
+                    1..48,
+                )
+            ) {
+                let mut store = CheckpointStore::new();
+                for (step, &(kind, len, tag, pos, bit)) in ops.iter().enumerate() {
+                    // Rarely oversized, to cover the rejected commit too.
+                    let len = if len == 239 { MAX_PAYLOAD_BYTES + 1 } else { len };
+                    let p = payload(tag, len);
+                    match kind {
+                        // Complete commits are twice as likely: the
+                        // steady state is what the memo speeds up.
+                        0 | 1 => {
+                            let _ = store.commit(&p);
+                        }
+                        2 => {
+                            let seq = CheckpointStore::commit_sequence_len(len);
+                            let _ = store.commit_torn(&p, pos % (seq + 2));
+                        }
+                        _ => {
+                            // Mostly header and live payload bytes, of
+                            // either slot; sometimes past the region.
+                            let off = pos % (HEADER_BYTES + 256);
+                            let byte = if pos % 17 == 0 {
+                                NVRAM_BYTES + off
+                            } else {
+                                usize::from(tag & 1) * SLOT_BYTES + off
+                            };
+                            store.flip_bit(byte, bit);
+                        }
+                    }
+                    assert_memo_matches_bytes(&store, step);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn crc32_matches_known_vectors() {
-        // The standard IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789".iter()), 0xCBF4_3926);
-        assert_eq!(crc32([].iter()), 0);
+    fn steady_state_commits_keep_both_slots_memoized() {
+        let mut store = CheckpointStore::new();
+        store.commit(&payload(1, 40)).unwrap();
+        store.commit(&payload(2, 40)).unwrap();
+        assert!(store.memo.iter().all(Option::is_some));
+        store.flip_bit(3, 0);
+        assert_eq!(store.memo, [None; 2], "a bit flip clears the memo");
+        store.commit(&payload(3, 40)).unwrap();
+        assert!(store.memo.iter().all(Option::is_some));
+        store.commit_torn(&payload(4, 40), 10).unwrap();
+        assert_eq!(store.memo, [None; 2], "a torn commit clears the memo");
+    }
+
+    #[test]
+    fn slot_crc_covers_generation_length_and_payload() {
+        // Fed field by field, it is one CRC over the concatenation.
+        let mut joined = Vec::new();
+        joined.extend_from_slice(&7u32.to_le_bytes());
+        joined.extend_from_slice(&9u32.to_le_bytes());
+        joined.extend_from_slice(b"123456789");
+        assert_eq!(slot_crc(7, 9, b"123456789"), crc32(0, &joined));
+        assert_ne!(slot_crc(8, 9, b"123456789"), slot_crc(7, 9, b"123456789"));
     }
 }

@@ -35,10 +35,15 @@ pub const fn encoded_len(dim: usize) -> usize {
 }
 
 /// CRC-32 (IEEE, reflected, polynomial `0xEDB8_8320`); table-free so
-/// the device pays cycles, not FRAM. Shared with the Tsetlin codec so
-/// every on-flash model blob carries the same integrity trailer.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
+/// the device pays cycles, not FRAM. The one CRC of the workspace: both
+/// model codecs and the NVRAM slot header use it, so every on-flash
+/// blob carries the same integrity check.
+///
+/// Incremental: `crc` is the CRC of the bytes fed so far (`0` to
+/// start), so `crc32(crc32(0, a), b) == crc32(0, a‖b)` and a checksum
+/// over several fields needs no concatenation buffer.
+pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc ^= u32::from(b);
         let mut k = 0;
@@ -248,7 +253,7 @@ impl EmbeddedModel {
         for &s in &self.inv_stds {
             put(out, &mut at, &s.to_le_bytes());
         }
-        let crc = crc32(out.get(..at).unwrap_or(&[]));
+        let crc = crc32(0, out.get(..at).unwrap_or(&[]));
         put(out, &mut at, &crc.to_le_bytes());
         Ok(at)
     }
@@ -302,7 +307,7 @@ impl EmbeddedModel {
             });
         }
         let stored = u32::from_le_bytes(bytes[expect - CRC_BYTES..].try_into().expect("4 bytes"));
-        if crc32(&bytes[..expect - CRC_BYTES]) != stored {
+        if crc32(0, &bytes[..expect - CRC_BYTES]) != stored {
             return Err(MlError::MalformedModel {
                 reason: "checksum mismatch",
             });
@@ -357,6 +362,22 @@ mod tests {
         let scaled = scaler.transform_dataset(&d).unwrap();
         let svm = LinearSvmTrainer::default().fit(&scaled).unwrap();
         (scaler, svm, d)
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The standard IEEE CRC-32 check value.
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, &[]), 0);
+    }
+
+    #[test]
+    fn crc32_is_incremental_at_every_split() {
+        let data = b"123456789";
+        for at in 0..=data.len() {
+            let (a, b) = data.split_at(at);
+            assert_eq!(crc32(crc32(0, a), b), 0xCBF4_3926, "split at {at}");
+        }
     }
 
     #[test]

@@ -302,7 +302,7 @@ impl TsetlinModel {
         for &mask in self.masks.iter().take(2 * self.pairs()) {
             put(out, &mut at, &mask.to_le_bytes());
         }
-        let crc = crc32(out.get(..at).unwrap_or(&[]));
+        let crc = crc32(0, out.get(..at).unwrap_or(&[]));
         put(out, &mut at, &crc.to_le_bytes());
         Ok(at)
     }
@@ -360,7 +360,7 @@ impl TsetlinModel {
         }
         let mut crc_at = want - CRC_BYTES;
         let stored = read_u32_at(bytes, &mut crc_at);
-        if crc32(bytes.get(..want - CRC_BYTES).unwrap_or(&[])) != stored {
+        if crc32(0, bytes.get(..want - CRC_BYTES).unwrap_or(&[])) != stored {
             return Err(MlError::MalformedModel {
                 reason: "checksum mismatch",
             });

@@ -144,7 +144,27 @@ impl DetectorCheckpoint {
         let tail = out.get_mut(HEADER_BYTES..).ok_or(SiftError::Checkpoint {
             reason: "encode buffer too small",
         })?;
-        let model_len = self.model.encode_into(tail)?;
+        self.model.encode_into(tail)?;
+        self.encode_header_into(out)
+    }
+
+    /// Rewrite only the 16-byte header, leaving the model blob after it
+    /// untouched, and return the full encoded length. When `out` already
+    /// holds an [`DetectorCheckpoint::encode_into`] of this checkpoint's
+    /// model, the result is byte-identical to a full encode, at no model
+    /// codec or CRC cost: the persistence layer calls this on every
+    /// commit and re-encodes the blob only when the model changes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SiftError::Checkpoint`] when `out` is too small.
+    pub fn encode_header_into(&self, out: &mut [u8]) -> Result<usize, SiftError> {
+        let model_len = self.model.footprint_bytes();
+        if out.len() < HEADER_BYTES + model_len {
+            return Err(SiftError::Checkpoint {
+                reason: "encode buffer too small",
+            });
+        }
         let mut at = 0;
         put(out, &mut at, &[FORMAT_VERSION, version_tag(self.version), 0, 0]);
         put(out, &mut at, &self.windows_seen.to_le_bytes());
@@ -245,6 +265,26 @@ mod tests {
             assert_eq!(n, encoded_len(version));
             let back = DetectorCheckpoint::decode(&buf[..n]).unwrap();
             assert_eq!(back, ckpt);
+        }
+    }
+
+    #[test]
+    fn header_rewrite_matches_a_full_encode() {
+        for &version in Version::ALL.iter() {
+            let mut ckpt = sample(version);
+            let mut buf = vec![0u8; ckpt.encoded_len()];
+            ckpt.encode_into(&mut buf).unwrap();
+            ckpt.windows_seen = 1234;
+            ckpt.alerts_raised = 56;
+            let n = ckpt.encode_header_into(&mut buf).unwrap();
+            let mut full = vec![0u8; ckpt.encoded_len()];
+            assert_eq!(ckpt.encode_into(&mut full).unwrap(), n);
+            assert_eq!(buf, full);
+            let mut short = vec![0u8; n - 1];
+            assert!(matches!(
+                ckpt.encode_header_into(&mut short),
+                Err(SiftError::Checkpoint { .. })
+            ));
         }
     }
 

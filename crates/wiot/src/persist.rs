@@ -47,11 +47,18 @@ pub const SURVIVAL_SNAPSHOT_BYTES: usize = 16;
 
 /// The base station's persistence engine: one reusable encode buffer,
 /// the live snapshot, and the simulated FRAM store.
+///
+/// The buffer keeps the snapshot's encoded model blob between commits.
+/// A commit rewrites only the 16-byte checkpoint header (and the
+/// survival suffix); the blob, whose codec runs its own CRC, is
+/// re-encoded only after the snapshot's model changed.
 #[derive(Debug, Clone)]
 pub struct Persistence {
     store: CheckpointStore,
     snapshot: DetectorCheckpoint,
     buf: Vec<u8>,
+    /// Whether `buf` holds the encoded model blob of `snapshot`.
+    blob_fresh: bool,
     /// When set, every commit appends this policy snapshot to the
     /// detector payload (and recovery restores it). `None` keeps the
     /// committed bytes identical to a pre-survival build.
@@ -74,6 +81,7 @@ impl Persistence {
             store: CheckpointStore::new(),
             snapshot,
             buf,
+            blob_fresh: false,
             survival: None,
         })
     }
@@ -84,7 +92,7 @@ impl Persistence {
     /// encode buffer once; commits stay allocation-free.
     pub fn enable_survival(&mut self, snap: SurvivalSnapshot) {
         self.survival = Some(snap);
-        self.resize_buf();
+        self.snapshot_changed();
     }
 
     /// Update the survival-policy state the next commit will persist.
@@ -120,19 +128,21 @@ impl Persistence {
         snapshot.windows_seen = self.snapshot.windows_seen;
         snapshot.alerts_raised = self.snapshot.alerts_raised;
         self.snapshot = snapshot;
-        self.resize_buf();
+        self.snapshot_changed();
         Ok(())
     }
 
     /// Size the encode buffer for the current detector version plus
-    /// the survival suffix when enabled.
-    fn resize_buf(&mut self) {
+    /// the survival suffix when enabled, and mark the model blob for
+    /// re-encoding at the next commit.
+    fn snapshot_changed(&mut self) {
         let extra = if self.survival.is_some() {
             SURVIVAL_SNAPSHOT_BYTES
         } else {
             0
         };
         self.buf.resize(self.snapshot.encoded_len() + extra, 0);
+        self.blob_fresh = false;
     }
 
     /// Charge the NVRAM checkpoint region to the station's FRAM map so
@@ -166,8 +176,15 @@ impl Persistence {
 
     /// Encode the detector checkpoint (and the survival suffix when
     /// enabled) into the reusable buffer, returning the payload size.
+    /// Only the header changes between commits of one snapshot.
     fn encode_payload(&mut self) -> Result<usize, WiotError> {
-        let mut n = self.snapshot.encode_into(&mut self.buf)?;
+        let mut n = if self.blob_fresh {
+            self.snapshot.encode_header_into(&mut self.buf)?
+        } else {
+            let n = self.snapshot.encode_into(&mut self.buf)?;
+            self.blob_fresh = true;
+            n
+        };
         if let Some(snap) = &self.survival {
             let suffix = encode_survival(snap);
             if let Some(tail) = self.buf.get_mut(n..n + SURVIVAL_SNAPSHOT_BYTES) {
@@ -250,6 +267,7 @@ impl Persistence {
         let app = SiftApp::new(ckpt.version, ckpt.model.clone(), config.clone())?;
         station.restore_detector(app)?;
         self.snapshot = ckpt;
+        self.snapshot_changed();
         summary.recoveries += 1;
         if rolled_back {
             summary.rollbacks += 1;
@@ -314,7 +332,7 @@ impl Persistence {
         }
         self.snapshot = ckpt;
         self.survival = Some(snap);
-        self.resize_buf();
+        self.snapshot_changed();
         summary.recoveries += 1;
         if rolled_back {
             summary.rollbacks += 1;
@@ -734,6 +752,84 @@ mod tests {
             .recover_survival(&mut st, &quick_config(), &mut summary)
             .unwrap()
             .is_some());
+    }
+
+    /// What a from-scratch encode of the engine's current state commits:
+    /// the full detector checkpoint plus the survival suffix.
+    fn full_encode(p: &Persistence) -> Vec<u8> {
+        let mut out = vec![0u8; p.snapshot().encoded_len()];
+        p.snapshot().encode_into(&mut out).unwrap();
+        if let Some(snap) = p.survival() {
+            out.extend_from_slice(&encode_survival(&snap));
+        }
+        out
+    }
+
+    fn restored(p: &Persistence) -> Vec<u8> {
+        match p.store.restore() {
+            Restore::Valid { payload, .. } => payload.to_vec(),
+            other => panic!("expected a valid restore, got {other:?}"),
+        }
+    }
+
+    fn tear(p: &mut Persistence, windows: u32, alerts: u32) {
+        let seq = CheckpointStore::commit_sequence_len(full_encode(p).len());
+        p.commit_torn(windows, alerts, seq - 6).unwrap();
+    }
+
+    /// Header-only commits write exactly the bytes a full re-encode
+    /// would, across every operation that changes the snapshot.
+    #[test]
+    fn header_only_commits_are_byte_identical_to_full_encodes() {
+        let cfg = quick_config();
+        let mut st = station(Version::Original);
+        let mut p = Persistence::new(Version::Original, model(Version::Original)).unwrap();
+        p.reserve(&mut st).unwrap();
+        p.commit(1, 0).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+        p.commit(2, 0).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+
+        // Torn commit, then recovery rolls back to generation 2.
+        tear(&mut p, 3, 1);
+        let mut summary = FaultSummary::default();
+        st.reboot();
+        assert!(p.recover(&mut st, &cfg, &mut summary).unwrap());
+        assert_eq!(summary.rollbacks, 1);
+        assert_eq!(p.snapshot().windows_seen, 2);
+        p.commit(3, 1).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+
+        // Version switch: a different model blob and payload length.
+        p.set_version(Version::Reduced, model(Version::Reduced)).unwrap();
+        p.commit(4, 1).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+
+        // Survival suffix appended, then updated between commits.
+        p.enable_survival(survival_snap(Version::Reduced));
+        p.commit(5, 1).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+        let mut snap = survival_snap(Version::Reduced);
+        snap.tick += 1;
+        p.set_survival(snap);
+        p.commit(6, 2).unwrap();
+        assert_eq!(restored(&p), full_encode(&p));
+        let last = restored(&p);
+        tear(&mut p, 7, 2);
+        assert_eq!(restored(&p), last);
+
+        // Cross-version survival recovery on a cold engine, then commit.
+        let mut cold = Persistence::new(Version::Original, model(Version::Original)).unwrap();
+        cold.enable_survival(survival_snap(Version::Original));
+        cold.store = p.store.clone();
+        st.reboot();
+        let back = cold.recover_survival(&mut st, &cfg, &mut summary).unwrap();
+        assert_eq!(back, Some(snap));
+        assert_eq!(cold.snapshot().version, Version::Reduced);
+        cold.commit(8, 3).unwrap();
+        assert_eq!(restored(&cold), full_encode(&cold));
+        cold.commit(9, 3).unwrap();
+        assert_eq!(restored(&cold), full_encode(&cold));
     }
 
     #[test]

@@ -30,15 +30,21 @@ cargo clippy --workspace -- -D warnings
 # regenerates results/ANALYZER_footprint.json — including the certified
 # worst-case stack section, which is diffed against the committed copy
 # below: a moved stack bound is a real behaviour change (new call edge,
-# new frame) and must be reviewed like any other baseline.
+# new frame) and must be reviewed like any other baseline. An entry's
+# "line" field is left out of the comparison: it moves whenever code
+# above the entry function is edited, with no change to bytes, frames
+# or chain.
 footprint=results/ANALYZER_footprint.json
+stack_section() {
+  sed -n '/"stack": {/,/^  }/p' "$footprint" | grep -v '^ *"line": [0-9]*,$'
+}
 stack_before=""
 if [[ -f "$footprint" ]]; then
-  stack_before=$(sed -n '/"stack": {/,/^  }/p' "$footprint")
+  stack_before=$(stack_section)
 fi
 cargo run -q -p analyzer -- --deny warnings
 if [[ -n "$stack_before" ]]; then
-  stack_after=$(sed -n '/"stack": {/,/^  }/p' "$footprint")
+  stack_after=$(stack_section)
   if [[ "$stack_before" != "$stack_after" ]]; then
     echo "verify: FAIL certified worst-case stack drifted in $footprint:"
     diff -u <(printf '%s\n' "$stack_before") <(printf '%s\n' "$stack_after") || true
