@@ -259,9 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_may_thread_but_not_hash() {
+    fn slab_may_thread_but_not_hash() {
         let src = "fn f() { std::thread::scope(|_| {}); let m: HashMap<u8, u8> = HashMap::new(); }\n";
-        let hits = findings("crates/wiot/src/fleet.rs", src);
+        let hits = findings("crates/wiot/src/slab.rs", src);
         assert!(!hits.contains(&"det-no-thread-api"));
         assert!(hits.contains(&"det-no-hash-collections"));
     }

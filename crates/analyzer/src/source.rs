@@ -22,12 +22,10 @@ const APP_CODE_PREFIX: &str = "crates/amulet-sim/src/apps/";
 /// `criterion`) are test/bench infrastructure, not report paths.
 const DET_EXEMPT_CRATES: &[&str] = &["bench", "rand", "proptest", "criterion"];
 
-/// The files allowed to touch thread APIs: the resident fleet engine,
-/// whose ordered reduction makes its use of `std::thread::scope` +
-/// `mpsc` deterministic by construction, and the slab streaming engine,
-/// whose bounded reorder window retires summaries in the same
-/// device-index order.
-const THREAD_OK: &[&str] = &["crates/wiot/src/fleet.rs", "crates/wiot/src/slab.rs"];
+/// The files allowed to touch thread APIs: the slab fleet engine, whose
+/// bounded reorder window retires summaries in device-index order, so
+/// its use of `std::thread::scope` is deterministic by construction.
+const THREAD_OK: &[&str] = &["crates/wiot/src/slab.rs"];
 
 /// Crates under the warn-level library panic-hygiene rule.
 const LIB_NO_PANIC_CRATES: &[&str] = &["wiot", "sift", "analyzer", "telemetry"];
@@ -233,9 +231,9 @@ mod tests {
         let app = classify("crates/amulet-sim/src/apps/sift_app.rs");
         assert!(app.embedded && !app.float_strict);
         let fleet = classify("crates/wiot/src/fleet.rs");
-        assert!(fleet.thread_ok && fleet.lib_no_panic);
-        // The slab streaming engine is the second audited parallel
-        // boundary; everything else about it stays under library rules.
+        assert!(!fleet.thread_ok && fleet.lib_no_panic);
+        // The slab engine is the one audited parallel boundary;
+        // everything else about it stays under library rules.
         let slab = classify("crates/wiot/src/slab.rs");
         assert!(slab.thread_ok && slab.lib_no_panic && !slab.det_exempt);
         let bench = classify("crates/bench/src/bin/fleet.rs");

@@ -2,8 +2,11 @@
 //! throwaway mini-workspace under the cargo tmp dir per case, points
 //! `--root` at it, and checks the process exit status.
 
+// The fixture helpers below are test code outside any #[test] fn.
+#![allow(clippy::expect_used)]
+
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Create `<tmp>/<name>/` holding each `(rel_path, contents)` pair,
@@ -23,14 +26,14 @@ fn mini_root(name: &str, rel_path: &str, contents: &str) -> PathBuf {
     mini_root_files(name, &[(rel_path, contents)])
 }
 
-fn run_analyzer_args(root: &PathBuf, extra: &[&str]) -> i32 {
+fn run_analyzer_args(root: &Path, extra: &[&str]) -> i32 {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_analyzer"));
     cmd.args(["--root", &root.display().to_string(), "--quiet"]);
     cmd.args(extra);
     cmd.status().expect("spawn analyzer").code().expect("exit code")
 }
 
-fn run_analyzer(root: &PathBuf, deny: bool) -> i32 {
+fn run_analyzer(root: &Path, deny: bool) -> i32 {
     let mut extra = vec!["--no-budget"];
     if deny {
         extra.extend(["--deny", "warnings"]);

@@ -96,8 +96,8 @@ fn determinism_fixture_trips_every_determinism_rule() {
 }
 
 #[test]
-fn fleet_may_thread_but_nothing_else_changes() {
-    let rules: Vec<_> = fired("crates/wiot/src/fleet.rs", DET_VIOLATIONS)
+fn slab_may_thread_but_nothing_else_changes() {
+    let rules: Vec<_> = fired("crates/wiot/src/slab.rs", DET_VIOLATIONS)
         .into_iter()
         .map(|(_, r)| r)
         .collect();

@@ -27,9 +27,9 @@ fn training_set(dim: usize) -> impl Strategy<Value = (Vec<f32>, Vec<Label>)> {
                 labels.push(if *pos { Label::Positive } else { Label::Negative });
             }
             // Guarantee both classes regardless of the drawn booleans.
-            rows.extend(std::iter::repeat(3.5).take(dim));
+            rows.extend(std::iter::repeat_n(3.5, dim));
             labels.push(Label::Positive);
-            rows.extend(std::iter::repeat(-3.5).take(dim));
+            rows.extend(std::iter::repeat_n(-3.5, dim));
             labels.push(Label::Negative);
             (rows, labels)
         },

@@ -298,9 +298,9 @@ mod tests {
         let mut labels = Vec::new();
         for i in 0..30 {
             let t = i as f32 * 0.03;
-            rows.extend(std::iter::repeat(t).take(dim));
+            rows.extend(std::iter::repeat_n(t, dim));
             labels.push(ml::Label::Negative);
-            rows.extend(std::iter::repeat(1.5 + t).take(dim));
+            rows.extend(std::iter::repeat_n(1.5 + t, dim));
             labels.push(ml::Label::Positive);
         }
         let tm = ml::tsetlin::TsetlinTrainer::default()

@@ -11,6 +11,7 @@ use sift::snippet::Snippet;
 
 /// Strategy: a random but structurally valid snippet (non-constant
 /// channels, sorted in-range peaks).
+#[allow(clippy::expect_used)] // test helper outside any #[test] fn
 fn snippet_strategy() -> impl Strategy<Value = Snippet> {
     (20usize..400, any::<u64>()).prop_map(|(len, seed)| {
         use rand::rngs::StdRng;

@@ -106,20 +106,6 @@ impl Default for Policy {
     }
 }
 
-/// The persistable core of a [`DecisionEngine`]: everything needed to
-/// resume adaptive decisions after a reboot. The switch history is
-/// telemetry, not state, and is deliberately not part of the snapshot;
-/// `crate::persist` provides a fixed-size byte codec for this type.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSnapshot {
-    /// Version currently deployed.
-    pub current: Version,
-    /// When the engine last switched, ms (`None` before any switch).
-    pub last_switch_ms: Option<u64>,
-    /// Smoothed link badness (`None` before any observation).
-    pub link_badness_ewma: Option<f64>,
-}
-
 /// A recorded version switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Switch {
@@ -180,26 +166,6 @@ impl DecisionEngine {
     /// The version currently deployed.
     pub fn current(&self) -> Version {
         self.current
-    }
-
-    /// The engine's persistable state (checkpointed alongside the
-    /// detector by `crate::persist`).
-    pub fn snapshot(&self) -> AdaptiveSnapshot {
-        AdaptiveSnapshot {
-            current: self.current,
-            last_switch_ms: self.last_switch_ms,
-            link_badness_ewma: self.link_badness_ewma,
-        }
-    }
-
-    /// Resume from a snapshot taken by [`DecisionEngine::snapshot`]:
-    /// the deployed version, dwell clock, and smoothed link view pick
-    /// up where the pre-reboot engine left off. The switch history
-    /// restarts empty (it is a per-boot log).
-    pub fn restore(&mut self, snapshot: &AdaptiveSnapshot) {
-        self.current = snapshot.current;
-        self.last_switch_ms = snapshot.last_switch_ms;
-        self.link_badness_ewma = snapshot.link_badness_ewma;
     }
 
     /// All switches performed.
@@ -457,41 +423,6 @@ mod tests {
         };
         assert_eq!(e.decide(0, &hopeless), None);
         assert_eq!(e.current(), Version::Original);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_dwell_and_link_state() {
-        let mut e = DecisionEngine::new(
-            Version::Original,
-            requirements_from_profiler(&sift::config::SiftConfig::default()),
-            Policy {
-                min_dwell_ms: 10_000,
-                ..Policy::default()
-            },
-        );
-        e.observe_link(&LinkQuality {
-            loss_rate: 0.2,
-            retransmit_rate: 0.1,
-        });
-        assert_eq!(e.decide(5_000, &roomy(0.1)), Some(Version::Reduced));
-        let snap = e.snapshot();
-        // A rebooted engine restored from the snapshot behaves like the
-        // original: the dwell gate still holds at 10 s, opens at 15 s.
-        let mut fresh = DecisionEngine::new(
-            Version::Original,
-            requirements_from_profiler(&sift::config::SiftConfig::default()),
-            Policy {
-                min_dwell_ms: 10_000,
-                ..Policy::default()
-            },
-        );
-        fresh.restore(&snap);
-        assert_eq!(fresh.current(), Version::Reduced);
-        assert_eq!(fresh.link_badness(), e.link_badness());
-        assert_eq!(fresh.decide(10_000, &roomy(0.9)), None);
-        // The restored link view (badness 0.25 > 0.15) still caps the
-        // upgrade at simplified, exactly as the pre-reboot engine would.
-        assert_eq!(fresh.decide(15_000, &roomy(0.9)), Some(Version::Simplified));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fleet-scale parallel scenario engine.
 //!
 //! Simulates N wearable devices — each a full sensors → channel/ARQ →
-//! base-station → SIFT pipeline ([`crate::scenario::DeviceSim`]) —
-//! sharded across an owned `std::thread` worker pool, and reduces the
+//! base-station → SIFT pipeline ([`crate::scenario::DeviceSim`]) — on
+//! the slab engine's worker pool ([`crate::slab`]), and reduces the
 //! per-device results into one [`FleetReport`].
 //!
 //! # Determinism under parallelism
@@ -15,9 +15,9 @@
 //!    the fleet seed with a SplitMix64 stream ([`device_seed`]), so a
 //!    device's behaviour never depends on which worker ran it or in
 //!    what order.
-//! 2. Workers never share mutable state: each device sim is an owned,
-//!    `Send` value, and workers only report immutable summaries back
-//!    over a channel.
+//! 2. Workers never share mutable state: each device sim is an owned
+//!    value built by the worker that claimed the device, and workers
+//!    only hand immutable summaries to the in-order folder.
 //! 3. The reduction folds summaries strictly in device-index order
 //!    (floating-point accumulation order is fixed), and nothing
 //!    wall-clock-dependent enters the report — throughput numbers live
@@ -47,8 +47,6 @@ use ml::metrics::ConfusionMatrix;
 use ml::{DetectorBackend, DetectorModel, Label};
 use physio_sim::subject::{bank, Subject};
 use sift::trainer::{ModelBank, SiftModel};
-use std::sync::mpsc;
-use std::thread;
 
 /// SplitMix64 output function (same constants as the vendored
 /// `rand::SeedableRng` seeding path). Shared with the attacker's
@@ -104,7 +102,7 @@ impl FleetSpec {
 
     /// Builder-style thread count, clamped to `1..=devices` at
     /// construction time so a zero or oversized request can never reach
-    /// the engines (both clamp again defensively, but the spec a caller
+    /// the engine (it clamps again defensively, but the spec a caller
     /// inspects should already be honest).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -427,9 +425,10 @@ impl FleetReport {
     /// ordering a bounded-memory engine can compute without ever
     /// holding `per_device` — the slab engine folds each summary as it
     /// retires and appends the aggregates at the end
-    /// ([`crate::slab::run_fleet_streamed`]). On a resident report this
-    /// method produces the identical value from the stored summaries,
-    /// which is how the equivalence tests compare the two engines.
+    /// ([`crate::slab::run_fleet_streamed`]). On a report that kept its
+    /// rows ([`run_fleet_provisioned`]) this method recomputes the
+    /// identical value from the stored summaries, which is how the
+    /// tests compare the collecting and the fold-only entry points.
     pub fn slab_digest(&self) -> u64 {
         let mut d = Digest::new();
         for s in &self.per_device {
@@ -479,8 +478,29 @@ pub trait FleetProvisioner: Sync {
 /// `pub(crate)` so the slab engine's bank entry point reuses it
 /// ([`crate::slab::run_fleet_streamed`]).
 pub(crate) struct BankProvisioner<'b> {
-    pub(crate) models: &'b ModelBank,
-    pub(crate) subjects_len: usize,
+    models: &'b ModelBank,
+    subjects_len: usize,
+}
+
+impl<'b> BankProvisioner<'b> {
+    /// The bank policy for `spec`, after checking that `models` was
+    /// trained for the template's detector version and backend.
+    pub(crate) fn for_spec(spec: &FleetSpec, models: &'b ModelBank) -> Result<Self, WiotError> {
+        if models.version() != spec.template.version {
+            return Err(WiotError::InvalidScenario {
+                reason: "model bank version does not match the fleet template",
+            });
+        }
+        if models.kind() != spec.template.backend {
+            return Err(WiotError::InvalidScenario {
+                reason: "model bank backend does not match the fleet template",
+            });
+        }
+        Ok(Self {
+            models,
+            subjects_len: bank().len(),
+        })
+    }
 }
 
 impl FleetProvisioner for BankProvisioner<'_> {
@@ -508,27 +528,10 @@ impl FleetProvisioner for BankProvisioner<'_> {
     }
 }
 
-/// Simulate one device of the fleet: provision it, run it, and
-/// batch-score its uplinked features at the sink.
-fn simulate_device(
-    spec: &FleetSpec,
-    prov: &dyn FleetProvisioner,
-    device: usize,
-) -> Result<DeviceSummary, WiotError> {
-    let DeviceProvision {
-        scenario,
-        subject,
-        model,
-        deployed,
-    } = prov.provision(spec, device)?;
-    simulate_provisioned(spec.telemetry, device, scenario, subject, model, deployed)
-}
-
 /// Run one already-provisioned device end-to-end and batch-score its
-/// uplinked features at the sink. Shared between [`simulate_device`]
-/// and the slab engine, which calls it with the detector model it just
-/// round-tripped through the checkpoint codec rather than the
-/// provisioner's reference ([`crate::slab`]).
+/// uplinked features at the sink. The slab engine calls it with the
+/// detector model it just round-tripped through the checkpoint codec
+/// rather than the provisioner's reference ([`crate::slab`]).
 pub(crate) fn simulate_provisioned(
     telemetry: bool,
     device: usize,
@@ -601,7 +604,7 @@ pub(crate) fn simulate_provisioned(
 /// f64 accumulation order never depends on how many threads produced
 /// the summaries — and because it is incremental the slab engine can
 /// retire each summary right after folding it instead of keeping the
-/// whole fleet resident ([`crate::slab`]).
+/// whole fleet in memory ([`crate::slab`]).
 #[derive(Default)]
 pub(crate) struct Reducer {
     count: usize,
@@ -707,9 +710,9 @@ impl Reducer {
     }
 
     /// Close the fold into a [`FleetReport`]. `per_device` is whatever
-    /// the caller kept resident — the full vector for the legacy
-    /// engine, empty for the slab engine (the aggregates always cover
-    /// every pushed device either way).
+    /// the caller kept — every row for [`run_fleet_provisioned`], none
+    /// for a fold-only stream (the aggregates always cover every pushed
+    /// device either way).
     pub(crate) fn finish(
         self,
         seed: u64,
@@ -756,49 +759,26 @@ impl Reducer {
     }
 }
 
-/// Fold per-device summaries (already in device-index order) into the
-/// fleet aggregate. Pure and sequential: f64 accumulation order is
-/// fixed regardless of how many threads produced the summaries.
-fn reduce(spec: &FleetSpec, summaries: Vec<DeviceSummary>) -> FleetReport {
-    let mut r = Reducer::new();
-    for s in &summaries {
-        r.push(s);
-    }
-    r.finish(spec.seed, spec.template.duration_s, summaries)
-}
-
 /// Run a fleet with a pre-trained [`ModelBank`] (callers comparing
 /// thread counts or sweeping seeds train once and reuse it).
 ///
 /// # Errors
 ///
 /// Returns [`WiotError::InvalidScenario`] for an empty fleet or a bank
-/// whose detector version does not match the template, and propagates
-/// the lowest-device-index simulation error (deterministic regardless
-/// of which worker hit it first).
+/// whose detector version or backend does not match the template, and
+/// propagates the lowest-device-index simulation error (deterministic
+/// regardless of which worker hit it first).
 pub fn run_fleet_with_bank(spec: &FleetSpec, models: &ModelBank) -> Result<FleetReport, WiotError> {
-    if models.version() != spec.template.version {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank version does not match the fleet template",
-        });
-    }
-    if models.kind() != spec.template.backend {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank backend does not match the fleet template",
-        });
-    }
-    let prov = BankProvisioner {
-        models,
-        subjects_len: bank().len(),
-    };
-    run_fleet_provisioned(spec, &prov)
+    run_fleet_provisioned(spec, &BankProvisioner::for_spec(spec, models)?)
 }
 
-/// Run a fleet through an arbitrary [`FleetProvisioner`] — the engine
-/// core. Owns the worker pool, the static device sharding, and the
-/// index-ordered reduction; everything device-specific comes from the
-/// provisioner. The thread-count-invariance guarantee holds for any
-/// provisioner that is a pure function of `(spec, device)`.
+/// Run a fleet through an arbitrary [`FleetProvisioner`] and keep every
+/// device's summary in [`FleetReport::per_device`]. Execution is the
+/// slab engine's ([`crate::slab`]): the same worker pool, claim window
+/// and in-order fold as [`crate::slab::run_fleet_streamed_provisioned`],
+/// with each retired summary moved into the report after it is folded.
+/// The thread-count-invariance guarantee holds for any provisioner that
+/// is a pure function of `(spec, device)`.
 ///
 /// # Errors
 ///
@@ -809,51 +789,7 @@ pub fn run_fleet_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
 ) -> Result<FleetReport, WiotError> {
-    if spec.devices == 0 {
-        return Err(WiotError::InvalidScenario {
-            reason: "fleet must have at least one device",
-        });
-    }
-    let threads = spec.threads.clamp(1, spec.devices);
-
-    let mut slots: Vec<Option<Result<DeviceSummary, WiotError>>> =
-        (0..spec.devices).map(|_| None).collect();
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
-        for worker in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                // Static sharding: worker w owns devices w, w+T, w+2T, …
-                // Any partition works — determinism comes from the
-                // index-ordered reduction, not the schedule.
-                for device in (worker..spec.devices).step_by(threads) {
-                    let result = simulate_device(spec, prov, device);
-                    if tx.send((device, result)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (device, result) in rx {
-            slots[device] = Some(result);
-        }
-    });
-
-    let mut summaries = Vec::with_capacity(spec.devices);
-    for (device, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(summary)) => summaries.push(summary),
-            Some(Err(e)) => return Err(e),
-            None => {
-                debug_assert!(false, "worker for device {device} vanished without reporting");
-                return Err(WiotError::InvalidScenario {
-                    reason: "fleet worker terminated without reporting",
-                });
-            }
-        }
-    }
-    Ok(reduce(spec, summaries))
+    crate::slab::run(spec, prov, true).map(|slab| slab.report)
 }
 
 /// Train the model bank for `spec` (one model per subject, shared

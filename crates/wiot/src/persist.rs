@@ -13,18 +13,15 @@
 //! rejected with a typed error and counted as a recovery failure —
 //! never silently accepted.
 //!
-//! The module also provides a small byte codec for the adaptive
-//! engine's [`crate::adaptive::AdaptiveSnapshot`] so deployments that
-//! switch detector versions can persist the decision-engine state
-//! alongside the detector checkpoint, and a fixed 16-byte codec for
-//! the survival policy's [`crate::survival::SurvivalSnapshot`]. With
+//! The module also provides a fixed 16-byte codec for the survival
+//! policy's [`crate::survival::SurvivalSnapshot`], the version-switching
+//! state a deployment persists alongside the detector checkpoint. With
 //! [`Persistence::enable_survival`], every commit appends the policy
 //! state to the detector payload and
 //! [`Persistence::recover_survival`] restores *both* after a brownout
 //! — including hot-swapping the detector build when the checkpointed
 //! version differs from the one currently installed.
 
-use crate::adaptive::AdaptiveSnapshot;
 use crate::basestation::BaseStation;
 use crate::faults::FaultSummary;
 use crate::survival::SurvivalSnapshot;
@@ -35,10 +32,6 @@ use ml::{DetectorBackend, DetectorModel};
 use sift::checkpoint::DetectorCheckpoint;
 use sift::config::SiftConfig;
 use sift::features::Version;
-
-/// Encoded size of an [`AdaptiveSnapshot`]: version tag, presence
-/// flags, and two 8-byte payloads.
-pub const ADAPTIVE_SNAPSHOT_BYTES: usize = 19;
 
 /// Encoded size of a [`SurvivalSnapshot`]: version tag, four knob
 /// bytes, a flags byte, two 4-byte tick counters, and the 2-byte
@@ -368,22 +361,6 @@ fn version_from_tag(tag: u8) -> Option<Version> {
     }
 }
 
-/// Encode an [`AdaptiveSnapshot`] into `ADAPTIVE_SNAPSHOT_BYTES` bytes:
-/// `[version tag][switch flag][last_switch_ms LE][ewma flag][ewma bits LE]`.
-pub fn encode_adaptive(snap: &AdaptiveSnapshot) -> [u8; ADAPTIVE_SNAPSHOT_BYTES] {
-    let mut out = [0u8; ADAPTIVE_SNAPSHOT_BYTES];
-    out[0] = version_tag(snap.current);
-    if let Some(ms) = snap.last_switch_ms {
-        out[1] = 1;
-        out[2..10].copy_from_slice(&ms.to_le_bytes());
-    }
-    if let Some(ewma) = snap.link_badness_ewma {
-        out[10] = 1;
-        out[11..19].copy_from_slice(&ewma.to_bits().to_le_bytes());
-    }
-    out
-}
-
 /// Encode a [`SurvivalSnapshot`] into `SURVIVAL_SNAPSHOT_BYTES` bytes:
 /// `[version tag][duty skip][duty of][retry max][retry shift][flags]
 /// [tick LE u32][last_switch_tick LE u32][link ewma LE u16]`.
@@ -453,54 +430,6 @@ pub fn decode_survival(bytes: &[u8]) -> Result<SurvivalSnapshot, WiotError> {
         tick: u32_at(6),
         last_switch_tick: u32_at(10),
         link_ewma_permille,
-    })
-}
-
-/// Decode bytes produced by [`encode_adaptive`].
-///
-/// # Errors
-///
-/// Returns [`WiotError::InvalidScenario`] for a wrong length, an
-/// unknown version tag, an invalid presence flag, or a non-finite
-/// smoothed link badness.
-pub fn decode_adaptive(bytes: &[u8]) -> Result<AdaptiveSnapshot, WiotError> {
-    if bytes.len() != ADAPTIVE_SNAPSHOT_BYTES {
-        return Err(WiotError::InvalidScenario {
-            reason: "adaptive snapshot has the wrong length",
-        });
-    }
-    let current = version_from_tag(bytes[0]).ok_or(WiotError::InvalidScenario {
-        reason: "adaptive snapshot has an unknown version tag",
-    })?;
-    let flag = |b: u8| match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WiotError::InvalidScenario {
-            reason: "adaptive snapshot has an invalid presence flag",
-        }),
-    };
-    let u64_at = |at: usize| {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[at..at + 8]);
-        u64::from_le_bytes(raw)
-    };
-    let last_switch_ms = flag(bytes[1])?.then(|| u64_at(2));
-    let link_badness_ewma = match flag(bytes[10])? {
-        true => {
-            let v = f64::from_bits(u64_at(11));
-            if !v.is_finite() {
-                return Err(WiotError::InvalidScenario {
-                    reason: "adaptive snapshot link badness is not finite",
-                });
-            }
-            Some(v)
-        }
-        false => None,
-    };
-    Ok(AdaptiveSnapshot {
-        current,
-        last_switch_ms,
-        link_badness_ewma,
     })
 }
 
@@ -840,43 +769,5 @@ mod tests {
         // Payload length is exactly the detector checkpoint: no suffix.
         let expected = sift::checkpoint::encoded_len(version);
         assert_eq!(p.buf.len(), expected);
-    }
-
-    #[test]
-    fn adaptive_snapshot_codec_round_trips() {
-        for snap in [
-            AdaptiveSnapshot {
-                current: Version::Original,
-                last_switch_ms: None,
-                link_badness_ewma: None,
-            },
-            AdaptiveSnapshot {
-                current: Version::Reduced,
-                last_switch_ms: Some(123_456),
-                link_badness_ewma: Some(0.375),
-            },
-        ] {
-            let bytes = encode_adaptive(&snap);
-            assert_eq!(decode_adaptive(&bytes).unwrap(), snap);
-        }
-    }
-
-    #[test]
-    fn adaptive_snapshot_codec_rejects_malformed_bytes() {
-        let good = encode_adaptive(&AdaptiveSnapshot {
-            current: Version::Simplified,
-            last_switch_ms: Some(9),
-            link_badness_ewma: Some(0.5),
-        });
-        assert!(decode_adaptive(&good[..5]).is_err());
-        let mut bad_tag = good;
-        bad_tag[0] = 9;
-        assert!(decode_adaptive(&bad_tag).is_err());
-        let mut bad_flag = good;
-        bad_flag[1] = 7;
-        assert!(decode_adaptive(&bad_flag).is_err());
-        let mut bad_ewma = good;
-        bad_ewma[11..19].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_adaptive(&bad_ewma).is_err());
     }
 }

@@ -1,15 +1,15 @@
 //! Slab-based streaming fleet engine: bounded-memory multiplexing of
 //! arbitrarily many devices over a small worker pool.
 //!
-//! The resident engine ([`crate::fleet::run_fleet_provisioned`]) keeps
-//! one [`DeviceSummary`] per device until the final reduction, so a
-//! million-device fleet holds a million summaries (plus their telemetry
-//! snapshots) in memory at once. This module runs the **same** per-device
-//! simulation through a different harness: a fixed pool of workers pulls
-//! device indices from a shared cursor, each worker materializes one
-//! device at a time into its own reusable slab slot, and a single folder
-//! thread retires summaries in device-index order the moment they are
-//! contiguous. Resident state is O(workers), not O(devices):
+//! This is the one fleet engine. A fixed pool of workers pulls device
+//! indices from a shared cursor, each worker materializes one device at
+//! a time into its own reusable slab slot, and a single folder thread
+//! retires summaries in device-index order the moment they are
+//! contiguous. [`run_fleet_streamed_provisioned`] keeps nothing after
+//! the fold; [`crate::fleet::run_fleet_provisioned`] drives the same
+//! loop and also moves each retired [`DeviceSummary`] into
+//! [`FleetReport::per_device`]. Apart from those collected rows,
+//! resident state is O(workers), not O(devices):
 //!
 //! * **Claim window.** A worker may only claim device `i` once
 //!   `i < next_fold + window_cap` (`window_cap = workers × 4`), so the
@@ -24,25 +24,22 @@
 //!   exercises the codec's losslessness. On retirement the final
 //!   detector state (stream position, alerts) is encoded back out and
 //!   only [`SlabReport::retired_checkpoint_bytes`] remains.
-//! * **In-order fold.** The folder drives the same incremental
-//!   [`Reducer`](crate::fleet) fold and the same per-device digest
-//!   encoding as the resident engine, strictly in index order, so
-//!   aggregates are bit-identical to the resident engine's at any
-//!   worker count — the equivalence tests compare both engines through
-//!   [`FleetReport::slab_digest`].
+//! * **In-order fold.** The folder drives the incremental
+//!   [`Reducer`](crate::fleet) fold and the per-device digest encoding
+//!   strictly in index order, so aggregates are bit-identical at any
+//!   worker count, and a collected report's
+//!   [`FleetReport::slab_digest`] equals the streamed digest.
 //!
-//! Error semantics match the resident engine: the lowest-device-index
-//! provisioning or simulation error wins, deterministically. Workers
-//! holding lower indices keep running after an error is recorded (a
-//! lower-index error may still surface); workers claiming indices at or
-//! above the recorded error skip out.
+//! The lowest-device-index provisioning or simulation error wins,
+//! deterministically. Workers holding lower indices keep running after
+//! an error is recorded (a lower-index error may still surface);
+//! workers claiming indices at or above the recorded error skip out.
 
 use crate::fleet::{
-    digest_device, DeviceProvision, DeviceSummary, Digest, FleetProvisioner, FleetReport,
-    FleetSpec, Reducer,
+    digest_device, BankProvisioner, DeviceProvision, DeviceSummary, Digest, FleetProvisioner,
+    FleetReport, FleetSpec, Reducer,
 };
 use crate::WiotError;
-use physio_sim::subject::bank;
 use sift::checkpoint::DetectorCheckpoint;
 use sift::trainer::ModelBank;
 use std::collections::BTreeMap;
@@ -55,13 +52,12 @@ use std::thread;
 /// accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlabReport {
-    /// Fleet aggregates, identical to the resident engine's fold. The
-    /// `per_device` vector is **empty** — per-device summaries were
-    /// folded and retired, never accumulated.
+    /// Fleet aggregates. The `per_device` vector is **empty** —
+    /// per-device summaries were folded and retired, never accumulated.
     pub report: FleetReport,
     /// Streaming digest over every retired summary then the aggregates
-    /// (see [`FleetReport::slab_digest`] for the resident-side
-    /// counterpart).
+    /// (see [`FleetReport::slab_digest`] for the same value recomputed
+    /// from a report's rows).
     pub slab_digest: u64,
     /// Worker threads actually used (spec value clamped).
     pub workers: usize,
@@ -226,17 +222,28 @@ fn worker(spec: &FleetSpec, prov: &dyn FleetProvisioner, shared: &Shared) {
 
 /// Run a fleet through the streaming slab engine with an arbitrary
 /// [`FleetProvisioner`]. Aggregates (and [`SlabReport::slab_digest`])
-/// are bit-identical to the resident engine's at any worker count; the
-/// per-device vector is never materialized.
+/// are bit-identical at any worker count; the per-device vector is
+/// never materialized.
 ///
 /// # Errors
 ///
 /// Returns [`WiotError::InvalidScenario`] for an empty fleet and
-/// propagates the lowest-device-index provisioning or simulation error,
-/// exactly like [`crate::fleet::run_fleet_provisioned`].
+/// propagates the lowest-device-index provisioning or simulation error.
 pub fn run_fleet_streamed_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
+) -> Result<SlabReport, WiotError> {
+    run(spec, prov, false)
+}
+
+/// The engine behind both fleet entry points. With `keep_rows` the
+/// folder moves each summary into the report's `per_device` after
+/// folding it ([`crate::fleet::run_fleet_provisioned`]); without it the
+/// summary is dropped.
+pub(crate) fn run(
+    spec: &FleetSpec,
+    prov: &dyn FleetProvisioner,
+    keep_rows: bool,
 ) -> Result<SlabReport, WiotError> {
     if spec.devices == 0 {
         return Err(WiotError::InvalidScenario {
@@ -261,6 +268,7 @@ pub fn run_fleet_streamed_provisioned(
     let mut digest = Digest::new();
     let mut reducer = Reducer::new();
     let mut retired_checkpoint_bytes = 0u64;
+    let mut rows = Vec::new();
     let mut failure: Option<WiotError> = None;
 
     thread::scope(|scope| {
@@ -269,7 +277,7 @@ pub fn run_fleet_streamed_provisioned(
         }
         // The scope's own thread is the folder: retire summaries in
         // strict index order, folding digest and aggregates, keeping
-        // nothing after the fold.
+        // nothing after the fold unless rows are collected.
         let mut next = 0usize;
         while next < spec.devices {
             let entry = {
@@ -293,6 +301,9 @@ pub fn run_fleet_streamed_provisioned(
                     digest_device(&mut digest, &summary);
                     reducer.push(&summary);
                     retired_checkpoint_bytes += bytes;
+                    if keep_rows {
+                        rows.push(summary);
+                    }
                     next += 1;
                 }
                 None => {
@@ -312,7 +323,7 @@ pub fn run_fleet_streamed_provisioned(
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .high_water;
-    let report = reducer.finish(spec.seed, spec.template.duration_s, Vec::new());
+    let report = reducer.finish(spec.seed, spec.template.duration_s, rows);
     digest.usize(report.devices);
     report.digest_aggregates_into(&mut digest);
     Ok(SlabReport {
@@ -325,9 +336,9 @@ pub fn run_fleet_streamed_provisioned(
     })
 }
 
-/// Run a streamed fleet with a pre-trained [`ModelBank`] — the slab
-/// counterpart of [`crate::fleet::run_fleet_with_bank`], sharing its
-/// round-robin provisioning policy.
+/// Run a streamed fleet with a pre-trained [`ModelBank`] — the
+/// fold-only counterpart of [`crate::fleet::run_fleet_with_bank`],
+/// sharing its round-robin provisioning policy.
 ///
 /// # Errors
 ///
@@ -335,27 +346,14 @@ pub fn run_fleet_streamed_provisioned(
 /// [`WiotError::InvalidScenario`] when the bank's detector version or
 /// backend does not match the template.
 pub fn run_fleet_streamed(spec: &FleetSpec, models: &ModelBank) -> Result<SlabReport, WiotError> {
-    if models.version() != spec.template.version {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank version does not match the fleet template",
-        });
-    }
-    if models.kind() != spec.template.backend {
-        return Err(WiotError::InvalidScenario {
-            reason: "model bank backend does not match the fleet template",
-        });
-    }
-    let prov = crate::fleet::BankProvisioner {
-        models,
-        subjects_len: bank().len(),
-    };
-    run_fleet_streamed_provisioned(spec, &prov)
+    run_fleet_streamed_provisioned(spec, &BankProvisioner::for_spec(spec, models)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{run_fleet_with_bank, FleetSpec};
+    use crate::fleet::{run_fleet_provisioned, run_fleet_with_bank, FleetSpec};
+    use physio_sim::subject::bank;
 
     fn trained_bank(spec: &FleetSpec) -> ModelBank {
         ModelBank::train(
@@ -368,18 +366,19 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_resident_engine() {
+    fn streamed_matches_collected_rows() {
         let spec = FleetSpec::new(3, 9.0).with_seed(7);
         let models = trained_bank(&spec);
-        let resident = run_fleet_with_bank(&spec, &models).unwrap();
+        let collected = run_fleet_with_bank(&spec, &models).unwrap();
         let streamed = run_fleet_streamed(&spec, &models).unwrap();
-        // Aggregates are bit-identical once the resident per-device
-        // vector (which the slab never materializes) is set aside.
-        let mut resident_cmp = resident.clone();
-        resident_cmp.per_device = Vec::new();
-        assert_eq!(streamed.report, resident_cmp);
-        // And the streaming digest equals the resident recomputation.
-        assert_eq!(streamed.slab_digest, resident.slab_digest());
+        assert_eq!(collected.per_device.len(), 3);
+        // Aggregates are bit-identical once the collected per-device
+        // vector (which the fold-only stream never keeps) is set aside.
+        let mut collected_cmp = collected.clone();
+        collected_cmp.per_device = Vec::new();
+        assert_eq!(streamed.report, collected_cmp);
+        // And the streaming digest equals the recomputation from rows.
+        assert_eq!(streamed.slab_digest, collected.slab_digest());
         assert!(streamed.report.per_device.is_empty());
         assert!(streamed.retired_checkpoint_bytes > 0, "no swap-out traffic");
     }
@@ -439,7 +438,7 @@ mod tests {
         // return that error (not hang, not return a partial report),
         // and the failing index must win over later successes.
         struct FailAt {
-            inner: crate::fleet::BankProvisioner<'static>,
+            inner: BankProvisioner<'static>,
             fail_device: usize,
         }
         impl FleetProvisioner for FailAt {
@@ -459,18 +458,16 @@ mod tests {
         let spec = FleetSpec::new(6, 9.0).with_seed(5).with_threads(2);
         let models = Box::leak(Box::new(trained_bank(&spec)));
         let prov = FailAt {
-            inner: crate::fleet::BankProvisioner {
-                models,
-                subjects_len: bank().len(),
-            },
+            inner: BankProvisioner::for_spec(&spec, models).unwrap(),
             fail_device: 4,
         };
+        let injected = WiotError::InvalidScenario {
+            reason: "injected provisioning failure",
+        };
         let err = run_fleet_streamed_provisioned(&spec, &prov).unwrap_err();
-        assert_eq!(
-            err,
-            WiotError::InvalidScenario {
-                reason: "injected provisioning failure",
-            }
-        );
+        assert_eq!(err, injected);
+        // The collecting entry point reports the same error.
+        let err = run_fleet_provisioned(&spec, &prov).unwrap_err();
+        assert_eq!(err, injected);
     }
 }

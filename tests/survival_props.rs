@@ -47,7 +47,7 @@ fn inputs(soc: u16, link: u16, backlog: u16) -> SurvivalInputs {
 /// A deterministic square-wave link trace: `period` ticks bad, `period`
 /// ticks good, forever.
 fn oscillating_link(tick: u32, period: u32, bad: u16, good: u16) -> u16 {
-    if (tick / period.max(1)) % 2 == 0 {
+    if (tick / period.max(1)).is_multiple_of(2) {
         bad
     } else {
         good
@@ -79,7 +79,7 @@ proptest! {
         // Hard ceiling from the dwell gate.
         let dwell_bound = 3600 / dwell + 1;
         prop_assert!(
-            u32::from(p.switches()) <= dwell_bound,
+            p.switches() <= dwell_bound,
             "{} switches in an hour exceeds the dwell bound {}",
             p.switches(),
             dwell_bound
