@@ -13,7 +13,8 @@ use sift::features::Version;
 fn main() {
     let config = SiftConfig::default();
     let profiler = ResourceProfiler::default();
-    let spec = sift_app_spec(Version::Original, &config, 112);
+    let original_model_bytes = ml::embedded::encoded_len(Version::Original.feature_count());
+    let spec = sift_app_spec(Version::Original, &config, original_model_bytes);
 
     println!("FIGURE 3 reproduction: ARP-view snapshot of the SIFT app (original version)\n");
     print!("{}", profiler.arp_view(&[&spec]));
@@ -45,7 +46,7 @@ fn main() {
     }
     println!();
     for version in Version::ALL {
-        let model_bytes = if version == Version::Reduced { 76 } else { 112 };
+        let model_bytes = ml::embedded::encoded_len(version.feature_count());
         let vspec = sift_app_spec(version, &config, model_bytes);
         print!("{:<12}", version.to_string());
         for (_, days) in profiler.lifetime_vs_period(&vspec, &periods) {
@@ -62,7 +63,7 @@ fn main() {
             grid_n: n,
             ..config.clone()
         };
-        let s = sift_app_spec(Version::Original, &cfg, 112);
+        let s = sift_app_spec(Version::Original, &cfg, original_model_bytes);
         let p = profiler.profile(&[&s]);
         println!(
             "  n = {n:>3}: {:>6.1} ms/window, {:>5.0} days",

@@ -11,9 +11,10 @@
 //!
 //! 1. **Fast-forward lifetime sweep** — each device's discharge curve is
 //!    integrated in pure integer arithmetic at a 60 s tick using the
-//!    same `BatteryState` and per-version average currents the scenario
-//!    layer uses, with a per-device Gilbert–Elliott badness chain and
-//!    seeded brownouts that exercise the policy's snapshot/restore path
+//!    same `BatteryState` and per-version draw currents
+//!    (`wiot::adaptive::DrawTable`) the scenario layer uses, with a
+//!    per-device Gilbert–Elliott badness chain and seeded brownouts
+//!    that exercise the policy's snapshot/restore path
 //!    (any round-trip mismatch fails the bench). Reports p5/p50/p95
 //!    lifetime per policy and the adaptive ladder's occupancy.
 //! 2. **Accuracy tradeoff** — per-version detection accuracy from the
@@ -31,15 +32,16 @@
 //!
 //! Writes `results/BENCH_lifetime.json` (override with `--out PATH`).
 
-use amulet_sim::costs::{detector_cycles, OpCosts};
 use amulet_sim::energy::{BatteryState, EnergyModel};
 use bench::{run_table2, Scale};
+use ml::BackendKind;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use sift::trainer::ModelBank;
 use std::fmt::Write as _;
+use wiot::adaptive::{version_index, DrawTable};
 use wiot::channel::LossModel;
 use wiot::fleet::{run_fleet_with_bank, FleetSpec};
 use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
@@ -140,26 +142,6 @@ struct DeviceLifetime {
     snapshot_mismatches: u64,
 }
 
-fn version_index(v: Version) -> usize {
-    match v {
-        Version::Original => 0,
-        Version::Simplified => 1,
-        Version::Reduced => 2,
-    }
-}
-
-/// Per-version average current (µA), same derivation as the scenario
-/// layer: cost-model cycles for an average window, amortized over the
-/// window period by the energy model.
-fn version_current_ua(model: &EnergyModel, config: &SiftConfig) -> [f64; 3] {
-    let mut out = [0.0; 3];
-    for v in Version::ALL {
-        let cycles = detector_cycles(v, config, &OpCosts::default(), 4.0).total();
-        out[version_index(v)] = model.average_current_for_cycles_ua(cycles, config.window_s);
-    }
-    out
-}
-
 /// Integrate one device from full charge to cutoff.
 ///
 /// The Gilbert–Elliott chain and brownout draws come from independent
@@ -170,8 +152,7 @@ fn run_device(
     policy_kind: DeploymentPolicy,
     device: usize,
     seed: u64,
-    currents_ua: &[f64; 3],
-    baseline_ua: f64,
+    draw: &DrawTable,
     model: &EnergyModel,
 ) -> DeviceLifetime {
     let cfg = SurvivalConfig::default();
@@ -236,11 +217,8 @@ fn run_device(
         occupancy_ticks[version_index(version)] += 1;
         duty_skipped_window_ticks += u64::from(duty_skip);
 
-        // Draw current: baseline plus the active version's detector
-        // share, thinned by the duty cycle, with the per-device spread.
-        let delta = (currents_ua[version_index(version)] - baseline_ua).max(0.0);
-        let kept = f64::from(duty_of - duty_skip) / f64::from(duty_of);
-        let current_ua = ((baseline_ua + delta * kept) * spread as f64 / 1000.0).round() as u64;
+        // Draw current under the posture, with the per-device spread.
+        let current_ua = (draw.draw_ua(version, (duty_skip, duty_of)) * spread + 500) / 1000;
         battery.drain(current_ua, TICK_S * 1000);
 
         if battery.soc_permille() <= cfg.cutoff_permille {
@@ -280,8 +258,7 @@ fn sweep(
     policy: DeploymentPolicy,
     devices: usize,
     seed: u64,
-    currents_ua: &[f64; 3],
-    baseline_ua: f64,
+    draw: &DrawTable,
     model: &EnergyModel,
 ) -> PolicySweep {
     let mut lifetimes = Vec::with_capacity(devices);
@@ -290,7 +267,7 @@ fn sweep(
     let mut reboots = 0u64;
     let mut mismatches = 0u64;
     for device in 0..devices {
-        let d = run_device(policy, device, seed, currents_ua, baseline_ua, model);
+        let d = run_device(policy, device, seed, draw, model);
         lifetimes.push(d.lifetime_days);
         for (acc, t) in occupancy.iter_mut().zip(d.occupancy_ticks) {
             *acc += t;
@@ -361,12 +338,15 @@ fn main() {
 
     let model = EnergyModel::default();
     let config = SiftConfig::default();
-    let currents = version_current_ua(&model, &config);
-    let baseline = model.currents.baseline_ua();
+    let draw = DrawTable::new(&model, &config, BackendKind::Svm);
+    let full = |v| draw.draw_ua(v, (0, 1));
     println!(
-        "per-version average current: original {:.1} uA, simplified {:.1} uA, reduced {:.1} uA \
-         (baseline {:.1} uA)",
-        currents[0], currents[1], currents[2], baseline
+        "per-version draw current: original {} uA, simplified {} uA, reduced {} uA \
+         (baseline {} uA)",
+        full(Version::Original),
+        full(Version::Simplified),
+        full(Version::Reduced),
+        draw.baseline_ua()
     );
 
     println!(
@@ -377,24 +357,21 @@ fn main() {
         DeploymentPolicy::AlwaysOriginal,
         args.devices,
         args.seed,
-        &currents,
-        baseline,
+        &draw,
         &model,
     );
     let reduced = sweep(
         DeploymentPolicy::AlwaysReduced,
         args.devices,
         args.seed,
-        &currents,
-        baseline,
+        &draw,
         &model,
     );
     let adaptive = sweep(
         DeploymentPolicy::Adaptive,
         args.devices,
         args.seed,
-        &currents,
-        baseline,
+        &draw,
         &model,
     );
     for (name, s) in [

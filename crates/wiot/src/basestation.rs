@@ -603,8 +603,9 @@ impl BaseStation {
         &self.os
     }
 
-    /// The underlying OS, mutably (used by the adaptive engine to swap
-    /// detector apps).
+    /// The underlying OS, mutably (telemetry and the FRAM checkpoint
+    /// region; version hot-swaps go through
+    /// [`BaseStation::swap_detector`]).
     pub fn os_mut(&mut self) -> &mut AmuletOs {
         &mut self.os
     }

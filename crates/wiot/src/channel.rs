@@ -407,10 +407,42 @@ impl Channel {
     }
 }
 
+/// Scalar badness of a link as integer permille in `[0, 1000]`: channel
+/// loss plus the energy drag of ARQ retransmissions (each retransmit
+/// costs roughly one packet's airtime, so it weighs like half a loss),
+/// clamped. This is the fixed-point form the device-side survival
+/// policy ([`crate::survival`]) consumes. A NaN statistic saturates to
+/// fully bad: a link whose statistics are broken should not be trusted.
+pub fn link_badness_permille(loss_rate: f64, retransmit_rate: f64) -> u16 {
+    let b = (loss_rate + 0.5 * retransmit_rate).clamp(0.0, 1.0);
+    if b.is_finite() {
+        (b * 1000.0).round() as u16
+    } else {
+        1000
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::Stream;
+
+    #[test]
+    fn link_badness_weighs_retransmits_half_and_saturates() {
+        assert_eq!(link_badness_permille(0.0, 0.0), 0);
+        assert_eq!(link_badness_permille(0.1, 0.2), 200);
+        assert_eq!(link_badness_permille(0.35, 0.5), 600);
+        assert_eq!(link_badness_permille(0.8, 1.0), 1000);
+        // NaN anywhere is untrusted: fully bad.
+        assert_eq!(link_badness_permille(f64::NAN, 0.0), 1000);
+        assert_eq!(link_badness_permille(0.0, f64::NAN), 1000);
+        // Infinities and negatives are clamped to the scale's ends.
+        assert_eq!(link_badness_permille(f64::INFINITY, 0.0), 1000);
+        assert_eq!(link_badness_permille(0.0, f64::INFINITY), 1000);
+        assert_eq!(link_badness_permille(f64::NEG_INFINITY, 0.0), 0);
+        assert_eq!(link_badness_permille(-0.3, 0.1), 0);
+        assert_eq!(link_badness_permille(0.3, -0.2), 200);
+    }
 
     fn packet(seq: u64) -> SensorPacket {
         SensorPacket {

@@ -30,15 +30,16 @@
 //! * [`basestation`] — the Amulet running the SIFT detector app on the
 //!   reassembled sensor streams,
 //! * [`sink`] — history storage and alert collection,
-//! * [`adaptive`] — the paper's Insight #4: a decision engine that picks
-//!   the detector version from static and dynamic resource constraints,
 //! * [`persist`] — crash-consistent checkpointing of the detector and
-//!   adaptive state to the simulated FRAM, so a brownout reboot resumes
-//!   detection without re-enrollment,
-//! * [`survival`] — the battery- and channel-aware graceful-degradation
-//!   policy: a closed loop that walks detector version, sampling duty
-//!   cycle, and transport retry budget down (and back up) with
-//!   hysteresis as charge drains and the link degrades,
+//!   survival-policy state to the simulated FRAM, so a brownout reboot
+//!   resumes detection without re-enrollment,
+//! * [`survival`] — the paper's Insight #4 decision engine: a
+//!   battery- and channel-aware closed loop that walks detector
+//!   version, sampling duty cycle, and transport retry budget down (and
+//!   back up) with hysteresis as charge drains and the link degrades,
+//! * [`adaptive`] — the host-side energy arithmetic behind that loop:
+//!   the per-version draw-current table and a whole-battery
+//!   fast-forward of the policy,
 //! * [`scenario`] — a deterministic scenario runner gluing everything
 //!   together and scoring detection performance end to end.
 

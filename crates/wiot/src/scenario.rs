@@ -8,12 +8,14 @@
 //! watchdog). Everything is driven from the single scenario seed, so a
 //! faulted run replays byte-identically.
 
+use crate::adaptive::{version_index, DrawTable};
 use crate::attacker::{AttackMode, Attacker};
 use crate::basestation::{BaseStation, WindowOutcome};
-use crate::channel::{Channel, ChannelConfig, ChannelStats, Delivery, LossModel};
+use crate::channel::{
+    link_badness_permille, Channel, ChannelConfig, ChannelStats, Delivery, LossModel,
+};
 use crate::device::{SensorDevice, Stream};
 use crate::faults::{FaultPlan, FaultSummary};
-use crate::adaptive::LinkQuality;
 use crate::persist::Persistence;
 use crate::sink::Sink;
 use crate::survival::{
@@ -23,7 +25,6 @@ use crate::survival::{
 use crate::transport::{ArqConfig, ArqLink, TransportStats};
 use crate::WiotError;
 use amulet_sim::apps::SiftApp;
-use amulet_sim::costs::{detector_cycles, tsetlin_classifier_cycles, OpCosts};
 use amulet_sim::energy::BatteryState;
 use ml::metrics::ConfusionMatrix;
 use ml::{BackendKind, DetectorBackend, DetectorModel, Label};
@@ -32,7 +33,7 @@ use physio_sim::subject::{bank, Subject};
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::trainer::SiftModel;
-use sift::zoo::{train_backend_for_subject, tsetlin_pairs};
+use sift::zoo::train_backend_for_subject;
 use telemetry::{CounterId, EventCode, GaugeId, Telemetry, TelemetryReport};
 
 /// Wireless-link parameters for a scenario.
@@ -403,16 +404,6 @@ pub struct DeviceOptions<'a> {
     pub subject: Option<&'a Subject>,
 }
 
-/// Stable index of a version in per-version tables:
-/// `[Original, Simplified, Reduced]`.
-fn version_index(v: Version) -> usize {
-    match v {
-        Version::Original => 0,
-        Version::Simplified => 1,
-        Version::Reduced => 2,
-    }
-}
-
 /// Host-side carrier of the survival policy inside a [`DeviceSim`]:
 /// the integer policy core plus everything the simulation needs to
 /// feed and actuate it (battery integration, per-version current
@@ -420,11 +411,7 @@ fn version_index(v: Version) -> usize {
 struct SurvivalRuntime {
     policy: SurvivalPolicy,
     battery: BatteryState,
-    /// Baseline (sleep) system current, µA.
-    baseline_ua: u64,
-    /// Detector current on top of baseline per version, µA, indexed
-    /// by [`version_index`].
-    active_delta_ua: [u64; 3],
+    draw: DrawTable,
     /// Per-version deployable models for version hot-swaps, trained
     /// lazily from the scenario seed on first switch into a version
     /// (the provisioned version's model is seeded at construction).
@@ -442,37 +429,18 @@ struct SurvivalRuntime {
 }
 
 impl SurvivalRuntime {
-    /// Build the runtime for a device provisioned with `ceiling` whose
-    /// enrolled model is `embedded`. The per-version current table is
-    /// the energy model's duty-cycle-weighted average (the Table III
-    /// lever), rounded once to integer µA so the battery integration
-    /// stays exact.
+    /// Build the runtime for a device provisioned with the scenario's
+    /// version whose enrolled model is `deployed`.
     fn new(
         cfg: SurvivalConfig,
         scenario: &Scenario,
         model: &amulet_sim::energy::EnergyModel,
         deployed: DetectorModel,
     ) -> Self {
-        let baseline = model.currents.baseline_ua();
-        let costs = OpCosts::default();
-        let mut active_delta_ua = [0u64; 3];
-        for v in Version::ALL {
-            let mut cycles = detector_cycles(v, &scenario.config, &costs, 4.0);
-            if scenario.backend == BackendKind::Tsetlin {
-                cycles.ml_classifier = tsetlin_classifier_cycles(
-                    v.feature_count(),
-                    tsetlin_pairs(v) as usize,
-                    &costs,
-                );
-            }
-            let avg = model.average_current_for_cycles_ua(cycles.total(), scenario.config.window_s);
-            active_delta_ua[version_index(v)] = (avg - baseline).max(0.0).round() as u64;
-        }
         Self {
             policy: SurvivalPolicy::new(cfg, scenario.version),
             battery: BatteryState::from_model(model).with_initial_permille(cfg.initial_soc_permille),
-            baseline_ua: baseline.round() as u64,
-            active_delta_ua,
+            draw: DrawTable::new(model, &scenario.config, scenario.backend),
             models: vec![(scenario.version, deployed)],
             actions: Vec::new(),
             retry_reconfigs: 0,
@@ -482,17 +450,6 @@ impl SurvivalRuntime {
             cutoff_at_ms: None,
             window_ms: (scenario.config.window_s * 1000.0) as u64,
         }
-    }
-
-    /// Average system current under the policy's current posture, µA:
-    /// duty cycling scales only the detector's share, never the
-    /// baseline (the display and radio stay on).
-    fn current_ua(&self) -> u64 {
-        let delta = self.active_delta_ua[version_index(self.policy.version())];
-        let (skip, of) = self.policy.duty();
-        let of = u64::from(of.max(1));
-        let kept = of - u64::from(skip).min(of);
-        self.baseline_ua + delta * kept / of
     }
 
     /// The deployable model for `version` in the scenario's backend
@@ -976,7 +933,10 @@ impl DeviceSim {
             return Ok(());
         };
         let scale = u64::from(rt.policy.config().drain_scale.max(1));
-        let current = rt.current_ua().saturating_mul(scale);
+        let current = rt
+            .draw
+            .draw_ua(rt.policy.version(), rt.policy.duty())
+            .saturating_mul(scale);
         rt.battery.drain(current, self.chunk_ms);
         if !self.now_ms.is_multiple_of(1000) {
             return Ok(());
@@ -996,17 +956,10 @@ impl DeviceSim {
             (self.links[0].channel().loss_rate() + self.links[1].channel().loss_rate()) / 2.0;
         let retransmit_rate = match (self.links[0].transport_stats(), self.links[1].transport_stats())
         {
-            (Some(a), Some(b)) => {
-                let sent = (a.data_sent + b.data_sent).max(1) as f64;
-                (a.retransmits + b.retransmits) as f64 / sent
-            }
+            (Some(a), Some(b)) => add_transport_stats(a, b).retransmit_rate(),
             _ => 0.0,
         };
-        let badness = LinkQuality {
-            loss_rate: loss,
-            retransmit_rate,
-        }
-        .badness_permille();
+        let badness = link_badness_permille(loss, retransmit_rate);
         // Backlog: windows whose time has passed but that neither
         // resolved at the station nor were duty-skipped at the source.
         let expected = self.now_ms / rt.window_ms;

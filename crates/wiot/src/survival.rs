@@ -595,6 +595,21 @@ mod tests {
             p.step(inputs(cfg.original_above_permille + cfg.hysteresis_permille + 1));
         }
         assert_eq!(p.version(), Version::Original);
+        // The lower rung works the same: drain to Reduced, then hovering
+        // just above the Simplified threshold holds Reduced...
+        for _ in 0..4 {
+            p.step(inputs(cfg.simplified_above_permille - 50));
+        }
+        assert_eq!(p.version(), Version::Reduced);
+        for _ in 0..10 {
+            p.step(inputs(cfg.simplified_above_permille + 1));
+        }
+        assert_eq!(p.version(), Version::Reduced);
+        // ...and clearing it by the margin climbs exactly one rung.
+        for _ in 0..10 {
+            p.step(inputs(cfg.simplified_above_permille + cfg.hysteresis_permille + 1));
+        }
+        assert_eq!(p.version(), Version::Simplified);
     }
 
     #[test]

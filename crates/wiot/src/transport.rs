@@ -91,8 +91,8 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Retransmissions per first-time data packet — the adaptive
-    /// engine's view of how hard the link is working.
+    /// Retransmissions per first-time data packet — the survival
+    /// policy's view of how hard the link is working.
     pub fn retransmit_rate(&self) -> f64 {
         if self.data_sent == 0 {
             0.0

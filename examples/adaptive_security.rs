@@ -1,13 +1,15 @@
-//! Adaptive security (paper Insight #4): a decision engine that watches
-//! the battery drain and hot-swaps between the three detector versions,
-//! instead of the paper's manual re-flashing.
+//! Adaptive security (paper Insight #4): a decision engine — the
+//! survival policy — that watches the battery drain and hot-swaps
+//! between the three detector versions, instead of the paper's manual
+//! re-flashing.
 //!
 //! Two acts:
 //!
 //! 1. **Open loop** — fast-forward a whole-battery deployment with
 //!    [`wiot::adaptive::simulate_adaptive_deployment`]: each simulated
-//!    hour drains the battery according to the active version's duty
-//!    cycle, and the engine switches when thresholds are crossed.
+//!    second drains the battery by the active posture's draw current
+//!    ([`wiot::adaptive::DrawTable`]), and the policy switches when
+//!    thresholds are crossed.
 //! 2. **Closed loop** — run the full sample-level scenario with the
 //!    [`wiot::survival`] policy engaged and an accelerated battery, and
 //!    watch the policy walk the degradation ladder live: reflashing the
@@ -16,59 +18,51 @@
 //!
 //! Run: `cargo run --release --example adaptive_security`
 
-use amulet_sim::profiler::{sift_app_spec, ResourceProfiler};
+use amulet_sim::energy::EnergyModel;
+use ml::BackendKind;
 use sift::config::SiftConfig;
 use sift::features::Version;
-use wiot::adaptive::{requirements_from_profiler, simulate_adaptive_deployment, Policy};
+use wiot::adaptive::{simulate_adaptive_deployment, DrawTable};
 use wiot::scenario::{run, Scenario};
 use wiot::survival::{SurvivalAction, SurvivalConfig};
 
 fn main() {
     let config = SiftConfig::default();
-    let profiler = ResourceProfiler::default();
+    let energy = EnergyModel::default();
+    let draw = DrawTable::new(&energy, &config, BackendKind::Svm);
 
-    println!("per-version requirements (static constraints):");
-    for r in requirements_from_profiler(&config) {
+    println!(
+        "per-version draw current (baseline {} uA) and static lifetime (capacity / draw):",
+        draw.baseline_ua()
+    );
+    for version in Version::ALL {
+        let ua = draw.draw_ua(version, (0, 1));
         println!(
-            "  {:<11} FRAM {:>6.2} KB (incl. libraries), duty {:>5.2}%",
-            r.version.to_string(),
-            r.fram_bytes as f64 / 1024.0,
-            r.duty_cycle * 100.0
+            "  {:<11} {:>4} uA  {:>5.1} days",
+            version.to_string(),
+            ua,
+            energy.lifetime_days(ua as f64)
         );
     }
 
-    let report = simulate_adaptive_deployment(
-        &config,
-        Policy {
-            min_dwell_ms: 6 * 3_600_000, // don't switch more than every 6 h
-            ..Policy::default()
-        },
-    );
+    let report = simulate_adaptive_deployment(&config, SurvivalConfig::default());
 
     println!("\nadaptive deployment phases:");
     for p in &report.phases {
         println!(
-            "  day {:>5.1} .. {:>5.1}: {}",
-            p.from_hour / 24.0,
-            p.to_hour / 24.0,
+            "  day {:>5.2} .. {:>5.2}: {}",
+            p.from_s as f64 / 86_400.0,
+            p.to_s as f64 / 86_400.0,
             p.version
         );
     }
     println!(
-        "\nbattery exhausted after {:.1} days with adaptive switching \
-         (static original: {:.1} days, +{:.0}%)",
+        "\nbattery at cutoff after {:.2} days with adaptive switching \
+         (static original: {:.2} days, {:.2}x)",
         report.lifetime_days,
         report.static_original_days,
-        (report.lifetime_days / report.static_original_days - 1.0) * 100.0
+        report.lifetime_days / report.static_original_days
     );
-
-    println!("\nstatic deployments for reference:");
-    for version in Version::ALL {
-        let model_bytes = if version == Version::Reduced { 76 } else { 112 };
-        let spec = sift_app_spec(version, &config, model_bytes);
-        let p = profiler.profile(&[&spec]);
-        println!("  {:<11} {:>5.1} days", version.to_string(), p.lifetime_days);
-    }
 
     closed_loop();
 }
@@ -94,7 +88,10 @@ fn closed_loop() {
                 println!("  t={at_tick:>3}s reflash {from} -> {to}");
             }
             SurvivalAction::SetDuty { at_tick, skip, of } => {
-                println!("  t={at_tick:>3}s duty cycle: keep {}/{of} windows", of - skip);
+                println!(
+                    "  t={at_tick:>3}s duty cycle: keep {}/{of} windows",
+                    of - skip
+                );
             }
             SurvivalAction::SetRetry {
                 at_tick,

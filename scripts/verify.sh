@@ -15,6 +15,7 @@ cargo test -q --test golden_traces
 cargo test -q --test fleet_props
 cargo test -q --test recovery_props
 cargo test -q --test survival_props
+cargo test -q --test adaptive_security --test adaptive_faults
 cargo test -q -p wiot --test transport_edges
 cargo test -q --test resample_props
 

@@ -1,54 +1,45 @@
 //! Cross-layer scenario: timing faults and link degradation feeding the
-//! adaptive decision engine.
+//! adaptive decision engine (the survival policy).
 //!
 //! Clock drift skews packet timestamps but does not destroy data, so it
 //! must neither trip the stream watchdog (no spurious `StreamStalled`)
-//! nor push the engine off the full detector. A genuinely lossy link,
-//! measured through the same observation path, must cap the deployment
+//! nor push the policy off the full detector. A genuinely lossy link,
+//! measured through the same observation path, must latch the link cap
 //! at the simplified version — while ARQ still keeps the watchdog quiet.
 
-use sift::config::SiftConfig;
 use sift::features::Version;
-use wiot::adaptive::{
-    requirements_from_profiler, DecisionEngine, LinkQuality, Policy, ResourceSnapshot,
-};
-use wiot::channel::LossModel;
+use wiot::channel::{link_badness_permille, LossModel};
 use wiot::device::Stream;
 use wiot::faults::{FaultEvent, FaultKind, FaultPlan};
 use wiot::scenario::{run, Scenario, SimReport};
+use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
 
-fn engine() -> DecisionEngine {
-    DecisionEngine::new(
-        Version::Original,
-        requirements_from_profiler(&SiftConfig::default()),
-        Policy::default(),
+/// The link badness the runner feeds the policy: observed channel loss
+/// plus ARQ retransmission drag.
+fn observed_badness(r: &SimReport) -> u16 {
+    link_badness_permille(
+        r.channel_loss_rate,
+        r.transport.map_or(0.0, |t| t.retransmit_rate()),
     )
 }
 
-/// The link quality the runner would report to the engine: observed
-/// channel loss plus ARQ retransmission drag.
-fn observed_quality(r: &SimReport) -> LinkQuality {
-    LinkQuality {
-        loss_rate: r.channel_loss_rate,
-        retransmit_rate: r
-            .transport
-            .as_ref()
-            .map(|t| t.retransmit_rate())
-            .unwrap_or(0.0),
+/// A policy provisioned with Original, stepped at healthy charge on a
+/// link of `badness` long enough for its smoothing to settle.
+fn settled_policy(badness: u16) -> SurvivalPolicy {
+    let mut p = SurvivalPolicy::new(SurvivalConfig::default(), Version::Original);
+    for _ in 0..30 {
+        p.step(SurvivalInputs {
+            soc_permille: 900,
+            link_badness_permille: badness,
+            backlog_windows: 0,
+        });
     }
-}
-
-fn healthy_snapshot() -> ResourceSnapshot {
-    ResourceSnapshot {
-        battery_fraction: 0.9,
-        fram_free_bytes: 60_000,
-        cpu_headroom: 0.9,
-    }
+    p
 }
 
 /// 5% clock drift on the ABP stream for 20 s skews timestamps by about
 /// a second — far below the 9 s watchdog — so the run must end with
-/// measurable skew, zero stall alerts, and an engine still happy to run
+/// measurable skew, zero stall alerts, and a policy still happy to run
 /// the original detector.
 #[test]
 fn clock_drift_neither_stalls_the_watchdog_nor_degrades_the_engine() {
@@ -70,16 +61,12 @@ fn clock_drift_neither_stalls_the_watchdog_nor_degrades_the_engine() {
         "no watchdog alert may reach the sink under pure drift"
     );
 
-    let q = observed_quality(&r);
-    let mut e = engine();
-    for _ in 0..10 {
-        e.observe_link(&q);
-    }
-    assert_eq!(e.decide(60_000, &healthy_snapshot()), None);
-    assert_eq!(e.current(), Version::Original);
+    let p = settled_policy(observed_badness(&r));
+    assert!(!p.link_capped());
+    assert_eq!(p.version(), Version::Original);
 }
 
-/// The same deployment with a genuinely bad link: the engine must cap
+/// The same deployment with a genuinely bad link: the policy must cap
 /// at simplified from the very same observation path, and ARQ must keep
 /// enough chunks flowing that the watchdog still never fires.
 #[test]
@@ -98,18 +85,12 @@ fn degraded_link_caps_the_engine_at_simplified_without_stalling() {
     assert!(r.faults.degraded_link_ms > 0, "{:?}", r.faults);
     assert_eq!(r.stall_alerts, 0, "ARQ should keep both streams alive");
 
-    let q = observed_quality(&r);
+    let badness = observed_badness(&r);
     assert!(
-        q.loss_rate > Policy::default().degrade_loss_above,
-        "observed loss {:.3} should exceed the degrade threshold",
-        q.loss_rate
+        badness >= SurvivalConfig::default().link_bad_permille,
+        "observed badness {badness} permille should reach the link-cap threshold"
     );
-    let mut e = engine();
-    for _ in 0..10 {
-        e.observe_link(&q);
-    }
-    assert_eq!(
-        e.decide(60_000, &healthy_snapshot()),
-        Some(Version::Simplified)
-    );
+    let p = settled_policy(badness);
+    assert!(p.link_capped());
+    assert_eq!(p.version(), Version::Simplified);
 }

@@ -1,5 +1,7 @@
-//! Integration of the adaptive-security decision engine with the real
-//! platform apps: hot-swapping detector versions on a running AmuletOS.
+//! Integration of the adaptive-security decision engine — the survival
+//! policy — with the real platform apps: hot-swapping detector versions
+//! on a running AmuletOS, and the whole-battery fast-forward agreeing
+//! with the live closed loop.
 
 use amulet_sim::apps::SiftApp;
 use amulet_sim::event::AmuletEvent;
@@ -13,7 +15,9 @@ use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::trainer::{train_for_subject, SiftModel};
-use wiot::adaptive::{requirements_from_profiler, DecisionEngine, Policy, ResourceSnapshot};
+use wiot::adaptive::simulate_adaptive_deployment;
+use wiot::scenario::{run, Scenario};
+use wiot::survival::{SurvivalAction, SurvivalConfig, SurvivalInputs, SurvivalPolicy};
 
 fn quick_config() -> SiftConfig {
     SiftConfig {
@@ -23,8 +27,8 @@ fn quick_config() -> SiftConfig {
     }
 }
 
-fn train_all(cfg: &SiftConfig) -> Vec<(Version, SiftModel)> {
-    Version::ALL
+fn train(versions: &[Version], cfg: &SiftConfig) -> Vec<(Version, SiftModel)> {
+    versions
         .iter()
         .map(|&v| (v, train_for_subject(&bank(), 0, v, cfg, 3).unwrap()))
         .collect()
@@ -42,84 +46,128 @@ fn build_app(
     (app, image)
 }
 
-/// The full adaptive loop: the engine degrades the detector as the
+fn at_soc(soc_permille: u16) -> SurvivalInputs {
+    SurvivalInputs {
+        soc_permille,
+        ..SurvivalInputs::default()
+    }
+}
+
+fn live_snippets() -> Vec<sift::snippet::Snippet> {
+    let live = Record::synthesize(&bank()[0], 30.0, 1);
+    windows(&live, 3.0)
+        .unwrap()
+        .iter()
+        .map(|w| sift::snippet::Snippet::from_record(w).unwrap())
+        .collect()
+}
+
+/// The full adaptive loop: the policy degrades the detector as the
 /// battery drains, and the OS actually swaps the apps.
 #[test]
 fn engine_hot_swaps_apps_on_the_running_os() {
     let cfg = quick_config();
-    let models = train_all(&cfg);
+    let models = train(&Version::ALL, &cfg);
     let mut os = AmuletOs::new();
     let (app, image) = build_app(Version::Original, &models, &cfg);
     os.install(&image, vec![Box::new(app)]).unwrap();
 
-    let mut engine = DecisionEngine::new(
-        Version::Original,
-        requirements_from_profiler(&cfg),
-        Policy {
-            min_dwell_ms: 0,
-            ..Policy::default()
+    let mut policy = SurvivalPolicy::new(
+        SurvivalConfig {
+            min_dwell_ticks: 0,
+            ..SurvivalConfig::default()
         },
+        Version::Original,
     );
+    let snippets = live_snippets();
 
-    let live = Record::synthesize(&bank()[0], 30.0, 1);
-    let snippets: Vec<_> = windows(&live, 3.0)
-        .unwrap()
-        .iter()
-        .map(|w| sift::snippet::Snippet::from_record(w).unwrap())
-        .collect();
-
-    // Battery levels sampled over a simulated discharge.
-    let levels = [0.9, 0.7, 0.45, 0.3, 0.15, 0.05];
+    // Battery levels (permille) sampled over a simulated discharge.
+    let levels = [900, 700, 450, 300, 150, 50];
     let mut deployed = Version::Original;
-    for (step, &battery) in levels.iter().enumerate() {
+    for (step, &soc) in levels.iter().enumerate() {
         // Process a window with the currently deployed app.
-        os.post(AmuletEvent::SnippetReady(snippets[step % snippets.len()].clone()));
+        os.post(AmuletEvent::SnippetReady(
+            snippets[step % snippets.len()].clone(),
+        ));
         os.run_until_idle().unwrap();
 
-        let snap = ResourceSnapshot {
-            battery_fraction: battery,
-            fram_free_bytes: 60_000,
-            cpu_headroom: 0.9,
-        };
-        if let Some(next) = engine.decide(step as u64 * 1000, &snap) {
+        if let Some(SurvivalAction::SetVersion { to, .. }) = policy.step(at_soc(soc)).version {
             // Version switch = reflash with the new image (Insight #4).
-            let (app, image) = build_app(next, &models, &cfg);
+            let (app, image) = build_app(to, &models, &cfg);
             os.reflash(&image, vec![Box::new(app)]).unwrap();
-            deployed = next;
+            deployed = to;
         }
     }
-    assert_eq!(deployed, Version::Reduced, "should end on the cheapest version");
+    assert_eq!(
+        deployed,
+        Version::Reduced,
+        "should end on the cheapest version"
+    );
     assert_eq!(os.app_names(), vec!["sift-reduced"]);
-    assert_eq!(engine.history().len(), 2);
+    assert_eq!(policy.switches(), 2);
     // The swapped-in app still works.
     os.post(AmuletEvent::SnippetReady(snippets[0].clone()));
     os.run_until_idle().unwrap();
     assert_eq!(os.app_state("sift-reduced").unwrap(), "PeaksDataCheck");
 }
 
+/// The provisioned version is a ceiling: a device flashed with the
+/// Reduced build stays on it however much charge it has, so the OS is
+/// never reflashed. (Whether a build fits the FRAM at all is checked
+/// once, by `FirmwareImage::build`.)
 #[test]
-fn engine_respects_static_memory_constraints_of_real_specs() {
+fn reduced_ceiling_never_reflashes_at_full_battery() {
     let cfg = quick_config();
-    let reqs = requirements_from_profiler(&cfg);
-    let mut engine = DecisionEngine::new(
-        Version::Reduced,
-        reqs.clone(),
-        Policy {
-            min_dwell_ms: 0,
-            ..Policy::default()
-        },
-    );
-    // Free FRAM only fits the reduced version (its requirement + slack).
-    let reduced_req = reqs
-        .iter()
-        .find(|r| r.version == Version::Reduced)
-        .unwrap()
-        .fram_bytes;
-    let snap = ResourceSnapshot {
-        battery_fraction: 1.0,
-        fram_free_bytes: reduced_req + 100,
-        cpu_headroom: 1.0,
+    let models = train(&[Version::Reduced], &cfg);
+    let mut os = AmuletOs::new();
+    let (app, image) = build_app(Version::Reduced, &models, &cfg);
+    os.install(&image, vec![Box::new(app)]).unwrap();
+
+    let mut policy = SurvivalPolicy::new(SurvivalConfig::default(), Version::Reduced);
+    let snippets = live_snippets();
+    for step in 0..120 {
+        os.post(AmuletEvent::SnippetReady(
+            snippets[step % snippets.len()].clone(),
+        ));
+        os.run_until_idle().unwrap();
+        assert!(policy.step(at_soc(1000)).is_quiescent());
+    }
+    assert_eq!(policy.version(), Version::Reduced);
+    assert_eq!(policy.switches(), 0);
+    assert_eq!(os.app_names(), vec!["sift-reduced"]);
+}
+
+/// The open-loop fast-forward is the closed loop without the signal
+/// path: with the same policy knobs and accelerated drain it must switch
+/// versions at exactly the ticks the live scenario reflashed at.
+#[test]
+fn fast_forward_switches_at_the_closed_loop_ticks() {
+    let survival = SurvivalConfig {
+        min_dwell_ticks: 5,
+        drain_scale: 60_000,
+        ..SurvivalConfig::default()
     };
-    assert_eq!(engine.decide(0, &snap), None);
-    assert_eq!(engine.current(), Version::Reduced);
+    let mut scenario = Scenario::new(0, Version::Original, 60.0).with_reliability();
+    scenario.survival = Some(survival);
+    let live: Vec<(u64, Version)> = run(&scenario)
+        .unwrap()
+        .survival
+        .unwrap()
+        .actions
+        .iter()
+        .filter_map(|a| match *a {
+            SurvivalAction::SetVersion { at_tick, to, .. } => Some((u64::from(at_tick), to)),
+            _ => None,
+        })
+        .collect();
+    let report = simulate_adaptive_deployment(&scenario.config, survival);
+    let fast: Vec<(u64, Version)> = report.phases[1..]
+        .iter()
+        .map(|p| (p.from_s, p.version))
+        .collect();
+    assert_eq!(fast, live);
+    assert_eq!(
+        fast,
+        vec![(14, Version::Simplified), (24, Version::Reduced)]
+    );
 }

@@ -100,7 +100,7 @@ fn claim_table3_footprints_and_lifetimes() {
         (Version::Reduced, 56.29, 2.56, 55.0),
     ];
     for (v, sys_kb, det_kb, days) in expect {
-        let model_bytes = if v == Version::Reduced { 76 } else { 112 };
+        let model_bytes = ml::embedded::encoded_len(v.feature_count());
         let spec = sift_app_spec(v, &cfg, model_bytes);
         let p = profiler.profile(&[&spec]);
         assert!(
@@ -138,7 +138,7 @@ fn claim_reduced_roughly_doubles_lifetime() {
     let profiler = ResourceProfiler::default();
     let cfg = SiftConfig::default();
     let days = |v: Version| {
-        let model_bytes = if v == Version::Reduced { 76 } else { 112 };
+        let model_bytes = ml::embedded::encoded_len(v.feature_count());
         profiler
             .profile(&[&sift_app_spec(v, &cfg, model_bytes)])
             .lifetime_days
