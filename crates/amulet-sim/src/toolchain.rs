@@ -134,7 +134,7 @@ mod tests {
     use sift::features::Version;
 
     fn spec(v: Version) -> AppResourceSpec {
-        sift_app_spec(v, &SiftConfig::default(), 112)
+        sift_app_spec(v, &SiftConfig::default(), ml::embedded::encoded_len(v.feature_count()))
     }
 
     #[test]

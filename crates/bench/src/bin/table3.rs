@@ -24,10 +24,7 @@ fn main() {
     );
     println!("|{}|", "-".repeat(84));
     for version in Version::ALL {
-        let model_bytes = match version {
-            Version::Reduced => 76,
-            _ => 112,
-        };
+        let model_bytes = ml::embedded::encoded_len(version.feature_count());
         let spec = sift_app_spec(version, &config, model_bytes);
         let profile = profiler.profile(&[&spec]);
         let kb = |b: usize| b as f64 / 1024.0;

@@ -63,7 +63,6 @@ pub mod flavor;
 pub mod pipeline;
 pub mod portrait;
 pub mod snippet;
-pub mod stream;
 pub mod trainer;
 pub mod zoo;
 

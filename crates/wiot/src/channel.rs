@@ -190,6 +190,21 @@ pub struct ChannelStats {
     pub corrupted: u64,
 }
 
+impl ChannelStats {
+    /// Sum of two counter sets (two links of one device, or devices of
+    /// a fleet).
+    #[must_use]
+    pub fn merged(self, other: Self) -> Self {
+        Self {
+            sent: self.sent + other.sent,
+            lost: self.lost + other.lost,
+            duplicated: self.duplicated + other.duplicated,
+            reordered: self.reordered + other.reordered,
+            corrupted: self.corrupted + other.corrupted,
+        }
+    }
+}
+
 /// Internal loss-process state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkState {

@@ -652,9 +652,9 @@ impl Reducer {
             self.detections += 1;
             self.latency_sum += ms as f64;
         }
-        self.channel = crate::scenario::add_channel_stats(self.channel, s.channel);
+        self.channel = self.channel.merged(s.channel);
         self.transport = match (self.transport, s.transport) {
-            (Some(a), Some(b)) => Some(crate::scenario::add_transport_stats(a, b)),
+            (Some(a), Some(b)) => Some(a.merged(b)),
             (None, b) => b,
             (a, None) => a,
         };

@@ -9,18 +9,19 @@
 //! detection *without re-enrollment*. A torn commit (power lost
 //! mid-write) or a bit-rotted slot is detected by the slot CRC and the
 //! restore rolls back to the previous generation; a checkpoint that
-//! decodes but carries the wrong flavor or a stale model format is
-//! rejected with a typed error and counted as a recovery failure —
-//! never silently accepted.
+//! decodes but carries the wrong flavor or backend family, or a stale
+//! model format, is rejected with a typed error and counted as a
+//! recovery failure — never silently accepted.
 //!
 //! The module also provides a fixed 16-byte codec for the survival
 //! policy's [`crate::survival::SurvivalSnapshot`], the version-switching
 //! state a deployment persists alongside the detector checkpoint. With
 //! [`Persistence::enable_survival`], every commit appends the policy
-//! state to the detector payload and
-//! [`Persistence::recover_survival`] restores *both* after a brownout
-//! — including hot-swapping the detector build when the checkpointed
-//! version differs from the one currently installed.
+//! state to the detector payload, and the same
+//! [`Persistence::recover`] restores *both* after a brownout (the
+//! policy state through [`Persistence::survival`]) — including
+//! hot-swapping the detector build when the checkpointed version
+//! differs from the one currently installed.
 
 use crate::basestation::BaseStation;
 use crate::faults::FaultSummary;
@@ -221,45 +222,52 @@ impl Persistence {
     /// was successfully restored; on failure the station keeps running
     /// with the detector instance it already has.
     ///
+    /// With survival persistence on ([`Persistence::enable_survival`]),
+    /// the payload carries the policy suffix and the restored policy
+    /// state is readable through [`Persistence::survival`]. The policy
+    /// may have switched builds since the station was provisioned, so
+    /// a survival checkpoint of another version hot-swaps the detector
+    /// (reflash) and re-reserves the FRAM checkpoint region. Without
+    /// the suffix, only the installed version is accepted. Either way
+    /// the checkpoint must come from the installed backend family.
+    ///
     /// # Errors
     ///
-    /// Propagates platform errors from swapping the app; corrupt or
-    /// incompatible checkpoints are *not* errors — they are counted
-    /// and skipped.
+    /// Propagates platform errors from swapping the app or
+    /// re-reserving the checkpoint region; corrupt or incompatible
+    /// checkpoints are *not* errors — they are counted and skipped.
     pub fn recover(
         &mut self,
         station: &mut BaseStation,
         config: &SiftConfig,
         summary: &mut FaultSummary,
     ) -> Result<bool, WiotError> {
-        let (ckpt, rolled_back) = match self.store.restore() {
+        let decoded = match self.store.restore() {
             Restore::Valid {
                 payload,
                 rolled_back,
                 ..
-            } => match DetectorCheckpoint::decode(payload) {
-                Ok(c)
-                    if c.version == self.snapshot.version
-                        && c.model.kind() == self.snapshot.model.kind() =>
-                {
-                    (c, rolled_back)
-                }
-                // Wrong flavor, wrong backend family, stale model
-                // format, or checksum mismatch: typed rejection, never
-                // accepted.
-                Ok(_) | Err(_) => {
-                    summary.recovery_failures += 1;
-                    return Ok(false);
-                }
-            },
-            Restore::Empty | Restore::Corrupt => {
-                summary.recovery_failures += 1;
-                return Ok(false);
-            }
+            } => self
+                .decode_payload(payload)
+                .map(|(ckpt, snap)| (ckpt, snap, rolled_back)),
+            Restore::Empty | Restore::Corrupt => None,
+        };
+        let Some((ckpt, snap, rolled_back)) = decoded else {
+            summary.recovery_failures += 1;
+            return Ok(false);
         };
         let app = SiftApp::new(ckpt.version, ckpt.model.clone(), config.clone())?;
-        station.restore_detector(app)?;
+        if ckpt.version == self.snapshot.version {
+            station.restore_detector(app)?;
+        } else {
+            // A survival checkpoint taken on a different build than the
+            // one running now: redeploy it. The reflash drops the FRAM
+            // reservation, so charge it again.
+            station.swap_detector(app)?;
+            self.reserve(station)?;
+        }
         self.snapshot = ckpt;
+        self.survival = snap;
         self.snapshot_changed();
         summary.recoveries += 1;
         if rolled_back {
@@ -268,69 +276,29 @@ impl Persistence {
         Ok(true)
     }
 
-    /// Recover after a reboot with survival persistence on: restore
-    /// the newest valid checkpoint *and* its survival-policy suffix.
-    /// Unlike [`Persistence::recover`], the checkpointed version need
-    /// not match the one currently installed — the policy may have
-    /// switched builds since the station was provisioned — so a
-    /// cross-version checkpoint hot-swaps the detector (reflash) and
-    /// re-reserves the FRAM checkpoint region. Returns the restored
-    /// policy snapshot so the caller can resync its
-    /// [`crate::survival::SurvivalPolicy`] and re-actuate duty and
-    /// retry settings; `None` means no checkpoint could be restored
-    /// (counted, never fabricated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors from swapping the app or
-    /// re-reserving the checkpoint region; corrupt or incompatible
-    /// checkpoints are counted in `summary`, not errors.
-    pub fn recover_survival(
-        &mut self,
-        station: &mut BaseStation,
-        config: &SiftConfig,
-        summary: &mut FaultSummary,
-    ) -> Result<Option<SurvivalSnapshot>, WiotError> {
-        let decoded = match self.store.restore() {
-            Restore::Valid {
-                payload,
-                rolled_back,
-                ..
-            } => {
-                let split = payload.len().checked_sub(SURVIVAL_SNAPSHOT_BYTES);
-                let parts = split.map(|at| payload.split_at(at));
-                match parts.map(|(det, surv)| (DetectorCheckpoint::decode(det), decode_survival(surv)))
-                {
-                    Some((Ok(ckpt), Ok(snap))) if ckpt.version == snap.version => {
-                        Some((ckpt, snap, rolled_back))
-                    }
-                    _ => None,
-                }
+    /// Decode a CRC-valid payload in the layout this engine commits:
+    /// the detector checkpoint, plus the survival suffix exactly when
+    /// survival persistence is on. `None` for anything recovery must
+    /// refuse: a decode error (wrong length, stale model format,
+    /// checksum mismatch), another backend family, a suffix whose
+    /// version disagrees with the checkpoint, or — without a suffix —
+    /// another flavor than the installed one.
+    fn decode_payload(
+        &self,
+        payload: &[u8],
+    ) -> Option<(DetectorCheckpoint, Option<SurvivalSnapshot>)> {
+        let (detector, snap) = match self.survival {
+            Some(_) => {
+                let at = payload.len().checked_sub(SURVIVAL_SNAPSHOT_BYTES)?;
+                let (detector, suffix) = payload.split_at(at);
+                (detector, Some(decode_survival(suffix).ok()?))
             }
-            Restore::Empty | Restore::Corrupt => None,
+            None => (payload, None),
         };
-        let Some((ckpt, snap, rolled_back)) = decoded else {
-            summary.recovery_failures += 1;
-            return Ok(None);
-        };
-        let app = SiftApp::new(ckpt.version, ckpt.model.clone(), config.clone())?;
-        if ckpt.version == self.snapshot.version {
-            station.restore_detector(app)?;
-        } else {
-            // The checkpoint was taken on a different build than the
-            // one running now: redeploy it. The reflash drops the
-            // FRAM reservation, so charge it again.
-            station.swap_detector(app)?;
-            self.reserve(station)?;
-        }
-        self.snapshot = ckpt;
-        self.survival = Some(snap);
-        self.snapshot_changed();
-        summary.recoveries += 1;
-        if rolled_back {
-            summary.rollbacks += 1;
-        }
-        Ok(Some(snap))
+        let ckpt = DetectorCheckpoint::decode(detector).ok()?;
+        let expected_version = snap.map_or(self.snapshot.version, |s| s.version);
+        (ckpt.version == expected_version && ckpt.model.kind() == self.snapshot.model.kind())
+            .then_some((ckpt, snap))
     }
 
     /// The last committed (or recovered) snapshot.
@@ -557,7 +525,8 @@ mod tests {
     fn recovery_rejects_a_checkpoint_from_another_backend_family() {
         // Same flavor, different backend: the FRAM holds an SVM
         // checkpoint but the engine expects a Tsetlin one. The
-        // checkpoint must be refused and counted, not deployed.
+        // checkpoint must be refused and counted, not deployed — with
+        // and without the survival suffix.
         let version = Version::Reduced;
         let cfg = quick_config();
         let tsetlin = sift::zoo::train_backend_for_subject(
@@ -569,17 +538,27 @@ mod tests {
             7,
         )
         .unwrap();
-        let mut svm_engine = Persistence::new(version, model(version)).unwrap();
-        svm_engine.commit(2, 0).unwrap();
-        let mut tsetlin_engine = Persistence::new(version, tsetlin.clone()).unwrap();
-        tsetlin_engine.store = svm_engine.store.clone();
-        let app = SiftApp::new(version, tsetlin, cfg.clone()).unwrap();
-        let mut st = BaseStation::new(app, cfg.clone(), 0.5).unwrap();
-        let mut summary = FaultSummary::default();
-        st.reboot();
-        assert!(!tsetlin_engine.recover(&mut st, &cfg, &mut summary).unwrap());
-        assert_eq!(summary.recovery_failures, 1);
-        assert_eq!(summary.recoveries, 0);
+        for survival in [None, Some(survival_snap(version))] {
+            let mut svm_engine = Persistence::new(version, model(version)).unwrap();
+            let mut tsetlin_engine = Persistence::new(version, tsetlin.clone()).unwrap();
+            if let Some(snap) = survival {
+                svm_engine.enable_survival(snap);
+                tsetlin_engine.enable_survival(snap);
+            }
+            svm_engine.commit(2, 0).unwrap();
+            tsetlin_engine.store = svm_engine.store.clone();
+            let app = SiftApp::new(version, tsetlin.clone(), cfg.clone()).unwrap();
+            let mut st = BaseStation::new(app, cfg.clone(), 0.5).unwrap();
+            let mut summary = FaultSummary::default();
+            st.reboot();
+            assert!(
+                !tsetlin_engine.recover(&mut st, &cfg, &mut summary).unwrap(),
+                "survival {survival:?}"
+            );
+            assert_eq!(summary.recovery_failures, 1);
+            assert_eq!(summary.recoveries, 0);
+            assert_eq!(tsetlin_engine.snapshot().model, tsetlin);
+        }
     }
 
     fn survival_snap(version: Version) -> crate::survival::SurvivalSnapshot {
@@ -633,13 +612,10 @@ mod tests {
         p.commit(8, 2).unwrap();
         let mut summary = FaultSummary::default();
         st.reboot();
-        let restored = p
-            .recover_survival(&mut st, &quick_config(), &mut summary)
-            .unwrap();
-        assert_eq!(restored, Some(survival_snap(version)));
+        assert!(p.recover(&mut st, &quick_config(), &mut summary).unwrap());
+        assert_eq!(p.survival(), Some(survival_snap(version)));
         assert_eq!(summary.recoveries, 1);
         assert_eq!(p.snapshot().windows_seen, 8);
-        assert_eq!(p.survival(), restored);
     }
 
     #[test]
@@ -664,11 +640,10 @@ mod tests {
         cold.store = p.store.clone();
         let mut summary = FaultSummary::default();
         st.reboot();
-        let restored = cold
-            .recover_survival(&mut st, &quick_config(), &mut summary)
-            .unwrap()
-            .unwrap();
-        assert_eq!(restored.version, Version::Reduced);
+        assert!(cold
+            .recover(&mut st, &quick_config(), &mut summary)
+            .unwrap());
+        assert_eq!(cold.survival(), Some(survival_snap(Version::Reduced)));
         assert_eq!(cold.snapshot().version, Version::Reduced);
         assert_eq!(cold.snapshot().windows_seen, 5);
         assert_eq!(summary.recoveries, 1);
@@ -678,9 +653,8 @@ mod tests {
         cold.commit(6, 1).unwrap();
         st.reboot();
         assert!(cold
-            .recover_survival(&mut st, &quick_config(), &mut summary)
-            .unwrap()
-            .is_some());
+            .recover(&mut st, &quick_config(), &mut summary)
+            .unwrap());
     }
 
     /// What a from-scratch encode of the engine's current state commits:
@@ -752,8 +726,8 @@ mod tests {
         cold.enable_survival(survival_snap(Version::Original));
         cold.store = p.store.clone();
         st.reboot();
-        let back = cold.recover_survival(&mut st, &cfg, &mut summary).unwrap();
-        assert_eq!(back, Some(snap));
+        assert!(cold.recover(&mut st, &cfg, &mut summary).unwrap());
+        assert_eq!(cold.survival(), Some(snap));
         assert_eq!(cold.snapshot().version, Version::Reduced);
         cold.commit(8, 3).unwrap();
         assert_eq!(restored(&cold), full_encode(&cold));

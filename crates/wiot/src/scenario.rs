@@ -11,9 +11,7 @@
 use crate::adaptive::{version_index, DrawTable};
 use crate::attacker::{AttackMode, Attacker};
 use crate::basestation::{BaseStation, WindowOutcome};
-use crate::channel::{
-    link_badness_permille, Channel, ChannelConfig, ChannelStats, Delivery, LossModel,
-};
+use crate::channel::{link_badness_permille, ChannelConfig, ChannelStats, LossModel};
 use crate::device::{SensorDevice, Stream};
 use crate::faults::{FaultPlan, FaultSummary};
 use crate::persist::Persistence;
@@ -22,7 +20,7 @@ use crate::survival::{
     window_is_skipped, SurvivalAction, SurvivalConfig, SurvivalInputs, SurvivalPolicy,
     SurvivalVerdict,
 };
-use crate::transport::{ArqConfig, ArqLink, TransportStats};
+use crate::transport::{ArqConfig, Links, TransportStats};
 use crate::WiotError;
 use amulet_sim::apps::SiftApp;
 use amulet_sim::energy::BatteryState;
@@ -264,115 +262,6 @@ pub struct SurvivalReport {
     pub occupancy_ticks: [u64; 3],
 }
 
-/// One sensor → base-station link: raw channel or ARQ-protected.
-enum Link {
-    Raw {
-        channel: Channel,
-        in_flight: Vec<Delivery>,
-    },
-    Arq(ArqLink),
-}
-
-impl Link {
-    fn new(config: ChannelConfig, seed: u64, arq: Option<ArqConfig>) -> Result<Self, WiotError> {
-        let channel = Channel::with_config(config, seed)?;
-        Ok(match arq {
-            Some(cfg) => Link::Arq(ArqLink::new(channel, cfg)?),
-            None => Link::Raw {
-                channel,
-                in_flight: Vec::new(),
-            },
-        })
-    }
-
-    fn send(&mut self, now_ms: u64, packet: crate::device::SensorPacket) {
-        match self {
-            Link::Raw { channel, in_flight } => {
-                in_flight.extend(channel.transmit(now_ms, packet));
-            }
-            Link::Arq(link) => link.send(now_ms, packet),
-        }
-    }
-
-    fn pump(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
-        match self {
-            Link::Raw { in_flight, .. } => {
-                let mut arrived = Vec::new();
-                let mut flying = Vec::with_capacity(in_flight.len());
-                for d in in_flight.drain(..) {
-                    if d.at_ms <= now_ms {
-                        arrived.push(d);
-                    } else {
-                        flying.push(d);
-                    }
-                }
-                *in_flight = flying;
-                arrived.sort_by_key(|d| d.at_ms);
-                Ok(arrived)
-            }
-            Link::Arq(link) => link.pump(now_ms),
-        }
-    }
-
-    fn idle(&self) -> bool {
-        match self {
-            Link::Raw { in_flight, .. } => in_flight.is_empty(),
-            Link::Arq(link) => link.idle(),
-        }
-    }
-
-    fn channel(&self) -> &Channel {
-        match self {
-            Link::Raw { channel, .. } => channel,
-            Link::Arq(link) => link.channel(),
-        }
-    }
-
-    fn set_degrade(&mut self, loss: Option<LossModel>) -> Result<(), WiotError> {
-        match self {
-            Link::Raw { channel, .. } => channel.set_degrade(loss),
-            Link::Arq(link) => link.channel_mut().set_degrade(loss),
-        }
-    }
-
-    fn transport_stats(&self) -> Option<TransportStats> {
-        match self {
-            Link::Raw { .. } => None,
-            Link::Arq(link) => Some(link.stats()),
-        }
-    }
-
-    /// Apply the survival policy's retry posture (no-op on a raw link —
-    /// there is no retransmission to budget).
-    fn set_retry_budget(&mut self, max_retries: u32, extra_shift: u32) {
-        if let Link::Arq(link) = self {
-            link.set_retry_budget(max_retries, extra_shift);
-        }
-    }
-}
-
-pub(crate) fn add_channel_stats(a: ChannelStats, b: ChannelStats) -> ChannelStats {
-    ChannelStats {
-        sent: a.sent + b.sent,
-        lost: a.lost + b.lost,
-        duplicated: a.duplicated + b.duplicated,
-        reordered: a.reordered + b.reordered,
-        corrupted: a.corrupted + b.corrupted,
-    }
-}
-
-pub(crate) fn add_transport_stats(a: TransportStats, b: TransportStats) -> TransportStats {
-    TransportStats {
-        data_sent: a.data_sent + b.data_sent,
-        retransmits: a.retransmits + b.retransmits,
-        nacks_sent: a.nacks_sent + b.nacks_sent,
-        gap_recoveries: a.gap_recoveries + b.gap_recoveries,
-        give_ups: a.give_ups + b.give_ups,
-        duplicates_discarded: a.duplicates_discarded + b.duplicates_discarded,
-        buffer_evictions: a.buffer_evictions + b.buffer_evictions,
-    }
-}
-
 /// Construction options for a [`DeviceSim`] beyond the scenario itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeviceOptions<'a> {
@@ -425,7 +314,6 @@ struct SurvivalRuntime {
     last_skipped_window: Option<u64>,
     occupancy_ticks: [u64; 3],
     cutoff_at_ms: Option<u64>,
-    window_ms: u64,
 }
 
 impl SurvivalRuntime {
@@ -448,7 +336,6 @@ impl SurvivalRuntime {
             last_skipped_window: None,
             occupancy_ticks: [0; 3],
             cutoff_at_ms: None,
-            window_ms: (scenario.config.window_s * 1000.0) as u64,
         }
     }
 
@@ -487,6 +374,18 @@ enum Phase {
     Finished,
 }
 
+/// A finished session's link, stall and battery figures
+/// ([`DeviceSim::tally`]).
+struct SessionTally {
+    /// Mean observed loss rate of the two links.
+    loss_rate: f64,
+    channel: ChannelStats,
+    transport: Option<TransportStats>,
+    /// When each watchdog stream-stalled alert fired, ms.
+    stall_alerts_ms: Vec<u64>,
+    battery_left: f64,
+}
+
 /// One simulated device: a full sensors → attacker → faults →
 /// channel/ARQ → base-station pipeline advanced one chunk tick at a
 /// time.
@@ -502,7 +401,7 @@ pub struct DeviceSim {
     ecg_dev: SensorDevice,
     abp_dev: SensorDevice,
     attacker: Option<Attacker>,
-    links: [Link; 2],
+    links: Links,
     persist: Option<Persistence>,
     survival: Option<SurvivalRuntime>,
     fault_summary: FaultSummary,
@@ -514,6 +413,7 @@ pub struct DeviceSim {
     /// Window-log entries already replayed to an adaptive attacker.
     feedback_cursor: usize,
     chunk_ms: u64,
+    window_ms: u64,
     now_ms: u64,
     prev_ms: u64,
     drain_ticks: u32,
@@ -679,14 +579,15 @@ impl DeviceSim {
             )
         });
 
-        let link_config = scenario.link.to_channel_config();
-        let links = [
-            Link::new(link_config.clone(), scenario.seed ^ 0xC41, scenario.arq)?,
-            Link::new(link_config, scenario.seed ^ 0xC42, scenario.arq)?,
-        ];
+        let links = Links::new(
+            &scenario.link.to_channel_config(),
+            [scenario.seed ^ 0xC41, scenario.seed ^ 0xC42],
+            scenario.arq,
+        )?;
 
         Ok(Self {
             chunk_ms: (scenario.chunk_s * 1000.0) as u64,
+            window_ms: (scenario.config.window_s * 1000.0) as u64,
             scenario: scenario.clone(),
             live_fs: live.fs,
             station,
@@ -707,14 +608,10 @@ impl DeviceSim {
         })
     }
 
-    /// Pump both links and feed arrivals to the station, in
-    /// delivery-time order across both links (stable sort: equal times
-    /// keep ECG first).
+    /// Feed both links' arrivals to the station, in delivery-time order
+    /// across both links.
     fn deliver_arrivals(&mut self) -> Result<(), WiotError> {
-        let mut arrivals = self.links[0].pump(self.now_ms)?;
-        arrivals.extend(self.links[1].pump(self.now_ms)?);
-        arrivals.sort_by_key(|d| d.at_ms);
-        for d in arrivals {
+        for d in self.links.deliver(self.now_ms)? {
             self.station.receive(d)?;
         }
         Ok(())
@@ -784,14 +681,10 @@ impl DeviceSim {
         self.step_survival()?;
 
         // Link-degradation episodes.
-        let mut any_degraded = false;
-        for (i, stream) in [Stream::Ecg, Stream::Abp].iter().enumerate() {
-            let want = self.scenario.faults.degrade(*stream, self.now_ms).copied();
-            if want.is_some() != self.links[i].channel().is_degraded() || want.is_some() {
-                self.links[i].set_degrade(want)?;
-            }
-            any_degraded |= want.is_some();
-        }
+        let faults = &self.scenario.faults;
+        let any_degraded = self.links.degrade(
+            [Stream::Ecg, Stream::Abp].map(|st| faults.degrade(st, self.now_ms).copied()),
+        )?;
         if any_degraded {
             self.fault_summary.degraded_link_ms += self.chunk_ms;
         }
@@ -820,7 +713,7 @@ impl DeviceSim {
             // would not even have run.
             if let Some(rt) = self.survival.as_mut() {
                 let (skip, of) = rt.policy.duty();
-                let idx = self.now_ms / rt.window_ms;
+                let idx = self.now_ms / self.window_ms;
                 if window_is_skipped(idx, skip, of) {
                     self.fault_summary.duty_skipped_chunks += 1;
                     if rt.last_skipped_window != Some(idx) {
@@ -865,7 +758,7 @@ impl DeviceSim {
             let skew_ms = self.scenario.faults.clock_skew_ms(stream, self.now_ms);
             self.fault_summary.max_clock_skew_ms =
                 self.fault_summary.max_clock_skew_ms.max(skew_ms);
-            self.links[i].send(self.now_ms + skew_ms, p);
+            self.links.send(stream, self.now_ms + skew_ms, p);
         }
 
         self.deliver_arrivals()?;
@@ -907,12 +800,11 @@ impl DeviceSim {
         if !att.wants_feedback() {
             return;
         }
-        let window_ms = (self.scenario.config.window_s * 1000.0) as u64;
         let (a0, a1) = att.window_ms();
         let log = self.station.window_log();
         for &(idx, outcome) in log.iter().skip(self.feedback_cursor) {
-            let w_start = idx as u64 * window_ms;
-            if w_start + window_ms <= a0 || w_start >= a1 {
+            let w_start = idx as u64 * self.window_ms;
+            if w_start + self.window_ms <= a0 || w_start >= a1 {
                 continue;
             }
             if let WindowOutcome::Emitted { alerted } | WindowOutcome::Salvaged { alerted } =
@@ -952,17 +844,14 @@ impl DeviceSim {
         // Link badness: channel loss plus retransmission drag, folded
         // to permille host-side before it crosses into the integer
         // policy core.
-        let loss =
-            (self.links[0].channel().loss_rate() + self.links[1].channel().loss_rate()) / 2.0;
-        let retransmit_rate = match (self.links[0].transport_stats(), self.links[1].transport_stats())
-        {
-            (Some(a), Some(b)) => add_transport_stats(a, b).retransmit_rate(),
-            _ => 0.0,
-        };
-        let badness = link_badness_permille(loss, retransmit_rate);
+        let retransmit_rate = self
+            .links
+            .transport_stats()
+            .map_or(0.0, |t| t.retransmit_rate());
+        let badness = link_badness_permille(self.links.loss_rate(), retransmit_rate);
         // Backlog: windows whose time has passed but that neither
         // resolved at the station nor were duty-skipped at the source.
-        let expected = self.now_ms / rt.window_ms;
+        let expected = self.now_ms / self.window_ms;
         let resolved = self.station.window_log().len() as u64 + rt.duty_skipped_windows;
         let backlog = expected.saturating_sub(resolved).min(u64::from(u16::MAX)) as u16;
 
@@ -984,19 +873,19 @@ impl DeviceSim {
     /// the FRAM checkpoint re-reserved and re-targeted at the new
     /// build.
     fn actuate_survival(&mut self, verdict: SurvivalVerdict) -> Result<(), WiotError> {
+        let Some(rt) = self.survival.as_mut() else {
+            return Ok(());
+        };
         if let Some(action @ SurvivalAction::SetRetry {
             max_retries,
             backoff_extra_shift,
             ..
         }) = verdict.retry
         {
-            for link in self.links.iter_mut() {
-                link.set_retry_budget(u32::from(max_retries), u32::from(backoff_extra_shift));
-            }
-            if let Some(rt) = self.survival.as_mut() {
-                rt.retry_reconfigs += 1;
-                rt.actions.push(action);
-            }
+            self.links
+                .set_retry_budget(u32::from(max_retries), u32::from(backoff_extra_shift));
+            rt.retry_reconfigs += 1;
+            rt.actions.push(action);
             self.station.os_mut().telemetry_mut().event(
                 self.now_ms,
                 EventCode::SurvivalAction,
@@ -1005,9 +894,7 @@ impl DeviceSim {
             );
         }
         if let Some(action @ SurvivalAction::SetDuty { skip, of, .. }) = verdict.duty {
-            if let Some(rt) = self.survival.as_mut() {
-                rt.actions.push(action);
-            }
+            rt.actions.push(action);
             self.station.os_mut().telemetry_mut().event(
                 self.now_ms,
                 EventCode::SurvivalAction,
@@ -1016,9 +903,6 @@ impl DeviceSim {
             );
         }
         if let Some(action @ SurvivalAction::SetVersion { to, .. }) = verdict.version {
-            let Some(rt) = self.survival.as_mut() else {
-                return Ok(());
-            };
             let model = rt.model_for(to, &self.scenario)?;
             let app = SiftApp::new(to, model.clone(), self.scenario.config.clone())?;
             // The reflash drops the FRAM checkpoint reservation along
@@ -1029,9 +913,7 @@ impl DeviceSim {
                 p.reserve(&mut self.station)?;
                 p.set_version(to, model)?;
             }
-            if let Some(rt) = self.survival.as_mut() {
-                rt.actions.push(action);
-            }
+            rt.actions.push(action);
             self.station.os_mut().telemetry_mut().event(
                 self.now_ms,
                 EventCode::SurvivalAction,
@@ -1046,7 +928,11 @@ impl DeviceSim {
     /// window-assembly state, and (with persistence on) the detector is
     /// rebuilt from the newest valid FRAM checkpoint — rolling back to
     /// the previous generation when the newest slot is torn or rotted,
-    /// never resuming from corrupt bytes.
+    /// never resuming from corrupt bytes. With the survival policy on,
+    /// the checkpoint's policy suffix resyncs the policy and the
+    /// link-side retry posture is re-actuated (the duty gate reads
+    /// policy state directly; a cross-version checkpoint was already
+    /// hot-swapped by the recovery itself).
     fn power_cycle(&mut self) -> Result<(), WiotError> {
         self.station.reboot();
         self.fault_summary.reboots += 1;
@@ -1058,34 +944,21 @@ impl DeviceSim {
             self.fault_summary.reboots,
             0,
         );
-        if let Some(p) = self.persist.as_mut() {
-            match self.survival.as_mut() {
-                Some(rt) => {
-                    // The checkpoint carries the survival suffix: a
-                    // valid restore resyncs the policy and re-actuates
-                    // the link-side knobs (the duty gate reads policy
-                    // state directly; a cross-version checkpoint was
-                    // already hot-swapped by the recovery itself).
-                    if let Some(snap) = p.recover_survival(
-                        &mut self.station,
-                        &self.scenario.config,
-                        &mut self.fault_summary,
-                    )? {
-                        rt.policy.restore(snap);
-                        let (max, shift) = rt.policy.retry();
-                        for link in self.links.iter_mut() {
-                            link.set_retry_budget(u32::from(max), u32::from(shift));
-                        }
-                    }
-                }
-                None => {
-                    p.recover(
-                        &mut self.station,
-                        &self.scenario.config,
-                        &mut self.fault_summary,
-                    )?;
-                }
-            }
+        let Some(p) = self.persist.as_mut() else {
+            return Ok(());
+        };
+        if !p.recover(
+            &mut self.station,
+            &self.scenario.config,
+            &mut self.fault_summary,
+        )? {
+            return Ok(());
+        }
+        if let (Some(rt), Some(snap)) = (self.survival.as_mut(), p.survival()) {
+            rt.policy.restore(snap);
+            let (max, shift) = rt.policy.retry();
+            self.links
+                .set_retry_budget(u32::from(max), u32::from(shift));
         }
         Ok(())
     }
@@ -1094,7 +967,7 @@ impl DeviceSim {
     /// may still complete windows after the sensors stop. Returns
     /// `false` once the links are idle (or the drain budget is spent).
     fn step_drain(&mut self) -> Result<bool, WiotError> {
-        if self.links.iter().all(Link::idle) || self.drain_ticks >= 1_000 {
+        if self.links.idle() || self.drain_ticks >= 1_000 {
             return Ok(false);
         }
         self.now_ms += self.chunk_ms;
@@ -1172,38 +1045,40 @@ impl DeviceSim {
         self.station.take_uplinked_features()
     }
 
+    /// The session's terminal link, stall and battery figures, computed
+    /// once for both the telemetry flush and the report.
+    fn tally(&self) -> SessionTally {
+        let station = &self.station;
+        SessionTally {
+            loss_rate: self.links.loss_rate(),
+            channel: self.links.channel_stats(),
+            transport: self.links.transport_stats(),
+            stall_alerts_ms: station
+                .alerts()
+                .iter()
+                .filter(|a| a.app == "watchdog")
+                .map(|a| a.at_ms)
+                .collect(),
+            battery_left: station
+                .os()
+                .meter()
+                .battery_fraction_left(station.os().energy_model()),
+        }
+    }
+
     /// Flush the session's terminal state into the telemetry sink and
     /// snapshot it: one timestamped event per window outcome and stall
     /// alert, the channel/ARQ/fault counters (recorded exactly once,
-    /// from the same final stats the report carries), and the battery
+    /// from the same `tally` the report carries), and the battery
     /// gauge. `None` when the sink is disabled — the entire method is
     /// then a single branch.
-    fn snapshot_telemetry(&mut self) -> Option<TelemetryReport> {
+    fn snapshot_telemetry(&mut self, tally: &SessionTally) -> Option<TelemetryReport> {
         if !self.station.os().telemetry().is_enabled() {
             return None;
         }
-        let window_ms = (self.scenario.config.window_s * 1000.0) as u64;
+        let window_ms = self.window_ms;
         let log: Vec<(usize, WindowOutcome)> =
             self.station.window_log().iter().copied().collect();
-        let channel =
-            add_channel_stats(self.links[0].channel().stats(), self.links[1].channel().stats());
-        let transport = match (self.links[0].transport_stats(), self.links[1].transport_stats()) {
-            (Some(a), Some(b)) => Some(add_transport_stats(a, b)),
-            _ => None,
-        };
-        let stalls: Vec<u64> = self
-            .station
-            .alerts()
-            .iter()
-            .filter(|a| a.app == "watchdog")
-            .map(|a| a.at_ms)
-            .collect();
-        let battery_permille = (self
-            .station
-            .os()
-            .meter()
-            .battery_fraction_left(self.station.os().energy_model())
-            * 1000.0) as i64;
         let faults = self.fault_summary;
         let survival_counts = self
             .survival
@@ -1238,16 +1113,17 @@ impl DeviceSim {
                 }
             }
         }
-        for &at_ms in &stalls {
+        for &at_ms in &tally.stall_alerts_ms {
             tele.event(at_ms, EventCode::StallAlert, 0, 0);
         }
-        tele.count(CounterId::StallAlerts, stalls.len() as u64);
+        tele.count(CounterId::StallAlerts, tally.stall_alerts_ms.len() as u64);
+        let channel = tally.channel;
         tele.count(CounterId::PacketsSent, channel.sent);
         tele.count(CounterId::PacketsLost, channel.lost);
         tele.count(CounterId::PacketsDuplicated, channel.duplicated);
         tele.count(CounterId::PacketsReordered, channel.reordered);
         tele.count(CounterId::PacketsCorrupted, channel.corrupted);
-        if let Some(t) = transport {
+        if let Some(t) = tally.transport {
             tele.count(CounterId::ArqDataSent, t.data_sent);
             tele.count(CounterId::ArqRetransmits, t.retransmits);
             tele.count(CounterId::ArqNacksSent, t.nacks_sent);
@@ -1269,7 +1145,10 @@ impl DeviceSim {
             tele.count(CounterId::SurvivalRetryReconfigs, retry_reconfigs);
             tele.count(CounterId::SurvivalLowBatteryTicks, faults.low_battery_ticks);
         }
-        tele.gauge_set(GaugeId::BatteryPermille, battery_permille);
+        tele.gauge_set(
+            GaugeId::BatteryPermille,
+            (tally.battery_left * 1000.0) as i64,
+        );
         self.station.os().telemetry().report()
     }
 
@@ -1281,7 +1160,8 @@ impl DeviceSim {
     /// As [`DeviceSim::step`].
     pub fn into_report(mut self) -> Result<SimReport, WiotError> {
         self.run_to_completion()?;
-        let telemetry = self.snapshot_telemetry();
+        let tally = self.tally();
+        let telemetry = self.snapshot_telemetry(&tally);
         let survival = self.survival.take().map(|rt| SurvivalReport {
             version_switches: u64::from(rt.policy.switches()),
             duty_skipped_chunks: self.fault_summary.duty_skipped_chunks,
@@ -1295,10 +1175,9 @@ impl DeviceSim {
         });
         let scenario = &self.scenario;
         let station = &self.station;
-        let links = &self.links;
 
         // Score the window log against ground truth.
-        let window_ms = (scenario.config.window_s * 1000.0) as u64;
+        let window_ms = self.window_ms;
         let attack_span = scenario
             .attack
             .as_ref()
@@ -1368,11 +1247,6 @@ impl DeviceSim {
             .floor()
             .max(1.0);
         let recovered = stats.windows_emitted + stats.windows_salvaged;
-        let stall_alerts = station
-            .alerts()
-            .iter()
-            .filter(|a| a.app == "watchdog")
-            .count();
 
         Ok(SimReport {
             confusion,
@@ -1381,19 +1255,12 @@ impl DeviceSim {
             salvaged_windows: stats.windows_salvaged as usize,
             window_recovery_rate: recovered as f64 / expected_windows,
             detection_latency_ms: latency,
-            channel_loss_rate: (links[0].channel().loss_rate() + links[1].channel().loss_rate())
-                / 2.0,
-            channel: add_channel_stats(links[0].channel().stats(), links[1].channel().stats()),
-            transport: match (links[0].transport_stats(), links[1].transport_stats()) {
-                (Some(a), Some(b)) => Some(add_transport_stats(a, b)),
-                _ => None,
-            },
+            channel_loss_rate: tally.loss_rate,
+            channel: tally.channel,
+            transport: tally.transport,
             faults,
-            stall_alerts,
-            battery_left: station
-                .os()
-                .meter()
-                .battery_fraction_left(station.os().energy_model()),
+            stall_alerts: tally.stall_alerts_ms.len(),
+            battery_left: tally.battery_left,
             telemetry,
             survival,
             sink,

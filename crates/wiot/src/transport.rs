@@ -19,10 +19,15 @@
 //! sender half (buffer, retry accounting) and receiver half (dedup,
 //! gap tracking), so the abstraction mirrors a real split
 //! implementation.
+//!
+//! A device has two links on this hop, one per stream (ECG, ABP), each
+//! raw or ARQ-protected. The crate-private `Links` owns both: the scenario sends, delivers,
+//! degrades and re-budgets through it, and reads their merged loss,
+//! channel and transport figures from it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::channel::{Channel, Delivery};
+use crate::channel::{Channel, ChannelConfig, ChannelStats, Delivery, LossModel};
 use crate::device::{SensorPacket, Stream};
 use crate::WiotError;
 
@@ -98,6 +103,21 @@ impl TransportStats {
             0.0
         } else {
             self.retransmits as f64 / self.data_sent as f64
+        }
+    }
+
+    /// Sum of two counter sets (two links of one device, or devices of
+    /// a fleet).
+    #[must_use]
+    pub fn merged(self, other: Self) -> Self {
+        Self {
+            data_sent: self.data_sent + other.data_sent,
+            retransmits: self.retransmits + other.retransmits,
+            nacks_sent: self.nacks_sent + other.nacks_sent,
+            gap_recoveries: self.gap_recoveries + other.gap_recoveries,
+            give_ups: self.give_ups + other.give_ups,
+            duplicates_discarded: self.duplicates_discarded + other.duplicates_discarded,
+            buffer_evictions: self.buffer_evictions + other.buffer_evictions,
         }
     }
 }
@@ -279,16 +299,10 @@ impl ArqLink {
     /// Remove and return everything arriving by `now_ms`, in stable
     /// `at_ms` order.
     fn collect_arrivals(&mut self, now_ms: u64) -> Vec<Delivery> {
-        let mut arrived = Vec::new();
-        let mut still_flying = Vec::with_capacity(self.in_flight.len());
-        for d in self.in_flight.drain(..) {
-            if d.at_ms <= now_ms {
-                arrived.push(d);
-            } else {
-                still_flying.push(d);
-            }
-        }
-        self.in_flight = still_flying;
+        let mut arrived: Vec<Delivery> = self
+            .in_flight
+            .extract_if(.., |d| d.at_ms <= now_ms)
+            .collect();
         // Stable: equal at_ms keeps transmission order, so replays are
         // byte-identical.
         arrived.sort_by_key(|d| d.at_ms);
@@ -405,10 +419,155 @@ impl ArqLink {
     }
 }
 
+/// One sensor → base-station link: raw channel or ARQ-protected.
+enum Link {
+    Raw {
+        channel: Channel,
+        in_flight: Vec<Delivery>,
+    },
+    Arq(ArqLink),
+}
+
+impl Link {
+    fn channel(&self) -> &Channel {
+        match self {
+            Link::Raw { channel, .. } => channel,
+            Link::Arq(link) => link.channel(),
+        }
+    }
+
+    fn channel_mut(&mut self) -> &mut Channel {
+        match self {
+            Link::Raw { channel, .. } => channel,
+            Link::Arq(link) => link.channel_mut(),
+        }
+    }
+
+    /// Move everything arriving by `now_ms` into `out`: a raw link in
+    /// transmission order, an ARQ link deduplicated and in `at_ms`
+    /// order.
+    fn pump_into(&mut self, now_ms: u64, out: &mut Vec<Delivery>) -> Result<(), WiotError> {
+        match self {
+            Link::Raw { in_flight, .. } => {
+                out.extend(in_flight.extract_if(.., |d| d.at_ms <= now_ms));
+            }
+            Link::Arq(link) => out.extend(link.pump(now_ms)?),
+        }
+        Ok(())
+    }
+}
+
+/// A device's two uplinks — ECG on the first, ABP on the second — and
+/// everything done to both at once: send, deliver, degrade, retry
+/// budget, and the merged loss, channel and transport figures.
+pub(crate) struct Links([Link; 2]);
+
+impl Links {
+    /// Two links over `config`, seeded `seeds[0]` (ECG) and `seeds[1]`
+    /// (ABP), ARQ-protected when `arq` is set.
+    pub(crate) fn new(
+        config: &ChannelConfig,
+        seeds: [u64; 2],
+        arq: Option<ArqConfig>,
+    ) -> Result<Self, WiotError> {
+        let link = |seed| -> Result<Link, WiotError> {
+            let channel = Channel::with_config(config.clone(), seed)?;
+            Ok(match arq {
+                Some(cfg) => Link::Arq(ArqLink::new(channel, cfg)?),
+                None => Link::Raw {
+                    channel,
+                    in_flight: Vec::new(),
+                },
+            })
+        };
+        Ok(Self([link(seeds[0])?, link(seeds[1])?]))
+    }
+
+    /// Offer `packet` to its stream's link at `now_ms`.
+    pub(crate) fn send(&mut self, stream: Stream, now_ms: u64, packet: SensorPacket) {
+        let [ecg, abp] = &mut self.0;
+        let link = match stream {
+            Stream::Ecg => ecg,
+            Stream::Abp => abp,
+        };
+        match link {
+            Link::Raw { channel, in_flight } => in_flight.extend(channel.transmit(now_ms, packet)),
+            Link::Arq(link) => link.send(now_ms, packet),
+        }
+    }
+
+    /// Everything arriving on either link by `now_ms`, in delivery-time
+    /// order (one stable sort: equal times keep ECG first, then each
+    /// link's own order).
+    ///
+    /// # Errors
+    ///
+    /// A strict ARQ link's [`WiotError::RetryBudgetExhausted`].
+    pub(crate) fn deliver(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
+        let mut arrivals = Vec::new();
+        for link in &mut self.0 {
+            link.pump_into(now_ms, &mut arrivals)?;
+        }
+        arrivals.sort_by_key(|d| d.at_ms);
+        Ok(arrivals)
+    }
+
+    /// Whether neither link has anything left to deliver or recover.
+    pub(crate) fn idle(&self) -> bool {
+        self.0.iter().all(|link| match link {
+            Link::Raw { in_flight, .. } => in_flight.is_empty(),
+            Link::Arq(link) => link.idle(),
+        })
+    }
+
+    /// Install (or clear) each link's degrade override — `want[0]` for
+    /// ECG, `want[1]` for ABP. Returns whether any link now runs
+    /// degraded.
+    ///
+    /// # Errors
+    ///
+    /// An invalid loss model.
+    pub(crate) fn degrade(&mut self, want: [Option<LossModel>; 2]) -> Result<bool, WiotError> {
+        for (link, loss) in self.0.iter_mut().zip(want) {
+            link.channel_mut().set_degrade(loss)?;
+        }
+        Ok(want.iter().any(Option::is_some))
+    }
+
+    /// Apply a retry posture to both links (no-op on raw links — there
+    /// is no retransmission to budget).
+    pub(crate) fn set_retry_budget(&mut self, max_retries: u32, extra_shift: u32) {
+        for link in &mut self.0 {
+            if let Link::Arq(link) = link {
+                link.set_retry_budget(max_retries, extra_shift);
+            }
+        }
+    }
+
+    /// Observed loss rate, the mean of both links.
+    pub(crate) fn loss_rate(&self) -> f64 {
+        let [ecg, abp] = &self.0;
+        (ecg.channel().loss_rate() + abp.channel().loss_rate()) / 2.0
+    }
+
+    /// Channel counters summed over both links.
+    pub(crate) fn channel_stats(&self) -> ChannelStats {
+        let [ecg, abp] = &self.0;
+        ecg.channel().stats().merged(abp.channel().stats())
+    }
+
+    /// ARQ counters summed over both links (`None` without ARQ).
+    pub(crate) fn transport_stats(&self) -> Option<TransportStats> {
+        match &self.0 {
+            [Link::Arq(a), Link::Arq(b)] => Some(a.stats().merged(b.stats())),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{ChannelConfig, LossModel};
 
     fn packet(seq: u64) -> SensorPacket {
         SensorPacket {
@@ -619,5 +778,75 @@ mod tests {
         s.data_sent = 100;
         s.retransmits = 25;
         assert!((s.retransmit_rate() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn links_merge_arrivals_in_time_order_with_ecg_first_on_ties() {
+        let config = ChannelConfig {
+            base_delay_ms: 5,
+            ..ChannelConfig::default()
+        };
+        for arq in [None, Some(ArqConfig::default())] {
+            let mut links = Links::new(&config, [1, 2], arq).unwrap();
+            let abp = |seq| SensorPacket {
+                stream: Stream::Abp,
+                ..packet(seq)
+            };
+            // ABP sent first but later; ECG and ABP tie at 10 ms.
+            links.send(Stream::Abp, 0, abp(0));
+            links.send(Stream::Ecg, 5, packet(0));
+            links.send(Stream::Abp, 5, abp(1));
+            assert!(links.deliver(4).unwrap().is_empty());
+            let got: Vec<(u64, Stream)> = links
+                .deliver(10)
+                .unwrap()
+                .iter()
+                .map(|d| (d.at_ms, d.packet.stream))
+                .collect();
+            assert_eq!(
+                got,
+                [(5, Stream::Abp), (10, Stream::Ecg), (10, Stream::Abp)],
+                "arq {arq:?}"
+            );
+            assert!(links.idle());
+            assert_eq!(links.channel_stats().sent, 3);
+            assert_eq!(links.loss_rate(), 0.0);
+            assert_eq!(links.transport_stats().map(|t| t.data_sent), arq.map(|_| 3));
+        }
+    }
+
+    #[test]
+    fn merged_stats_sum_every_counter() {
+        let t = TransportStats {
+            data_sent: 1,
+            retransmits: 2,
+            nacks_sent: 3,
+            gap_recoveries: 4,
+            give_ups: 5,
+            duplicates_discarded: 6,
+            buffer_evictions: 7,
+        };
+        let doubled = TransportStats {
+            data_sent: 2,
+            retransmits: 4,
+            nacks_sent: 6,
+            gap_recoveries: 8,
+            give_ups: 10,
+            duplicates_discarded: 12,
+            buffer_evictions: 14,
+        };
+        assert_eq!(t.merged(t), doubled);
+        let c = ChannelStats {
+            sent: 1,
+            lost: 2,
+            duplicated: 3,
+            reordered: 4,
+            corrupted: 5,
+        };
+        let c2 = c.merged(c);
+        assert_eq!(
+            [c2.sent, c2.lost, c2.duplicated, c2.reordered, c2.corrupted],
+            [2, 4, 6, 8, 10]
+        );
     }
 }

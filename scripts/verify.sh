@@ -64,14 +64,6 @@ fi
 # the single-threaded and multi-threaded runs.
 cargo run --release -q -p bench --bin recovery -- --threads 8
 
-# Telemetry gates: the bin exits nonzero if enabling the sink perturbs
-# the fleet digest at any thread count, if the merged fleet telemetry
-# depends on the thread count, or if the observed per-stage span cycles
-# disagree with the cost model. The disabled-sink overhead check prints
-# a warning only (wall-clock noise). Also regenerates
-# results/TELEMETRY_pipeline.json and results/TELEMETRY_trace.ndjson.
-cargo run --release -q -p bench --bin telemetry
-
 # Baseline gates: each regenerates a results/ artifact and diffs it
 # against its committed baseline.
 #   baseline_gate <name> <key> <mode> <baseline> <out> <command...>
@@ -112,6 +104,22 @@ baseline_gate() {
     diff -u "$baseline" "$out" || true
   fi
 }
+
+# Telemetry gates: the bin exits nonzero if enabling the sink perturbs
+# the fleet digest at any thread count, if the merged fleet telemetry
+# depends on the thread count, or if the observed per-stage span cycles
+# disagree with the cost model. Its outputs then go through two gates.
+# The per-device event trace is deterministic, so any drift fails. The
+# pipeline table's fleet digest is hard-gated; its overhead timings are
+# wall-clock noise and only warn.
+tele_json=target/verify/TELEMETRY_pipeline.json
+tele_trace=target/verify/TELEMETRY_trace.ndjson
+cargo run --release -q -p bench --bin telemetry -- \
+  --out-json "$tele_json" --out-trace "$tele_trace"
+baseline_gate "telemetry trace" "" exact \
+  results/TELEMETRY_trace.ndjson "$tele_trace" true || true
+baseline_gate "telemetry pipeline" fleet_digest warn \
+  results/TELEMETRY_pipeline.json "$tele_json" true || true
 
 # Fleet throughput: results/BENCH_fleet.json with the baseline's
 # parameters. The report digest is hard-gated; timings are warn-only.
