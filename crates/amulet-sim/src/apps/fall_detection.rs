@@ -68,16 +68,6 @@ impl FallDetectionApp {
             samples: 0,
         }
     }
-
-    /// Falls detected so far.
-    pub fn falls(&self) -> u64 {
-        self.falls
-    }
-
-    /// Accelerometer samples consumed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
 }
 
 impl Default for FallDetectionApp {
@@ -197,7 +187,7 @@ mod tests {
             samples.push((300 + i * 100, 1.02));
         }
         let alerts = drive(&mut app, &samples);
-        assert_eq!(app.falls(), 1);
+        assert_eq!(app.falls, 1);
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].message.contains("FALL"));
     }
@@ -210,7 +200,7 @@ mod tests {
             .map(|i| (i * 20, 1.0 + 0.4 * ((i as f64) * 0.6).sin().max(0.0)))
             .collect();
         assert!(drive(&mut app, &samples).is_empty());
-        assert_eq!(app.falls(), 0);
+        assert_eq!(app.falls, 0);
     }
 
     #[test]
@@ -238,7 +228,7 @@ mod tests {
             samples.push((t * 20, acc.sample(t * 20).value));
         }
         let alerts = drive(&mut app, &samples);
-        assert_eq!(app.falls(), 1, "alerts: {alerts:?}");
+        assert_eq!(app.falls, 1, "alerts: {alerts:?}");
     }
 
     #[test]
@@ -263,6 +253,6 @@ mod tests {
         let mut ctx = AppContext::new(0, "fall-detection", &mut display, &mut meter, &model, &mut alerts);
         app.handle(&AmuletEvent::ButtonPress, &mut ctx);
         app.handle(&AmuletEvent::Signal(0xDEAD), &mut ctx);
-        assert_eq!(app.samples(), 0);
+        assert_eq!(app.samples, 0);
     }
 }

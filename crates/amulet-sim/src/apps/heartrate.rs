@@ -43,11 +43,6 @@ impl HeartRateApp {
         }
     }
 
-    /// The most recently displayed heart rate, if any.
-    pub fn last_bpm(&self) -> Option<f64> {
-        self.last_bpm
-    }
-
     /// Windows processed.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -132,7 +127,7 @@ mod tests {
         let abp = (0..3 * fs).map(|i| 80.0 + (i % 7) as f64).collect();
         let sn = Snippet::new(ecg, abp, vec![0, fs, 2 * fs], vec![]).unwrap();
         let display = dispatch(&mut app, sn);
-        assert_eq!(app.last_bpm().map(|b| b.round()), Some(60.0));
+        assert_eq!(app.last_bpm.map(|b| b.round()), Some(60.0));
         assert!(display.lines()[0].text.contains("60"));
     }
 
@@ -141,7 +136,7 @@ mod tests {
         let mut app = HeartRateApp::new();
         let sn = Snippet::new(vec![0.0, 1.0], vec![80.0, 81.0], vec![1], vec![]).unwrap();
         let display = dispatch(&mut app, sn);
-        assert_eq!(app.last_bpm(), None);
+        assert_eq!(app.last_bpm, None);
         assert!(display.lines()[0].text.contains("--"));
         assert_eq!(app.windows(), 1);
     }

@@ -116,11 +116,6 @@ impl SiftApp {
         self.version
     }
 
-    /// The deployed model's backend family.
-    pub fn backend(&self) -> BackendKind {
-        self.model.kind()
-    }
-
     /// Running statistics.
     pub fn stats(&self) -> SiftAppStats {
         self.stats
@@ -414,7 +409,7 @@ mod tests {
         .unwrap();
         let app = SiftApp::new(Version::Reduced, model, cfg).unwrap();
         assert_eq!(app.name(), "tsetlin-reduced");
-        assert_eq!(app.backend(), ml::BackendKind::Tsetlin);
+        assert_eq!(app.model.kind(), ml::BackendKind::Tsetlin);
         assert_eq!(app.resource_spec().name, "tsetlin-reduced");
         let mut os = os_with_app(app);
         for sn in snippets(0, 101, 9.0) {

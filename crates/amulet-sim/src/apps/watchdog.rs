@@ -27,11 +27,6 @@ impl WatchdogApp {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Stall alerts raised so far.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
 }
 
 impl App for WatchdogApp {
@@ -102,7 +97,7 @@ mod tests {
         assert!(alerts[0].message.contains("stream stalled"));
         assert!(alerts[0].message.contains("abp"));
         assert!(alerts[0].message.contains("4500"));
-        assert_eq!(app.stalls(), 1);
+        assert_eq!(app.stalls, 1);
     }
 
     #[test]
@@ -110,6 +105,6 @@ mod tests {
         let mut app = WatchdogApp::new();
         assert!(dispatch(&mut app, AmuletEvent::ButtonPress).is_empty());
         assert!(dispatch(&mut app, AmuletEvent::Tick { ms: 5 }).is_empty());
-        assert_eq!(app.stalls(), 0);
+        assert_eq!(app.stalls, 0);
     }
 }

@@ -85,11 +85,6 @@ impl StageCycles {
     pub fn total(&self) -> f64 {
         self.peaks_data_check + self.feature_extraction + self.ml_classifier
     }
-
-    /// Execution time of one pass at `cpu_hz`.
-    pub fn execution_time_s(&self, cpu_hz: f64) -> f64 {
-        self.total() / cpu_hz
-    }
 }
 
 /// Price one detection pass of `version` under `config`.
@@ -217,9 +212,9 @@ mod tests {
     fn execution_times_are_plausible_for_msp430() {
         // Float-heavy versions take ~150–200 ms at 16 MHz; the reduced
         // fixed-point pass takes a few ms.
-        let o = cycles(Version::Original).execution_time_s(crate::CPU_HZ);
-        let s = cycles(Version::Simplified).execution_time_s(crate::CPU_HZ);
-        let r = cycles(Version::Reduced).execution_time_s(crate::CPU_HZ);
+        let o = cycles(Version::Original).total() / crate::CPU_HZ;
+        let s = cycles(Version::Simplified).total() / crate::CPU_HZ;
+        let r = cycles(Version::Reduced).total() / crate::CPU_HZ;
         assert!((0.1..0.3).contains(&o), "original {o} s");
         assert!((0.08..0.2).contains(&s), "simplified {s} s");
         assert!((0.002..0.02).contains(&r), "reduced {r} s");

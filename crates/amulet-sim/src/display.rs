@@ -35,7 +35,6 @@ pub struct DisplayLine {
 #[derive(Debug, Clone, Default)]
 pub struct Display {
     lines: Vec<DisplayLine>,
-    writes: u64,
 }
 
 impl Display {
@@ -46,7 +45,6 @@ impl Display {
 
     /// Render one line.
     pub fn write(&mut self, at_ms: u64, app: &str, severity: Severity, text: impl Into<String>) {
-        self.writes += 1;
         self.lines.push(DisplayLine {
             at_ms,
             app: app.to_string(),
@@ -64,21 +62,6 @@ impl Display {
     pub fn lines(&self) -> &[DisplayLine] {
         &self.lines
     }
-
-    /// Lines of a given severity.
-    pub fn lines_with(&self, severity: Severity) -> impl Iterator<Item = &DisplayLine> + '_ {
-        self.lines.iter().filter(move |l| l.severity == severity)
-    }
-
-    /// Total writes ever made (including scrolled-off lines).
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of alert lines currently retained.
-    pub fn alert_count(&self) -> usize {
-        self.lines_with(Severity::Alert).count()
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +75,9 @@ mod tests {
         d.write(20, "sift", Severity::Alert, "ECG ALTERED");
         d.write(30, "hr", Severity::Debug, "x=1.5");
         assert_eq!(d.lines().len(), 3);
-        assert_eq!(d.alert_count(), 1);
-        assert_eq!(d.lines_with(Severity::Debug).count(), 1);
-        assert_eq!(d.write_count(), 3);
+        let with = |s| d.lines().iter().filter(|l| l.severity == s).count();
+        assert_eq!(with(Severity::Alert), 1);
+        assert_eq!(with(Severity::Debug), 1);
     }
 
     #[test]
@@ -104,7 +87,7 @@ mod tests {
             d.write(i, "app", Severity::Info, "line");
         }
         assert!(d.lines().len() <= 10_000);
-        assert_eq!(d.write_count(), 10_001);
+        assert_eq!(d.lines().last().map(|l| l.at_ms), Some(10_000));
     }
 
     #[test]

@@ -154,21 +154,6 @@ impl BatteryState {
         // the quotient is at most 1000.
         ((left.saturating_mul(1000)) / self.capacity_ua_ms) as u16
     }
-
-    /// True once every µA·ms of capacity has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.consumed_ua_ms >= self.capacity_ua_ms
-    }
-
-    /// Total capacity in µA·ms.
-    pub fn capacity_ua_ms(&self) -> u64 {
-        self.capacity_ua_ms
-    }
-
-    /// Charge consumed so far in µA·ms.
-    pub fn consumed_ua_ms(&self) -> u64 {
-        self.consumed_ua_ms
-    }
 }
 
 /// Runtime energy meter: integrates the charge actually consumed by a
@@ -327,13 +312,13 @@ mod tests {
         assert_eq!(b.soc_permille(), 1000);
         b.drain(100, 18_000); // 1.8e6 µA·ms = half the capacity
         assert_eq!(b.soc_permille(), 500);
-        assert!(!b.is_exhausted());
+        assert!(b.consumed_ua_ms < b.capacity_ua_ms);
         b.drain(100, 18_000);
         assert_eq!(b.soc_permille(), 0);
-        assert!(b.is_exhausted());
+        assert_eq!(b.consumed_ua_ms, b.capacity_ua_ms);
         // Further drain saturates instead of wrapping.
         b.drain(u64::MAX, u64::MAX);
-        assert_eq!(b.consumed_ua_ms(), b.capacity_ua_ms());
+        assert_eq!(b.consumed_ua_ms, b.capacity_ua_ms);
     }
 
     #[test]
@@ -342,7 +327,7 @@ mod tests {
         let mut b = BatteryState::from_model(&m);
         // 110 mAh at a constant 100 µA lasts 1100 h; drain hour by hour.
         let mut hours = 0u64;
-        while !b.is_exhausted() && hours < 2000 {
+        while b.consumed_ua_ms < b.capacity_ua_ms && hours < 2000 {
             b.drain(100, 3_600_000);
             hours += 1;
         }

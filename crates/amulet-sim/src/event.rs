@@ -46,21 +46,6 @@ pub enum AmuletEvent {
     },
 }
 
-impl AmuletEvent {
-    /// Short name for logs and traces.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            AmuletEvent::Tick { .. } => "tick",
-            AmuletEvent::SnippetReady(_) => "snippet-ready",
-            AmuletEvent::SnippetScored(..) => "snippet-scored",
-            AmuletEvent::ButtonPress => "button-press",
-            AmuletEvent::BatteryLevel(_) => "battery-level",
-            AmuletEvent::Signal(_) => "signal",
-            AmuletEvent::StreamStalled { .. } => "stream-stalled",
-        }
-    }
-}
-
 /// FIFO event queue with a bounded capacity (the real QM framework uses
 /// fixed-size pools; overflow is a defined, observable condition).
 #[derive(Debug, Clone)]
@@ -139,21 +124,6 @@ mod tests {
         assert!(!q.post(AmuletEvent::ButtonPress));
         assert_eq!(q.dropped(), 1);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn kind_names() {
-        assert_eq!(AmuletEvent::Tick { ms: 0 }.kind_name(), "tick");
-        assert_eq!(AmuletEvent::Signal(3).kind_name(), "signal");
-        assert_eq!(AmuletEvent::BatteryLevel(0.5).kind_name(), "battery-level");
-        assert_eq!(
-            AmuletEvent::StreamStalled {
-                stream: "ecg".into(),
-                silent_ms: 4000
-            }
-            .kind_name(),
-            "stream-stalled"
-        );
     }
 
     #[test]

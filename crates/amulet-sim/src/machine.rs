@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].message, "three ticks!");
         assert_eq!(posted, vec![AmuletEvent::Signal(7)]);
-        assert_eq!(display.alert_count(), 1);
+        assert_eq!(display.lines().iter().filter(|l| l.severity == Severity::Alert).count(), 1);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl AppResourceSpec {
     pub fn fram_total_bytes(&self) -> usize {
         self.fram_code_bytes + self.fram_data_bytes
     }
-
-    /// Duty cycle of the MCU for this app alone.
-    pub fn duty_cycle(&self) -> f64 {
-        (self.cycles_per_period / CPU_HZ / self.period_s).min(1.0)
-    }
 }
 
 /// Resource spec of the SIFT detector app for a given version — the
@@ -252,11 +247,6 @@ pub struct ResourceProfiler {
 }
 
 impl ResourceProfiler {
-    /// Profiler with explicit baseline and energy model.
-    pub fn new(baseline: SystemBaseline, energy: EnergyModel) -> Self {
-        Self { baseline, energy }
-    }
-
     /// Profile a firmware image containing `apps`.
     pub fn profile(&self, apps: &[&AppResourceSpec]) -> ResourceProfile {
         // System image: baseline + union of linked libraries.
@@ -433,12 +423,6 @@ mod tests {
         assert!(view.contains("ARP-view"));
         assert!(view.contains("sift-original"));
         assert!(view.contains("lifetime"));
-    }
-
-    #[test]
-    fn duty_cycle_bounded() {
-        let s = spec(Version::Original);
-        assert!(s.duty_cycle() > 0.0 && s.duty_cycle() < 0.2);
     }
 
     #[test]

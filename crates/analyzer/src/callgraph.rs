@@ -13,7 +13,20 @@
 //!    error-severity rules (`cg-recursion`, `cg-dynamic-dispatch`);
 //! 3. **panic reachability** — an embedded entry point transitively
 //!    reaching an unjustified panic site in host-side code is flagged
-//!    with the full call chain (`cg-panic-reachable`).
+//!    with the full call chain (`cg-panic-reachable`);
+//! 4. **unreached public API** — a library `pub fn` that no root
+//!    reaches is dead code (`cg-unreached`). The roots are every fn in
+//!    a binary (`crates/*/src/bin/**`, `crates/*/src/main.rs`), in a
+//!    root integration test, example or bench (files read for their
+//!    call sites only), and the [`ENTRY_POINTS`]. `#[cfg(test)]` code
+//!    and `crates/*/tests/` are not callers. This reach
+//!    over-approximates: method names fan out to every method of that
+//!    name, [`UBIQUITOUS_METHODS`] included, and an unknown `Type::`
+//!    qualifier to every trait method of that name; every identifier
+//!    that is not called, a field after `.` aside, counts as naming the
+//!    fns of that name as values (`.map(Record::synthesize)`, `[a, b]`,
+//!    a `static` fn table); trait-impl methods are never reported,
+//!    since `Display`, `Default` and operators call them implicitly.
 //!
 //! ## Soundness assumptions (documented, deliberate)
 //!
@@ -102,7 +115,8 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
 /// Method names so common across std and the workspace that by-name
 /// resolution of a non-`self` receiver would be meaningless fan-out
 /// (and a false-cycle machine). Calls to them resolve to nothing and
-/// contribute zero stack — a documented soundness assumption.
+/// contribute zero stack — a documented soundness assumption. The
+/// reach pass alone fans them out, so it never under-approximates.
 const UBIQUITOUS_METHODS: &[&str] = &[
     "as_mut", "as_ref", "clone", "cmp", "default", "drop", "eq", "fmt", "from", "get", "hash",
     "index", "insert", "into", "is_empty", "iter", "len", "ne", "next", "partial_cmp", "push",
@@ -117,6 +131,10 @@ const NOT_A_CALL: &[&str] = &[
     "enum", "trait", "type", "const", "static", "crate", "super", "fn", "Some", "Ok", "Err",
     "None", "self", "Self",
 ];
+
+/// Vendored stand-ins for external crates: their public API mirrors
+/// the real crates', so `cg-unreached` does not judge it.
+const UNREACHED_EXEMPT_CRATES: &[&str] = &["rand", "proptest", "criterion"];
 
 /// Panicking macros, mirroring the lexical pass (debug_assert! compiles
 /// out of release firmware and is deliberately absent).
@@ -141,6 +159,8 @@ struct FnDef {
     lets: usize,
     has_body: bool,
     in_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` and friends).
+    public: bool,
 }
 
 impl FnDef {
@@ -164,12 +184,18 @@ enum CallKind {
     Method,
     /// `Qualifier::name(...)`.
     Qualified(String),
+    /// A path whose qualifier is no identifier (`<T as Trait>::name`).
+    Opaque,
 }
 
 #[derive(Debug)]
 struct CallSite {
     name: String,
     kind: CallKind,
+    /// False when the fn is only named (as a value, through a turbofish,
+    /// or through a `use … as` rename): the reach pass follows such
+    /// sites, the stack pass does not.
+    called: bool,
 }
 
 /// A potentially-panicking expression (`.unwrap()`, `panic!`, …).
@@ -227,6 +253,9 @@ pub struct CallGraphResult {
 struct Graph {
     /// Workspace-relative path of each file index.
     paths: Vec<String>,
+    /// Per file index: read for its call sites only (no defs resolve
+    /// into it, and the stack pass ignores it).
+    sites_only: Vec<bool>,
     fns: Vec<FnDef>,
     calls: Vec<Vec<CallSite>>,
     panics: Vec<PanicSite>,
@@ -236,13 +265,14 @@ struct Graph {
 /// Run the interprocedural pass over the parsed workspace.
 pub fn analyze(files: &[ParsedFile]) -> CallGraphResult {
     let graph = extract(files);
-    let edges = resolve_edges(&graph);
+    let edges = resolve_edges(&graph, false);
     let sccs = tarjan(graph.fns.len(), &edges);
     let mut findings = Vec::new();
     findings.extend(dynamic_dispatch_findings(files, &graph));
     findings.extend(recursion_findings(files, &graph, &edges, &sccs));
     let (stack, entry_of) = stack_report(files, &graph, &edges, &sccs);
     findings.extend(panic_findings(files, &graph, &edges, &entry_of));
+    findings.extend(unreached_findings(&graph));
     CallGraphResult { findings, stack }
 }
 
@@ -275,6 +305,7 @@ fn ident_of(kind: &TokenKind) -> Option<&str> {
 fn extract(files: &[ParsedFile]) -> Graph {
     let mut graph = Graph {
         paths: files.iter().map(|pf| pf.file.rel_path.clone()).collect(),
+        sites_only: files.iter().map(|pf| pf.class.call_sites_only).collect(),
         fns: Vec::new(),
         calls: Vec::new(),
         panics: Vec::new(),
@@ -293,6 +324,11 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
     let kind = |k: usize| sig.get(k).map(|t| &t.kind);
     let is_punct = |k: usize, c: char| matches!(kind(k), Some(TokenKind::Punct(p)) if *p == c);
     let embedded = pf.class.embedded;
+    // In a root file every fn is a caller, `#[test]` fns included.
+    let in_test = |line: u32| !pf.class.call_sites_only && pf.file.in_test(line);
+    let renames = use_renames(&sig);
+    // Call sites of item-level code (const and static initializers).
+    let mut item_sites: Vec<CallSite> = Vec::new();
 
     let mut depth: i32 = 0;
     let mut owners: Vec<OwnerCtx> = Vec::new();
@@ -347,7 +383,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
             TokenKind::Ident(w) if w == "fn" => {
                 if is_punct(p + 1, '(') {
                     // Bare `fn(…)` is a function-pointer *type*.
-                    if embedded && !pf.file.in_test(line) {
+                    if embedded && !in_test(line) {
                         graph.dyns.push(DynSite {
                             file: file_idx,
                             line,
@@ -370,7 +406,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                         let TokenKind::Ident(w) = &tok.kind else {
                             continue;
                         };
-                        if pf.file.in_test(tok.line) {
+                        if in_test(tok.line) {
                             continue;
                         }
                         if w == "dyn" {
@@ -398,7 +434,8 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     params: header.params,
                     lets: 0,
                     has_body: header.body_open.is_some(),
-                    in_test: pf.file.in_test(line),
+                    in_test: in_test(line),
+                    public: declared_pub(&sig, p),
                 });
                 graph.calls.push(Vec::new());
                 if let Some(open) = header.body_open {
@@ -410,7 +447,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 }
             }
             TokenKind::Ident(w) if w == "dyn" => {
-                if embedded && !pf.file.in_test(line) {
+                if embedded && !in_test(line) {
                     graph.dyns.push(DynSite {
                         file: file_idx,
                         line,
@@ -427,65 +464,82 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 }
                 p += 1;
             }
+            TokenKind::Ident(w) if w == "use" => {
+                // An import names without reaching (renames are resolved
+                // by `use_renames`).
+                while p < sig.len() && !is_punct(p, ';') {
+                    p += 1;
+                }
+            }
             TokenKind::Ident(name) => {
                 let cur_fn = open_fns.last().map(|&(f, _)| f);
-                let in_test = pf.file.in_test(line);
+                let in_test = in_test(line);
                 let prev_dot = p > 0 && is_punct(p - 1, '.');
-                if let Some(f) = cur_fn {
-                    if !in_test {
-                        if matches!(name.as_str(), "unwrap" | "expect")
-                            && prev_dot
-                            && is_punct(p + 1, '(')
-                        {
-                            graph.panics.push(PanicSite {
-                                file: file_idx,
-                                line,
-                                what: format!(".{name}()"),
-                                in_fn: f,
-                            });
-                        }
-                        if PANIC_MACROS.contains(&name.as_str()) && is_punct(p + 1, '!') {
-                            graph.panics.push(PanicSite {
-                                file: file_idx,
-                                line,
-                                what: format!("{name}!"),
-                                in_fn: f,
-                            });
-                        }
-                    }
-                    if is_punct(p + 1, '(')
-                        && !NOT_A_CALL.contains(&name.as_str())
-                        && !in_test
+                if let (Some(f), false) = (cur_fn, in_test) {
+                    if matches!(name.as_str(), "unwrap" | "expect")
+                        && prev_dot
+                        && is_punct(p + 1, '(')
                     {
-                        let qualified = p >= 2 && is_punct(p - 1, ':') && is_punct(p - 2, ':');
-                        let call_kind = if qualified {
-                            match kind(p.wrapping_sub(3)).and_then(ident_of) {
-                                Some(q) => CallKind::Qualified(q.to_string()),
-                                // `<T as Trait>::m(…)` and friends:
-                                // unresolvable, skip.
-                                None => {
-                                    p += 1;
-                                    continue;
-                                }
-                            }
-                        } else if prev_dot {
-                            let bare_self = p >= 2
-                                && matches!(kind(p - 2).and_then(ident_of), Some("self"))
-                                && !(p >= 3 && is_punct(p - 3, '.'));
-                            if bare_self {
-                                CallKind::SelfMethod
-                            } else {
-                                CallKind::Method
-                            }
+                        graph.panics.push(PanicSite {
+                            file: file_idx,
+                            line,
+                            what: format!(".{name}()"),
+                            in_fn: f,
+                        });
+                    }
+                    if PANIC_MACROS.contains(&name.as_str()) && is_punct(p + 1, '!') {
+                        graph.panics.push(PanicSite {
+                            file: file_idx,
+                            line,
+                            what: format!("{name}!"),
+                            in_fn: f,
+                        });
+                    }
+                }
+                if !in_test && !NOT_A_CALL.contains(&name.as_str()) {
+                    let qualified = p >= 2 && is_punct(p - 1, ':') && is_punct(p - 2, ':');
+                    let call_kind = if qualified {
+                        // `<T as Trait>::m(…)` and friends have no
+                        // identifier qualifier.
+                        kind(p.wrapping_sub(3))
+                            .and_then(ident_of)
+                            .map_or(CallKind::Opaque, |q| CallKind::Qualified(q.to_string()))
+                    } else if prev_dot {
+                        let bare_self = p >= 2
+                            && matches!(kind(p - 2).and_then(ident_of), Some("self"))
+                            && !(p >= 3 && is_punct(p - 3, '.'));
+                        if bare_self {
+                            CallKind::SelfMethod
                         } else {
-                            CallKind::Free
-                        };
-                        if let Some(calls) = graph.calls.get_mut(f) {
+                            CallKind::Method
+                        }
+                    } else {
+                        CallKind::Free
+                    };
+                    let called = is_punct(p + 1, '(');
+                    // Any identifier not called may name a fn as a value
+                    // (`.map(slope_of)`, `helper::<T>`, `[a, b]`,
+                    // `static F: fn() = helper;`, `Foo { f: helper }`).
+                    // Only a field access after `.` cannot. Extra matches
+                    // only err toward reached.
+                    let named = !called && !prev_dot;
+                    let calls = match cur_fn {
+                        Some(f) => graph.calls.get_mut(f),
+                        None => Some(&mut item_sites),
+                    };
+                    if let (Some(calls), true) = (calls, called || named) {
+                        if let Some(original) = renames.get(name.as_str()) {
                             calls.push(CallSite {
-                                name: name.clone(),
-                                kind: call_kind,
+                                name: (*original).to_string(),
+                                kind: call_kind.clone(),
+                                called: false,
                             });
                         }
+                        calls.push(CallSite {
+                            name: name.clone(),
+                            kind: call_kind,
+                            called,
+                        });
                     }
                 }
                 p += 1;
@@ -493,6 +547,62 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
             _ => p += 1,
         }
     }
+    // Item-level sites belong to a body-less pseudo-fn, which the reach
+    // pass treats as a root and the stack pass ignores.
+    if !item_sites.is_empty() {
+        graph.fns.push(FnDef {
+            name: String::new(),
+            owner: None,
+            trait_impl: None,
+            file: file_idx,
+            line: 0,
+            params: 0,
+            lets: 0,
+            has_body: false,
+            in_test: false,
+            public: false,
+        });
+        graph.calls.push(item_sites);
+    }
+}
+
+/// Every `use … original as alias` rename in a file, by alias.
+fn use_renames<'a>(sig: &[&'a crate::lexer::Token]) -> BTreeMap<&'a str, &'a str> {
+    let mut renames = BTreeMap::new();
+    let mut in_use = false;
+    for (k, tok) in sig.iter().enumerate() {
+        match &tok.kind {
+            TokenKind::Ident(w) if w == "use" => in_use = true,
+            TokenKind::Punct(';') => in_use = false,
+            TokenKind::Ident(w) if in_use && w == "as" => {
+                let original = k.checked_sub(1).and_then(|j| ident_of(&sig[j].kind));
+                if let (Some(original), Some(alias)) =
+                    (original, sig.get(k + 1).and_then(|t| ident_of(&t.kind)))
+                {
+                    renames.insert(alias, original);
+                }
+            }
+            _ => {}
+        }
+    }
+    renames
+}
+
+/// Whether the `fn` at `p` is declared plain `pub`, past any `const`,
+/// `async`, `unsafe` or `extern "abi"` qualifiers. `pub(crate)` and
+/// friends end in `)` and are not: rustc's `dead_code` covers them.
+fn declared_pub(sig: &[&crate::lexer::Token], p: usize) -> bool {
+    let mut k = p;
+    while k > 0 {
+        k -= 1;
+        match &sig[k].kind {
+            TokenKind::Ident(w) if w == "pub" => return true,
+            TokenKind::Ident(w) if matches!(w.as_str(), "const" | "async" | "unsafe" | "extern") => {}
+            TokenKind::Str => {}
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Is the `impl` at `p` an item (block) rather than an `impl Trait`
@@ -712,16 +822,20 @@ fn file_in_module(path: &str, q: &str) -> bool {
     stem == q || path.contains(&format!("/{q}/")) || (crate_of(path) == q && path.ends_with("/lib.rs"))
 }
 
-fn resolve_edges(graph: &Graph) -> Vec<Vec<usize>> {
+/// Resolve call sites into edges. `reach` selects the `cg-unreached`
+/// over-approximation (see the module docs); otherwise the edges are
+/// the stack certificate's, over library and binary bodies only.
+fn resolve_edges(graph: &Graph, reach: bool) -> Vec<Vec<usize>> {
     let n = graph.fns.len();
-    // Indexes over *non-test* defs only: test fns are invisible.
+    // Indexes over *non-test* defs only: test fns are invisible, and
+    // call-sites-only root files define nothing callable.
     let mut by_owner: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     let mut by_trait_impl: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut free_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut trait_names: BTreeSet<&str> = BTreeSet::new();
     for (i, def) in graph.fns.iter().enumerate() {
-        if def.in_test {
+        if def.in_test || graph.sites_only[def.file] {
             continue;
         }
         by_name.entry(&def.name).or_default().push(i);
@@ -767,13 +881,32 @@ fn resolve_edges(graph: &Graph) -> Vec<Vec<usize>> {
         c
     };
 
+    // Every bodied method of that name: a receiver's type is unknown.
+    let methods_named = |name: &str, caller: usize| -> Vec<usize> {
+        bodied(by_name.get(name))
+            .into_iter()
+            .filter(|&t| graph.fns[t].owner.is_some() && t != caller)
+            .collect()
+    };
+    // Every bodied trait method of that name (impls and defaults): all a
+    // foreign type or a generic parameter can dispatch to.
+    let trait_methods_named = |name: &str| -> Vec<usize> {
+        methods_named(name, usize::MAX)
+            .into_iter()
+            .filter(|&t| {
+                let d = &graph.fns[t];
+                d.trait_impl.is_some() || d.owner.as_deref().is_some_and(|o| trait_names.contains(o))
+            })
+            .collect()
+    };
+
     let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     for (caller, sites) in graph.calls.iter().enumerate() {
         let me = &graph.fns[caller];
-        if me.in_test {
+        if me.in_test || (!reach && (graph.sites_only[me.file] || !me.has_body)) {
             continue;
         }
-        for site in sites {
+        for site in sites.iter().filter(|s| reach || s.called) {
             let name = site.name.as_str();
             let targets: Vec<usize> = match &site.kind {
                 CallKind::Qualified(q) => {
@@ -822,12 +955,18 @@ fn resolve_edges(graph: &Graph) -> Vec<Vec<usize>> {
                         } else {
                             modular
                         }
+                    } else if reach {
+                        // Unknown capitalized qualifier: a foreign type
+                        // or a generic parameter.
+                        trait_methods_named(name)
                     } else {
-                        // Unknown capitalized qualifier: a type defined
-                        // outside the workspace walk (std, vendored).
+                        // A type defined outside the workspace walk (std,
+                        // vendored): no stack.
                         Vec::new()
                     }
                 }
+                CallKind::Opaque if reach => trait_methods_named(name),
+                CallKind::Opaque => Vec::new(),
                 CallKind::SelfMethod => {
                     let Some(o) = &me.owner else { continue };
                     if trait_names.contains(o.as_str()) {
@@ -853,13 +992,10 @@ fn resolve_edges(graph: &Graph) -> Vec<Vec<usize>> {
                     }
                 }
                 CallKind::Method => {
-                    if UBIQUITOUS_METHODS.contains(&name) {
+                    if UBIQUITOUS_METHODS.contains(&name) && !reach {
                         Vec::new()
                     } else {
-                        bodied(by_name.get(name))
-                            .into_iter()
-                            .filter(|&t| graph.fns[t].owner.is_some() && t != caller)
-                            .collect()
+                        methods_named(name, caller)
                     }
                 }
                 CallKind::Free => {
@@ -1009,6 +1145,17 @@ fn recursion_findings(
     out
 }
 
+/// The definition of entry point `ep`, when the workspace has it.
+fn entry_fn(graph: &Graph, ep: &EntryPoint) -> Option<usize> {
+    graph.fns.iter().position(|d| {
+        !d.in_test
+            && d.has_body
+            && d.name == ep.name
+            && d.owner.as_deref() == Some(ep.owner)
+            && graph.paths[d.file] == ep.file
+    })
+}
+
 /// Longest-path stack certificates over the SCC condensation, plus the
 /// per-function entry ownership map used by the panic walk: for every
 /// function reachable from an entry point, the index (into
@@ -1060,13 +1207,7 @@ fn stack_report(
     let mut entries = Vec::new();
     let mut entry_fns: Vec<(usize, usize)> = Vec::new(); // (entry idx, fn idx)
     for (e_idx, ep) in ENTRY_POINTS.iter().enumerate() {
-        let Some(f) = graph.fns.iter().position(|d| {
-            !d.in_test
-                && d.has_body
-                && d.name == ep.name
-                && d.owner.as_deref() == Some(ep.owner)
-                && files[d.file].file.rel_path == ep.file
-        }) else {
+        let Some(f) = entry_fn(graph, ep) else {
             continue;
         };
         entry_fns.push((e_idx, f));
@@ -1173,6 +1314,84 @@ fn panic_findings(
     out
 }
 
+/// `cg-unreached`: every library `pub fn` no root reaches, or the whole
+/// module at line 1 when none of its fns is reached.
+fn unreached_findings(graph: &Graph) -> Vec<Finding> {
+    let is_root_file = |file: usize| {
+        let path = graph.paths[file].as_str();
+        graph.sites_only[file] || path.contains("/src/bin/") || path.ends_with("/src/main.rs")
+    };
+    let edges = resolve_edges(graph, true);
+    let mut reached = vec![false; graph.fns.len()];
+    let mut work: Vec<usize> = (0..graph.fns.len())
+        .filter(|&f| {
+            let d = &graph.fns[f];
+            !d.in_test && (d.name.is_empty() || is_root_file(d.file))
+        })
+        .chain(ENTRY_POINTS.iter().filter_map(|ep| entry_fn(graph, ep)))
+        .collect();
+    while let Some(v) = work.pop() {
+        if !reached[v] {
+            reached[v] = true;
+            work.extend(&edges[v]);
+        }
+    }
+
+    // The fns each library file is judged on, trait-impl methods aside.
+    let mut judged: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (f, d) in graph.fns.iter().enumerate() {
+        let crate_name = crate_of(&graph.paths[d.file]);
+        if d.in_test
+            || !d.has_body
+            || d.trait_impl.is_some()
+            || is_root_file(d.file)
+            || UNREACHED_EXEMPT_CRATES.contains(&crate_name)
+        {
+            continue;
+        }
+        judged.entry(d.file).or_default().push(f);
+    }
+    let mut out = Vec::new();
+    for (file, fns) in judged {
+        let path = &graph.paths[file];
+        let dead: Vec<usize> = fns
+            .iter()
+            .copied()
+            .filter(|&f| graph.fns[f].public && !reached[f])
+            .collect();
+        if dead.is_empty() {
+            continue;
+        }
+        if fns.iter().all(|&f| !reached[f]) {
+            out.push(Finding::new(
+                "cg-unreached",
+                path,
+                1,
+                format!(
+                    "no root reaches any fn of this module ({} of them pub); delete the module",
+                    dead.len()
+                ),
+            ));
+            continue;
+        }
+        for f in dead {
+            let d = &graph.fns[f];
+            out.push(Finding::new(
+                "cg-unreached",
+                path,
+                d.line,
+                format!(
+                    "pub fn `{}` is reached from no binary, example, root test, bench or \
+                     embedded entry point; delete it or justify with \
+                     lint:allow(cg-unreached, …)",
+                    d.display()
+                ),
+            ));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1206,7 +1425,7 @@ mod tests {
         assert_eq!(g.fns[1].params, 1);
         assert_eq!(g.fns[1].lets, 1);
         // go -> helper resolves as a free call.
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         assert_eq!(edges[0], vec![1]);
         assert!(edges[1].is_empty());
     }
@@ -1235,7 +1454,7 @@ mod tests {
             .iter()
             .position(|d| d.name == "one" && d.has_body)
             .unwrap();
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         assert_eq!(edges[many], vec![a_one]);
         // No cycles anywhere.
         let sccs = tarjan(g.fns.len(), &edges);
@@ -1250,7 +1469,7 @@ mod tests {
         let src = "trait B {\n  fn enc(&self, out: &mut [u8]) -> usize;\n}\nstruct Inner;\nimpl B for Inner {\n  fn enc(&self, out: &mut [u8]) -> usize { 0 }\n}\nenum Model { I(Inner) }\nimpl B for Model {\n  fn enc(&self, out: &mut [u8]) -> usize {\n    match self { Model::I(m) => B::enc(m, out) }\n  }\n}\n";
         let pf = parsed("crates/wiot/src/x.rs", src);
         let g = extract(&[pf]);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         assert!(
             sccs.iter().all(|c| c.len() == 1),
@@ -1277,7 +1496,7 @@ mod tests {
         );
         let files = [direct];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         let fs = recursion_findings(&files, &g, &edges, &sccs);
         assert_eq!(fs.len(), 1);
@@ -1291,7 +1510,7 @@ mod tests {
         );
         let files = [host];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         assert!(recursion_findings(&files, &g, &edges, &sccs).is_empty());
     }
@@ -1319,7 +1538,7 @@ mod tests {
         let pf = parsed("crates/wiot/src/survival.rs", src);
         let files = [pf];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         let (report, _) = stack_report(&files, &g, &edges, &sccs);
         assert_eq!(report.entries.len(), 1);
@@ -1343,7 +1562,7 @@ mod tests {
         );
         let files = [entry, host];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         let (_, reach) = stack_report(&files, &g, &edges, &sccs);
         let fs = panic_findings(&files, &g, &edges, &reach);
@@ -1370,7 +1589,7 @@ mod tests {
             host_ok,
         ];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         let (_, reach) = stack_report(&files, &g, &edges, &sccs);
         assert!(panic_findings(&files, &g, &edges, &reach).is_empty());
@@ -1384,7 +1603,7 @@ mod tests {
         );
         let files = [pf];
         let g = extract(&files);
-        let edges = resolve_edges(&g);
+        let edges = resolve_edges(&g, false);
         let sccs = tarjan(g.fns.len(), &edges);
         assert!(recursion_findings(&files, &g, &edges, &sccs).is_empty());
         let (_, reach) = stack_report(&files, &g, &edges, &sccs);

@@ -119,9 +119,11 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
     find_workspace_root_from(&cwd)
 }
 
-/// Collect every `crates/*/src/**/*.rs` under `root`, as sorted
-/// (workspace-relative path, contents) pairs. Sorting makes the
-/// analyzer's own output deterministic.
+/// Collect every `crates/*/src/**/*.rs` under `root`, plus the root
+/// files read for their call sites only (`tests/*.rs`, `examples/*.rs`,
+/// `crates/*/benches/*.rs`; see [`source::FileClass::call_sites_only`]),
+/// as sorted (workspace-relative path, contents) pairs. Sorting makes
+/// the analyzer's own output deterministic.
 ///
 /// # Errors
 ///
@@ -131,16 +133,14 @@ pub fn collect_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
     let entries = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
+    let mut dirs = vec![root.join("tests"), root.join("examples")];
     for entry in entries {
         let entry = entry.map_err(|e| format!("readdir: {e}"))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            crate_dirs.push(src);
-        }
+        dirs.push(entry.path().join("src"));
+        dirs.push(entry.path().join("benches"));
     }
-    for src in crate_dirs {
-        walk_rs(&src, &mut out)?;
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk_rs(dir, &mut out)?;
     }
     let rootstr = root.to_path_buf();
     let mut pairs = Vec::with_capacity(out.len());
@@ -188,32 +188,35 @@ pub struct ParsedFile {
     pub meta: Vec<Finding>,
 }
 
-/// Lex and classify every workspace source file once.
-///
-/// # Errors
-///
-/// Returns a description when sources cannot be read.
-pub fn parse_workspace(root: &Path) -> Result<Vec<ParsedFile>, String> {
-    let sources = collect_sources(root)?;
-    Ok(sources
+/// Lex and classify each (workspace-relative path, contents) pair once.
+/// Call-sites-only root files get no suppressions: no rule reports
+/// in them.
+fn parse_sources(sources: &[(String, String)]) -> Vec<ParsedFile> {
+    sources
         .iter()
         .map(|(rel, text)| {
             let file = SourceFile::parse(rel, text);
-            let (sups, meta) = suppress::collect(&file);
+            let class = classify(rel);
+            let (sups, meta) = if class.call_sites_only {
+                (Vec::new(), Vec::new())
+            } else {
+                suppress::collect(&file)
+            };
             ParsedFile {
-                class: classify(rel),
+                class,
                 file,
                 sups,
                 meta,
             }
         })
-        .collect())
+        .collect()
 }
 
 /// Run the lexical passes plus suppression handling on one file's
 /// source. This is the unit the fixture tests drive: `rel_path` decides
 /// which rules apply (see [`source::classify`]). The interprocedural
 /// pass needs the whole workspace and is not part of this unit.
+// lint:allow(cg-unreached, fixture: the single-file harness the lexical-rule fixture tests in tests/rules.rs drive)
 pub fn analyze_source(rel_path: &str, text: &str) -> (Vec<Finding>, usize) {
     let file = SourceFile::parse(rel_path, text);
     let class = classify(rel_path);
@@ -235,7 +238,13 @@ pub fn analyze_source(rel_path: &str, text: &str) -> (Vec<Finding>, usize) {
 /// Returns a description when sources cannot be read; rule violations
 /// are *findings*, not errors.
 pub fn analyze(root: &Path, opts: &Options) -> Result<Analysis, String> {
-    let files = parse_workspace(root)?;
+    Ok(analyze_sources(&collect_sources(root)?, opts))
+}
+
+/// [`analyze`] over in-memory (workspace-relative path, contents)
+/// pairs, as [`collect_sources`] returns them.
+pub fn analyze_sources(sources: &[(String, String)], opts: &Options) -> Analysis {
+    let files = parse_sources(sources);
     let files_scanned = files.len();
     let cg = callgraph::analyze(&files);
 
@@ -243,7 +252,13 @@ pub fn analyze(root: &Path, opts: &Options) -> Result<Analysis, String> {
     // the lexical and the interprocedural rules.
     let mut raw: Vec<Vec<Finding>> = files
         .iter()
-        .map(|pf| lexical::scan(&pf.file, &pf.class))
+        .map(|pf| {
+            if pf.class.call_sites_only {
+                Vec::new()
+            } else {
+                lexical::scan(&pf.file, &pf.class)
+            }
+        })
         .collect();
     let index: std::collections::BTreeMap<&str, usize> = files
         .iter()
@@ -274,13 +289,13 @@ pub fn analyze(root: &Path, opts: &Options) -> Result<Analysis, String> {
         findings.append(&mut budget::stack_findings(&footprints, &cg.stack));
         findings.append(&mut budget::slab_findings());
     }
-    Ok(Analysis {
+    Analysis {
         findings,
         footprints,
         stack: cg.stack,
         files_scanned,
         suppressions_honored: honored,
-    })
+    }
 }
 
 /// The findings `BLESS=1` golden-trace regeneration refuses to bless

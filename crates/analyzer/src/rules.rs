@@ -32,7 +32,8 @@ pub enum Pass {
     /// Semantic RAM/ROM footprint check against the paper's memory map.
     Budget,
     /// Interprocedural call-graph analyses (recursion, dynamic
-    /// dispatch, transitive panic reach, worst-case stack).
+    /// dispatch, transitive panic reach, worst-case stack, unreached
+    /// public API).
     CallGraph,
     /// Hygiene of the suppression grammar itself.
     Meta,
@@ -264,6 +265,14 @@ pub const RULES: &[RuleDef] = &[
         pass: Pass::CallGraph,
         summary: "an embedded entry point transitively reaches an unjustified panic site \
                   in host-side code; the finding carries the full call chain",
+    },
+    RuleDef {
+        id: "cg-unreached",
+        severity: Severity::Error,
+        pass: Pass::CallGraph,
+        summary: "a library pub fn that no binary, example, root integration test, bench or \
+                  embedded entry point reaches (over-approximated by name); a module none \
+                  of whose fns is reached is reported once, as the module",
     },
     RuleDef {
         id: "suppress-missing-reason",

@@ -47,14 +47,16 @@ pub struct FileClass {
     /// route to when this file is covered by a row of
     /// [`PINNED_PROFILES`] (e.g. `ckpt-embedded-profile`).
     pub pinned_rule: Option<&'static str>,
+    /// A root file outside `crates/*/src` (`tests/*.rs`, `examples/*.rs`,
+    /// `crates/*/benches/*.rs`): read only for the call sites that make
+    /// library code reachable; no rule runs on it.
+    pub call_sites_only: bool,
 }
 
 /// Classify a workspace-relative path (`crates/<name>/src/...`).
 pub fn classify(rel_path: &str) -> FileClass {
-    let crate_name = rel_path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("");
+    let mut segments = rel_path.strip_prefix("crates/").unwrap_or("").split('/');
+    let crate_name = segments.next().unwrap_or("");
     let pinned_rule = PINNED_PROFILES
         .iter()
         .find(|p| p.modules.contains(&rel_path))
@@ -68,6 +70,7 @@ pub fn classify(rel_path: &str) -> FileClass {
         thread_ok: THREAD_OK.contains(&rel_path),
         lib_no_panic: LIB_NO_PANIC_CRATES.contains(&crate_name) && !embedded,
         pinned_rule,
+        call_sites_only: segments.next() != Some("src"),
     }
 }
 
@@ -253,6 +256,10 @@ mod tests {
         let svm = classify("crates/ml/src/embedded.rs");
         assert!(svm.float_strict && svm.embedded && svm.pinned_rule.is_none());
         assert!(fixed.pinned_rule.is_none() && plain.pinned_rule.is_none());
+        assert!(!fixed.call_sites_only && !bench.call_sites_only);
+        for path in ["tests/golden_traces.rs", "examples/quickstart.rs", "crates/bench/benches/svm.rs"] {
+            assert!(classify(path).call_sites_only, "{path}");
+        }
         let tele_hot = classify("crates/telemetry/src/record.rs");
         assert_eq!(tele_hot.pinned_rule, Some("tele-embedded-profile"));
         assert!(tele_hot.float_strict && tele_hot.embedded);

@@ -54,12 +54,21 @@ fn violation_fixtures_fail_the_run() {
     }
 }
 
+/// An example calling the clean fixture's one `pub fn`, so that
+/// `cg-unreached` sees it reached.
+const CLEAN_CALLER: (&str, &str) = (
+    "examples/demo.rs",
+    "fn main() {\n    let _ = dsp::fixed::scale_q16(1, 2);\n}\n",
+);
+
 #[test]
 fn clean_fixture_passes() {
-    let root = mini_root(
+    let root = mini_root_files(
         "cli-clean",
-        "crates/dsp/src/fixed.rs",
-        include_str!("fixtures/embedded_clean.rs"),
+        &[
+            ("crates/dsp/src/fixed.rs", include_str!("fixtures/embedded_clean.rs")),
+            CLEAN_CALLER,
+        ],
     );
     assert_eq!(run_analyzer(&root, false), 0);
     assert_eq!(run_analyzer(&root, true), 0);
@@ -69,10 +78,12 @@ fn clean_fixture_passes() {
 fn deny_warnings_promotes_warn_findings() {
     // A lone unwrap in a lib crate is warn-level: passes by default,
     // fails under --deny warnings.
-    let root = mini_root(
+    let root = mini_root_files(
         "cli-warn",
-        "crates/wiot/src/x.rs",
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        &[
+            ("crates/wiot/src/x.rs", "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n"),
+            ("examples/demo.rs", "fn main() {\n    wiot::x::f(None);\n}\n"),
+        ],
     );
     assert_eq!(run_analyzer(&root, false), 0);
     assert_eq!(run_analyzer(&root, true), 1);
@@ -96,7 +107,13 @@ fn cg_recursion_in_embedded_file_fails_and_allows_suppress() {
     assert_eq!(run_analyzer(&root, false), 1, "recursion must be an error");
 
     let allowed = "pub fn spin(n: u32) -> u32 { // lint:allow(cg-recursion, bounded by n which is <= 4 at every call site)\n    if n == 0 { 0 } else { spin(n - 1) }\n}\n";
-    let root = mini_root("cli-cg-rec-ok", "crates/dsp/src/fixed.rs", allowed);
+    let root = mini_root_files(
+        "cli-cg-rec-ok",
+        &[
+            ("crates/dsp/src/fixed.rs", allowed),
+            ("examples/demo.rs", "fn main() {\n    dsp::fixed::spin(4);\n}\n"),
+        ],
+    );
     assert_eq!(run_analyzer(&root, false), 0, "justified allow must pass");
 }
 
@@ -107,7 +124,13 @@ fn cg_dynamic_dispatch_in_embedded_file_fails() {
     assert_eq!(run_analyzer(&root, false), 1, "dyn in embedded must be an error");
 
     // The same signature host-side is fine.
-    let root = mini_root("cli-cg-dyn-host", "crates/physio-sim/src/x.rs", src);
+    let root = mini_root_files(
+        "cli-cg-dyn-host",
+        &[
+            ("crates/physio-sim/src/x.rs", src),
+            ("examples/demo.rs", "fn main() {\n    physio_sim::x::run(&0);\n}\n"),
+        ],
+    );
     assert_eq!(run_analyzer(&root, false), 0);
 }
 
@@ -161,11 +184,30 @@ fn cg_transitive_panic_reach_fails_until_the_site_is_certified() {
 }
 
 #[test]
+fn unreached_pub_fn_fails_until_a_root_calls_it() {
+    let lib = "pub fn orphan() -> u32 {\n    1\n}\n";
+    let root = mini_root("cli-cg-unreached", "crates/wiot/src/x.rs", lib);
+    assert_eq!(run_analyzer(&root, false), 1, "an unreached pub fn must be an error");
+
+    for (name, caller, call) in [
+        ("cli-cg-reached-bin", "crates/wiot/src/bin/tool.rs", "wiot::x::orphan()"),
+        ("cli-cg-reached-test", "tests/it.rs", "wiot::x::orphan()"),
+        ("cli-cg-reached-bench", "crates/bench/benches/b.rs", "wiot::x::orphan()"),
+    ] {
+        let main = format!("fn main() {{\n    let _ = {call};\n}}\n");
+        let root = mini_root_files(name, &[("crates/wiot/src/x.rs", lib), (caller, &main)]);
+        assert_eq!(run_analyzer(&root, true), 0, "{name}: a root call must reach it");
+    }
+}
+
+#[test]
 fn json_report_schema_is_stable() {
-    let root = mini_root(
+    let root = mini_root_files(
         "cli-json",
-        "crates/dsp/src/fixed.rs",
-        include_str!("fixtures/embedded_clean.rs"),
+        &[
+            ("crates/dsp/src/fixed.rs", include_str!("fixtures/embedded_clean.rs")),
+            CLEAN_CALLER,
+        ],
     );
     let out = root.join("findings.json");
     let code = run_analyzer_args(

@@ -3,9 +3,9 @@
 //! a clean one. The fixtures live under `tests/fixtures/` and are lexed
 //! by the analyzer, never compiled.
 
-use analyzer::analyze_source;
 use analyzer::budget::{budget_findings, compute_footprints};
-use analyzer::rules::Severity;
+use analyzer::rules::{Finding, Severity};
+use analyzer::{analyze_source, analyze_sources, Options};
 use sift::config::SiftConfig;
 
 const EMBEDDED_VIOLATIONS: &str = include_str!("fixtures/embedded_violations.rs");
@@ -16,6 +16,31 @@ const DET_CLEAN: &str = include_str!("fixtures/determinism_clean.rs");
 const META_VIOLATIONS: &str = include_str!("fixtures/meta_violations.rs");
 const DETECTOR_VIOLATIONS: &str = include_str!("fixtures/detector_violations.rs");
 const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
+const CG_UNREACHED: &str = include_str!("fixtures/cg_unreached.rs");
+const CG_UNREACHED_ROOT_TEST: &str = include_str!("fixtures/cg_unreached_root_test.rs");
+
+/// The `cg-unreached` fixture module as `crates/wiot/src/fx.rs`, with a
+/// bin root calling `from_bin` and `waived_but_reached`, a library
+/// `static` fn table naming `in_static_table` and, optionally, the root
+/// integration test.
+fn cg_workspace(with_root_test: bool) -> (Vec<Finding>, usize) {
+    let bin = "fn main() {\n    let _ = wiot::fx::from_bin() + wiot::fx::waived_but_reached();\n}\n";
+    let table = "use crate::fx::in_static_table;\n\npub static TABLE: [fn(u32) -> u32; 1] = [in_static_table];\n";
+    let mut sources = vec![
+        ("crates/wiot/src/bin/tool.rs".to_string(), bin.to_string()),
+        ("crates/wiot/src/fx.rs".to_string(), CG_UNREACHED.to_string()),
+        ("crates/wiot/src/table.rs".to_string(), table.to_string()),
+    ];
+    if with_root_test {
+        sources.push(("tests/it.rs".to_string(), CG_UNREACHED_ROOT_TEST.to_string()));
+    }
+    let opts = Options {
+        deny_warnings: true,
+        run_budget: false,
+    };
+    let analysis = analyze_sources(&sources, &opts);
+    (analysis.findings, analysis.suppressions_honored)
+}
 
 /// (line, rule) pairs of the findings, in analyzer order.
 fn fired(rel_path: &str, src: &str) -> Vec<(u32, &'static str)> {
@@ -158,6 +183,55 @@ fn test_regions_are_invisible_to_every_rule() {
 }
 
 #[test]
+fn cg_unreached_fires_only_where_no_root_reaches() {
+    let (findings, honored) = cg_workspace(true);
+    let got: Vec<_> = findings.iter().map(|f| (f.file.as_str(), f.line, f.rule)).collect();
+    // Reached from the bin, from the root test through a `use … as`
+    // rename, inside `assert!`, as a path value, through a ubiquitous
+    // method name, as bare values in an array and in a `static` table;
+    // `fmt` is a trait impl; `oracle` is waived. The waiver on a
+    // reached fn is stale.
+    assert_eq!(
+        got,
+        vec![
+            ("crates/wiot/src/fx.rs", 4, "cg-unreached"),
+            ("crates/wiot/src/fx.rs", 47, "suppress-unused"),
+        ]
+    );
+    assert_eq!(honored, 1);
+}
+
+#[test]
+fn cg_unreached_reports_a_dead_module_once() {
+    // Without the root test the bin and the static table still reach
+    // three fns: no module finding, one per unreached pub fn instead.
+    let (findings, _) = cg_workspace(false);
+    let lines: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "cg-unreached")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![4, 12, 16, 20, 27, 31, 52, 56]);
+
+    // With no roots at all, every fn is unreached: one finding, at the
+    // top of the module, and the two waivers inside it go stale.
+    let sources = vec![("crates/wiot/src/fx.rs".to_string(), CG_UNREACHED.to_string())];
+    let opts = Options {
+        deny_warnings: true,
+        run_budget: false,
+    };
+    let got: Vec<_> = analyze_sources(&sources, &opts)
+        .findings
+        .iter()
+        .map(|f| (f.line, f.rule))
+        .collect();
+    assert_eq!(
+        got,
+        vec![(1, "cg-unreached"), (42, "suppress-unused"), (47, "suppress-unused")]
+    );
+}
+
+#[test]
 fn severities_match_the_registry() {
     let (findings, _) = analyze_source("crates/dsp/src/fixed.rs", EMBEDDED_VIOLATIONS);
     let sev = |rule: &str| {
@@ -169,6 +243,9 @@ fn severities_match_the_registry() {
     assert_eq!(sev("embedded-no-f64"), Some(Severity::Error));
     assert_eq!(sev("embedded-no-float-literal"), Some(Severity::Warn));
     assert_eq!(sev("embedded-no-slice-index"), Some(Severity::Warn));
+    let (findings, _) = cg_workspace(true);
+    let unreached = findings.iter().find(|f| f.rule == "cg-unreached");
+    assert_eq!(unreached.map(|f| f.severity), Some(Severity::Error));
 }
 
 #[test]

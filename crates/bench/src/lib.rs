@@ -239,9 +239,17 @@ mod tests {
 
     #[test]
     fn fleet_json_is_well_formed_and_deterministic_fields_match() {
-        use wiot::fleet::{run_fleet, FleetSpec};
+        use sift::trainer::ModelBank;
+        use wiot::fleet::{run_fleet_with_bank, FleetSpec};
         let spec = FleetSpec::new(2, 9.0).with_seed(5);
-        let report = run_fleet(&spec).unwrap();
+        let models = ModelBank::train(
+            &physio_sim::subject::bank(),
+            spec.template.version,
+            &spec.template.config,
+            spec.seed,
+        )
+        .unwrap();
+        let report = run_fleet_with_bank(&spec, &models).unwrap();
         let digest = report.digest();
         let result = FleetBenchResult {
             report,

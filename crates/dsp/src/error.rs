@@ -13,13 +13,6 @@ pub enum DspError {
     /// The input signal is constant, so a scale-dependent operation (such
     /// as min–max normalization) is undefined.
     ConstantSignal,
-    /// Two inputs that must have equal lengths did not.
-    LengthMismatch {
-        /// Length of the first input.
-        left: usize,
-        /// Length of the second input.
-        right: usize,
-    },
     /// A parameter was outside its valid domain.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -36,9 +29,6 @@ impl fmt::Display for DspError {
         match self {
             DspError::EmptyInput => write!(f, "input signal is empty"),
             DspError::ConstantSignal => write!(f, "input signal is constant"),
-            DspError::LengthMismatch { left, right } => {
-                write!(f, "input lengths differ: {left} vs {right}")
-            }
             DspError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
@@ -58,7 +48,6 @@ mod tests {
         let errors = [
             DspError::EmptyInput,
             DspError::ConstantSignal,
-            DspError::LengthMismatch { left: 1, right: 2 },
             DspError::InvalidParameter {
                 name: "n",
                 reason: "must be positive",

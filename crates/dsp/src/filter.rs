@@ -65,11 +65,6 @@ impl MovingAverage {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-
-    /// Apply the filter to an entire signal, returning a new vector.
-    pub fn apply(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.step(x)).collect()
-    }
 }
 
 /// Five-point derivative filter from the Pan–Tompkins algorithm:
@@ -92,11 +87,6 @@ impl Derivative {
         self.hist[0] = x;
         y
     }
-
-    /// Apply the filter to an entire signal.
-    pub fn apply(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.step(x)).collect()
-    }
 }
 
 /// Biquad (second-order IIR) filter, direct form I, with RBJ cookbook
@@ -106,9 +96,9 @@ impl Derivative {
 ///
 /// ```
 /// # fn main() -> Result<(), dsp::DspError> {
-/// // Remove baseline wander below 0.5 Hz from a 360 Hz ECG stream.
-/// let mut hp = dsp::filter::Biquad::high_pass(360.0, 0.5, 0.707)?;
-/// let filtered = hp.apply(&[0.1, 0.2, 0.15, 0.12]);
+/// // The R-peak detector's QRS band around 15 Hz on a 360 Hz stream.
+/// let mut bp = dsp::filter::Biquad::band_pass(360.0, 15.0, 1.0)?;
+/// let filtered: Vec<f64> = [0.1, 0.2, 0.15, 0.12].iter().map(|&x| bp.step(x)).collect();
 /// assert_eq!(filtered.len(), 4);
 /// # Ok(())
 /// # }
@@ -143,40 +133,12 @@ impl Biquad {
         }
     }
 
-    /// RBJ low-pass design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] unless
-    /// `0 < cutoff_hz < fs / 2` and `q > 0`.
-    pub fn low_pass(fs: f64, cutoff_hz: f64, q: f64) -> Result<Self, DspError> {
-        let (w0, alpha) = Self::design_params(fs, cutoff_hz, q)?;
-        let cw = w0.cos();
-        let b1 = 1.0 - cw;
-        let b0 = b1 / 2.0;
-        let b2 = b0;
-        Ok(Self::normalize(b0, b1, b2, alpha, cw))
-    }
-
-    /// RBJ high-pass design.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Biquad::low_pass`].
-    pub fn high_pass(fs: f64, cutoff_hz: f64, q: f64) -> Result<Self, DspError> {
-        let (w0, alpha) = Self::design_params(fs, cutoff_hz, q)?;
-        let cw = w0.cos();
-        let b0 = (1.0 + cw) / 2.0;
-        let b1 = -(1.0 + cw);
-        let b2 = b0;
-        Ok(Self::normalize(b0, b1, b2, alpha, cw))
-    }
-
     /// RBJ constant-skirt band-pass design centred on `center_hz`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Biquad::low_pass`].
+    /// Returns [`DspError::InvalidParameter`] unless
+    /// `0 < center_hz < fs / 2` and `q > 0`.
     pub fn band_pass(fs: f64, center_hz: f64, q: f64) -> Result<Self, DspError> {
         let (w0, alpha) = Self::design_params(fs, center_hz, q)?;
         let cw = w0.cos();
@@ -232,72 +194,24 @@ impl Biquad {
         self.y1 = y;
         y
     }
-
-    /// Apply the filter to an entire signal.
-    pub fn apply(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.step(x)).collect()
-    }
-
-    /// Reset the filter state to zero without changing coefficients.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-}
-
-/// Streaming median filter over a fixed odd-length window; useful for
-/// impulse-noise removal on ABP.
-#[derive(Debug, Clone)]
-pub struct MedianFilter {
-    buf: Vec<f64>,
-    idx: usize,
-}
-
-impl MedianFilter {
-    /// Create a median filter over `len` samples (must be odd so the
-    /// median is a single sample).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `len` is zero or even.
-    pub fn new(len: usize) -> Result<Self, DspError> {
-        if len == 0 || len.is_multiple_of(2) {
-            return Err(DspError::InvalidParameter {
-                name: "len",
-                reason: "window length must be odd and positive",
-            });
-        }
-        Ok(Self {
-            buf: vec![0.0; len],
-            idx: 0,
-        })
-    }
-
-    /// Push one sample and return the window median.
-    pub fn step(&mut self, x: f64) -> f64 {
-        self.buf[self.idx] = x;
-        self.idx = (self.idx + 1) % self.buf.len();
-        let mut sorted = self.buf.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        sorted[sorted.len() / 2]
-    }
-
-    /// Apply the filter to an entire signal.
-    pub fn apply(&mut self, signal: &[f64]) -> Vec<f64> {
-        signal.iter().map(|&x| self.step(x)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run(mut step: impl FnMut(f64) -> f64, xs: &[f64]) -> Vec<f64> {
+        xs.iter().map(|&x| step(x)).collect()
+    }
+
+    fn rms(xs: &[f64]) -> f64 {
+        (xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
+    }
+
     #[test]
     fn moving_average_converges_on_constant() {
         let mut f = MovingAverage::new(4).unwrap();
-        let out = f.apply(&[2.0; 10]);
+        let out = run(|x| f.step(x), &[2.0; 10]);
         assert!((out.last().unwrap() - 2.0).abs() < 1e-12);
     }
 
@@ -316,7 +230,7 @@ mod tests {
     #[test]
     fn derivative_of_constant_is_zero_after_warmup() {
         let mut d = Derivative::new();
-        let out = d.apply(&[5.0; 10]);
+        let out = run(|x| d.step(x), &[5.0; 10]);
         assert!(out[6..].iter().all(|y| y.abs() < 1e-12));
     }
 
@@ -324,7 +238,7 @@ mod tests {
     fn derivative_of_ramp_is_constant() {
         let mut d = Derivative::new();
         let ramp: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let out = d.apply(&ramp);
+        let out = run(|x| d.step(x), &ramp);
         // Steady-state derivative of slope-1 ramp through this kernel:
         // (2 + 1 - 1 - 2*(-...)) -> (2*1 + 1 + 3 + 2*4)/8? Compute directly:
         // y = (2x[n] + x[n-1] - x[n-3] - 2x[n-4]) / 8 with x[k] = k
@@ -334,61 +248,25 @@ mod tests {
     }
 
     #[test]
-    fn low_pass_attenuates_high_frequency() {
-        let fs = 250.0;
-        let mut lp = Biquad::low_pass(fs, 5.0, std::f64::consts::FRAC_1_SQRT_2).unwrap();
-        // 60 Hz tone should be strongly attenuated.
-        let tone: Vec<f64> = (0..2500)
-            .map(|i| (2.0 * std::f64::consts::PI * 60.0 * i as f64 / fs).sin())
-            .collect();
-        let out = lp.apply(&tone);
-        let in_rms = crate::stats::rms(&tone[500..]).unwrap();
-        let out_rms = crate::stats::rms(&out[500..]).unwrap();
-        assert!(out_rms < in_rms * 0.05, "out_rms={out_rms} in_rms={in_rms}");
-    }
-
-    #[test]
-    fn high_pass_removes_dc() {
-        let fs = 250.0;
-        let mut hp = Biquad::high_pass(fs, 0.5, std::f64::consts::FRAC_1_SQRT_2).unwrap();
-        let out = hp.apply(&[1.0; 5000]);
-        assert!(out.last().unwrap().abs() < 1e-3);
-    }
-
-    #[test]
     fn band_pass_passes_center_attenuates_sides() {
         let fs = 250.0;
-        let mut bp = Biquad::band_pass(fs, 15.0, 1.0).unwrap();
         let centre: Vec<f64> = (0..5000)
             .map(|i| (2.0 * std::f64::consts::PI * 15.0 * i as f64 / fs).sin())
             .collect();
         let side: Vec<f64> = (0..5000)
             .map(|i| (2.0 * std::f64::consts::PI * 1.0 * i as f64 / fs).sin())
             .collect();
-        let c = crate::stats::rms(&bp.apply(&centre)[1000..]).unwrap();
-        bp.reset();
-        let s = crate::stats::rms(&bp.apply(&side)[1000..]).unwrap();
+        let mut bp = Biquad::band_pass(fs, 15.0, 1.0).unwrap();
+        let c = rms(&run(|x| bp.step(x), &centre)[1000..]);
+        let mut bp = Biquad::band_pass(fs, 15.0, 1.0).unwrap();
+        let s = rms(&run(|x| bp.step(x), &side)[1000..]);
         assert!(c > 3.0 * s, "centre rms {c} vs side rms {s}");
     }
 
     #[test]
     fn biquad_design_rejects_bad_params() {
-        assert!(Biquad::low_pass(0.0, 1.0, 1.0).is_err());
-        assert!(Biquad::low_pass(100.0, 60.0, 1.0).is_err()); // above Nyquist
-        assert!(Biquad::low_pass(100.0, 10.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn median_filter_removes_impulse() {
-        let mut m = MedianFilter::new(3).unwrap();
-        // Impulse in a constant signal disappears.
-        let out = m.apply(&[1.0, 1.0, 9.0, 1.0, 1.0]);
-        assert_eq!(out[3], 1.0);
-    }
-
-    #[test]
-    fn median_filter_rejects_even_window() {
-        assert!(MedianFilter::new(4).is_err());
-        assert!(MedianFilter::new(0).is_err());
+        assert!(Biquad::band_pass(0.0, 1.0, 1.0).is_err());
+        assert!(Biquad::band_pass(100.0, 60.0, 1.0).is_err()); // above Nyquist
+        assert!(Biquad::band_pass(100.0, 10.0, 0.0).is_err());
     }
 }

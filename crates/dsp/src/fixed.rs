@@ -42,16 +42,6 @@ impl Q16 {
     /// Smallest positive increment (2⁻¹⁶).
     pub const EPSILON: Q16 = Q16(1);
 
-    /// Construct from the raw Q16.16 bit pattern.
-    pub const fn from_raw(raw: i32) -> Self {
-        Q16(raw)
-    }
-
-    /// The raw Q16.16 bit pattern.
-    pub const fn raw(self) -> i32 {
-        self.0
-    }
-
     /// Convert from `f64`, saturating at the representable range.
     // lint:allow(embedded-no-f64, host-side conversion boundary; device code only sees the i32 raw value)
     pub fn from_f64(x: f64) -> Self {
@@ -63,12 +53,6 @@ impl Q16 {
         } else {
             Q16(scaled.round() as i32)
         }
-    }
-
-    /// Convert from `f32`, saturating at the representable range.
-    // lint:allow(embedded-no-f64, host-side conversion boundary; widens through from_f64 for exactness)
-    pub fn from_f32(x: f32) -> Self {
-        Self::from_f64(x as f64)
     }
 
     /// Convert from an integer, saturating at the representable range.
@@ -147,11 +131,6 @@ impl Q16 {
     /// `self * self`, saturating.
     pub fn squared(self) -> Self {
         self.saturating_mul(self)
-    }
-
-    /// Whether the value is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

@@ -67,64 +67,6 @@ pub fn simplified_trapezoid(samples: &[f64], a: f64, b: f64) -> Result<f64, DspE
     Ok((b - a) / (2.0 * n) * sum)
 }
 
-/// Composite Simpson's rule over uniformly spaced samples (requires an odd
-/// sample count, i.e. an even interval count).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if fewer than three samples are given,
-/// [`DspError::InvalidParameter`] if the sample count is even or
-/// `dx <= 0`.
-pub fn simpson(samples: &[f64], dx: f64) -> Result<f64, DspError> {
-    if samples.len() < 3 {
-        return Err(DspError::EmptyInput);
-    }
-    if samples.len().is_multiple_of(2) {
-        return Err(DspError::InvalidParameter {
-            name: "samples",
-            reason: "simpson's rule needs an odd sample count",
-        });
-    }
-    if dx <= 0.0 {
-        return Err(DspError::InvalidParameter {
-            name: "dx",
-            reason: "sample spacing must be positive",
-        });
-    }
-    let mut acc = samples[0] + samples[samples.len() - 1];
-    for (i, &y) in samples.iter().enumerate().skip(1).take(samples.len() - 2) {
-        acc += if i % 2 == 1 { 4.0 * y } else { 2.0 * y };
-    }
-    Ok(acc * dx / 3.0)
-}
-
-/// Cumulative trapezoid integral: element `i` holds the integral of the
-/// first `i + 1` samples. The first element is always `0`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] on empty input and
-/// [`DspError::InvalidParameter`] if `dx <= 0`.
-pub fn cumulative_trapezoid(samples: &[f64], dx: f64) -> Result<Vec<f64>, DspError> {
-    if samples.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if dx <= 0.0 {
-        return Err(DspError::InvalidParameter {
-            name: "dx",
-            reason: "sample spacing must be positive",
-        });
-    }
-    let mut out = Vec::with_capacity(samples.len());
-    let mut acc = 0.0;
-    out.push(0.0);
-    for w in samples.windows(2) {
-        acc += dx * (w[0] + w[1]) / 2.0;
-        out.push(acc);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,31 +100,5 @@ mod tests {
     #[test]
     fn simplified_rejects_bad_domain() {
         assert!(simplified_trapezoid(&[1.0, 2.0], 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn simpson_quadratic_exact() {
-        // ∫₀² x² dx = 8/3; Simpson is exact for quadratics.
-        let y: Vec<f64> = (0..=4).map(|i| {
-            let x = i as f64 * 0.5;
-            x * x
-        })
-        .collect();
-        assert!((simpson(&y, 0.5).unwrap() - 8.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_rejects_even_count() {
-        assert!(simpson(&[0.0, 1.0, 2.0, 3.0], 1.0).is_err());
-    }
-
-    #[test]
-    fn cumulative_trapezoid_final_matches_total() {
-        let y: Vec<f64> = (0..=20).map(|i| (i as f64 * 0.3).cos()).collect();
-        let cumulative = cumulative_trapezoid(&y, 0.3).unwrap();
-        let total = trapezoid(&y, 0.3).unwrap();
-        assert!((cumulative.last().unwrap() - total).abs() < 1e-12);
-        assert_eq!(cumulative[0], 0.0);
-        assert_eq!(cumulative.len(), y.len());
     }
 }

@@ -41,21 +41,6 @@ pub fn variance(samples: &[f64]) -> Result<f64, DspError> {
     Ok(ss / samples.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `samples` has fewer than two
-/// elements.
-pub fn sample_variance(samples: &[f64]) -> Result<f64, DspError> {
-    if samples.len() < 2 {
-        return Err(DspError::EmptyInput);
-    }
-    let m = mean(samples)?;
-    let ss: f64 = samples.iter().map(|x| (x - m) * (x - m)).sum();
-    Ok(ss / (samples.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 ///
 /// # Errors
@@ -65,29 +50,6 @@ pub fn std_dev(samples: &[f64]) -> Result<f64, DspError> {
     Ok(variance(samples)?.sqrt())
 }
 
-/// Root mean square of `samples`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `samples` is empty.
-pub fn rms(samples: &[f64]) -> Result<f64, DspError> {
-    if samples.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let ms = samples.iter().map(|x| x * x).sum::<f64>() / samples.len() as f64;
-    Ok(ms.sqrt())
-}
-
-/// Minimum of `samples` (NaN-free inputs assumed; NaN is rejected).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `samples` is empty and
-/// [`DspError::NonFiniteInput`] if any sample is NaN.
-pub fn min(samples: &[f64]) -> Result<f64, DspError> {
-    fold_extreme(samples, f64::min)
-}
-
 /// Maximum of `samples`.
 ///
 /// # Errors
@@ -95,24 +57,21 @@ pub fn min(samples: &[f64]) -> Result<f64, DspError> {
 /// Returns [`DspError::EmptyInput`] if `samples` is empty and
 /// [`DspError::NonFiniteInput`] if any sample is NaN.
 pub fn max(samples: &[f64]) -> Result<f64, DspError> {
-    fold_extreme(samples, f64::max)
-}
-
-fn fold_extreme(samples: &[f64], op: fn(f64, f64) -> f64) -> Result<f64, DspError> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
     }
     if samples.iter().any(|x| x.is_nan()) {
         return Err(DspError::NonFiniteInput);
     }
-    Ok(samples.iter().copied().fold(samples[0], op))
+    Ok(samples.iter().copied().fold(samples[0], f64::max))
 }
 
 /// Both minimum and maximum in a single pass.
 ///
 /// # Errors
 ///
-/// Same conditions as [`min`] and [`max`].
+/// Returns [`DspError::EmptyInput`] if `samples` is empty and
+/// [`DspError::NonFiniteInput`] if any sample is NaN.
 pub fn min_max(samples: &[f64]) -> Result<(f64, f64), DspError> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
@@ -174,61 +133,6 @@ pub fn percentile(samples: &[f64], p: f64) -> Result<f64, DspError> {
     }
 }
 
-/// Pearson correlation coefficient between two equal-length signals.
-///
-/// Used by tests to confirm that the synthetic ECG and ABP of one subject
-/// are beat-synchronous while two subjects' signals are not.
-///
-/// # Errors
-///
-/// Returns [`DspError::LengthMismatch`] if the lengths differ,
-/// [`DspError::EmptyInput`] if the inputs are empty, and
-/// [`DspError::ConstantSignal`] if either signal has zero variance.
-pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
-    if a.len() != b.len() {
-        return Err(DspError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    let ma = mean(a)?;
-    let mb = mean(b)?;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return Err(DspError::ConstantSignal);
-    }
-    Ok(cov / (va.sqrt() * vb.sqrt()))
-}
-
-/// Lag-`k` autocorrelation of a signal, normalized by its variance.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if the signal is shorter than `k + 2`
-/// samples and [`DspError::ConstantSignal`] if it has zero variance.
-pub fn autocorrelation(samples: &[f64], k: usize) -> Result<f64, DspError> {
-    if samples.len() < k + 2 {
-        return Err(DspError::EmptyInput);
-    }
-    let m = mean(samples)?;
-    let var: f64 = samples.iter().map(|x| (x - m) * (x - m)).sum();
-    if var == 0.0 {
-        return Err(DspError::ConstantSignal);
-    }
-    let cov: f64 = samples
-        .windows(k + 1)
-        .map(|w| (w[0] - m) * (w[k] - m))
-        .sum();
-    Ok(cov / var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,25 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_divides_by_n_minus_one() {
-        let v = sample_variance(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!((v - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_needs_two_points() {
-        assert_eq!(sample_variance(&[1.0]), Err(DspError::EmptyInput));
-    }
-
-    #[test]
     fn std_dev_is_sqrt_of_variance() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((std_dev(&xs).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rms_of_alternating_signal() {
-        assert!((rms(&[1.0, -1.0, 1.0, -1.0]).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -278,8 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn min_rejects_nan() {
-        assert_eq!(min(&[1.0, f64::NAN]), Err(DspError::NonFiniteInput));
+    fn min_max_rejects_nan() {
+        assert_eq!(min_max(&[1.0, f64::NAN]), Err(DspError::NonFiniteInput));
     }
 
     #[test]
@@ -301,48 +189,5 @@ mod tests {
             percentile(&[1.0], 101.0),
             Err(DspError::InvalidParameter { .. })
         ));
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_anticorrelation() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [3.0, 2.0, 1.0];
-        assert!((pearson(&a, &b).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_errors() {
-        assert_eq!(
-            pearson(&[1.0, 1.0], &[1.0, 2.0]),
-            Err(DspError::ConstantSignal)
-        );
-    }
-
-    #[test]
-    fn pearson_length_mismatch() {
-        assert_eq!(
-            pearson(&[1.0], &[1.0, 2.0]),
-            Err(DspError::LengthMismatch { left: 1, right: 2 })
-        );
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let xs = [1.0, 3.0, 2.0, 5.0, 4.0];
-        assert!((autocorrelation(&xs, 0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_periodic_signal() {
-        // Period-2 signal has strong negative lag-1 autocorrelation.
-        let xs: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        assert!(autocorrelation(&xs, 1).unwrap() < -0.9);
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests for the DSP substrate.
 
-use dsp::embedded_math::{atof, atan2_approx, ftoa, isqrt_u64, sqrt_newton};
+use dsp::embedded_math::{atan2_approx, isqrt_u64, sqrt_newton};
 use dsp::fixed::Q16;
 use dsp::normalize;
 use dsp::stats;
-use dsp::window;
 use proptest::prelude::*;
 
 fn finite_signal(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -98,13 +97,6 @@ proptest! {
     }
 
     #[test]
-    fn ftoa_atof_round_trip(x in -30000.0f64..30000.0) {
-        let s = ftoa(x, 6);
-        let back = atof(&s).unwrap();
-        prop_assert!((back - x).abs() <= 5e-7 + x.abs() * 1e-12, "x={x} s={s} back={back}");
-    }
-
-    #[test]
     fn q16_round_trip_within_epsilon(x in -30000.0f64..30000.0) {
         let q = Q16::from_f64(x);
         prop_assert!((q.to_f64() - x).abs() <= 0.5 / 65536.0 + 1e-12);
@@ -128,21 +120,6 @@ proptest! {
         let r = q.sqrt();
         let back = (r * r).to_f64();
         prop_assert!((back - x).abs() < 0.02, "x={x} back={back}");
-    }
-
-    #[test]
-    fn sliding_windows_cover_expected_count(
-        total in 0usize..500,
-        len in 1usize..20,
-        step in 1usize..20,
-    ) {
-        let data: Vec<u32> = (0..total as u32).collect();
-        let n = window::sliding(&data, len, step).unwrap().count();
-        prop_assert_eq!(n, window::window_count(total, len, step));
-        // Every yielded window has exactly `len` elements.
-        for w in window::sliding(&data, len, step).unwrap() {
-            prop_assert_eq!(w.len(), len);
-        }
     }
 
     #[test]

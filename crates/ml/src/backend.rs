@@ -208,15 +208,6 @@ impl DetectorModel {
         }
     }
 
-    /// The SVM model, when that is what this is (legacy call sites
-    /// that still speak `EmbeddedModel`).
-    pub fn as_svm(&self) -> Option<&EmbeddedModel> {
-        match self {
-            DetectorModel::Svm(m) => Some(m),
-            DetectorModel::Tsetlin(_) => None,
-        }
-    }
-
     /// The Tsetlin model, when that is what this is.
     pub fn as_tsetlin(&self) -> Option<&TsetlinModel> {
         match self {

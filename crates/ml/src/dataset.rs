@@ -1,9 +1,6 @@
 //! Labeled feature datasets.
 
 use crate::MlError;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Binary class label. Positive = *altered / attack* throughout the
 /// workspace (matching the paper's positive class).
@@ -144,26 +141,6 @@ impl Dataset {
             .zip(self.labels.iter().copied())
     }
 
-    /// Return a new dataset with rows shuffled deterministically.
-    pub fn shuffled(&self, seed: u64) -> Dataset {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
-        self.subset(&idx)
-    }
-
-    /// Select rows by index (indices may repeat; used by CV folds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            dim: self.dim,
-            features: indices.iter().map(|&i| self.features[i].clone()).collect(),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-        }
-    }
-
     /// Merge another dataset into this one.
     ///
     /// # Errors
@@ -231,29 +208,6 @@ mod tests {
     #[test]
     fn zero_dim_rejected() {
         assert!(Dataset::new(0).is_err());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let d = tiny();
-        let s = d.shuffled(1);
-        assert_eq!(s.len(), d.len());
-        assert_eq!(s.count(Label::Positive), d.count(Label::Positive));
-    }
-
-    #[test]
-    fn shuffle_deterministic() {
-        let d = tiny();
-        assert_eq!(d.shuffled(7), d.shuffled(7));
-    }
-
-    #[test]
-    fn subset_selects_rows() {
-        let d = tiny();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.sample(0).0, &[2.0, 2.0]);
-        assert_eq!(s.sample(1).1, Label::Negative);
     }
 
     #[test]

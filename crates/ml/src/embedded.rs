@@ -200,22 +200,6 @@ impl EmbeddedModel {
         Ok(out)
     }
 
-    /// Hard labels for a whole window batch in one call (see
-    /// [`EmbeddedModel::decision_batch_f32`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when `batch.len()` is not
-    /// a multiple of `dim()`.
-    // lint:allow(embedded-no-f64, Label::from_sign takes the host f64; an f32 decision value widens exactly)
-    pub fn predict_batch_f32(&self, batch: &[f32]) -> Result<Vec<Label>, MlError> {
-        Ok(self
-            .decision_batch_f32(batch)?
-            .into_iter()
-            .map(|d| Label::from_sign(d as f64))
-            .collect())
-    }
-
     /// Exact serialized size in bytes (what the detector contributes to
     /// FRAM for its model constants).
     pub fn footprint_bytes(&self) -> usize {
@@ -505,7 +489,6 @@ mod tests {
         let (scaler, svm, _) = trained();
         let em = EmbeddedModel::translate(&scaler, &svm).unwrap();
         assert!(em.decision_batch_f32(&[]).unwrap().is_empty());
-        assert!(em.predict_batch_f32(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -520,7 +503,7 @@ mod tests {
             })
         );
         assert_eq!(
-            em.predict_batch_f32(&[1.0, 2.0, 3.0, 4.0]),
+            em.decision_batch_f32(&[1.0, 2.0, 3.0, 4.0]),
             Err(MlError::DimensionMismatch {
                 expected: 3,
                 actual: 4

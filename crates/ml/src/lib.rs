@@ -15,7 +15,6 @@
 //!   comparison classifiers,
 //! * [`metrics`] — FP rate / FN rate / accuracy / F1 exactly as defined in
 //!   the paper's §IV, plus precision, recall, and ROC-AUC,
-//! * [`crossval`] — k-fold cross-validation,
 //! * [`embedded`] — the flat, `f32` "translated" model representation
 //!   deployed on the simulated Amulet, including a byte-level codec,
 //! * [`tsetlin`] — an integer-only Tsetlin machine backend (clause
@@ -49,7 +48,6 @@
 
 pub mod backend;
 pub mod baseline;
-pub mod crossval;
 pub mod dataset;
 pub mod embedded;
 pub mod linear_svm;
@@ -57,7 +55,6 @@ pub mod metrics;
 pub mod scaler;
 pub mod smo;
 pub mod tsetlin;
-pub mod tune;
 
 mod error;
 

@@ -172,7 +172,8 @@ pub struct LinearSvm {
 }
 
 impl LinearSvm {
-    /// Construct directly from weights and bias (used by the model codec).
+    /// Construct directly from weights and bias.
+    // lint:allow(cg-unreached, fixture: builds the hand-made models of the codec proptests in crates/ml/tests/proptests.rs)
     pub fn from_parts(weights: Vec<f64>, bias: f64) -> Self {
         Self { weights, bias }
     }
@@ -190,39 +191,6 @@ impl LinearSvm {
     /// Feature dimension the model expects.
     pub fn dim(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Decision values for a row-major flat batch of feature vectors in
-    /// one call — the gold-path counterpart of
-    /// [`crate::embedded::EmbeddedModel::decision_batch_f32`]. Each row
-    /// uses the same accumulation order as
-    /// [`Classifier::decision_function`], so results agree bit for bit
-    /// with per-row calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.len()` is not a multiple of `dim()`.
-    pub fn decision_batch(&self, batch: &[f64]) -> Vec<f64> {
-        let dim = self.dim();
-        assert!(dim > 0, "model has no features");
-        assert!(
-            batch.len().is_multiple_of(dim),
-            "batch length must be a multiple of the feature dimension"
-        );
-        batch
-            .chunks_exact(dim)
-            .map(|row| self.decision_function(row))
-            .collect()
-    }
-
-    /// Geometric margin of a point: `|f(x)| / ‖w‖`.
-    pub fn margin(&self, x: &[f64]) -> f64 {
-        let norm = dot(&self.weights, &self.weights).sqrt();
-        if norm == 0.0 {
-            0.0
-        } else {
-            self.decision_function(x).abs() / norm
-        }
     }
 }
 
@@ -328,14 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn margin_nonnegative_and_zero_for_zero_weights() {
-        let m = LinearSvm::from_parts(vec![0.0, 0.0], 0.5);
-        assert_eq!(m.margin(&[3.0, 4.0]), 0.0);
-        let m = LinearSvm::from_parts(vec![3.0, 4.0], 0.0);
-        assert!((m.margin(&[1.0, 0.0]) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn bias_disabled_when_scale_zero() {
         let d = separable();
         let t = LinearSvmTrainer {
@@ -345,24 +305,6 @@ mod tests {
         let m = t.fit(&d).unwrap();
         assert_eq!(m.bias(), 0.0);
         assert_eq!(m.dim(), 2);
-    }
-
-    #[test]
-    fn batch_decision_matches_per_row_calls() {
-        let d = separable();
-        let m = LinearSvmTrainer::default().fit(&d).unwrap();
-        let mut flat = Vec::new();
-        let mut per_row = Vec::new();
-        for (x, _) in d.iter() {
-            per_row.push(m.decision_function(x));
-            flat.extend_from_slice(x);
-        }
-        let batch = m.decision_batch(&flat);
-        assert_eq!(batch.len(), d.len());
-        for (b, s) in batch.iter().zip(&per_row) {
-            assert_eq!(b.to_bits(), s.to_bits());
-        }
-        assert!(m.decision_batch(&[]).is_empty());
     }
 
     #[test]

@@ -36,20 +36,6 @@ pub struct ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
-    /// Build from parallel slices of truth and prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn from_pairs(truth: &[Label], predicted: &[Label]) -> Self {
-        assert_eq!(truth.len(), predicted.len(), "label slices must align");
-        let mut m = ConfusionMatrix::default();
-        for (&t, &p) in truth.iter().zip(predicted) {
-            m.record(t, p);
-        }
-        m
-    }
-
     /// Record one observation.
     pub fn record(&mut self, truth: Label, predicted: Label) {
         match (truth, predicted) {
@@ -295,11 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_counts() {
+    fn record_counts_each_cell() {
         use Label::*;
-        let truth = [Positive, Positive, Negative, Negative];
-        let pred = [Positive, Negative, Positive, Negative];
-        let m = ConfusionMatrix::from_pairs(&truth, &pred);
+        let mut m = ConfusionMatrix::default();
+        for (t, p) in [(Positive, Positive), (Positive, Negative), (Negative, Positive), (Negative, Negative)] {
+            m.record(t, p);
+        }
         assert_eq!(
             m,
             ConfusionMatrix {

@@ -215,31 +215,9 @@ pub struct KernelSvm {
 }
 
 impl KernelSvm {
-    /// Number of support vectors retained.
-    pub fn num_support_vectors(&self) -> usize {
-        self.support.len()
-    }
-
     /// The kernel this model evaluates.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// For a **linear** kernel, collapse the support vectors into an
-    /// explicit weight vector (the "translate into C code" step).
-    /// Returns `None` for non-linear kernels.
-    pub fn to_linear_weights(&self) -> Option<(Vec<f64>, f64)> {
-        if self.kernel != Kernel::Linear {
-            return None;
-        }
-        let dim = self.support.first().map_or(0, |sv| sv.x.len());
-        let mut w = vec![0.0; dim];
-        for sv in &self.support {
-            for (wj, xj) in w.iter_mut().zip(&sv.x) {
-                *wj += sv.coef * xj;
-            }
-        }
-        Some((w, self.bias))
     }
 }
 
@@ -322,34 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_collapse_matches_kernel_decision() {
-        let d = separable();
-        let m = SmoTrainer::default().fit(&d).unwrap();
-        let (w, b) = m.to_linear_weights().unwrap();
-        for (x, _) in d.iter() {
-            let via_kernel = m.decision_function(x);
-            let via_weights: f64 = w.iter().zip(x).map(|(a, c)| a * c).sum::<f64>() + b;
-            assert!((via_kernel - via_weights).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn nonlinear_collapse_is_none() {
-        let d = separable();
-        let t = SmoTrainer {
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            ..SmoTrainer::default()
-        };
-        let m = t.fit(&d).unwrap();
-        assert!(m.to_linear_weights().is_none());
-    }
-
-    #[test]
     fn support_vector_count_is_sparse() {
         let d = separable();
         let m = SmoTrainer::default().fit(&d).unwrap();
-        assert!(m.num_support_vectors() < d.len());
-        assert!(m.num_support_vectors() >= 2);
+        assert!(m.support.len() < d.len());
+        assert!(m.support.len() >= 2);
     }
 
     #[test]

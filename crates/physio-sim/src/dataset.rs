@@ -1,12 +1,11 @@
-//! Dataset assembly helpers: windowing records and generating the
-//! train/test corpora used by the experiments.
+//! Dataset assembly helpers: windowing records into the train/test
+//! corpora used by the experiments.
 //!
 //! The paper's protocol (§IV): Δ = 20 minutes of a subject's own data for
 //! training, 2 minutes of *unseen* data for testing, both cut into
 //! non-overlapping w = 3 s windows.
 
 use crate::record::Record;
-use crate::subject::Subject;
 use dsp::DspError;
 
 /// Cut `record` into non-overlapping windows of `window_s` seconds,
@@ -71,25 +70,6 @@ pub fn sliding_windows(
     Ok(out)
 }
 
-/// A subject's training and testing material, generated with disjoint
-/// random seeds so the test records are "unseen" exactly as in the paper.
-#[derive(Debug, Clone)]
-pub struct SubjectData {
-    /// Training record (Δ seconds).
-    pub train: Record,
-    /// Test record, never overlapping the training material.
-    pub test: Record,
-}
-
-/// Generate training (Δ = `train_s`) and unseen test (`test_s`) records
-/// for `subject`, deterministically derived from `seed`.
-pub fn subject_data(subject: &Subject, train_s: f64, test_s: f64, seed: u64) -> SubjectData {
-    SubjectData {
-        train: Record::synthesize(subject, train_s, seed.wrapping_mul(2).wrapping_add(1)),
-        test: Record::synthesize(subject, test_s, seed.wrapping_mul(2).wrapping_add(0x5EED)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,23 +117,5 @@ mod tests {
         let s = &bank()[0];
         let r = Record::synthesize(s, 10.0, 4);
         assert!(sliding_windows(&r, 3.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn subject_data_train_test_differ() {
-        let s = &bank()[2];
-        let d = subject_data(s, 60.0, 30.0, 9);
-        assert_ne!(d.train.ecg[..100], d.test.ecg[..100]);
-        assert_eq!(d.train.duration_s(), 60.0);
-        assert_eq!(d.test.duration_s(), 30.0);
-    }
-
-    #[test]
-    fn subject_data_deterministic() {
-        let s = &bank()[2];
-        let a = subject_data(s, 10.0, 5.0, 9);
-        let b = subject_data(s, 10.0, 5.0, 9);
-        assert_eq!(a.train, b.train);
-        assert_eq!(a.test, b.test);
     }
 }

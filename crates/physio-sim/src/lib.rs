@@ -39,7 +39,6 @@ pub mod abp;
 pub mod dataset;
 pub mod ecg;
 pub mod ectopy;
-pub mod hrv;
 pub mod noise;
 pub mod population;
 pub mod quality;

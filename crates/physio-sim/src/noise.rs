@@ -36,6 +36,7 @@ impl Default for NoiseParams {
 
 impl NoiseParams {
     /// A silent configuration (no noise at all); useful in tests.
+    // lint:allow(cg-unreached, fixture: the silent noise mix the noise and record tests isolate clean waveforms with)
     pub fn none() -> Self {
         Self {
             white_sigma: 0.0,
@@ -43,16 +44,6 @@ impl NoiseParams {
             wander_hz: 0.25,
             hum_amp: 0.0,
             hum_hz: 60.0,
-        }
-    }
-
-    /// Scale every amplitude by `k` (e.g. ABP noise in mmHg units).
-    pub fn scaled(self, k: f64) -> Self {
-        Self {
-            white_sigma: self.white_sigma * k,
-            wander_amp: self.wander_amp * k,
-            hum_amp: self.hum_amp * k,
-            ..self
         }
     }
 }
@@ -187,15 +178,6 @@ mod tests {
         apply(&mut sig, &p, 360.0, 4);
         let sd = dsp::stats::std_dev(&sig).unwrap();
         assert!((sd - 0.5).abs() < 0.05, "sd={sd}");
-    }
-
-    #[test]
-    fn scaled_multiplies_amplitudes() {
-        let p = NoiseParams::default().scaled(10.0);
-        assert!((p.white_sigma - 0.1).abs() < 1e-12);
-        assert!((p.wander_amp - 0.4).abs() < 1e-12);
-        assert!((p.hum_amp - 0.04).abs() < 1e-12);
-        assert_eq!(p.hum_hz, 60.0);
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl Record {
         }
     }
 
-    /// Duration of the record in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.ecg.len() as f64 / self.fs
-    }
-
     /// Number of samples per channel.
     pub fn len(&self) -> usize {
         self.ecg.len()
@@ -194,6 +189,7 @@ impl Record {
 
     /// Mean heart rate over the record, in bpm, from the ground-truth
     /// R peaks. Returns `None` with fewer than two beats.
+    // lint:allow(cg-unreached, reference oracle: the record tests check synthesized heart rate against the subject with it)
     pub fn mean_heart_rate_bpm(&self) -> Option<f64> {
         if self.r_peaks.len() < 2 {
             return None;
@@ -201,43 +197,6 @@ impl Record {
         let beats = (self.r_peaks.len() - 1) as f64;
         let span_s = (self.r_peaks[self.r_peaks.len() - 1] - self.r_peaks[0]) as f64 / self.fs;
         Some(60.0 * beats / span_s)
-    }
-
-    /// Resample both channels to `to_hz` with linear interpolation and
-    /// carry the ground-truth peak annotations across, clamped to the
-    /// resampled length so every mapped annotation stays in bounds.
-    ///
-    /// This is the workspace's one sanctioned route through
-    /// [`dsp::resample`]: the record owns both the signals and their
-    /// annotation indices, so mapping them together is the only way to
-    /// keep the `peak index < channel length` invariant that
-    /// [`Record::synthesize`] establishes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`dsp::DspError`] if the record is empty or either sample
-    /// rate is invalid.
-    pub fn resampled(&self, to_hz: f64) -> Result<Record, dsp::DspError> {
-        let ecg = dsp::resample::linear(&self.ecg, self.fs, to_hz)?;
-        let abp = dsp::resample::linear(&self.abp, self.fs, to_hz)?;
-        let map = |peaks: &[usize], to_len: usize| -> Result<Vec<usize>, dsp::DspError> {
-            let mut mapped = Vec::with_capacity(peaks.len());
-            for &p in peaks {
-                mapped.push(dsp::resample::map_index(p, self.fs, to_hz, to_len)?);
-            }
-            // Clamping can collapse neighbors at the tail; keep the
-            // "strictly ascending" annotation invariant.
-            mapped.dedup();
-            Ok(mapped)
-        };
-        Ok(Record {
-            subject: self.subject,
-            fs: to_hz,
-            r_peaks: map(&self.r_peaks, ecg.len())?,
-            sys_peaks: map(&self.sys_peaks, abp.len())?,
-            ecg,
-            abp,
-        })
     }
 
     /// Slice out the half-open sample range `[start, end)` of both
@@ -270,6 +229,14 @@ impl Record {
 mod tests {
     use super::*;
     use crate::subject::bank;
+
+    fn pearson(a: &[f64], b: &[f64]) -> f64 {
+        let (ma, mb) = (dsp::stats::mean(a).unwrap(), dsp::stats::mean(b).unwrap());
+        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+        let va: f64 = a.iter().map(|x| (x - ma) * (x - ma)).sum();
+        let vb: f64 = b.iter().map(|y| (y - mb) * (y - mb)).sum();
+        cov / (va.sqrt() * vb.sqrt())
+    }
 
     #[test]
     fn channels_have_equal_length() {
@@ -349,55 +316,15 @@ mod tests {
         let own_ecg = rr_of(&r1.r_peaks);
         let own_abp = rr_of(&r1.sys_peaks);
         let n = own_ecg.len().min(own_abp.len());
-        let corr_own = dsp::stats::pearson(&own_ecg[..n], &own_abp[..n]).unwrap();
+        let corr_own = pearson(&own_ecg[..n], &own_abp[..n]);
         assert!(corr_own > 0.99, "own-beat synchrony {corr_own}");
         let other_ecg = rr_of(&r2.r_peaks);
         let m = own_abp.len().min(other_ecg.len());
-        let corr_cross = dsp::stats::pearson(&other_ecg[..m], &own_abp[..m]).unwrap();
+        let corr_cross = pearson(&other_ecg[..m], &own_abp[..m]);
         assert!(
             corr_cross < corr_own - 0.2,
             "cross-subject correlation {corr_cross} vs own {corr_own}"
         );
-    }
-
-    #[test]
-    fn resampled_record_keeps_annotations_in_bounds() {
-        let s = &bank()[4];
-        let r = Record::synthesize(s, 20.0, 9);
-        // 510 / 360 does not divide evenly, so an unclamped mapping of a
-        // final-sample annotation could land one past the end.
-        let up = r.resampled(510.0).unwrap();
-        assert_eq!(up.fs, 510.0);
-        assert_eq!(up.ecg.len(), up.abp.len());
-        assert!(up.r_peaks.iter().all(|&p| p < up.len()));
-        assert!(up.sys_peaks.iter().all(|&p| p < up.len()));
-        assert!(up.r_peaks.windows(2).all(|w| w[0] < w[1]));
-        // Beat count survives the trip (dedup only collapses tail clamps).
-        assert_eq!(up.r_peaks.len(), r.r_peaks.len());
-        // Peak times are preserved to within one sample at either rate.
-        for (&orig, &mapped) in r.r_peaks.iter().zip(&up.r_peaks) {
-            let t_orig = orig as f64 / r.fs;
-            let t_mapped = mapped as f64 / up.fs;
-            assert!(
-                (t_orig - t_mapped).abs() <= 1.0 / r.fs + 1.0 / up.fs,
-                "orig {t_orig}s mapped {t_mapped}s"
-            );
-        }
-        // Round trip back down keeps the invariants too. The length may
-        // shrink by at most one sample: the upsampled span ends at the
-        // last 510 Hz instant, which can fall just short of the original
-        // final instant (exact rational accounting, not truncation).
-        let down = up.resampled(r.fs).unwrap();
-        assert!(r.len() - down.len() <= 1, "{} vs {}", down.len(), r.len());
-        assert!(down.r_peaks.iter().all(|&p| p < down.len()));
-    }
-
-    #[test]
-    fn resampled_rejects_bad_rate() {
-        let s = &bank()[0];
-        let r = Record::synthesize(s, 2.0, 1);
-        assert!(r.resampled(0.0).is_err());
-        assert!(r.resampled(f64::NAN).is_err());
     }
 
     #[test]

@@ -102,20 +102,10 @@ impl Detector {
         })
     }
 
-    /// The model this detector classifies with.
-    pub fn model(&self) -> &SiftModel {
-        &self.model
-    }
-
     /// The deployed (device-side) backend model the Amulet arm scores
     /// with.
     pub fn deployed(&self) -> &DetectorModel {
         &self.deployed
-    }
-
-    /// The platform flavor in use.
-    pub fn flavor(&self) -> PlatformFlavor {
-        self.flavor
     }
 
     /// The pipeline configuration.
@@ -297,7 +287,7 @@ mod tests {
     fn amulet_flavor_agrees_with_gold_mostly() {
         let gold = detector(Version::Original, PlatformFlavor::Gold);
         let amulet = Detector::new(
-            gold.model().clone(),
+            gold.model.clone(),
             PlatformFlavor::Amulet,
             gold.config().clone(),
         )

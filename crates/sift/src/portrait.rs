@@ -151,11 +151,6 @@ impl GridMatrix {
         })
     }
 
-    /// Grid size `n`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Count in cell `(row, col)`.
     ///
     /// # Panics
@@ -272,7 +267,7 @@ mod tests {
         let sum: u32 = (0..50).map(|r| (0..50).map(|c| g.count(r, c)).sum::<u32>()).sum();
         assert_eq!(sum, p.len() as u32);
         assert_eq!(g.total(), p.len() as u32);
-        assert_eq!(g.n(), 50);
+        assert_eq!(g.n, 50);
     }
 
     #[test]

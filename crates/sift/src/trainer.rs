@@ -44,11 +44,6 @@ impl SiftModel {
         self.version
     }
 
-    /// The fitted standardizer.
-    pub fn scaler(&self) -> &StandardScaler {
-        &self.scaler
-    }
-
     /// The trained hyperplane.
     pub fn svm(&self) -> &LinearSvm {
         &self.svm

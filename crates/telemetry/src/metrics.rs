@@ -233,11 +233,6 @@ impl Histogram {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 impl Default for Histogram {

@@ -96,46 +96,6 @@ impl Histogram {
     }
 }
 
-/// An explicit span scope for callers that accumulate work across
-/// several statements before attributing it: open at the stage entry,
-/// add units as they are incurred, and `finish` against the sink.
-///
-/// This is a plain value, not an RAII guard — `finish` takes the sink
-/// explicitly so the scope never borrows the `Telemetry` handle while
-/// the instrumented code still needs it.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanScope {
-    stage: Stage,
-    t_ms: u64,
-    units: u64,
-}
-
-impl SpanScope {
-    /// Open a scope for `stage` at simulated time `t_ms`.
-    pub fn new(stage: Stage, t_ms: u64) -> Self {
-        SpanScope {
-            stage,
-            t_ms,
-            units: 0,
-        }
-    }
-
-    /// Attribute `units` more work to this scope.
-    pub fn add_units(&mut self, units: u64) {
-        self.units = self.units.saturating_add(units);
-    }
-
-    /// Units accumulated so far.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Close the scope against `tele` (no-op when `tele` is disabled).
-    pub fn finish(self, tele: &mut Telemetry) {
-        tele.span(self.t_ms, self.stage, self.units);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,20 +147,6 @@ mod tests {
         assert_eq!(r.events[0].code, EventCode::Span);
         assert_eq!(r.events[0].a, Stage::FeatureExtraction.index() as u64);
         assert_eq!(r.events[0].b, 37_000);
-    }
-
-    #[test]
-    fn span_scope_accumulates_then_finishes() {
-        let mut t = Telemetry::enabled();
-        let mut scope = SpanScope::new(Stage::Filter, 5);
-        scope.add_units(100);
-        scope.add_units(23);
-        assert_eq!(scope.units(), 123);
-        scope.finish(&mut t);
-        let r = t.report().unwrap();
-        assert_eq!(r.stage(Stage::Filter).units, 123);
-        assert_eq!(r.events.len(), 1);
-        assert_eq!(r.events[0].t_ms, 5);
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl Attacker {
         (self.start_ms, self.end_ms)
     }
 
-    /// The attack mode.
-    pub fn mode(&self) -> &AttackMode {
-        &self.mode
-    }
-
     /// Packets tampered with so far.
     pub fn hijacked_packets(&self) -> u64 {
         self.hijacked_packets
@@ -747,7 +742,7 @@ mod tests {
             s.intercept(100, p.clone(), 360.0).samples,
             c.intercept(100, p, 360.0).samples
         );
-        assert_ne!(s.mode().class_index(), c.mode().class_index());
+        assert_ne!(s.mode.class_index(), c.mode.class_index());
     }
 }
 

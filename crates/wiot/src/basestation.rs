@@ -215,14 +215,6 @@ impl BaseStation {
         self
     }
 
-    /// Cap the per-window outcome log at `cap` entries (oldest evicted,
-    /// counted in [`BaseStationStats::log_evicted`]) so multi-hour soaks
-    /// run in flat memory.
-    pub fn with_window_log_cap(mut self, cap: usize) -> Self {
-        self.window_log_cap = cap.max(1);
-        self
-    }
-
     /// Install the stream-liveness watchdog: [`poll_watchdog`] raises a
     /// stream-stalled alert (via the [`WatchdogApp`]) for any stream
     /// silent longer than `timeout_ms`. With `strict`, a stall is also a
@@ -251,6 +243,7 @@ impl BaseStation {
     /// raise a security alert rather than being silently discarded; the
     /// provided configuration should therefore keep
     /// [`QualityConfig::max_flat_run_frac`] at `1.0`.
+    // lint:allow(cg-unreached, the only switch for the SQI gate EXPERIMENTS.md describes; removing the gate would remove CounterId::WindowsRejected)
     pub fn with_quality_gate(mut self, config: QualityConfig) -> Self {
         self.quality_gate = Some(config);
         self
@@ -585,8 +578,8 @@ impl BaseStation {
 
     /// Per-window outcomes `(window index, outcome)`, in window order —
     /// the ground truth-free record the scenario runner scores against.
-    /// Bounded by [`BaseStation::with_window_log_cap`]; evictions are
-    /// counted in [`BaseStationStats::log_evicted`].
+    /// Bounded to the newest entries; evictions are counted in
+    /// [`BaseStationStats::log_evicted`].
     pub fn window_log(&self) -> &VecDeque<(usize, WindowOutcome)> {
         &self.window_log
     }
@@ -771,7 +764,8 @@ mod tests {
 
     #[test]
     fn window_log_cap_bounds_memory() {
-        let mut bs = station().with_window_log_cap(3);
+        let mut bs = station();
+        bs.window_log_cap = 3;
         let r = Record::synthesize(&bank()[0], 30.0, 99);
         stream_record(&mut bs, &r, &mut Channel::perfect());
         assert_eq!(bs.window_log().len(), 3);

@@ -84,30 +84,6 @@ impl LossModel {
             })
         }
     }
-
-    /// Long-run mean loss rate of the process.
-    pub fn mean_loss(&self) -> f64 {
-        match self {
-            LossModel::Bernoulli { p } => *p,
-            LossModel::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                loss_good,
-                loss_bad,
-            } => {
-                // Stationary distribution of the two-state chain.
-                let denom = p_good_to_bad + p_bad_to_good;
-                if denom <= 0.0 {
-                    // Chain never transitions; it stays in the good
-                    // state it starts in.
-                    *loss_good
-                } else {
-                    let frac_bad = p_good_to_bad / denom;
-                    loss_bad * frac_bad + loss_good * (1.0 - frac_bad)
-                }
-            }
-        }
-    }
 }
 
 /// How corrupted payloads are mangled.
@@ -232,6 +208,7 @@ impl Channel {
     ///
     /// Returns [`WiotError::InvalidScenario`] if `loss_prob` is outside
     /// `[0, 1]`.
+    // lint:allow(cg-unreached, fixture: the Bernoulli-loss channel the channel, station and transport tests build)
     pub fn new(
         loss_prob: f64,
         base_delay_ms: u64,
@@ -266,9 +243,10 @@ impl Channel {
         })
     }
 
-    /// A perfect channel (no loss, no delay) for baseline scenarios.
+    /// A perfect channel (no loss, no delay).
     /// Built directly rather than through the validating constructor so
     /// it is infallible by construction.
+    // lint:allow(cg-unreached, fixture: the lossless channel the station, transport and survival tests run on)
     pub fn perfect() -> Self {
         Self {
             config: ChannelConfig::default(),
@@ -402,16 +380,6 @@ impl Channel {
         self.stats
     }
 
-    /// Packets offered to the channel so far.
-    pub fn sent(&self) -> u64 {
-        self.stats.sent
-    }
-
-    /// Packets lost so far.
-    pub fn lost(&self) -> u64 {
-        self.stats.lost
-    }
-
     /// Observed loss rate.
     pub fn loss_rate(&self) -> f64 {
         if self.stats.sent == 0 {
@@ -530,7 +498,9 @@ mod tests {
             loss_good: 0.01,
             loss_bad: 0.9,
         };
-        let mean = model.mean_loss();
+        // Stationary fraction bad = 0.05 / (0.05 + 0.45) = 0.1, so the
+        // mean loss is 0.1 · 0.9 + 0.9 · 0.01 = 0.099.
+        let mean = 0.099;
         let mut ch = Channel::with_config(
             ChannelConfig {
                 loss: model,
@@ -561,7 +531,6 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 0.9,
         };
-        assert!((bursty.mean_loss() - p_mean).abs() < 0.02);
         let run = |loss: LossModel| {
             let mut ch = Channel::with_config(
                 ChannelConfig {

@@ -49,7 +49,6 @@ pub struct SensorDevice {
     stream: Stream,
     samples: Vec<f64>,
     peaks: Vec<usize>,
-    fs: f64,
     chunk_len: usize,
     next_chunk: u64,
 }
@@ -84,15 +83,9 @@ impl SensorDevice {
             stream,
             samples,
             peaks,
-            fs,
             chunk_len,
             next_chunk: 0,
         }
-    }
-
-    /// Sample rate in Hz.
-    pub fn fs(&self) -> f64 {
-        self.fs
     }
 
     /// Emit the next packet, or `None` when the recording is exhausted.
@@ -118,11 +111,6 @@ impl SensorDevice {
         self.next_chunk += 1;
         Some(packet)
     }
-
-    /// Number of whole packets this device will emit in total.
-    pub fn total_packets(&self) -> u64 {
-        (self.samples.len() / self.chunk_len) as u64
-    }
 }
 
 #[cfg(test)]
@@ -147,10 +135,9 @@ mod tests {
             collected.extend(p.samples);
             seq += 1;
         }
-        assert_eq!(seq, dev.total_packets());
         assert_eq!(collected[..], r.ecg[..collected.len()]);
         // 12 s in 0.5 s chunks = 24 packets.
-        assert_eq!(dev.total_packets(), 24);
+        assert_eq!(seq, 24);
     }
 
     #[test]
@@ -168,7 +155,7 @@ mod tests {
             .sys_peaks
             .iter()
             .copied()
-            .filter(|&p| p < dev.total_packets() as usize * ((1.0 * r.fs) as usize))
+            .filter(|&p| p < dev.samples.len() / dev.chunk_len * dev.chunk_len)
             .collect();
         assert_eq!(reassembled, expected);
     }

@@ -28,7 +28,7 @@ use crate::faults::FaultSummary;
 use crate::survival::SurvivalSnapshot;
 use crate::WiotError;
 use amulet_sim::apps::SiftApp;
-use amulet_sim::nvram::{CheckpointStats, CheckpointStore, Restore, NVRAM_BYTES};
+use amulet_sim::nvram::{CheckpointStore, Restore, NVRAM_BYTES};
 use ml::{DetectorBackend, DetectorModel};
 use sift::checkpoint::DetectorCheckpoint;
 use sift::config::SiftConfig;
@@ -305,11 +305,6 @@ impl Persistence {
     pub fn snapshot(&self) -> &DetectorCheckpoint {
         &self.snapshot
     }
-
-    /// Commit counters of the underlying store.
-    pub fn store_stats(&self) -> CheckpointStats {
-        self.store.stats()
-    }
 }
 
 fn version_tag(version: Version) -> u8 {
@@ -464,7 +459,7 @@ mod tests {
         assert_eq!(summary.rollbacks, 1, "{summary:?}");
         // Rolled back: the stream position is the previous generation's.
         assert_eq!(p.snapshot().windows_seen, 1);
-        assert_eq!(p.store_stats().torn_commits, 1);
+        assert_eq!(p.store.stats().torn_commits, 1);
     }
 
     #[test]

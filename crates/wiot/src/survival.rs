@@ -315,20 +315,10 @@ impl SurvivalPolicy {
         (self.retry_max, self.retry_shift)
     }
 
-    /// Policy ticks elapsed.
-    pub fn tick(&self) -> u32 {
-        self.tick
-    }
-
     /// Version switches performed over the policy's lifetime (not
     /// persisted: telemetry, not decision state).
     pub fn switches(&self) -> u32 {
         self.switches
-    }
-
-    /// Smoothed link badness, permille.
-    pub fn link_ewma_permille(&self) -> u16 {
-        self.link_ewma_permille
     }
 
     /// Whether the link-badness latch currently caps the version.
@@ -723,7 +713,7 @@ mod tests {
                 backlog_windows: 0,
             });
         }
-        assert!(p.link_ewma_permille() >= 395);
+        assert!(p.link_ewma_permille >= 395);
         assert!(p.link_capped());
         // Drop to between clear and bad: latch holds.
         for _ in 0..40 {

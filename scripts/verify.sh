@@ -7,23 +7,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
-
-# The deterministic test harness, run explicitly so a filtered `cargo
-# test` invocation can never silently skip it.
-cargo test -q --test golden_traces
-cargo test -q --test fleet_props
-cargo test -q --test recovery_props
-cargo test -q --test survival_props
-cargo test -q --test adaptive_security --test adaptive_faults
-cargo test -q -p wiot --test transport_edges
-cargo test -q --test resample_props
-
-# Detector-zoo certification: the backend-parameterized conformance
-# suite (runs every property against BackendKind::ALL) plus the
-# Tsetlin backend's own clause-logic and codec-fuzz properties.
-cargo test -q --test detector_conformance
-cargo test -q -p ml --test tsetlin_props
+# Every member crate's unit, integration and doc tests (a bare `cargo
+# test` at this root runs only the root package's). Among them: the
+# analyzer's rule fixtures; the deterministic harness (golden_traces,
+# fleet_props, recovery_props, survival_props, adaptive_security,
+# adaptive_faults, wiot's transport_edges, resample_props); and the
+# detector-zoo certification (detector_conformance runs every property
+# against BackendKind::ALL; ml's tsetlin_props covers the Tsetlin
+# backend's clause logic and codec fuzzing).
+cargo test -q --workspace
 
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -104,6 +96,14 @@ baseline_gate() {
     diff -u "$baseline" "$out" || true
   fi
 }
+
+# Paper outputs: Table I, Fig. 3 and Table III are pure functions of the
+# seeded synthesis and the cost model. Each is committed as its binary's
+# stdout, so any drift fails.
+for paper_out in table1 fig3 table3; do
+  baseline_gate "$paper_out" "" exact "results/$paper_out.txt" "target/verify/$paper_out.txt" \
+    sh -c "cargo run --release -q -p bench --bin $paper_out > target/verify/$paper_out.txt" || true
+done
 
 # Telemetry gates: the bin exits nonzero if enabling the sink perturbs
 # the fleet digest at any thread count, if the merged fleet telemetry
