@@ -464,7 +464,7 @@ mod tests {
             os.post(AmuletEvent::SnippetReady(sn));
             os.run_until_idle().unwrap();
         }
-        let report = os.telemetry().report().unwrap();
+        let report = os.telemetry_mut().report().unwrap();
         let cycles = detector_cycles(Version::Reduced, &quick_config(), &OpCosts::default(), 4.0);
         for (stage, expected) in [
             (Stage::PeakDetection, cycles.peaks_data_check),

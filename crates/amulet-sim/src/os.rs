@@ -70,11 +70,6 @@ impl AmuletOs {
         self.telemetry = telemetry;
     }
 
-    /// The OS telemetry sink.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Mutable access to the OS telemetry sink (for recording
     /// OS-adjacent events such as transport faults).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {

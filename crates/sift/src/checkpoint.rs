@@ -41,15 +41,13 @@ pub const FORMAT_VERSION: u8 = 1;
 /// Fixed header size preceding the model blob.
 pub const HEADER_BYTES: usize = 16;
 
-/// Exact encoded size of a checkpoint for an **SVM** detector flavor
-/// (the historical layout; other backends size via the instance method
-/// [`DetectorCheckpoint::encoded_len`]).
+/// Exact encoded size of an **SVM** flavor's checkpoint (the historical
+/// layout; other backends use [`DetectorCheckpoint::encoded_len`]).
 pub fn encoded_len(version: Version) -> usize {
     HEADER_BYTES + ml::embedded::encoded_len(version.feature_count())
 }
 
-/// Copy `src` into `out` at `*at`, advancing the cursor; stops at the
-/// end of `out` (callers pre-check the buffer length).
+/// Copy `src` into `out` at `*at`, advancing the cursor; stops at the end of `out`.
 fn put(out: &mut [u8], at: &mut usize, src: &[u8]) {
     for (dst, &b) in out.iter_mut().skip(*at).zip(src.iter()) {
         *dst = b;
@@ -68,7 +66,8 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     v
 }
 
-fn version_tag(version: Version) -> u8 {
+/// The FRAM byte tagging a detector version (byte 1 of the header).
+pub fn version_tag(version: Version) -> u8 {
     match version {
         Version::Original => 0,
         Version::Simplified => 1,
@@ -76,7 +75,8 @@ fn version_tag(version: Version) -> u8 {
     }
 }
 
-fn version_from_tag(tag: u8) -> Option<Version> {
+/// The detector version a [`version_tag`] byte names, if any.
+pub fn version_from_tag(tag: u8) -> Option<Version> {
     match tag {
         0 => Some(Version::Original),
         1 => Some(Version::Simplified),

@@ -174,26 +174,9 @@ pub fn train_models(
     version: Version,
     config: &SiftConfig,
 ) -> Result<Vec<SiftModel>, SiftError> {
-    // Synthesize each subject's Δ training record once and share it
-    // across victims (seeds match train_for_subject exactly).
-    let records: Vec<Record> = subjects
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Record::synthesize(s, config.train_s, config.seed.wrapping_add(i as u64 * 7919))
-        })
-        .collect();
-    (0..subjects.len())
-        .map(|victim| {
-            let donors: Vec<&Record> = records
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != victim)
-                .map(|(_, r)| r)
-                .collect();
-            crate::trainer::train(&records[victim], &donors, version, config)
-        })
-        .collect()
+    crate::trainer::enroll(subjects, 0..subjects.len(), config, config.seed, |v, d| {
+        crate::trainer::train(v, d, version, config)
+    })
 }
 
 /// Evaluate one (version, flavor) cell end to end: train then test.

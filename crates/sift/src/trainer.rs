@@ -203,6 +203,38 @@ fn extract_usable(version: Version, snippet: &Snippet, config: &SiftConfig) -> O
     }
 }
 
+/// The one enrollment loop: synthesize every subject's Δ training
+/// record once, at `seed + i·7919`, then `train` each of `victims`
+/// against all the other subjects as donors.
+pub(crate) fn enroll<T>(
+    subjects: &[Subject],
+    victims: impl IntoIterator<Item = usize>,
+    config: &SiftConfig,
+    seed: u64,
+    train: impl Fn(&Record, &[&Record]) -> Result<T, SiftError>,
+) -> Result<Vec<T>, SiftError> {
+    let records: Vec<Record> = subjects
+        .iter()
+        .enumerate()
+        .map(|(i, s)| Record::synthesize(s, config.train_s, seed.wrapping_add(i as u64 * 7919)))
+        .collect();
+    victims
+        .into_iter()
+        .map(|victim| {
+            let victim_record = records.get(victim).ok_or(SiftError::InvalidConfig {
+                reason: "victim index out of range",
+            })?;
+            let donors: Vec<&Record> = records
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != victim)
+                .map(|(_, r)| r)
+                .collect();
+            train(victim_record, &donors)
+        })
+        .collect()
+}
+
 /// Convenience for experiments: train a model for `subjects[victim]`
 /// using every other subject in the bank as a donor, synthesizing Δ
 /// training records deterministically from `seed`.
@@ -218,23 +250,12 @@ pub fn train_for_subject(
     config: &SiftConfig,
     seed: u64,
 ) -> Result<SiftModel, SiftError> {
-    if victim >= subjects.len() {
-        return Err(SiftError::InvalidConfig {
-            reason: "victim index out of range",
-        });
-    }
-    let records: Vec<Record> = subjects
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Record::synthesize(s, config.train_s, seed.wrapping_add(i as u64 * 7919)))
-        .collect();
-    let donors: Vec<&Record> = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != victim)
-        .map(|(_, r)| r)
-        .collect();
-    train(&records[victim], &donors, version, config)
+    let mut models = enroll(subjects, [victim], config, seed, |v, d| {
+        train(v, d, version, config)
+    })?;
+    models.pop().ok_or(SiftError::InvalidConfig {
+        reason: "victim index out of range",
+    })
 }
 
 /// A bank of pre-trained per-subject models behind `Arc`s: the
@@ -258,10 +279,8 @@ pub struct ModelBank {
 
 impl ModelBank {
     /// Train one SVM model per subject (each using all others as
-    /// donors).
-    ///
-    /// Training records are synthesized once and shared across victims,
-    /// with the exact per-subject seeds of [`train_for_subject`].
+    /// donors): [`ModelBank::train_backend`] for
+    /// [`BackendKind::Svm`](ml::BackendKind::Svm).
     ///
     /// # Errors
     ///
@@ -273,49 +292,18 @@ impl ModelBank {
         config: &SiftConfig,
         seed: u64,
     ) -> Result<Self, SiftError> {
-        if subjects.is_empty() {
-            return Err(SiftError::InvalidConfig {
-                reason: "at least one subject required",
-            });
-        }
-        let records: Vec<Record> = subjects
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Record::synthesize(s, config.train_s, seed.wrapping_add(i as u64 * 7919)))
-            .collect();
-        let models = (0..subjects.len())
-            .map(|victim| {
-                let donors: Vec<&Record> = records
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != victim)
-                    .map(|(_, r)| r)
-                    .collect();
-                train(&records[victim], &donors, version, config).map(std::sync::Arc::new)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let deployed = models
-            .iter()
-            .map(|m| std::sync::Arc::new(ml::DetectorModel::from(m.embedded().clone())))
-            .collect();
-        Ok(Self {
-            version,
-            kind: ml::BackendKind::Svm,
-            models,
-            deployed,
-        })
+        Self::train_backend(subjects, version, ml::BackendKind::Svm, config, seed)
     }
 
-    /// Train one model per subject for an arbitrary registered backend
-    /// — the zoo's enrollment entry point. For
-    /// [`BackendKind::Svm`](ml::BackendKind::Svm) this is [`ModelBank::train`]
-    /// exactly (bit-identical models); other backends feed the same
-    /// per-victim training sets to their own trainers.
+    /// Train one model per subject for a registered backend — the
+    /// zoo's enrollment entry point — with the records and seeds of
+    /// [`train_for_subject`]. Only the SVM bank also keeps each
+    /// victim's gold model.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ModelBank::train`], plus backend trainer
-    /// errors.
+    /// Propagates trainer errors; returns [`SiftError::InvalidConfig`]
+    /// for an empty subject slice.
     pub fn train_backend(
         subjects: &[Subject],
         version: Version,
@@ -323,36 +311,31 @@ impl ModelBank {
         config: &SiftConfig,
         seed: u64,
     ) -> Result<Self, SiftError> {
-        if kind == ml::BackendKind::Svm {
-            return Self::train(subjects, version, config, seed);
-        }
         if subjects.is_empty() {
             return Err(SiftError::InvalidConfig {
                 reason: "at least one subject required",
             });
         }
-        let records: Vec<Record> = subjects
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Record::synthesize(s, config.train_s, seed.wrapping_add(i as u64 * 7919)))
-            .collect();
-        let deployed = (0..subjects.len())
-            .map(|victim| {
-                let donors: Vec<&Record> = records
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != victim)
-                    .map(|(_, r)| r)
-                    .collect();
-                let data = build_training_set(&records[victim], &donors, version, config)?;
-                crate::zoo::train_backend_from_dataset(kind, version, &data, config)
-                    .map(std::sync::Arc::new)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let victims = 0..subjects.len();
+        let (models, deployed) = if kind == ml::BackendKind::Svm {
+            let models = enroll(subjects, victims, config, seed, |v, d| {
+                train(v, d, version, config).map(std::sync::Arc::new)
+            })?;
+            let deployed = models
+                .iter()
+                .map(|m| std::sync::Arc::new(ml::DetectorModel::from(m.embedded().clone())))
+                .collect();
+            (models, deployed)
+        } else {
+            let deployed = enroll(subjects, victims, config, seed, |v, d| {
+                crate::zoo::train_backend(v, d, version, kind, config).map(std::sync::Arc::new)
+            })?;
+            (Vec::new(), deployed)
+        };
         Ok(Self {
             version,
             kind,
-            models: Vec::new(),
+            models,
             deployed,
         })
     }

@@ -17,7 +17,7 @@
 
 use crate::config::SiftConfig;
 use crate::features::Version;
-use crate::trainer::{build_training_set, train_from_dataset};
+use crate::trainer::{build_training_set, enroll, train_from_dataset};
 use crate::SiftError;
 use ml::tsetlin::TsetlinTrainer;
 use ml::{BackendKind, Dataset, DetectorModel};
@@ -117,23 +117,12 @@ pub fn train_backend_for_subject(
     config: &SiftConfig,
     seed: u64,
 ) -> Result<DetectorModel, SiftError> {
-    if victim >= subjects.len() {
-        return Err(SiftError::InvalidConfig {
-            reason: "victim index out of range",
-        });
-    }
-    let records: Vec<Record> = subjects
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Record::synthesize(s, config.train_s, seed.wrapping_add(i as u64 * 7919)))
-        .collect();
-    let donors: Vec<&Record> = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != victim)
-        .map(|(_, r)| r)
-        .collect();
-    train_backend(&records[victim], &donors, version, kind, config)
+    let mut models = enroll(subjects, [victim], config, seed, |v, d| {
+        train_backend(v, d, version, kind, config)
+    })?;
+    models.pop().ok_or(SiftError::InvalidConfig {
+        reason: "victim index out of range",
+    })
 }
 
 #[cfg(test)]

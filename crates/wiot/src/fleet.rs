@@ -538,17 +538,16 @@ pub(crate) fn simulate_provisioned(
     device: usize,
     scenario: Scenario,
     subject: Option<&Subject>,
-    model: Option<&SiftModel>,
     deployed: &DetectorModel,
 ) -> Result<DeviceSummary, WiotError> {
     let mut sim = DeviceSim::with_options(
         &scenario,
         DeviceOptions {
-            model,
             deployed: Some(deployed),
             feature_uplink: true,
             telemetry,
             subject,
+            ..DeviceOptions::default()
         },
     )?;
     sim.run_to_completion()?;

@@ -30,7 +30,7 @@ use crate::WiotError;
 use amulet_sim::apps::SiftApp;
 use amulet_sim::nvram::{CheckpointStore, Restore, NVRAM_BYTES};
 use ml::{DetectorBackend, DetectorModel};
-use sift::checkpoint::DetectorCheckpoint;
+use sift::checkpoint::{version_from_tag, version_tag, DetectorCheckpoint};
 use sift::config::SiftConfig;
 use sift::features::Version;
 
@@ -304,23 +304,6 @@ impl Persistence {
     /// The last committed (or recovered) snapshot.
     pub fn snapshot(&self) -> &DetectorCheckpoint {
         &self.snapshot
-    }
-}
-
-fn version_tag(version: Version) -> u8 {
-    match version {
-        Version::Original => 0,
-        Version::Simplified => 1,
-        Version::Reduced => 2,
-    }
-}
-
-fn version_from_tag(tag: u8) -> Option<Version> {
-    match tag {
-        0 => Some(Version::Original),
-        1 => Some(Version::Simplified),
-        2 => Some(Version::Reduced),
-        _ => None,
     }
 }
 

@@ -167,8 +167,8 @@ fn run_one(
     let DeviceProvision {
         scenario,
         subject,
-        model,
         deployed,
+        ..
     } = prov.provision(spec, device)?;
 
     // Swap-in: the provisioned model enters the slot as checkpoint
@@ -182,7 +182,7 @@ fn run_one(
     let mut resident = DetectorCheckpoint::decode(&slot[..n])?;
 
     let summary =
-        crate::fleet::simulate_provisioned(spec.telemetry, device, scenario, subject, model, &resident.model)?;
+        crate::fleet::simulate_provisioned(spec.telemetry, device, scenario, subject, &resident.model)?;
 
     // Swap-out: persist the final stream position and alert count the
     // way a real slab store would before reusing the slot.

@@ -56,8 +56,8 @@ fi
 # the single-threaded and multi-threaded runs.
 cargo run --release -q -p bench --bin recovery -- --threads 8
 
-# Baseline gates: each regenerates a results/ artifact and diffs it
-# against its committed baseline.
+# Baseline gates: each regenerates an artifact under target/verify/
+# and diffs it against its committed baseline in results/.
 #   baseline_gate <name> <key> <mode> <baseline> <out> <command...>
 # <key>, when non-empty, names a JSON field (a report digest) that must
 # match byte-for-byte: it only moves when the simulation itself changed.
@@ -121,13 +121,13 @@ baseline_gate "telemetry trace" "" exact \
 baseline_gate "telemetry pipeline" fleet_digest warn \
   results/TELEMETRY_pipeline.json "$tele_json" true || true
 
-# Fleet throughput: results/BENCH_fleet.json with the baseline's
-# parameters. The report digest is hard-gated; timings are warn-only.
+# Fleet throughput with the baseline's parameters. The report digest
+# is hard-gated; timings are warn-only.
 baseline_gate "fleet bench" digest warn \
-  results/BENCH_fleet_baseline.json results/BENCH_fleet.json \
+  results/BENCH_fleet_baseline.json target/verify/BENCH_fleet.json \
   cargo run --release -q -p bench --bin fleet -- \
     --devices 100 --threads 8 --seed 61455 --duration 30 \
-    --out results/BENCH_fleet.json || true
+    --out target/verify/BENCH_fleet.json || true
 
 # Slab streaming engine: the 100k-device fleet_xl bench. The bin itself
 # exits nonzero if the slab digest differs between 1, 2, and 8 worker
@@ -148,15 +148,17 @@ if baseline_gate "fleet_xl" slab_digest warn results/BENCH_fleet_xl.json "$xl_ou
   fi
 fi
 
-# Survival-policy lifetime: regenerates results/BENCH_lifetime.json. The
-# bin itself exits nonzero if the lifetime ordering breaks (adaptive <
-# 1.5x Original, Reduced outside the ~2x band), the adaptive policy
-# costs more than 2 pp of accuracy, a policy snapshot fails to
-# round-trip, or the survival-enabled fleet digest moves with the
-# thread count. Every field is deterministic, so any drift fails.
+# Survival-policy lifetime, diffed against the bin's own committed
+# default output, results/BENCH_lifetime.json. The bin itself exits
+# nonzero if the lifetime ordering breaks (adaptive < 1.5x Original,
+# Reduced outside the ~2x band), the adaptive policy costs more than
+# 2 pp of accuracy, a policy snapshot fails to round-trip, or the
+# survival-enabled fleet digest moves with the thread count. Every
+# field is deterministic, so any drift fails.
 baseline_gate "lifetime bench" digest exact \
-  results/BENCH_lifetime_baseline.json results/BENCH_lifetime.json \
-  cargo run --release -q -p bench --bin lifetime || true
+  results/BENCH_lifetime.json target/verify/BENCH_lifetime.json \
+  cargo run --release -q -p bench --bin lifetime -- \
+    --out target/verify/BENCH_lifetime.json || true
 
 # Detector-zoo report: the backend x flavor comparison. Every field is
 # derived from seeded training, the cost model, and the resource
