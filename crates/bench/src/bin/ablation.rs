@@ -10,6 +10,7 @@
 //! Run: `cargo run --release -p bench --bin ablation` (accepts `--smoke`
 //! to shrink the sweeps further).
 
+use bench::{Failure, Scale};
 use ml::baseline::{KnnClassifier, LogisticRegressionTrainer, NearestCentroid};
 use ml::linear_svm::LinearSvmTrainer;
 use ml::metrics::evaluate;
@@ -21,6 +22,7 @@ use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use sift::pipeline::{evaluate as evaluate_pipeline, EvalProtocol};
 use sift::trainer::build_training_set;
+use std::process::ExitCode;
 
 fn ablation_config(train_s: f64) -> SiftConfig {
     SiftConfig {
@@ -98,8 +100,12 @@ fn sweep<I: Copy + std::fmt::Display>(
     println!();
 }
 
-fn main() {
-    let smoke = bench::Scale::from_args() == bench::Scale::Smoke;
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let smoke = Scale::parse("ablation")? == Scale::Smoke;
     let (train_s, subjects) = if smoke { (60.0, 3) } else { (300.0, 6) };
 
     classifier_comparison(train_s);
@@ -130,4 +136,5 @@ fn main() {
         |t| ablation_config(t as f64),
         subjects,
     );
+    Ok(())
 }

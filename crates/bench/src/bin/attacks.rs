@@ -13,35 +13,34 @@
 //! `--no-persist` disables FRAM checkpointing (the pre-checkpointing
 //! behavior), for A/B comparison of the persistence layer's cost.
 
+use bench::{Failure, Flags};
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::features::Version;
+use std::process::ExitCode;
 use wiot::campaign::AttackClass;
 use wiot::channel::LossModel;
-use wiot::scenario::{run, AttackSpec, Scenario};
+use wiot::scenario::{run as run_scenario, AttackSpec, Scenario};
 
-fn main() {
-    let faults_mode = std::env::args().any(|a| a == "--faults");
-    let no_persist = std::env::args().any(|a| a == "--no-persist");
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let flags = Flags::parse("attacks", "--faults --no-persist")?;
+    let (faults_mode, no_persist) = (flags.switch("--faults"), flags.switch("--no-persist"));
     let duration_s = 120.0;
     let (attack_start, attack_end) = (33.0, 93.0);
     let donor = Record::synthesize(&bank()[7], duration_s, 0xD0);
     let victim_history = Record::synthesize(&bank()[0], duration_s, 0xC0FFEE ^ 0x11FE);
 
-    // The four legacy attacks, expressed through the campaign
-    // taxonomy's compatibility constructors: `materialize` produces
-    // byte-identical `AttackMode`s to the old direct construction.
-    let classes: Vec<(&str, AttackClass)> = vec![
-        (
-            "substitute (channel compromise)",
-            AttackClass::substitution(),
-        ),
-        ("replay (firmware compromise)", AttackClass::replay(20.0)),
-        ("freeze (physical compromise)", AttackClass::freeze()),
-        (
-            "noise-inject (sensory channel)",
-            AttackClass::noise_inject(0.6),
-        ),
+    // The paper's four attacks as campaign-taxonomy classes; each
+    // run's `AttackMode` comes from `materialize`.
+    let classes = [
+        ("substitute (channel compromise)", AttackClass::Substitution),
+        ("replay (firmware compromise)", AttackClass::Replay { offset_s: 20.0 }),
+        ("freeze (physical compromise)", AttackClass::Freeze),
+        ("noise-inject (sensory channel)", AttackClass::NoiseInject { amplitude_mv: 0.6 }),
     ];
 
     if faults_mode {
@@ -80,7 +79,7 @@ fn main() {
             });
             scenario = scenario.with_reliability();
         }
-        match run(&scenario) {
+        match run_scenario(&scenario) {
             Ok(r) => {
                 let m = r.confusion;
                 let tp_rate = m
@@ -124,4 +123,5 @@ fn main() {
              default lossy link)"
         );
     }
+    Ok(())
 }

@@ -21,10 +21,12 @@
 //! every field is a pure function of the seeds, so `scripts/verify.sh`
 //! hard-fails on any drift from the committed copy.
 
+use bench::{fail, thread_gate, write_artifact, Context, Failure, Flags};
 use ml::BackendKind;
 use physio_sim::population::LEGACY_BANK_SEED;
 use sift::features::Version;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use wiot::attacker::ATTACK_CLASS_COUNT;
 use wiot::campaign::{run_campaign, AttackClass, AttackWave, CampaignPlan, CampaignReport};
 
@@ -45,35 +47,6 @@ const SEED: u64 = 0x00CA_4FA1;
 /// Seed of the population-scale cohorts (the 12-subject cells use
 /// [`LEGACY_BANK_SEED`] and therefore wear the legacy bank exactly).
 const POPULATION_SEED: u64 = 0x090B_1A7E;
-
-struct Args {
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "results/BENCH_campaign.json".into(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => {
-                i += 1;
-                args.out = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("usage: campaign [--out PATH]");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument {other}; usage: campaign [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    args
-}
 
 /// The full nine-class schedule, one wave per class.
 fn waves() -> Vec<AttackWave> {
@@ -121,50 +94,21 @@ fn plan(population_size: usize, population_seed: u64, backend: BackendKind) -> C
     }
 }
 
-fn backend_name(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Svm => "svm",
-        BackendKind::Tsetlin => "tsetlin",
-    }
+/// Run one cell at 1, 2, and 8 threads; fail on digest drift.
+fn run_cell(p: &CampaignPlan) -> Result<CampaignReport, Failure> {
+    let cell = format!("campaign cell (pop {}, {})", p.population_size, p.backend.id());
+    let pass = |threads| run_campaign(&CampaignPlan { threads, ..p.clone() }).context(&cell);
+    let mut passes = thread_gate(&[1, 2, 8], CampaignReport::digest, pass).context(&cell)?;
+    Ok(passes.swap_remove(0))
 }
 
-/// Run one cell at 1, 2, and 8 threads; die on digest drift.
-fn run_cell(p: &CampaignPlan) -> CampaignReport {
-    let mut pinned: Option<CampaignReport> = None;
-    for threads in [1usize, 2, 8] {
-        let report = run_campaign(&CampaignPlan {
-            threads,
-            ..p.clone()
-        })
-        .unwrap_or_else(|e| {
-            eprintln!(
-                "campaign cell (pop {}, {}) failed at {threads} threads: {e}",
-                p.population_size,
-                backend_name(p.backend)
-            );
-            std::process::exit(1);
-        });
-        match &pinned {
-            None => pinned = Some(report),
-            Some(first) if first.digest() != report.digest() => {
-                eprintln!(
-                    "campaign digest drifted with thread count: {:#018x} at 1 thread vs \
-                     {:#018x} at {threads} (pop {}, {})",
-                    first.digest(),
-                    report.digest(),
-                    p.population_size,
-                    backend_name(p.backend)
-                );
-                std::process::exit(1);
-            }
-            Some(_) => {}
-        }
-    }
-    pinned.expect("at least one thread count ran")
+fn main() -> ExitCode {
+    bench::main(run)
 }
 
-fn main() {
-    let args = parse_args();
+fn run() -> Result<(), Failure> {
+    let flags = Flags::parse("campaign", "--out PATH")?;
+    let out: String = flags.get("--out", "results/BENCH_campaign.json".into())?;
     let cells = [
         (12usize, LEGACY_BANK_SEED, BackendKind::Svm),
         (12, LEGACY_BANK_SEED, BackendKind::Tsetlin),
@@ -188,27 +132,23 @@ fn main() {
 
     for (ci, &(population, pop_seed, backend)) in cells.iter().enumerate() {
         let p = plan(population, pop_seed, backend);
-        let report = run_cell(&p);
+        let report = run_cell(&p)?;
 
         // The Table II attack class must never silently regress to a
         // detector that misses everything.
         let sub = &report.classes[AttackClass::Substitution.index()];
         if sub.windows_tp == 0 {
-            eprintln!(
-                "substitution class detected nothing (pop {population}, {})",
-                backend_name(backend)
-            );
-            std::process::exit(1);
+            let cell = format!("pop {population}, {}", backend.id());
+            return fail(format!("substitution class detected nothing ({cell})"));
         }
         let staged = report.classes.iter().filter(|c| c.devices > 0).count();
         if staged < ATTACK_CLASS_COUNT {
-            eprintln!("only {staged} of {ATTACK_CLASS_COUNT} classes staged");
-            std::process::exit(1);
+            return fail(format!("only {staged} of {ATTACK_CLASS_COUNT} classes staged"));
         }
 
         println!(
             "pop {population:>5} {:<8} digest {:#018x} (identical at 1, 2, and 8 threads)",
-            backend_name(backend),
+            backend.id(),
             report.digest()
         );
         println!(
@@ -218,7 +158,7 @@ fn main() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"population\": {population},");
         let _ = writeln!(json, "      \"population_seed\": {pop_seed},");
-        let _ = writeln!(json, "      \"backend\": \"{}\",", backend_name(backend));
+        let _ = writeln!(json, "      \"backend\": \"{}\",", backend.id());
         let _ = writeln!(json, "      \"devices\": {},", report.fleet.devices);
         let _ = writeln!(json, "      \"digest\": \"{:#018x}\",", report.digest());
         let _ = writeln!(json, "      \"classes\": [");
@@ -270,9 +210,7 @@ fn main() {
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    println!("wrote {}", args.out);
+    write_artifact(&out, &json)?;
+    println!("wrote {out}");
+    Ok(())
 }

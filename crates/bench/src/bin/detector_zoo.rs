@@ -24,6 +24,7 @@ use amulet_sim::costs::{detector_cycles, tsetlin_classifier_cycles, OpCosts};
 use amulet_sim::machine::App as _;
 use amulet_sim::profiler::ResourceProfiler;
 use amulet_sim::CPU_HZ;
+use bench::{fail, traced_session, write_artifact, Context, Failure, Flags};
 use ml::metrics::{AveragedMetrics, ConfusionMatrix};
 use ml::{BackendKind, DetectorBackend, DetectorModel};
 use physio_sim::record::Record;
@@ -37,8 +38,9 @@ use sift::pipeline::{train_models, EvalProtocol};
 use sift::trainer::SiftModel;
 use sift::zoo::{train_backend_for_subject, tsetlin_pairs};
 use std::fmt::Write as _;
-use telemetry::{Stage, TelemetryReport};
-use wiot::scenario::{DeviceOptions, DeviceSim, Scenario};
+use std::process::ExitCode;
+use telemetry::Stage;
+use wiot::scenario::Scenario;
 
 /// Smoke-scale protocol shared by every cell: 4 subjects, 1 minute of
 /// training — small enough for the verify gate, seeded so the emitted
@@ -51,32 +53,6 @@ fn zoo_config() -> SiftConfig {
         max_positive_per_donor: Some(15),
         ..SiftConfig::default()
     }
-}
-
-struct Args {
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "results/DETECTOR_zoo.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => match it.next() {
-                Some(v) => args.out = v,
-                None => usage(),
-            },
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!("usage: detector_zoo [--out PATH]");
-    std::process::exit(2);
 }
 
 /// One backend×flavor cell of the comparison.
@@ -104,7 +80,7 @@ fn evaluate_backend(
     deployed: &[DetectorModel],
     config: &SiftConfig,
     protocol: &EvalProtocol,
-) -> AveragedMetrics {
+) -> Result<AveragedMetrics, Failure> {
     let mut matrices = Vec::with_capacity(subjects.len());
     for (i, subject) in subjects.iter().enumerate() {
         let detector = Detector::with_backend(
@@ -113,10 +89,7 @@ fn evaluate_backend(
             PlatformFlavor::Amulet,
             config.clone(),
         )
-        .unwrap_or_else(|e| {
-            eprintln!("detector assembly failed for subject {i}: {e}");
-            std::process::exit(1);
-        });
+        .context(format!("detector assembly failed for subject {i}"))?;
         let victim_test = Record::synthesize(
             subject,
             protocol.test_s,
@@ -135,55 +108,26 @@ fn evaluate_backend(
             protocol.altered_fraction,
             protocol.seed.wrapping_add(9000 + i as u64),
         )
-        .unwrap_or_else(|e| {
-            eprintln!("test-set assembly failed for subject {i}: {e}");
-            std::process::exit(1);
-        });
+        .context(format!("test-set assembly failed for subject {i}"))?;
         let mut matrix = ConfusionMatrix::default();
         for w in &test_set {
-            match detector.classify(&w.snippet) {
-                Ok(d) => matrix.record(w.truth, d.label),
-                Err(e) => {
-                    eprintln!("classification failed for subject {i}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let d = detector
+                .classify(&w.snippet)
+                .context(format!("classification failed for subject {i}"))?;
+            matrix.record(w.truth, d.label);
         }
         matrices.push(matrix);
     }
-    AveragedMetrics::from_matrices(&matrices).unwrap_or_else(|| {
-        eprintln!("no subjects evaluated");
-        std::process::exit(1);
-    })
+    AveragedMetrics::from_matrices(&matrices).ok_or("no subjects").context("backend evaluation")
 }
 
-/// One traced single-device session for a backend×flavor cell; returns
-/// the telemetry snapshot whose span units are cost-model cycles.
-fn traced_session(kind: BackendKind, version: Version, config: &SiftConfig) -> TelemetryReport {
-    let mut scenario = Scenario::new(0, version, 30.0);
-    scenario.backend = kind;
-    scenario.config = config.clone();
-    scenario.seed = 0xD00D;
-    let report = DeviceSim::with_options(
-        &scenario,
-        DeviceOptions {
-            telemetry: true,
-            ..DeviceOptions::default()
-        },
-    )
-    .and_then(DeviceSim::into_report)
-    .unwrap_or_else(|e| {
-        eprintln!("traced session for {kind:?} {version:?} failed: {e}");
-        std::process::exit(1);
-    });
-    report.telemetry.unwrap_or_else(|| {
-        eprintln!("traced session for {kind:?} {version:?} produced no telemetry");
-        std::process::exit(1);
-    })
+fn main() -> ExitCode {
+    bench::main(run)
 }
 
-fn main() {
-    let args = parse_args();
+fn run() -> Result<(), Failure> {
+    let flags = Flags::parse("detector_zoo", "--out PATH")?;
+    let out: String = flags.get("--out", "results/DETECTOR_zoo.json".into())?;
     let config = zoo_config();
     let protocol = EvalProtocol::default();
     let subjects: Vec<Subject> = bank().into_iter().take(SUBJECTS).collect();
@@ -195,28 +139,20 @@ fn main() {
         for &version in Version::ALL.iter() {
             // Gold models drive feature extraction; the deployed model
             // of the cell's backend family does the device-side scoring.
-            let gold = train_models(&subjects, version, &config).unwrap_or_else(|e| {
-                eprintln!("gold training failed for {version:?}: {e}");
-                std::process::exit(1);
-            });
-            let deployed: Vec<DetectorModel> = (0..subjects.len())
+            let gold = train_models(&subjects, version, &config)
+                .context(format!("gold training failed for {version:?}"))?;
+            let deployed = (0..subjects.len())
                 .map(|i| {
                     train_backend_for_subject(&subjects, i, version, kind, &config, config.seed)
-                        .unwrap_or_else(|e| {
-                            eprintln!("{kind:?} training failed for subject {i}: {e}");
-                            std::process::exit(1);
-                        })
+                        .context(format!("{kind:?} training failed for subject {i}"))
                 })
-                .collect();
-            let metrics = evaluate_backend(&subjects, &gold, &deployed, &config, &protocol);
+                .collect::<Result<Vec<DetectorModel>, Failure>>()?;
+            let metrics = evaluate_backend(&subjects, &gold, &deployed, &config, &protocol)?;
 
             // Static footprint + energy through the same app spec the
             // simulator deploys (name, cycles, and model bytes included).
             let app = SiftApp::new(version, deployed[0].clone(), config.clone())
-                .unwrap_or_else(|e| {
-                    eprintln!("app assembly failed for {kind:?} {version:?}: {e}");
-                    std::process::exit(1);
-                });
+                .context(format!("app assembly failed for {kind:?} {version:?}"))?;
             let spec = app.resource_spec();
             let profile = profiler.profile(&[&spec]);
 
@@ -231,19 +167,21 @@ fn main() {
 
             // Observed spans from a traced device session must agree
             // with the model (the same gate the telemetry bench runs).
-            let tele = traced_session(kind, version, &config);
+            let mut scenario = Scenario::new(0, version, 30.0);
+            scenario.backend = kind;
+            scenario.config = config.clone();
+            scenario.seed = 0xD00D;
+            let tele = traced_session(&scenario).context(format!("{kind:?} {version:?}"))?;
             let observed = tele.stage(Stage::Svm);
             if observed.spans == 0 {
-                eprintln!("{kind:?} {version:?}: traced session classified no windows");
-                std::process::exit(1);
+                return fail(format!("{kind:?} {version:?}: traced session classified no windows"));
             }
             if observed.mean_units() != model_cycles.ml_classifier as u64 {
-                eprintln!(
+                return fail(format!(
                     "FAIL: {kind:?} {version:?} observed classifier mean {} cycles != model {}",
                     observed.mean_units(),
                     model_cycles.ml_classifier as u64
-                );
-                std::process::exit(1);
+                ));
             }
 
             rows.push(ZooRow {
@@ -276,8 +214,7 @@ fn main() {
         let fram_ok = ladder.windows(2).all(|w| w[0].0 > w[1].0);
         let model_ok = ladder.windows(2).all(|w| w[0].1 >= w[1].1);
         if !fram_ok || !model_ok {
-            eprintln!("FAIL: {kind:?} flavor ladder is not monotone: {ladder:?}");
-            std::process::exit(1);
+            return fail(format!("FAIL: {kind:?} flavor ladder is not monotone: {ladder:?}"));
         }
     }
 
@@ -336,15 +273,7 @@ fn main() {
         );
     }
 
-    if let Err(e) = std::fs::create_dir_all(
-        std::path::Path::new(&args.out).parent().unwrap_or_else(|| std::path::Path::new(".")),
-    ) {
-        eprintln!("failed to create output directory: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    println!("\nwrote {}", args.out);
+    write_artifact(&out, &json)?;
+    println!("\nwrote {out}");
+    Ok(())
 }

@@ -7,10 +7,17 @@
 use amulet_sim::costs::{detector_cycles, OpCosts};
 use amulet_sim::profiler::{sift_app_spec, ResourceProfiler};
 use amulet_sim::CPU_HZ;
+use bench::{Failure, Flags};
 use sift::config::SiftConfig;
 use sift::features::Version;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    Flags::parse("fig3", "")?;
     let config = SiftConfig::default();
     let profiler = ResourceProfiler::default();
     let original_model_bytes = ml::embedded::encoded_len(Version::Original.feature_count());
@@ -71,4 +78,5 @@ fn main() {
             p.lifetime_days
         );
     }
+    Ok(())
 }

@@ -9,73 +9,34 @@
 //! regardless of `--threads`; the wall-clock fields are not, which is
 //! why `scripts/verify.sh` only warns on baseline drift.
 
-use bench::{fleet_bench_json, FleetBenchResult};
+use bench::{fleet_bench_json, write_artifact, Context, Failure, Flags, FleetBenchResult};
 use physio_sim::subject::bank;
 use sift::trainer::ModelBank;
+use std::process::ExitCode;
 use std::time::Instant;
 use wiot::fleet::{run_fleet_with_bank, FleetSpec};
 
-struct Args {
-    devices: usize,
-    threads: usize,
-    seed: u64,
-    duration_s: f64,
-    out: String,
+fn main() -> ExitCode {
+    bench::main(run)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fleet [--devices N] [--threads N] [--seed N] [--duration SECONDS] [--out PATH]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 100,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        seed: 0xF1EE7,
-        duration_s: 30.0,
-        out: "results/BENCH_fleet.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage() };
-        match flag.as_str() {
-            "--devices" => args.devices = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--duration" => args.duration_s = value.parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = value,
-            _ => usage(),
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let spec = FleetSpec::new(args.devices, args.duration_s)
-        .with_threads(args.threads)
-        .with_seed(args.seed);
+fn run() -> Result<(), Failure> {
+    let spec = "--devices N --threads N --seed N --duration SECONDS --out PATH";
+    let flags = Flags::parse("fleet", spec)?;
+    let devices = flags.get("--devices", 100)?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = flags.get("--threads", cores)?;
+    let seed = flags.get("--seed", 0xF1EE7)?;
+    let duration_s = flags.get("--duration", 30.0)?;
+    let out: String = flags.get("--out", "results/BENCH_fleet.json".into())?;
+    let spec = FleetSpec::new(devices, duration_s).with_threads(threads).with_seed(seed);
     println!(
-        "fleet bench: {} devices x {:.0} s on {} threads (seed {})",
-        args.devices, args.duration_s, args.threads, args.seed
+        "fleet bench: {devices} devices x {duration_s:.0} s on {threads} threads (seed {seed})"
     );
 
     let t0 = Instant::now();
-    let models = match ModelBank::train(
-        &bank(),
-        spec.template.version,
-        &spec.template.config,
-        spec.seed,
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("enrollment failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
+        .context("enrollment failed")?;
     let train_wall_s = t0.elapsed().as_secs_f64();
     println!(
         "enrolled {} subjects in {:.1} s (shared across all devices)",
@@ -84,19 +45,13 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let report = match run_fleet_with_bank(&spec, &models) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = run_fleet_with_bank(&spec, &models).context("fleet run failed")?;
     let sim_wall_s = t1.elapsed().as_secs_f64();
 
     let result = FleetBenchResult {
         report,
-        threads: args.threads,
-        duration_s: args.duration_s,
+        threads,
+        duration_s,
         train_wall_s,
         sim_wall_s,
     };
@@ -117,9 +72,7 @@ fn main() {
     );
 
     let json = fleet_bench_json(&result);
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    println!("wrote {}", args.out);
+    write_artifact(&out, &json)?;
+    println!("wrote {out}");
+    Ok(())
 }

@@ -33,7 +33,9 @@
 //! Writes `results/BENCH_lifetime.json` (override with `--out PATH`).
 
 use amulet_sim::energy::{BatteryState, EnergyModel};
-use bench::{run_table2, Scale};
+use bench::{
+    fail, run_table2, splitmix64, thread_gate, write_artifact, Context, Failure, Flags, Scale,
+};
 use ml::BackendKind;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
@@ -41,9 +43,10 @@ use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use sift::trainer::ModelBank;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use wiot::adaptive::{version_index, DrawTable};
 use wiot::channel::LossModel;
-use wiot::fleet::{run_fleet_with_bank, FleetSpec};
+use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
 use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
 
 /// Simulated seconds per fast-forward tick. The policy was designed for
@@ -54,64 +57,21 @@ const TICK_S: u64 = 60;
 /// Hard cap on simulated ticks per device (≈ 104 days), a runaway stop.
 const MAX_TICKS: u32 = 150_000;
 
-struct Args {
-    devices: usize,
-    seed: u64,
-    paper_scale: bool,
-    out: String,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: lifetime [--devices N] [--seed N] [--scale smoke|paper] [--out PATH]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 200,
-        seed: 0xF1EE7,
-        paper_scale: false,
-        out: "results/BENCH_lifetime.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage() };
-        match flag.as_str() {
-            "--devices" => args.devices = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--scale" => match value.as_str() {
-                "smoke" => args.paper_scale = false,
-                "paper" => args.paper_scale = true,
-                _ => usage(),
-            },
-            "--out" => args.out = value,
-            _ => usage(),
-        }
-    }
-    args
-}
-
-/// SplitMix64, the same generator the fleet layer splits device seeds
-/// with — one independent stream per (device, purpose).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-struct Stream {
-    state: u64,
-}
+/// One independent SplitMix64 stream per (device, purpose), keyed the
+/// way the fleet layer splits device seeds.
+struct Stream(u64);
 
 impl Stream {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
+    fn new(seed: u64, purpose: u64, device: usize) -> Self {
+        let mut state = splitmix64(&mut (seed ^ purpose)).wrapping_add(device as u64);
+        // Start one step in: each draw mixes the state two increments
+        // past the stream's base.
+        splitmix64(&mut state);
+        Stream(state)
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        splitmix64(self.state)
+        splitmix64(&mut self.0)
     }
 
     /// Bernoulli draw with probability `num / den`.
@@ -157,11 +117,10 @@ fn run_device(
 ) -> DeviceLifetime {
     let cfg = SurvivalConfig::default();
     let mut battery = BatteryState::from_model(model);
-    let mut link = Stream::new(splitmix64(seed ^ 0xA11CE).wrapping_add(device as u64));
-    let mut faults = Stream::new(splitmix64(seed ^ 0xB0B).wrapping_add(device as u64));
+    let mut link = Stream::new(seed, 0xA11CE, device);
+    let mut faults = Stream::new(seed, 0xB0B, device);
     // ±2 % manufacturing spread, permille, shared across policies.
-    let spread = Stream::new(splitmix64(seed ^ 0x5EED).wrapping_add(device as u64))
-        .range(980, 1021);
+    let spread = Stream::new(seed, 0x5EED, device).range(980, 1021);
 
     let mut policy = SurvivalPolicy::new(cfg, Version::Original);
     let mut bad_state = false;
@@ -292,7 +251,7 @@ fn sweep(
 
 /// Survival-enabled stressed mini-fleet, run at each thread count; the
 /// digest must not move with the schedule.
-fn digest_gate(seed: u64) -> Result<u64, String> {
+fn digest_gate(seed: u64) -> Result<u64, Failure> {
     let mut spec = FleetSpec::new(8, 30.0).with_seed(seed);
     spec.template = spec.template.with_reliability();
     spec.template.link.loss = Some(LossModel::GilbertElliott {
@@ -312,28 +271,25 @@ fn digest_gate(seed: u64) -> Result<u64, String> {
         &spec.template.config,
         spec.seed,
     )
-    .map_err(|e| format!("enrollment failed: {e}"))?;
-    let mut digest = None;
-    for threads in [1, 2, 8] {
-        let report = run_fleet_with_bank(&spec.clone().with_threads(threads), &models)
-            .map_err(|e| format!("fleet run failed at {threads} threads: {e}"))?;
-        match digest {
-            None => digest = Some(report.digest()),
-            Some(d) if d != report.digest() => {
-                return Err(format!(
-                    "digest drifted with thread count: {:#018x} at 1 thread vs {:#018x} at {threads}",
-                    d,
-                    report.digest()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(digest.unwrap_or(0))
+    .context("enrollment failed")?;
+    let pass = |threads| {
+        run_fleet_with_bank(&spec.clone().with_threads(threads), &models)
+            .context(format!("fleet run failed at {threads} threads"))
+    };
+    Ok(thread_gate(&[1, 2, 8], FleetReport::digest, pass)?[0].digest())
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let flags = Flags::parse("lifetime", "--devices N --seed N --scale smoke|paper --out PATH")?;
+    let devices = flags.get("--devices", 200)?;
+    let seed = flags.get("--seed", 0xF1EE7)?;
+    let scale = flags.choice("--scale", &[("smoke", Scale::Smoke), ("paper", Scale::Paper)])?;
+    let scale_name = if scale == Scale::Paper { "paper" } else { "smoke" };
+    let out: String = flags.get("--out", "results/BENCH_lifetime.json".into())?;
     let mut failures: Vec<String> = Vec::new();
 
     let model = EnergyModel::default();
@@ -351,29 +307,14 @@ fn main() {
 
     println!(
         "lifetime sweep: {} devices x 3 policies, {} s ticks, seed {}",
-        args.devices, TICK_S, args.seed
+        devices, TICK_S, seed
     );
-    let original = sweep(
+    let [original, reduced, adaptive] = [
         DeploymentPolicy::AlwaysOriginal,
-        args.devices,
-        args.seed,
-        &draw,
-        &model,
-    );
-    let reduced = sweep(
         DeploymentPolicy::AlwaysReduced,
-        args.devices,
-        args.seed,
-        &draw,
-        &model,
-    );
-    let adaptive = sweep(
         DeploymentPolicy::Adaptive,
-        args.devices,
-        args.seed,
-        &draw,
-        &model,
-    );
+    ]
+    .map(|policy| sweep(policy, devices, seed, &draw, &model));
     for (name, s) in [
         ("always-original", &original),
         ("always-reduced", &reduced),
@@ -417,19 +358,8 @@ fn main() {
 
     // Accuracy tradeoff: per-version detection accuracy (Amulet flavor)
     // weighted by the adaptive ladder's occupancy.
-    let scale = if args.paper_scale {
-        Scale::Paper
-    } else {
-        Scale::Smoke
-    };
-    println!("accuracy tradeoff (Table II machinery, {} scale):", if args.paper_scale { "paper" } else { "smoke" });
-    let rows = match run_table2(scale) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("accuracy evaluation failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    println!("accuracy tradeoff (Table II machinery, {scale_name} scale):");
+    let rows = run_table2(scale).context("accuracy evaluation failed")?;
     let mut version_acc = [0.0f64; 3];
     for row in rows
         .iter()
@@ -458,26 +388,14 @@ fn main() {
     }
 
     // Digest stability of the survival-enabled scenario fleet.
-    let digest = match digest_gate(args.seed) {
-        Ok(d) => {
-            println!("survival fleet digest {d:#018x} (identical at 1, 2, and 8 threads)");
-            d
-        }
-        Err(e) => {
-            eprintln!("lifetime bench: FAIL {e}");
-            std::process::exit(1);
-        }
-    };
+    let digest = digest_gate(seed).context("lifetime bench: FAIL")?;
+    println!("survival fleet digest {digest:#018x} (identical at 1, 2, and 8 threads)");
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"devices\": {},", args.devices);
-    let _ = writeln!(json, "  \"seed\": {},", args.seed);
+    let _ = writeln!(json, "  \"devices\": {},", devices);
+    let _ = writeln!(json, "  \"seed\": {},", seed);
     let _ = writeln!(json, "  \"tick_s\": {TICK_S},");
-    let _ = writeln!(
-        json,
-        "  \"accuracy_scale\": \"{}\",",
-        if args.paper_scale { "paper" } else { "smoke" }
-    );
+    let _ = writeln!(json, "  \"accuracy_scale\": \"{scale_name}\",");
     for (name, s) in [
         ("always_original", &original),
         ("always_reduced", &reduced),
@@ -509,18 +427,15 @@ fn main() {
     let _ = writeln!(json, "  \"snapshot_mismatches\": {total_mismatches},");
     let _ = writeln!(json, "  \"digest\": \"{digest:#018x}\"");
     json.push_str("}\n");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    println!("wrote {}", args.out);
+    write_artifact(&out, &json)?;
+    println!("wrote {out}");
 
     if failures.is_empty() {
         println!("lifetime bench: OK");
+        Ok(())
     } else {
-        for f in &failures {
-            eprintln!("lifetime bench: FAIL {f}");
-        }
-        std::process::exit(1);
+        let lines: Vec<String> =
+            failures.iter().map(|f| format!("lifetime bench: FAIL {f}")).collect();
+        fail(lines.join("\n"))
     }
 }

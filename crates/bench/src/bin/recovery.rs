@@ -13,59 +13,13 @@
 //! multi-threaded runs.
 
 use amulet_sim::nvram::{CheckpointStore, NVRAM_BYTES};
+use bench::{fail, splitmix64, thread_gate, Context, Failure, Flags};
 use physio_sim::subject::bank;
 use sift::trainer::ModelBank;
+use std::process::ExitCode;
 use std::time::Instant;
 use wiot::faults::{FaultEvent, FaultKind, FaultPlan};
 use wiot::fleet::{run_fleet_with_bank, FleetSpec};
-
-struct Args {
-    devices: usize,
-    cycles: usize,
-    threads: usize,
-    seed: u64,
-    duration_s: f64,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: recovery [--devices N] [--cycles N] [--threads N] [--seed N] [--duration SECONDS]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 50,
-        cycles: 22,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        seed: 0x5EED_B007,
-        duration_s: 30.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage() };
-        match flag.as_str() {
-            "--devices" => args.devices = value.parse().unwrap_or_else(|_| usage()),
-            "--cycles" => args.cycles = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--duration" => args.duration_s = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-/// splitmix64: the soak's only randomness source, so the whole plan is
-/// a pure function of `--seed`.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Build the seeded random power-cycle schedule: mostly plain brownout
 /// reboots, with torn commits (power fails mid-FRAM-write, at a random
@@ -75,22 +29,24 @@ fn soak_plan(seed: u64, cycles: usize, duration_s: f64) -> FaultPlan {
     let commit_seq = CheckpointStore::commit_sequence_len(sift::checkpoint::encoded_len(
         sift::features::Version::Simplified,
     ));
+    // The soak's only randomness source, so the whole plan is a pure
+    // function of `--seed`.
     let mut state = seed ^ 0xC4A5_5E77_0F0F_1234;
     let mut plan = FaultPlan::new();
     for _ in 0..cycles {
-        let frac = (mix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let frac = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         let t = 0.9 + frac * (duration_s - 1.8);
-        let kind = match mix(&mut state) % 10 {
+        let kind = match splitmix64(&mut state) % 10 {
             // Power fails partway through a commit: every cut offset in
             // the sequence is fair game.
             0 | 1 => FaultKind::TornCheckpoint {
-                cut_bytes: 1 + (mix(&mut state) as usize) % commit_seq,
+                cut_bytes: 1 + (splitmix64(&mut state) as usize) % commit_seq,
             },
             // A stray bit flip somewhere in the checkpoint region,
             // followed later by whatever reboot comes next.
             2 => FaultKind::CheckpointBitRot {
-                byte: (mix(&mut state) as usize) % NVRAM_BYTES,
-                bit: (mix(&mut state) % 8) as u8,
+                byte: (splitmix64(&mut state) as usize) % NVRAM_BYTES,
+                bit: (splitmix64(&mut state) % 8) as u8,
             },
             _ => FaultKind::DeviceReboot,
         };
@@ -103,55 +59,39 @@ fn soak_plan(seed: u64, cycles: usize, duration_s: f64) -> FaultPlan {
     plan
 }
 
-fn main() {
-    let args = parse_args();
-    let plan = soak_plan(args.seed, args.cycles, args.duration_s);
-    let power_cycles = plan
-        .events()
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                FaultKind::DeviceReboot | FaultKind::TornCheckpoint { .. }
-            )
-        })
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let spec = "--devices N --cycles N --threads N --seed N --duration SECONDS";
+    let flags = Flags::parse("recovery", spec)?;
+    let devices = flags.get("--devices", 50)?;
+    let cycles = flags.get("--cycles", 22)?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads: usize = flags.get("--threads", cores)?;
+    let seed = flags.get("--seed", 0x5EED_B007)?;
+    let duration_s = flags.get("--duration", 30.0)?;
+    let plan = soak_plan(seed, cycles, duration_s);
+    let power_cycles = plan.events().iter()
+        .filter(|e| matches!(e.kind, FaultKind::DeviceReboot | FaultKind::TornCheckpoint { .. }))
         .count();
-    let mut spec = FleetSpec::new(args.devices, args.duration_s).with_seed(args.seed);
+    let mut spec = FleetSpec::new(devices, duration_s).with_seed(seed);
     spec.template.faults = plan;
     println!(
-        "recovery soak: {} devices x {} fault events ({} power cycles/device, {} fleet-wide), seed {}",
-        args.devices,
-        args.cycles,
-        power_cycles,
-        power_cycles * args.devices,
-        args.seed
+        "recovery soak: {devices} devices x {cycles} fault events \
+         ({power_cycles} power cycles/device, {} fleet-wide), seed {seed}",
+        power_cycles * devices,
     );
 
-    let models = match ModelBank::train(
-        &bank(),
-        spec.template.version,
-        &spec.template.config,
-        spec.seed,
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("enrollment failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
+        .context("enrollment failed")?;
 
     let t0 = Instant::now();
-    let mut failed = false;
-    let mut digests = Vec::new();
-    for threads in [1, args.threads.max(2)] {
-        let run_spec = spec.clone().with_threads(threads);
-        let report = match run_fleet_with_bank(&run_spec, &models) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("FAIL: fleet run ({threads} threads) errored: {e}");
-                std::process::exit(1);
-            }
-        };
+    let mut failures = Vec::new();
+    let pass = |threads| {
+        let report = run_fleet_with_bank(&spec.clone().with_threads(threads), &models)
+            .context(format!("fleet run ({threads} threads) errored"))?;
         let f = &report.faults;
         println!(
             "  {threads:>2} threads: digest {:#018x}, reboots {}, recoveries {}, rollbacks {}, \
@@ -164,41 +104,39 @@ fn main() {
             report.windows_scored
         );
         if f.recovery_failures > 0 {
-            eprintln!("FAIL: {} recoveries were refused fleet-wide", f.recovery_failures);
-            failed = true;
+            let refused = f.recovery_failures;
+            failures.push(format!("FAIL: {refused} recoveries were refused fleet-wide"));
         }
         if f.recoveries != f.reboots {
-            eprintln!(
+            failures.push(format!(
                 "FAIL: {} reboots but only {} checkpoint recoveries",
                 f.reboots, f.recoveries
-            );
-            failed = true;
+            ));
         }
         if report.windows_scored == 0 {
-            eprintln!("FAIL: fleet stopped scoring windows under the soak");
-            failed = true;
+            failures.push("FAIL: fleet stopped scoring windows under the soak".into());
         }
         for d in &report.per_device {
             if d.faults.recovery_failures > 0 || d.faults.recoveries != d.faults.reboots {
-                eprintln!(
+                failures.push(format!(
                     "FAIL: device {} not operational at exit: {:?}",
                     d.device, d.faults
-                );
-                failed = true;
+                ));
             }
         }
-        digests.push(report.digest());
-    }
-    if digests.windows(2).any(|w| w[0] != w[1]) {
-        eprintln!("FAIL: report digest depends on the thread count: {digests:#x?}");
-        failed = true;
+        Ok(report)
+    };
+    if let Err(e) = thread_gate(&[1, threads.max(2)], |r| r.digest(), pass) {
+        failures.push(format!("FAIL: {e}"));
     }
     println!(
         "soak finished in {:.1} s wall: {}",
         t0.elapsed().as_secs_f64(),
-        if failed { "FAIL" } else { "ok" }
+        if failures.is_empty() { "ok" } else { "FAIL" }
     );
-    if failed {
-        std::process::exit(1);
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        fail(failures.join("\n"))
     }
 }

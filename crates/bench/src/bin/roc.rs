@@ -4,15 +4,20 @@
 //!
 //! Run: `cargo run --release -p bench --bin roc` (accepts `--smoke`).
 
-use bench::Scale;
+use bench::{Context, Failure, Scale};
 use physio_sim::subject::bank;
 use sift::analysis::{scored_evaluation, threshold_for_fpr};
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use sift::pipeline::{train_models, EvalProtocol};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let scale = Scale::parse("roc")?;
     let subjects: Vec<_> = bank().into_iter().take(scale.subject_count()).collect();
     let config = scale.config();
     let protocol = EvalProtocol::default();
@@ -23,7 +28,7 @@ fn main() {
         subjects.len()
     );
     for version in Version::ALL {
-        let models = train_models(&subjects, version, &config).expect("training");
+        let models = train_models(&subjects, version, &config).context("training failed")?;
         let ev = scored_evaluation(
             &subjects,
             &models,
@@ -31,7 +36,7 @@ fn main() {
             &config,
             &protocol,
         )
-        .expect("evaluation");
+        .context("evaluation failed")?;
         println!("=== {version} ===");
         println!("  mean per-subject AUC : {:.4}", ev.mean_auc);
         let aucs: Vec<String> = ev
@@ -53,4 +58,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -4,14 +4,21 @@
 //!
 //! Run: `cargo run --release -p bench --bin table1`
 
+use bench::{Failure, Flags};
 use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::{extract, Version};
 use sift::snippet::Snippet;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    Flags::parse("table1", "")?;
     let subjects = bank();
     let config = SiftConfig::default();
 
@@ -46,4 +53,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

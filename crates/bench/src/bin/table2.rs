@@ -9,10 +9,15 @@
 //! Run: `cargo run --release -p bench --bin table2` (add `--smoke` for a
 //! fast 4-subject / 1-minute-training variant).
 
-use bench::{format_table2, paper_table2_reference, run_table2, Scale};
+use bench::{format_table2, paper_table2_reference, run_table2, Context, Failure, Scale};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    let scale = Scale::parse("table2")?;
     println!(
         "TABLE II reproduction ({:?} scale: {} subjects, {:.0} s training)\n",
         scale,
@@ -20,15 +25,9 @@ fn main() {
         scale.config().train_s
     );
     let started = std::time::Instant::now();
-    match run_table2(scale) {
-        Ok(rows) => {
-            println!("{}", format_table2(&rows));
-            println!("{}", paper_table2_reference());
-            println!("\ncompleted in {:.1} s", started.elapsed().as_secs_f64());
-        }
-        Err(e) => {
-            eprintln!("experiment failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let rows = run_table2(scale).context("experiment failed")?;
+    println!("{}", format_table2(&rows));
+    println!("{}", paper_table2_reference());
+    eprintln!("completed in {:.1} s", started.elapsed().as_secs_f64());
+    Ok(())
 }

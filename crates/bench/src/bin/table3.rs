@@ -10,10 +10,17 @@
 //! Run: `cargo run --release -p bench --bin table3`
 
 use amulet_sim::profiler::{sift_app_spec, ResourceProfiler};
+use bench::{Failure, Flags};
 use sift::config::SiftConfig;
 use sift::features::Version;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::main(run)
+}
+
+fn run() -> Result<(), Failure> {
+    Flags::parse("table3", "")?;
     let config = SiftConfig::default();
     let profiler = ResourceProfiler::default();
 
@@ -58,4 +65,5 @@ fn main() {
          | simplified | FRAM 71.58 KB + 4.02 KB | SRAM 694 B + 259 B | 26 days |\n\
          | reduced    | FRAM 56.29 KB + 2.56 KB | SRAM 694 B +  69 B | 55 days |"
     );
+    Ok(())
 }

@@ -27,56 +27,16 @@
 use amulet_sim::costs::{detector_cycles, OpCosts};
 use amulet_sim::energy::EnergyModel;
 use amulet_sim::CPU_HZ;
+use bench::{fail, thread_gate, traced_session, write_artifact, Context, Failure, Flags};
 use physio_sim::subject::bank;
 use sift::features::Version;
 use sift::trainer::ModelBank;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 use telemetry::{CounterId, Stage, Telemetry};
-use wiot::fleet::{run_fleet_with_bank, FleetSpec};
-use wiot::scenario::{DeviceOptions, DeviceSim, Scenario};
-
-struct Args {
-    devices: usize,
-    duration_s: f64,
-    seed: u64,
-    iters: u64,
-    out_json: String,
-    out_trace: String,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: telemetry [--devices N] [--duration SECONDS] [--seed N] [--iters N] \
-         [--out-json PATH] [--out-trace PATH]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 6,
-        duration_s: 9.0,
-        seed: 11,
-        iters: 2_000_000,
-        out_json: "results/TELEMETRY_pipeline.json".to_string(),
-        out_trace: "results/TELEMETRY_trace.ndjson".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else { usage() };
-        match flag.as_str() {
-            "--devices" => args.devices = value.parse().unwrap_or_else(|_| usage()),
-            "--duration" => args.duration_s = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--iters" => args.iters = value.parse().unwrap_or_else(|_| usage()),
-            "--out-json" => args.out_json = value,
-            "--out-trace" => args.out_trace = value,
-            _ => usage(),
-        }
-    }
-    args
-}
+use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
+use wiot::scenario::Scenario;
 
 /// Time one record-hot-path iteration (a counter bump plus a stage
 /// span) against `tele`, in ns/op.
@@ -94,97 +54,57 @@ fn record_path_ns_per_op(tele: &mut Telemetry, iters: u64) -> f64 {
 /// Hard gate: the frozen fleet digest must be byte-identical with the
 /// sink off and on, at every thread count, and the merged telemetry
 /// must not depend on the thread count either.
-fn check_digest_invariance(args: &Args) -> (u64, f64) {
-    let spec = FleetSpec::new(args.devices, args.duration_s).with_seed(args.seed);
-    let models = match ModelBank::train(
-        &bank(),
-        spec.template.version,
-        &spec.template.config,
-        spec.seed,
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("enrollment failed: {e}");
-            std::process::exit(1);
-        }
+fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, f64), Failure> {
+    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
+        .context("enrollment failed")?;
+    let run = |threads: usize, telemetry_on: bool| -> Result<FleetReport, Failure> {
+        let run_spec = spec.clone().with_threads(threads).with_telemetry(telemetry_on);
+        let report = run_fleet_with_bank(&run_spec, &models)
+            .context(format!("fleet run failed ({threads} threads, telemetry {telemetry_on})"))?;
+        println!(
+            "  {} threads, telemetry {:>3}: digest {:#018x}",
+            threads,
+            if telemetry_on { "on" } else { "off" },
+            report.digest()
+        );
+        Ok(report)
     };
-
-    let mut digests = Vec::new();
-    let mut merged_reports = Vec::new();
-    for &threads in &[1usize, 2, 8] {
-        for &telemetry_on in &[false, true] {
-            let run_spec = spec
-                .clone()
-                .with_threads(threads)
-                .with_telemetry(telemetry_on);
-            let report = match run_fleet_with_bank(&run_spec, &models) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fleet run failed ({threads} threads, telemetry {telemetry_on}): {e}");
-                    std::process::exit(1);
-                }
-            };
-            println!(
-                "  {} threads, telemetry {:>3}: digest {:#018x}",
-                threads,
-                if telemetry_on { "on" } else { "off" },
-                report.digest()
-            );
-            digests.push(report.digest());
-            if telemetry_on {
-                merged_reports.push(report.telemetry.clone());
-            }
+    // Each pass runs the sink off, then on; the sink-on report is the pass.
+    let pass = |threads| {
+        let off = run(threads, false)?.digest();
+        let on = run(threads, true)?;
+        if off != on.digest() {
+            return fail(format!("FAIL: the telemetry sink moved the digest at {threads} threads"));
         }
+        Ok(on)
+    };
+    let passes = thread_gate(&[1, 2, 8], FleetReport::digest, pass).context("FAIL: fleet")?;
+    if passes.iter().any(|r| r.telemetry != passes[0].telemetry) {
+        return fail("FAIL: merged fleet telemetry is not thread-count-stable");
     }
-    if digests.windows(2).any(|w| w[0] != w[1]) {
-        eprintln!("FAIL: fleet digest changed across thread counts or telemetry settings");
-        std::process::exit(1);
-    }
-    if merged_reports.windows(2).any(|w| w[0] != w[1]) {
-        eprintln!("FAIL: merged fleet telemetry is not thread-count-stable");
-        std::process::exit(1);
-    }
-    let windows = merged_reports
-        .first()
-        .and_then(|r| r.as_ref())
-        .map_or(0.0, |r| r.counter(CounterId::WindowsEmitted) as f64);
-    (digests[0], windows)
+    let windows = passes[0].telemetry.as_ref().map(|r| r.counter(CounterId::WindowsEmitted) as f64);
+    Ok((passes[0].digest(), windows.unwrap_or(0.0)))
 }
 
-/// One traced single-device session for `version`: returns the final
-/// telemetry report (which carries the observed per-stage spans whose
-/// units are cost-model MSP430 cycles).
-fn traced_session(version: Version, seed: u64) -> (Scenario, telemetry::TelemetryReport) {
-    let mut scenario = Scenario::new(0, version, 30.0);
-    scenario.seed = seed;
-    let report = DeviceSim::with_options(
-        &scenario,
-        DeviceOptions {
-            telemetry: true,
-            ..DeviceOptions::default()
-        },
-    )
-    .and_then(DeviceSim::into_report)
-    .unwrap_or_else(|e| {
-        eprintln!("traced session for {version:?} failed: {e}");
-        std::process::exit(1);
-    });
-    let tele = report.telemetry.unwrap_or_else(|| {
-        eprintln!("traced session for {version:?} produced no telemetry");
-        std::process::exit(1);
-    });
-    (scenario, tele)
+fn main() -> ExitCode {
+    bench::main(run)
 }
 
-fn main() {
-    let args = parse_args();
+fn run() -> Result<(), Failure> {
+    let spec = "--devices N --duration SECONDS --seed N --iters N --out-json PATH --out-trace PATH";
+    let flags = Flags::parse("telemetry", spec)?;
+    let (devices, duration_s) = (flags.get("--devices", 6)?, flags.get("--duration", 9.0)?);
+    let iters = flags.get("--iters", 2_000_000)?;
+    let out_json: String = flags.get("--out-json", "results/TELEMETRY_pipeline.json".into())?;
+    let out_trace: String = flags.get("--out-trace", "results/TELEMETRY_trace.ndjson".into())?;
 
-    println!("digest invariance gate ({} devices x {:.0} s):", args.devices, args.duration_s);
-    let (digest, fleet_windows) = check_digest_invariance(&args);
+    println!("digest invariance gate ({devices} devices x {duration_s:.0} s):");
+    let spec = FleetSpec::new(devices, duration_s).with_seed(flags.get("--seed", 11)?);
+    let (digest, fleet_windows) = check_digest_invariance(&spec)?;
 
     // Overhead: disabled sink (the production default) vs enabled.
-    let disabled_ns = record_path_ns_per_op(&mut Telemetry::disabled(), args.iters);
-    let enabled_ns = record_path_ns_per_op(&mut Telemetry::enabled(), args.iters);
+    let disabled_ns = record_path_ns_per_op(&mut Telemetry::disabled(), iters);
+    let enabled_ns = record_path_ns_per_op(&mut Telemetry::enabled(), iters);
     println!(
         "record hot path: disabled {disabled_ns:.2} ns/op, enabled {enabled_ns:.2} ns/op"
     );
@@ -218,7 +138,9 @@ fn main() {
         .into_iter()
         .enumerate()
     {
-        let (scenario, tele) = traced_session(version, 0xC0FFEE + vi as u64);
+        let mut scenario = Scenario::new(0, version, 30.0);
+        scenario.seed = 0xC0FFEE + vi as u64;
+        let tele = traced_session(&scenario).context(format!("{version:?}"))?;
         let model = detector_cycles(version, &scenario.config, &OpCosts::default(), 4.0);
         let window_s = scenario.config.window_s;
         let total = model.total();
@@ -251,13 +173,12 @@ fn main() {
                 observed.mean_units()
             );
             if observed.spans > 0 && observed.mean_units() != cycles as u64 {
-                eprintln!(
+                return fail(format!(
                     "FAIL: {} observed mean {} cycles != model {} cycles",
                     stage.name(),
                     observed.mean_units(),
                     cycles as u64
-                );
-                std::process::exit(1);
+                ));
             }
             let _ = writeln!(
                 json,
@@ -280,18 +201,9 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("failed to create results/: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&args.out_json, &json) {
-        eprintln!("failed to write {}: {e}", args.out_json);
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&args.out_trace, &trace) {
-        eprintln!("failed to write {}: {e}", args.out_trace);
-        std::process::exit(1);
-    }
-    println!("\nwrote {} and {}", args.out_json, args.out_trace);
+    write_artifact(&out_json, &json)?;
+    write_artifact(&out_trace, &trace)?;
+    println!("\nwrote {out_json} and {out_trace}");
     println!("telemetry gates passed (digest {digest:#018x})");
+    Ok(())
 }

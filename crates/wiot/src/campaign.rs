@@ -46,8 +46,7 @@ use sift::zoo::train_backend;
 
 /// One attack class the campaign engine can stage. The first four are
 /// the paper's legacy vulnerability classes (§I), folded in from
-/// [`AttackMode`] behind the compatibility constructors below; the
-/// rest are campaign-only adversaries.
+/// [`AttackMode`]; the rest are campaign-only adversaries.
 ///
 /// A class is a *template*: it carries the class parameters but no
 /// recordings. [`AttackClass::materialize`] binds it to a concrete
@@ -100,26 +99,6 @@ pub enum AttackClass {
 }
 
 impl AttackClass {
-    /// Compatibility constructor for [`AttackMode::Substitute`].
-    pub fn substitution() -> Self {
-        AttackClass::Substitution
-    }
-
-    /// Compatibility constructor for [`AttackMode::Replay`].
-    pub fn replay(offset_s: f64) -> Self {
-        AttackClass::Replay { offset_s }
-    }
-
-    /// Compatibility constructor for [`AttackMode::Freeze`].
-    pub fn freeze() -> Self {
-        AttackClass::Freeze
-    }
-
-    /// Compatibility constructor for [`AttackMode::NoiseInject`].
-    pub fn noise_inject(amplitude_mv: f64) -> Self {
-        AttackClass::NoiseInject { amplitude_mv }
-    }
-
     /// Stable class index, `0..ATTACK_CLASS_COUNT`. Matches
     /// [`AttackMode::class_index`] of the materialized mode, which is
     /// what the per-class scoring ledger keys on.
@@ -675,11 +654,11 @@ mod tests {
     }
 
     #[test]
-    fn compat_constructors_cover_the_legacy_four() {
-        assert_eq!(AttackClass::substitution().index(), 0);
-        assert_eq!(AttackClass::replay(20.0).index(), 1);
-        assert_eq!(AttackClass::freeze().index(), 2);
-        assert_eq!(AttackClass::noise_inject(0.6).index(), 3);
+    fn legacy_four_classes_keep_their_indices() {
+        assert_eq!(AttackClass::Substitution.index(), 0);
+        assert_eq!(AttackClass::Replay { offset_s: 20.0 }.index(), 1);
+        assert_eq!(AttackClass::Freeze.index(), 2);
+        assert_eq!(AttackClass::NoiseInject { amplitude_mv: 0.6 }.index(), 3);
     }
 
     #[test]

@@ -97,10 +97,12 @@ baseline_gate() {
   fi
 }
 
-# Paper outputs: Table I, Fig. 3 and Table III are pure functions of the
-# seeded synthesis and the cost model. Each is committed as its binary's
-# stdout, so any drift fails.
-for paper_out in table1 fig3 table3; do
+# Paper outputs: Table I, Fig. 3, Table III, Table II, the ROC analysis,
+# the ablations and the attack taxonomy are pure functions of the seeded
+# synthesis, training and the cost model. Each is committed as its
+# binary's stdout at default flags (timings go to stderr), so any drift
+# fails.
+for paper_out in table1 fig3 table3 table2 roc ablation attacks; do
   baseline_gate "$paper_out" "" exact "results/$paper_out.txt" "target/verify/$paper_out.txt" \
     sh -c "cargo run --release -q -p bench --bin $paper_out > target/verify/$paper_out.txt" || true
 done
@@ -133,20 +135,11 @@ baseline_gate "fleet bench" digest warn \
 # exits nonzero if the slab digest differs between 1, 2, and 8 worker
 # threads or if the reorder window overflows its bound; the digest must
 # also match the committed baseline — it is a pure function of the
-# seed, device count, and duration. Throughput against the 10x target
-# is warn-only: wall-clock speedup is machine-dependent.
+# seed, device count, and duration. Timings are warn-only.
 xl_out=target/verify/BENCH_fleet_xl.json
-if baseline_gate "fleet_xl" slab_digest warn results/BENCH_fleet_xl.json "$xl_out" \
+baseline_gate "fleet_xl" slab_digest warn results/BENCH_fleet_xl.json "$xl_out" \
   cargo run --release -q -p bench --bin fleet_xl -- \
-    --devices 100000 --threads 8 --seed 61455 --duration 30 --out "$xl_out"; then
-  speedup=$(grep -o '"speedup_vs_resident_baseline": [0-9.]*' "$xl_out" \
-    | grep -o '[0-9.]*$' || echo 0)
-  if awk -v s="$speedup" 'BEGIN { exit !(s < 10.0) }'; then
-    echo "verify: WARN fleet_xl speedup ${speedup}x below the 10x target (wall-clock, machine-dependent)"
-  else
-    echo "verify: fleet_xl speedup ${speedup}x meets the 10x target"
-  fi
-fi
+    --devices 100000 --threads 8 --seed 61455 --duration 30 --out "$xl_out" || true
 
 # Survival-policy lifetime, diffed against the bin's own committed
 # default output, results/BENCH_lifetime.json. The bin itself exits
