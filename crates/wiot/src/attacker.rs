@@ -35,7 +35,7 @@ pub const ATTACK_CLASS_NAMES: [&str; ATTACK_CLASS_COUNT] = [
 ];
 
 /// What the adversary does to hijacked ECG packets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttackMode {
     /// Channel compromise: substitute another person's ECG (the paper's
     /// Table II attack).

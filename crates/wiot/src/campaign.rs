@@ -34,7 +34,7 @@ use crate::channel::LossModel;
 use crate::fleet::{
     device_seed, run_fleet_provisioned, DeviceProvision, FleetProvisioner, FleetReport, FleetSpec,
 };
-use crate::scenario::{AttackSpec, Scenario};
+use crate::scenario::{check_attack_interval, AttackSpec, Scenario};
 use crate::WiotError;
 use ml::BackendKind;
 use ml::DetectorModel;
@@ -143,36 +143,42 @@ impl AttackClass {
         donor: &Record,
         window_ms: u64,
     ) -> AttackMode {
+        self.materialize_with(|| victim_live.clone(), || donor.clone(), window_ms)
+    }
+
+    /// [`AttackClass::materialize`] over recordings produced on demand:
+    /// `live` runs only for the two replay classes, `donor` only for the
+    /// five donor classes, and neither for Freeze and NoiseInject.
+    fn materialize_with(
+        &self,
+        live: impl FnOnce() -> Record,
+        donor: impl FnOnce() -> Record,
+        window_ms: u64,
+    ) -> AttackMode {
         match *self {
-            AttackClass::Substitution => AttackMode::Substitute {
-                donor: donor.clone(),
-            },
+            AttackClass::Substitution => AttackMode::Substitute { donor: donor() },
             AttackClass::Replay { offset_s } => AttackMode::Replay {
                 offset_s,
-                source: victim_live.clone(),
+                source: live(),
             },
             AttackClass::Freeze => AttackMode::Freeze,
             AttackClass::NoiseInject { amplitude_mv } => AttackMode::NoiseInject { amplitude_mv },
             AttackClass::Mimicry { blend_permille } => AttackMode::Mimicry {
-                donor: donor.clone(),
+                donor: donor(),
                 blend_permille,
             },
             AttackClass::ReplaySnr { offset_s, snr_db } => AttackMode::ReplaySnr {
                 offset_s,
-                source: victim_live.clone(),
+                source: live(),
                 snr_db,
             },
             AttackClass::PartialWindow { coverage_permille } => AttackMode::PartialWindow {
-                donor: donor.clone(),
+                donor: donor(),
                 window_ms,
                 coverage_permille,
             },
-            AttackClass::Coordinated => AttackMode::Coordinated {
-                donor: donor.clone(),
-            },
-            AttackClass::Adaptive => AttackMode::Adaptive {
-                donor: donor.clone(),
-            },
+            AttackClass::Coordinated => AttackMode::Coordinated { donor: donor() },
+            AttackClass::Adaptive => AttackMode::Adaptive { donor: donor() },
         }
     }
 }
@@ -412,21 +418,27 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
         scenario.victim = victim;
         scenario.seed = device_seed(spec.seed, device);
 
-        // The victim's live session — synthesized with the same seed
-        // split the device itself uses, so a replay source really is
-        // the session under attack.
+        // Each recording is synthesized only if the class reads it;
+        // every record draws from its own seeded RNG, so one that is
+        // skipped changes nothing else. The victim's live session uses
+        // the same seed split the device itself uses, so a replay
+        // source really is the session under attack.
         let victim_subject = &self.subjects[victim];
-        let victim_live =
-            Record::synthesize(victim_subject, scenario.duration_s, scenario.seed ^ 0x11FE);
-        let donor_idx = self.donor_index(&wave.class, victim, scenario.seed);
-        let donor = Record::synthesize(
-            &self.subjects[donor_idx],
-            scenario.duration_s,
-            scenario.seed ^ 0xD00D,
-        );
         let window_ms = (scenario.config.window_s * 1000.0) as u64;
+        let mode = wave.class.materialize_with(
+            || Record::synthesize(victim_subject, scenario.duration_s, scenario.seed ^ 0x11FE),
+            || {
+                let donor_idx = self.donor_index(&wave.class, victim, scenario.seed);
+                Record::synthesize(
+                    &self.subjects[donor_idx],
+                    scenario.duration_s,
+                    scenario.seed ^ 0xD00D,
+                )
+            },
+            window_ms,
+        );
         scenario.attack = Some(AttackSpec {
-            mode: wave.class.materialize(&victim_live, &donor, window_ms),
+            mode,
             start_s: wave.start_s,
             end_s: wave.end_s,
         });
@@ -480,6 +492,9 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
         return Err(WiotError::InvalidScenario {
             reason: "campaign needs at least one non-empty wave",
         });
+    }
+    for w in &plan.waves {
+        check_attack_interval(w.start_s, w.end_s, plan.duration_s)?;
     }
 
     let subjects = population(plan.population_size, plan.population_seed);
@@ -626,6 +641,7 @@ mod tests {
 
     #[test]
     fn class_indices_align_with_attack_modes() {
+        use std::cell::Cell;
         let donor = Record::synthesize(&physio_sim::subject::bank()[1], 2.0, 9);
         let live = Record::synthesize(&physio_sim::subject::bank()[0], 2.0, 8);
         let all = [
@@ -644,13 +660,42 @@ mod tests {
             AttackClass::Coordinated,
             AttackClass::Adaptive,
         ];
-        assert_eq!(all.len(), ATTACK_CLASS_COUNT);
+        let mut reads = [(0u32, 0u32); ATTACK_CLASS_COUNT];
         for (i, class) in all.iter().enumerate() {
             assert_eq!(class.index(), i);
-            let mode = class.materialize(&live, &donor, 8000);
+            let (lives, donors) = (Cell::new(0u32), Cell::new(0u32));
+            let mode = class.materialize_with(
+                || {
+                    lives.set(lives.get() + 1);
+                    live.clone()
+                },
+                || {
+                    donors.set(donors.get() + 1);
+                    donor.clone()
+                },
+                8000,
+            );
+            reads[i] = (lives.get(), donors.get());
+            let eager = class.materialize(&live, &donor, 8000);
+            assert_eq!(mode, eager, "{}", class.name());
             assert_eq!(mode.class_index(), i, "{}", class.name());
             assert_eq!(mode.name(), class.name());
         }
+        // (live, donor) syntheses per class: 7 per nine devices, not 18.
+        assert_eq!(
+            reads,
+            [
+                (0, 1), // substitution
+                (1, 0), // replay
+                (0, 0), // freeze
+                (0, 0), // noise-inject
+                (0, 1), // mimicry
+                (1, 0), // replay-snr
+                (0, 1), // partial-window
+                (0, 1), // coordinated
+                (0, 1), // adaptive
+            ]
+        );
     }
 
     #[test]
@@ -705,7 +750,27 @@ mod tests {
                 waves: Vec::new(),
                 ..base.clone()
             },
-        ] {
+        ]
+        .into_iter()
+        .chain(
+            [
+                (8.0, f64::NAN),
+                (8.0, 8.0004),
+                (f64::NAN, 16.0),
+                (8.0, 24.5),
+            ]
+            .map(|(start_s, end_s)| CampaignPlan {
+                waves: vec![
+                    base.waves[0],
+                    AttackWave {
+                        start_s,
+                        end_s,
+                        ..base.waves[0]
+                    },
+                ],
+                ..base.clone()
+            }),
+        ) {
             assert!(
                 matches!(run_campaign(&bad), Err(WiotError::InvalidScenario { .. })),
                 "plan accepted: {bad:?}"

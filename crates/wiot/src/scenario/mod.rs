@@ -105,6 +105,25 @@ pub struct AttackSpec {
     pub end_s: f64,
 }
 
+/// Reject an attack interval `[start_s, end_s)` the attacker cannot
+/// run: a bound that is negative or not finite, an interval that is
+/// empty once truncated to the whole milliseconds `Source::new` arms
+/// the attacker with, or one that ends after `duration_s`.
+pub(crate) fn check_attack_interval(
+    start_s: f64,
+    end_s: f64,
+    duration_s: f64,
+) -> Result<(), WiotError> {
+    let finite_nonneg = start_s.is_finite() && end_s.is_finite() && start_s >= 0.0;
+    let nonempty = ((start_s * 1000.0) as u64) < ((end_s * 1000.0) as u64);
+    if finite_nonneg && nonempty && end_s <= duration_s {
+        return Ok(());
+    }
+    Err(WiotError::InvalidScenario {
+        reason: "attack interval must be non-empty and inside the session",
+    })
+}
+
 /// A full scenario description.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -318,9 +337,7 @@ impl DeviceSim {
     ) -> Result<Self, WiotError> {
         let invalid = |reason| Err(WiotError::InvalidScenario { reason });
         if let Some(a) = &scenario.attack {
-            if a.start_s >= a.end_s || a.end_s > scenario.duration_s {
-                return invalid("attack interval must be non-empty and inside the session");
-            }
+            check_attack_interval(a.start_s, a.end_s, scenario.duration_s)?;
         }
         scenario.faults.validate(scenario.duration_s)?;
 
@@ -872,13 +889,25 @@ mod tests {
     fn invalid_scenarios_rejected() {
         let mut s = Scenario::new(99, Version::Original, 10.0);
         assert!(run(&s).is_err());
-        s = Scenario::new(0, Version::Original, 10.0);
-        s.attack = Some(AttackSpec {
-            mode: AttackMode::Freeze,
-            start_s: 5.0,
-            end_s: 3.0,
-        });
-        assert!(run(&s).is_err());
+        // Reversed, NaN-bounded, and shorter than the attacker's 1 ms
+        // resolution: a typed error before the attacker is armed.
+        for (start_s, end_s) in [(5.0, 3.0), (8.0, f64::NAN), (8.0, 8.0004), (f64::NAN, 16.0)] {
+            s = Scenario::new(0, Version::Original, 24.0);
+            s.attack = Some(AttackSpec {
+                mode: AttackMode::Freeze,
+                start_s,
+                end_s,
+            });
+            assert!(
+                matches!(DeviceSim::new(&s), Err(WiotError::InvalidScenario { .. })),
+                "[{start_s}, {end_s}) accepted"
+            );
+        }
+        for (start_s, end_s) in [(-1.0, 16.0), (8.0, f64::INFINITY), (8.0, 24.5)] {
+            assert!(check_attack_interval(start_s, end_s, 24.0).is_err());
+        }
+        assert!(check_attack_interval(8.0, 8.01, 24.0).is_ok());
+        assert!(check_attack_interval(0.0, 24.0, 24.0).is_ok());
         s = Scenario::new(0, Version::Original, 10.0);
         s.faults = FaultPlan::new().with(FaultEvent {
             start_s: 50.0,

@@ -183,3 +183,67 @@ fn campaign_matrix_accounts_every_wave() {
         }
     }
 }
+
+/// `CampaignReport::digest` of [`nine_class_plan`], computed with
+/// eager provisioning (both recordings synthesized for every device).
+const NINE_CLASS_DIGEST: u64 = 0x5BE5_4E6A_88F7_BAF4;
+
+/// One device per attack class, all nine classes, at test scale.
+fn nine_class_plan() -> CampaignPlan {
+    let classes = [
+        AttackClass::Substitution,
+        AttackClass::Replay { offset_s: 6.0 },
+        AttackClass::Freeze,
+        AttackClass::NoiseInject { amplitude_mv: 0.6 },
+        AttackClass::Mimicry {
+            blend_permille: 700,
+        },
+        AttackClass::ReplaySnr {
+            offset_s: 6.0,
+            snr_db: 6.0,
+        },
+        AttackClass::PartialWindow {
+            coverage_permille: 600,
+        },
+        AttackClass::Coordinated,
+        AttackClass::Adaptive,
+    ];
+    CampaignPlan {
+        population_size: 10,
+        population_seed: 0xBEEF,
+        victim_pool: 2,
+        donors_per_victim: 2,
+        seed: 0x9C1A,
+        threads: 1,
+        backend: BackendKind::Svm,
+        version: Version::Simplified,
+        duration_s: 24.0,
+        waves: classes
+            .into_iter()
+            .map(|class| AttackWave {
+                class,
+                devices: 1,
+                start_s: 8.0,
+                end_s: 16.0,
+            })
+            .collect(),
+    }
+}
+
+/// Every attack class's provisioning is pinned: the nine-class digest
+/// covers the fleet digest and the per-class matrix, so a provisioning
+/// change that alters any class's recordings (the replay classes read
+/// the victim's live session, five classes read a donor) moves it.
+#[test]
+fn nine_class_campaign_digest_is_pinned() {
+    let r = run_campaign(&nine_class_plan()).unwrap();
+    for c in &r.classes {
+        assert_eq!(c.devices, 1);
+        assert!(c.windows_tp + c.windows_fn > 0, "a class scored nothing");
+    }
+    assert_eq!(
+        r.digest(),
+        NINE_CLASS_DIGEST,
+        "nine-class campaign digest moved"
+    );
+}
