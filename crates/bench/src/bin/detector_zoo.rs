@@ -25,21 +25,18 @@ use amulet_sim::machine::App as _;
 use amulet_sim::profiler::ResourceProfiler;
 use amulet_sim::CPU_HZ;
 use bench::{fail, traced_session, write_artifact, Context, Failure, Flags};
-use ml::metrics::{AveragedMetrics, ConfusionMatrix};
-use ml::{BackendKind, DetectorBackend, DetectorModel};
-use physio_sim::record::Record;
+use ml::metrics::AveragedMetrics;
+use ml::{BackendKind, DetectorBackend};
 use physio_sim::subject::{bank, Subject};
-use sift::attack::substitution_test_set;
 use sift::config::SiftConfig;
 use sift::detector::Detector;
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
-use sift::pipeline::{train_models, EvalProtocol};
-use sift::trainer::SiftModel;
+use sift::pipeline::{evaluate_detectors, train_models, EvalProtocol};
 use sift::zoo::{train_backend_for_subject, tsetlin_pairs};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use telemetry::Stage;
+use telemetry::{Stage, Telemetry};
 use wiot::scenario::Scenario;
 
 /// Smoke-scale protocol shared by every cell: 4 subjects, 1 minute of
@@ -72,55 +69,6 @@ struct ZooRow {
     observed_spans: u64,
 }
 
-/// Subject-averaged Amulet-flavor metrics for `kind` over the paper's
-/// substitution protocol, scoring through the deployed backend model.
-fn evaluate_backend(
-    subjects: &[Subject],
-    gold: &[SiftModel],
-    deployed: &[DetectorModel],
-    config: &SiftConfig,
-    protocol: &EvalProtocol,
-) -> Result<AveragedMetrics, Failure> {
-    let mut matrices = Vec::with_capacity(subjects.len());
-    for (i, subject) in subjects.iter().enumerate() {
-        let detector = Detector::with_backend(
-            gold[i].clone(),
-            deployed[i].clone(),
-            PlatformFlavor::Amulet,
-            config.clone(),
-        )
-        .context(format!("detector assembly failed for subject {i}"))?;
-        let victim_test = Record::synthesize(
-            subject,
-            protocol.test_s,
-            protocol.seed.wrapping_add(1000 + i as u64),
-        );
-        let donor_idx = (i + 1) % subjects.len();
-        let donor_test = Record::synthesize(
-            &subjects[donor_idx],
-            protocol.test_s,
-            protocol.seed.wrapping_add(5000 + donor_idx as u64),
-        );
-        let test_set = substitution_test_set(
-            &victim_test,
-            &donor_test,
-            config.window_s,
-            protocol.altered_fraction,
-            protocol.seed.wrapping_add(9000 + i as u64),
-        )
-        .context(format!("test-set assembly failed for subject {i}"))?;
-        let mut matrix = ConfusionMatrix::default();
-        for w in &test_set {
-            let d = detector
-                .classify(&w.snippet)
-                .context(format!("classification failed for subject {i}"))?;
-            matrix.record(w.truth, d.label);
-        }
-        matrices.push(matrix);
-    }
-    AveragedMetrics::from_matrices(&matrices).ok_or("no subjects").context("backend evaluation")
-}
-
 fn main() -> ExitCode {
     bench::main(run)
 }
@@ -141,17 +89,26 @@ fn run() -> Result<(), Failure> {
             // of the cell's backend family does the device-side scoring.
             let gold = train_models(&subjects, version, &config)
                 .context(format!("gold training failed for {version:?}"))?;
-            let deployed = (0..subjects.len())
-                .map(|i| {
-                    train_backend_for_subject(&subjects, i, version, kind, &config, config.seed)
-                        .context(format!("{kind:?} training failed for subject {i}"))
+            let detectors = gold
+                .into_iter()
+                .enumerate()
+                .map(|(i, gold)| {
+                    let deployed =
+                        train_backend_for_subject(&subjects, i, version, kind, &config, config.seed)
+                            .context(format!("{kind:?} training failed for subject {i}"))?;
+                    Detector::with_backend(gold, deployed, PlatformFlavor::Amulet, config.clone())
+                        .context(format!("detector assembly failed for subject {i}"))
                 })
-                .collect::<Result<Vec<DetectorModel>, Failure>>()?;
-            let metrics = evaluate_backend(&subjects, &gold, &deployed, &config, &protocol)?;
+                .collect::<Result<Vec<Detector>, Failure>>()?;
+            let mut untraced = Telemetry::disabled();
+            let metrics = evaluate_detectors(&subjects, &detectors, &protocol, &mut untraced)
+                .context("backend evaluation failed")?
+                .averaged;
+            let deployed = detectors[0].deployed();
 
             // Static footprint + energy through the same app spec the
             // simulator deploys (name, cycles, and model bytes included).
-            let app = SiftApp::new(version, deployed[0].clone(), config.clone())
+            let app = SiftApp::new(version, deployed.clone(), config.clone())
                 .context(format!("app assembly failed for {kind:?} {version:?}"))?;
             let spec = app.resource_spec();
             let profile = profiler.profile(&[&spec]);
@@ -188,7 +145,7 @@ fn run() -> Result<(), Failure> {
                 backend: kind,
                 version,
                 metrics,
-                model_bytes: deployed[0].footprint_bytes(),
+                model_bytes: deployed.footprint_bytes(),
                 app_fram_bytes: profile.app_fram_bytes,
                 app_sram_bytes: profile.app_sram_bytes,
                 system_fram_bytes: profile.system_fram_bytes,

@@ -33,3 +33,15 @@ fn unknown_flag_exits_2_with_usage_and_writes_nothing() {
         assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "{name} wrote into {cwd:?}");
     }
 }
+
+#[test]
+fn degenerate_fleet_duration_exits_1() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--devices", "1", "--duration", "inf"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("session length must be finite and positive"), "{stderr}");
+}

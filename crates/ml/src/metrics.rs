@@ -204,6 +204,20 @@ pub fn roc_curve(scored: &[(f64, Label)]) -> Option<Vec<RocPoint>> {
     Some(points)
 }
 
+/// The point of `curve` whose FP rate does not exceed `max_fpr` with
+/// the highest TP rate. Returns `None` if no point qualifies.
+pub fn threshold_for_fpr(curve: &[RocPoint], max_fpr: f64) -> Option<RocPoint> {
+    curve
+        .iter()
+        .filter(|p| p.fpr <= max_fpr)
+        .max_by(|a, b| {
+            a.tpr
+                .partial_cmp(&b.tpr)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .copied()
+}
+
 /// Averages of the four Table II metrics over a set of per-subject
 /// confusion matrices (the paper reports per-subject averages).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -309,6 +323,35 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!sample().to_string().is_empty());
+    }
+
+    #[test]
+    fn threshold_selection_respects_fpr_budget() {
+        let curve = vec![
+            RocPoint {
+                threshold: -1.0,
+                fpr: 1.0,
+                tpr: 1.0,
+            },
+            RocPoint {
+                threshold: 0.0,
+                fpr: 0.2,
+                tpr: 0.9,
+            },
+            RocPoint {
+                threshold: 0.5,
+                fpr: 0.05,
+                tpr: 0.7,
+            },
+            RocPoint {
+                threshold: 1.0,
+                fpr: 0.0,
+                tpr: 0.4,
+            },
+        ];
+        let p = threshold_for_fpr(&curve, 0.1).unwrap();
+        assert_eq!(p.threshold, 0.5);
+        assert!(threshold_for_fpr(&curve, -0.1).is_none());
     }
 
     #[test]

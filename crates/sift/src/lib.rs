@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod attack;
 pub mod checkpoint;
 pub mod config;

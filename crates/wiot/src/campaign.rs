@@ -34,7 +34,7 @@ use crate::channel::LossModel;
 use crate::fleet::{
     device_seed, run_fleet_provisioned, DeviceProvision, FleetProvisioner, FleetReport, FleetSpec,
 };
-use crate::scenario::{check_attack_interval, AttackSpec, Scenario};
+use crate::scenario::{check_attack_interval, check_duration, AttackSpec, Scenario};
 use crate::WiotError;
 use ml::BackendKind;
 use ml::DetectorModel;
@@ -473,6 +473,7 @@ impl FleetProvisioner for CampaignProvisioner<'_> {
 /// Returns [`WiotError::InvalidScenario`] for an inconsistent plan and
 /// propagates training and simulation errors.
 pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, WiotError> {
+    check_duration(plan.duration_s)?;
     if plan.population_size == 0 {
         return Err(WiotError::InvalidScenario {
             reason: "campaign population must be non-empty",
@@ -752,6 +753,10 @@ mod tests {
             },
         ]
         .into_iter()
+        .chain([f64::NAN, f64::INFINITY, 0.0, -5.0].map(|duration_s| CampaignPlan {
+            duration_s,
+            ..base.clone()
+        }))
         .chain(
             [
                 (8.0, f64::NAN),

@@ -92,11 +92,6 @@ pub enum CorruptionMode {
     /// A bit-flip in the float payload surfaces as NaN (the detector
     /// must treat the window as degenerate, not classify it).
     BitFlipNan,
-    /// Samples clip to the ADC rail.
-    Clip {
-        /// Rail magnitude the samples clip to.
-        rail: f64,
-    },
 }
 
 /// Full link configuration.
@@ -333,10 +328,6 @@ impl Channel {
         let idx = self.rng.gen_range(0..packet.samples.len());
         match self.config.corruption {
             CorruptionMode::BitFlipNan => packet.samples[idx] = f64::NAN,
-            CorruptionMode::Clip { rail } => {
-                let sign = if packet.samples[idx] < 0.0 { -1.0 } else { 1.0 };
-                packet.samples[idx] = sign * rail;
-            }
         }
         true
     }
@@ -610,23 +601,6 @@ mod tests {
         let d = ch.transmit(0, packet(0));
         assert!(d[0].packet.samples.iter().any(|s| s.is_nan()));
         assert_eq!(ch.stats().corrupted, 1);
-    }
-
-    #[test]
-    fn corruption_clip_respects_rail() {
-        let mut ch = Channel::with_config(
-            ChannelConfig {
-                corrupt_prob: 1.0,
-                corruption: CorruptionMode::Clip { rail: 3.3 },
-                ..ChannelConfig::default()
-            },
-            6,
-        )
-        .unwrap();
-        let mut p = packet(0);
-        p.samples = vec![0.5; 8];
-        let d = ch.transmit(0, p);
-        assert!(d[0].packet.samples.contains(&3.3));
     }
 
     #[test]

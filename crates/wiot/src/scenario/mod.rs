@@ -124,6 +124,17 @@ pub(crate) fn check_attack_interval(
     })
 }
 
+/// Reject a session length that is not finite and positive: the
+/// recordings behind it could never be synthesized.
+pub(crate) fn check_duration(duration_s: f64) -> Result<(), WiotError> {
+    if duration_s.is_finite() && duration_s > 0.0 {
+        return Ok(());
+    }
+    Err(WiotError::InvalidScenario {
+        reason: "session length must be finite and positive",
+    })
+}
+
 /// A full scenario description.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -336,6 +347,7 @@ impl DeviceSim {
         options: DeviceOptions<'_>,
     ) -> Result<Self, WiotError> {
         let invalid = |reason| Err(WiotError::InvalidScenario { reason });
+        check_duration(scenario.duration_s)?;
         if let Some(a) = &scenario.attack {
             check_attack_interval(a.start_s, a.end_s, scenario.duration_s)?;
         }
@@ -889,6 +901,13 @@ mod tests {
     fn invalid_scenarios_rejected() {
         let mut s = Scenario::new(99, Version::Original, 10.0);
         assert!(run(&s).is_err());
+        for duration_s in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            s = Scenario::new(0, Version::Original, duration_s);
+            assert!(
+                matches!(DeviceSim::new(&s), Err(WiotError::InvalidScenario { .. })),
+                "{duration_s} s session accepted"
+            );
+        }
         // Reversed, NaN-bounded, and shorter than the attacker's 1 ms
         // resolution: a typed error before the attacker is armed.
         for (start_s, end_s) in [(5.0, 3.0), (8.0, f64::NAN), (8.0, 8.0004), (f64::NAN, 16.0)] {

@@ -64,14 +64,14 @@ cargo run --release -q -p bench --bin recovery -- --threads 8
 # <mode> decides the rest of the file: `exact` fails on any drift,
 # `warn` prints drift as a warning (wall-clock fields legitimately differ
 # between machines and runs). The command must exit zero. A missing
-# baseline skips the gate with a warning and returns 1.
+# baseline fails the run.
 mkdir -p target/verify
 baseline_gate() {
   local name=$1 key=$2 mode=$3 baseline=$4 out=$5
   shift 5
   if [[ ! -f "$baseline" ]]; then
-    echo "verify: WARN no $name baseline at $baseline; skipping gate"
-    return 1
+    echo "verify: FAIL no $name baseline at $baseline"
+    exit 1
   fi
   "$@" >/dev/null || { echo "verify: FAIL $name run exited nonzero"; exit 1; }
   local base_digest="" new_digest=""
@@ -104,7 +104,7 @@ baseline_gate() {
 # fails.
 for paper_out in table1 fig3 table3 table2 roc ablation attacks; do
   baseline_gate "$paper_out" "" exact "results/$paper_out.txt" "target/verify/$paper_out.txt" \
-    sh -c "cargo run --release -q -p bench --bin $paper_out > target/verify/$paper_out.txt" || true
+    sh -c "cargo run --release -q -p bench --bin $paper_out > target/verify/$paper_out.txt"
 done
 
 # Telemetry gates: the bin exits nonzero if enabling the sink perturbs
@@ -119,9 +119,9 @@ tele_trace=target/verify/TELEMETRY_trace.ndjson
 cargo run --release -q -p bench --bin telemetry -- \
   --out-json "$tele_json" --out-trace "$tele_trace"
 baseline_gate "telemetry trace" "" exact \
-  results/TELEMETRY_trace.ndjson "$tele_trace" true || true
+  results/TELEMETRY_trace.ndjson "$tele_trace" true
 baseline_gate "telemetry pipeline" fleet_digest warn \
-  results/TELEMETRY_pipeline.json "$tele_json" true || true
+  results/TELEMETRY_pipeline.json "$tele_json" true
 
 # Fleet throughput with the baseline's parameters. The report digest
 # is hard-gated; timings are warn-only.
@@ -129,7 +129,7 @@ baseline_gate "fleet bench" digest warn \
   results/BENCH_fleet_baseline.json target/verify/BENCH_fleet.json \
   cargo run --release -q -p bench --bin fleet -- \
     --devices 100 --threads 8 --seed 61455 --duration 30 \
-    --out target/verify/BENCH_fleet.json || true
+    --out target/verify/BENCH_fleet.json
 
 # Slab streaming engine: the 100k-device fleet_xl bench. The bin itself
 # exits nonzero if the slab digest differs between 1, 2, and 8 worker
@@ -139,7 +139,7 @@ baseline_gate "fleet bench" digest warn \
 xl_out=target/verify/BENCH_fleet_xl.json
 baseline_gate "fleet_xl" slab_digest warn results/BENCH_fleet_xl.json "$xl_out" \
   cargo run --release -q -p bench --bin fleet_xl -- \
-    --devices 100000 --threads 8 --seed 61455 --duration 30 --out "$xl_out" || true
+    --devices 100000 --threads 8 --seed 61455 --duration 30 --out "$xl_out"
 
 # Survival-policy lifetime, diffed against the bin's own committed
 # default output, results/BENCH_lifetime.json. The bin itself exits
@@ -151,7 +151,7 @@ baseline_gate "fleet_xl" slab_digest warn results/BENCH_fleet_xl.json "$xl_out" 
 baseline_gate "lifetime bench" digest exact \
   results/BENCH_lifetime.json target/verify/BENCH_lifetime.json \
   cargo run --release -q -p bench --bin lifetime -- \
-    --out target/verify/BENCH_lifetime.json || true
+    --out target/verify/BENCH_lifetime.json
 
 # Detector-zoo report: the backend x flavor comparison. Every field is
 # derived from seeded training, the cost model, and the resource
@@ -161,7 +161,7 @@ baseline_gate "lifetime bench" digest exact \
 baseline_gate "detector zoo" "" exact \
   results/DETECTOR_zoo.json target/verify/DETECTOR_zoo.json \
   cargo run --release -q -p bench --bin detector_zoo -- \
-    --out target/verify/DETECTOR_zoo.json || true
+    --out target/verify/DETECTOR_zoo.json
 
 # Adversary campaign: the per-attack-class detection matrix (population
 # x backend cells, each digest-checked at 1/2/8 threads inside the
@@ -170,6 +170,6 @@ baseline_gate "detector zoo" "" exact \
 baseline_gate "campaign matrix" "" exact \
   results/BENCH_campaign.json target/verify/BENCH_campaign.json \
   cargo run --release -q -p bench --bin campaign -- \
-    --out target/verify/BENCH_campaign.json || true
+    --out target/verify/BENCH_campaign.json
 
 echo "verify: OK"

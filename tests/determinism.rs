@@ -5,8 +5,8 @@ use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
-use sift::pipeline::{evaluate, EvalProtocol};
 use sift::flavor::PlatformFlavor;
+use sift::pipeline::{evaluate, evaluate_with_models, train_models, EvalProtocol};
 use sift::trainer::train_for_subject;
 use wiot::scenario::{run, Scenario};
 
@@ -50,6 +50,41 @@ fn full_evaluation_is_reproducible() {
     let a = evaluate(subjects, Version::Reduced, PlatformFlavor::Amulet, &cfg, &p).unwrap();
     let b = evaluate(subjects, Version::Reduced, PlatformFlavor::Amulet, &cfg, &p).unwrap();
     assert_eq!(a, b);
+}
+
+/// One smoke-scale Table II cell pinned to its values: 2 subjects,
+/// `Reduced`, both flavors. The per-subject confusion matrices and an
+/// FNV-1a hash over every window's `score.to_bits()` (Gold then Amulet,
+/// subjects and windows in replay order) move only if the protocol,
+/// training or scoring changed.
+#[test]
+fn smoke_table2_reduced_cell_is_pinned() {
+    let subjects = &bank()[..2];
+    let cfg = quick_config();
+    let p = EvalProtocol::default();
+    let models = train_models(subjects, Version::Reduced, &cfg).unwrap();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut matrices = Vec::new();
+    for flavor in [PlatformFlavor::Gold, PlatformFlavor::Amulet] {
+        let r = evaluate_with_models(subjects, &models, flavor, &cfg, &p).unwrap();
+        for s in &r.per_subject {
+            let m = s.matrix;
+            matrices.push((flavor, s.subject.to_string(), [m.tp, m.fp, m.tn, m.fn_]));
+            for (score, _) in &s.scored {
+                for b in score.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+    }
+    let expected = [
+        (PlatformFlavor::Gold, "s00".to_string(), [17, 0, 20, 3]),
+        (PlatformFlavor::Gold, "s01".to_string(), [13, 0, 20, 7]),
+        (PlatformFlavor::Amulet, "s00".to_string(), [17, 0, 20, 3]),
+        (PlatformFlavor::Amulet, "s01".to_string(), [13, 0, 20, 7]),
+    ];
+    assert_eq!(matrices, expected, "[tp, fp, tn, fn] per subject");
+    assert_eq!(hash, 0x354d_397d_6457_4320, "per-window score hash");
 }
 
 #[test]
