@@ -93,8 +93,10 @@ impl std::fmt::Display for Version {
 ///
 /// # Errors
 ///
-/// Returns [`SiftError::DegenerateSignal`] if the snippet cannot form a
-/// portrait and propagates configuration errors from the grid.
+/// Returns [`SiftError::InvalidSnippet`] for a hand-built snippet that
+/// breaks [`Snippet::new`]'s invariants, [`SiftError::DegenerateSignal`]
+/// if the snippet cannot form a portrait, and propagates configuration
+/// errors from the grid.
 pub fn extract(
     version: Version,
     snippet: &Snippet,

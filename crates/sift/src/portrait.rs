@@ -53,10 +53,13 @@ impl Portrait {
     ///
     /// # Errors
     ///
-    /// Returns [`SiftError::DegenerateSignal`] if either channel is
-    /// constant or non-finite (a flat-lined or saturated sensor cannot
-    /// form a portrait).
+    /// Returns [`SiftError::InvalidSnippet`] for a hand-built snippet
+    /// that breaks [`Snippet::new`]'s invariants, and
+    /// [`SiftError::DegenerateSignal`] if either channel is constant or
+    /// non-finite (a flat-lined or saturated sensor cannot form a
+    /// portrait).
     pub fn from_snippet(snippet: &Snippet) -> Result<Self, SiftError> {
+        snippet.check()?;
         let a = dsp::normalize::min_max(&snippet.abp)?;
         let e = dsp::normalize::min_max(&snippet.ecg)?;
         let points: Vec<(f64, f64)> = a.iter().copied().zip(e.iter().copied()).collect();

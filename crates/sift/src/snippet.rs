@@ -37,35 +37,45 @@ impl Snippet {
         r_peaks: Vec<usize>,
         sys_peaks: Vec<usize>,
     ) -> Result<Self, SiftError> {
-        if ecg.is_empty() {
-            return Err(SiftError::InvalidSnippet {
-                reason: "channels are empty",
-            });
-        }
-        if ecg.len() != abp.len() {
-            return Err(SiftError::InvalidSnippet {
-                reason: "ecg and abp lengths differ",
-            });
-        }
-        let sorted_in_range = |peaks: &[usize], len: usize| {
-            peaks.windows(2).all(|w| w[0] < w[1]) && peaks.iter().all(|&p| p < len)
-        };
-        if !sorted_in_range(&r_peaks, ecg.len()) {
-            return Err(SiftError::InvalidSnippet {
-                reason: "r peaks unsorted or out of range",
-            });
-        }
-        if !sorted_in_range(&sys_peaks, abp.len()) {
-            return Err(SiftError::InvalidSnippet {
-                reason: "systolic peaks unsorted or out of range",
-            });
-        }
-        Ok(Self {
+        let snippet = Self {
             ecg,
             abp,
             r_peaks,
             sys_peaks,
-        })
+        };
+        snippet.check()?;
+        Ok(snippet)
+    }
+
+    /// The invariants [`Snippet::new`] enforces. The fields are public,
+    /// so every feature extractor re-checks them: a hand-built snippet
+    /// gets a typed error instead of an index panic or a silent
+    /// truncation to the shorter channel.
+    pub(crate) fn check(&self) -> Result<(), SiftError> {
+        if self.ecg.is_empty() {
+            return Err(SiftError::InvalidSnippet {
+                reason: "channels are empty",
+            });
+        }
+        if self.ecg.len() != self.abp.len() {
+            return Err(SiftError::InvalidSnippet {
+                reason: "ecg and abp lengths differ",
+            });
+        }
+        let sorted_in_range = |peaks: &[usize]| {
+            peaks.windows(2).all(|w| w[0] < w[1]) && peaks.iter().all(|&p| p < self.ecg.len())
+        };
+        if !sorted_in_range(&self.r_peaks) {
+            return Err(SiftError::InvalidSnippet {
+                reason: "r peaks unsorted or out of range",
+            });
+        }
+        if !sorted_in_range(&self.sys_peaks) {
+            return Err(SiftError::InvalidSnippet {
+                reason: "systolic peaks unsorted or out of range",
+            });
+        }
+        Ok(())
     }
 
     /// Build from a (windowed) [`Record`], trusting its ground-truth peak
@@ -176,6 +186,48 @@ mod tests {
         assert!(Snippet::new(vec![0.0; 10], vec![0.0; 10], vec![10], vec![]).is_err());
         assert!(Snippet::new(vec![0.0; 10], vec![0.0; 10], vec![5, 5], vec![]).is_err());
         assert!(Snippet::new(vec![0.0; 10], vec![0.0; 10], vec![], vec![3, 2]).is_err());
+    }
+
+    /// Every extractor's answer for a hand-built snippet, all versions.
+    fn extractor_errors(sn: &Snippet) -> Vec<SiftError> {
+        let cfg = crate::config::SiftConfig::default();
+        let mut out = vec![crate::flavor::extract_reduced_q16(sn).unwrap_err()];
+        for v in crate::features::Version::ALL {
+            out.push(crate::features::extract(v, sn, &cfg).unwrap_err());
+            out.push(crate::flavor::extract_amulet_f32(v, sn, &cfg).unwrap_err());
+        }
+        out
+    }
+
+    #[test]
+    fn hand_built_peak_past_the_window_is_a_typed_error() {
+        let mut r_past = sample_snippet();
+        r_past.r_peaks.push(r_past.len());
+        let mut sys_past = sample_snippet();
+        sys_past.sys_peaks.push(sys_past.len() + 4000);
+        for sn in [r_past, sys_past] {
+            for e in extractor_errors(&sn) {
+                assert!(matches!(e, SiftError::InvalidSnippet { .. }), "{e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_unequal_channels_are_a_typed_error() {
+        let mut short_abp = sample_snippet();
+        short_abp.abp.truncate(1000);
+        let mut short_ecg = sample_snippet();
+        short_ecg.ecg.truncate(1000);
+        for sn in [short_abp, short_ecg] {
+            for e in extractor_errors(&sn) {
+                assert_eq!(
+                    e,
+                    SiftError::InvalidSnippet {
+                        reason: "ecg and abp lengths differ"
+                    }
+                );
+            }
+        }
     }
 
     #[test]

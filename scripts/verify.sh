@@ -21,31 +21,32 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace static analysis: embedded-profile, determinism, call-graph,
 # and budget invariants, with warnings promoted to failures. Also
-# regenerates results/ANALYZER_footprint.json — including the certified
-# worst-case stack section, which is diffed against the committed copy
-# below: a moved stack bound is a real behaviour change (new call edge,
-# new frame) and must be reviewed like any other baseline. An entry's
-# "line" field is left out of the comparison: it moves whenever code
-# above the entry function is edited, with no change to bytes, frames
-# or chain.
+# regenerates results/ANALYZER_footprint.json, which is diffed whole
+# against the committed copy below: the per-flavor FRAM and SRAM
+# budgets, the model, checkpoint and slab sizes, and the certified
+# worst-case stack section. A moved figure is a real behaviour change
+# (a bigger model, a new call edge, a new frame) and must be reviewed
+# like any other baseline. An entry's "line" field is left out of the
+# comparison: it moves whenever code above the entry function is
+# edited, with no change to bytes, frames or chain.
 footprint=results/ANALYZER_footprint.json
-stack_section() {
-  sed -n '/"stack": {/,/^  }/p' "$footprint" | grep -v '^ *"line": [0-9]*,$'
+footprint_body() {
+  grep -v '^ *"line": [0-9]*,$' "$footprint"
 }
-stack_before=""
+footprint_before=""
 if [[ -f "$footprint" ]]; then
-  stack_before=$(stack_section)
+  footprint_before=$(footprint_body)
 fi
 cargo run -q -p analyzer -- --deny warnings
-if [[ -n "$stack_before" ]]; then
-  stack_after=$(stack_section)
-  if [[ "$stack_before" != "$stack_after" ]]; then
-    echo "verify: FAIL certified worst-case stack drifted in $footprint:"
-    diff -u <(printf '%s\n' "$stack_before") <(printf '%s\n' "$stack_after") || true
-    echo "verify: review the new call chain; commit the regenerated footprint if intended"
+if [[ -n "$footprint_before" ]]; then
+  footprint_after=$(footprint_body)
+  if [[ "$footprint_before" != "$footprint_after" ]]; then
+    echo "verify: FAIL analyzer footprint drifted in $footprint:"
+    diff -u <(printf '%s\n' "$footprint_before") <(printf '%s\n' "$footprint_after") || true
+    echo "verify: review the change; commit the regenerated footprint if intended"
     exit 1
   fi
-  echo "verify: certified stack section matches committed footprint"
+  echo "verify: analyzer footprint matches committed copy"
 fi
 
 # Crash-recovery soak: 50 devices x ~21 seeded random power cycles

@@ -1,12 +1,14 @@
 //! Reproducibility guarantees: every layer of the stack is a pure
 //! function of its seeds.
 
+use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
-use sift::flavor::PlatformFlavor;
+use sift::flavor::{extract_amulet_f32, PlatformFlavor};
 use sift::pipeline::{evaluate, evaluate_with_models, train_models, EvalProtocol};
+use sift::snippet::Snippet;
 use sift::trainer::train_for_subject;
 use wiot::scenario::{run, Scenario};
 
@@ -85,6 +87,34 @@ fn smoke_table2_reduced_cell_is_pinned() {
     ];
     assert_eq!(matrices, expected, "[tp, fp, tn, fn] per subject");
     assert_eq!(hash, 0x354d_397d_6457_4320, "per-window score hash");
+}
+
+/// The embedded extractor pinned to its bits: an FNV-1a hash over the
+/// `to_bits()` of every feature `extract_amulet_f32` returns, for all
+/// three versions, over four 3 s windows of each of the 12 bank
+/// subjects (12 s records, seed `100 + subject`). It moves only if the
+/// device's ADC law, normalization, grid or feature arithmetic changed.
+#[test]
+fn embedded_features_are_pinned() {
+    let cfg = SiftConfig::default();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut count = 0;
+    for (i, subject) in bank().iter().enumerate() {
+        let record = Record::synthesize(subject, 12.0, 100 + i as u64);
+        for w in windows(&record, 3.0).unwrap() {
+            let snippet = Snippet::from_record(&w).unwrap();
+            for v in Version::ALL {
+                for f in extract_amulet_f32(v, &snippet, &cfg).unwrap() {
+                    for b in f.to_bits().to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                    count += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(count, 12 * 4 * (8 + 8 + 5));
+    assert_eq!(hash, 0x156e_dd36_e6ca_decb, "embedded feature hash");
 }
 
 #[test]
