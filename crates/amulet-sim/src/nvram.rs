@@ -63,9 +63,8 @@ pub const MAX_PAYLOAD_BYTES: usize = SLOT_BYTES - HEADER_BYTES;
 pub const MAGIC: u32 = 0x4B50_4331;
 
 /// The slot CRC over generation‖length‖payload, fed field by field
-/// through the workspace's bitwise, table-free CRC-32 (the device would
-/// trade 1 KB of FRAM for a lookup table; the simulator keeps the
-/// footprint honest).
+/// through the workspace's one CRC-32 (its tables are device FRAM,
+/// which the analyzer's budget pass charges next to this region).
 fn slot_crc(generation: u32, len: u32, payload: &[u8]) -> u32 {
     let crc = crc32(0, &generation.to_le_bytes());
     let crc = crc32(crc, &len.to_le_bytes());
@@ -179,6 +178,12 @@ impl CheckpointStore {
     /// Commit counters.
     pub fn stats(&self) -> CheckpointStats {
         self.stats
+    }
+
+    /// The raw FRAM region, both slots, exactly as the write sequences
+    /// and fault injections left it.
+    pub fn region(&self) -> &[u8; NVRAM_BYTES] {
+        &self.region
     }
 
     /// Total bytes written by a complete commit of `payload_len` bytes:

@@ -15,8 +15,13 @@ use amulet_sim::memory::MAX_ARRAY_ELEMS;
 use amulet_sim::nvram::{HEADER_BYTES, MAX_PAYLOAD_BYTES, NVRAM_BYTES, SLOT_BYTES};
 use amulet_sim::profiler::{sift_app_spec, ResourceProfiler};
 use amulet_sim::{FRAM_BYTES, SRAM_BYTES};
+use ml::embedded::CRC_TABLE_BYTES;
 use sift::config::SiftConfig;
 use sift::features::Version;
+
+/// Static FRAM the checkpoint machinery holds on top of the firmware
+/// image: the A/B NVRAM region and the CRC-32 tables that verify it.
+const CHECKPOINT_FRAM_BYTES: usize = NVRAM_BYTES + CRC_TABLE_BYTES;
 
 /// Paper Table III row for one flavor (the published Amulet build).
 #[derive(Debug, Clone, Copy)]
@@ -167,10 +172,12 @@ pub fn compute_footprints(config: &SiftConfig) -> Vec<FlavorFootprint> {
             let spec = sift_app_spec(version, config, model);
             let profile = profiler.profile(&[&spec]);
             let window = config.window_samples();
-            // The checkpoint NVRAM region is static FRAM real estate on
-            // top of the firmware image, so it counts against the map.
-            let within_budget = profile.system_fram_bytes + profile.app_fram_bytes + NVRAM_BYTES
-                <= FRAM_BYTES
+            // The checkpoint NVRAM region and the CRC tables are static
+            // FRAM real estate on top of the firmware image, so they
+            // count against the map.
+            let within_budget =
+                profile.system_fram_bytes + profile.app_fram_bytes + CHECKPOINT_FRAM_BYTES
+                    <= FRAM_BYTES
                 && profile.system_sram_bytes + profile.app_sram_bytes <= SRAM_BYTES
                 && window <= MAX_ARRAY_ELEMS;
             FlavorFootprint {
@@ -195,15 +202,17 @@ pub fn budget_findings(footprints: &[FlavorFootprint]) -> Vec<Finding> {
     let mut out = Vec::new();
     for fp in footprints {
         let v = fp.version;
-        if fp.total_fram_bytes() + NVRAM_BYTES > FRAM_BYTES {
+        if fp.total_fram_bytes() + CHECKPOINT_FRAM_BYTES > FRAM_BYTES {
             out.push(Finding::new(
                 "budget-fram-exceeded",
                 "<budget>",
                 0,
                 format!(
-                    "{v}: static FRAM {} B (+{} B checkpoint region) exceeds the Amulet's {} B",
+                    "{v}: static FRAM {} B (+{} B checkpoint region, +{} B CRC tables) \
+                     exceeds the Amulet's {} B",
                     fp.total_fram_bytes(),
                     NVRAM_BYTES,
+                    CRC_TABLE_BYTES,
                     FRAM_BYTES
                 ),
             ));
@@ -430,7 +439,7 @@ pub fn footprint_json(
             "  \"device\": {{ \"fram_bytes\": {}, \"sram_bytes\": {}, ",
             "\"max_array_elems\": {} }},\n",
             "  \"checkpoint\": {{ \"nvram_bytes\": {}, \"slot_bytes\": {}, ",
-            "\"header_bytes\": {}, \"max_payload_bytes\": {} }},\n",
+            "\"header_bytes\": {}, \"max_payload_bytes\": {}, \"crc_table_bytes\": {} }},\n",
             "  \"flavors\": [\n{}\n  ],\n",
             "  \"detector_zoo\": [\n{}\n  ],\n",
             "  \"slab\": {{\n",
@@ -455,6 +464,7 @@ pub fn footprint_json(
         SLOT_BYTES,
         HEADER_BYTES,
         MAX_PAYLOAD_BYTES,
+        CRC_TABLE_BYTES,
         rows,
         zoo,
         sift::checkpoint::HEADER_BYTES,
@@ -567,6 +577,7 @@ mod tests {
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         assert!(doc.contains("\"within_budget\": true"));
         assert!(doc.contains("\"nvram_bytes\": 4096"));
+        assert!(doc.contains("\"crc_table_bytes\": 8192"));
         assert!(doc.contains("\"stack\""));
         assert!(doc.contains("\"entry\": \"SurvivalPolicy::step\""));
         assert!(doc.contains("\"stack_bytes\": 64"));
@@ -592,15 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_region_fits_next_to_every_flavor() {
+    fn checkpoint_region_and_crc_tables_fit_next_to_every_flavor() {
         let fps = compute_footprints(&SiftConfig::default());
         for fp in &fps {
             assert!(
-                fp.total_fram_bytes() + NVRAM_BYTES <= FRAM_BYTES,
-                "{}: {} + {} exceeds FRAM",
+                fp.total_fram_bytes() + NVRAM_BYTES + CRC_TABLE_BYTES <= FRAM_BYTES,
+                "{}: {} + {} + {} exceeds FRAM",
                 fp.version,
                 fp.total_fram_bytes(),
-                NVRAM_BYTES
+                NVRAM_BYTES,
+                CRC_TABLE_BYTES
             );
         }
     }

@@ -1,10 +1,10 @@
 //! Property suites for the Tsetlin machine backend: integer-only
-//! clause logic, vote bounds, training idempotence, and codec fuzzing.
+//! clause logic, vote bounds, training idempotence, and the codec's
+//! size formula and version byte.
 //!
-//! The codec properties are the load-bearing ones — the model blob
-//! lives in FRAM next to the checkpoint region, and a torn commit or a
-//! bit flip must surface as a typed [`MlError`], never a panic, so the
-//! recovery path can count and skip it.
+//! Codec fuzzing (truncation, bit flips, arbitrary bytes) lives in the
+//! workspace's one mutation harness, `tests/decoder_mutations.rs`,
+//! which runs the same mutations against every CRC-guarded decoder.
 
 use ml::tsetlin::{
     encoded_len, f32_key, TsetlinModel, TsetlinTrainer, MAGIC, MAX_CLAUSE_PAIRS, MAX_FEATURES,
@@ -92,69 +92,6 @@ proptest! {
         // (feature, threshold): a fixed popcount, all integer.
         let popcount = model.booleanize(&probe).count_ones() as usize;
         prop_assert_eq!(popcount, model.dim() * THRESHOLDS_PER_FEATURE);
-    }
-
-    /// Codec fuzz, truncation: every proper prefix of a valid blob
-    /// decodes to a typed error — never a panic, never an accept.
-    #[test]
-    fn truncated_blobs_are_typed_errors(
-        set in training_set(3),
-        cut in 0usize..1000,
-    ) {
-        let (rows, labels) = set;
-        let blob = trainer(4, 9).fit(3, &rows, &labels).unwrap().encode();
-        let cut = cut % blob.len();
-        let r = TsetlinModel::decode(&blob[..cut]);
-        prop_assert!(
-            matches!(
-                r,
-                Err(MlError::MalformedModel { .. }) | Err(MlError::UnsupportedModelVersion { .. })
-            ),
-            "truncated blob at {} bytes was not a typed rejection: {:?}",
-            cut,
-            r
-        );
-    }
-
-    /// Codec fuzz, corruption: flipping any single bit of a valid blob
-    /// is rejected with a typed error (the CRC covers every byte before
-    /// it; a flip inside the CRC itself breaks the match instead).
-    #[test]
-    fn bit_flipped_blobs_are_typed_errors(
-        set in training_set(3),
-        byte in 0usize..1000,
-        bit in 0u8..8,
-    ) {
-        let (rows, labels) = set;
-        let mut blob = trainer(4, 9).fit(3, &rows, &labels).unwrap().encode();
-        let byte = byte % blob.len();
-        blob[byte] ^= 1 << bit;
-        let r = TsetlinModel::decode(&blob);
-        prop_assert!(
-            matches!(
-                r,
-                Err(MlError::MalformedModel { .. }) | Err(MlError::UnsupportedModelVersion { .. })
-            ),
-            "bit {} of byte {} flipped yet decode returned {:?}",
-            bit,
-            byte,
-            r
-        );
-    }
-
-    /// Codec fuzz, arbitrary bytes: random garbage of any length never
-    /// panics and never decodes (the magic plus CRC make an accidental
-    /// accept astronomically unlikely; headers are range-checked).
-    #[test]
-    fn arbitrary_bytes_never_panic_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..700)) {
-        match TsetlinModel::decode(&bytes) {
-            Err(_) => {}
-            Ok(m) => {
-                // Only acceptable if the bytes genuinely are a valid
-                // encoding — i.e. they re-encode to themselves.
-                prop_assert_eq!(m.encode(), bytes);
-            }
-        }
     }
 }
 

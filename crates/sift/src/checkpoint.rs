@@ -11,7 +11,7 @@
 //! |--------|-------|---------------------------------|
 //! | 0      | 1     | checkpoint format version (1)   |
 //! | 1      | 1     | detector version tag (0/1/2)    |
-//! | 2      | 2     | reserved (zero)                 |
+//! | 2      | 2     | reserved (must be zero)         |
 //! | 4      | 4     | windows seen, `u32` LE          |
 //! | 8      | 4     | alerts raised, `u32` LE         |
 //! | 12     | 4     | model blob length, `u32` LE     |
@@ -200,6 +200,11 @@ impl DetectorCheckpoint {
                 reason: "unknown detector version tag",
             });
         };
+        if !matches!(bytes.get(2..4), Some([0, 0])) {
+            return Err(SiftError::Checkpoint {
+                reason: "reserved header bytes are not zero",
+            });
+        }
         let windows_seen = read_u32(bytes, 4);
         let alerts_raised = read_u32(bytes, 8);
         let model_len = read_u32(bytes, 12) as usize;
@@ -356,6 +361,19 @@ mod tests {
             DetectorCheckpoint::decode(&bad_tag),
             Err(SiftError::Checkpoint { .. })
         ));
+
+        // Encode always writes the reserved bytes as zero, so anything
+        // else would decode to a value that re-encodes differently.
+        for at in 2..4 {
+            let mut reserved = buf.clone();
+            reserved[at] = 0x10;
+            assert_eq!(
+                DetectorCheckpoint::decode(&reserved),
+                Err(SiftError::Checkpoint {
+                    reason: "reserved header bytes are not zero"
+                })
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,13 @@ cargo build --release
 # adaptive_faults, wiot's transport_edges, resample_props); and the
 # detector-zoo certification (detector_conformance runs every property
 # against BackendKind::ALL; ml's tsetlin_props covers the Tsetlin
-# backend's clause logic and codec fuzzing).
+# backend's clause logic); and decoder_mutations, the one mutation
+# harness for every CRC-guarded FRAM decoder.
 cargo test -q --workspace
+# The CRC-32 kernel's bitwise oracle and the NVRAM store's properties
+# again, on the optimized build the benchmark measures (overflow checks
+# off, the table kernel as it ships).
+cargo test --release -q -p ml -p amulet-sim
 
 cargo clippy --workspace --all-targets -- -D warnings
 

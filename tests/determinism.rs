@@ -1,16 +1,22 @@
 //! Reproducibility guarantees: every layer of the stack is a pure
 //! function of its seeds.
 
+use amulet_sim::nvram::{CheckpointStore, Restore, HEADER_BYTES, SLOT_BYTES};
+use ml::BackendKind;
 use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
+use sift::checkpoint::DetectorCheckpoint;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::{extract_amulet_f32, PlatformFlavor};
 use sift::pipeline::{evaluate, evaluate_with_models, train_models, EvalProtocol};
 use sift::snippet::Snippet;
 use sift::trainer::train_for_subject;
+use sift::zoo::train_backend_for_subject;
+use wiot::persist::encode_survival;
 use wiot::scenario::{run, Scenario};
+use wiot::survival::SurvivalSnapshot;
 
 fn quick_config() -> SiftConfig {
     SiftConfig {
@@ -115,6 +121,103 @@ fn embedded_features_are_pinned() {
     }
     assert_eq!(count, 12 * 4 * (8 + 8 + 5));
     assert_eq!(hash, 0x156e_dd36_e6ca_decb, "embedded feature hash");
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The FRAM checkpoint region pinned byte for byte through a fixed
+/// fault sequence, for the two payloads hostile-link commits: an SVM
+/// checkpoint, and a Tsetlin checkpoint carrying the 16-byte survival
+/// suffix (both Simplified, subject 0, seed 7). The steps are three
+/// commits, a commit torn mid-header, a recommit into the torn slot,
+/// and a bit flip in that slot's payload; restore must then roll back
+/// to generation 3. Each step pins an FNV-1a hash of the whole 4 KB
+/// region, so any change to the write order, the slot layout or the
+/// slot CRC moves a value. The values were computed with the bitwise
+/// CRC-32 loop that the table kernel replaced.
+#[test]
+fn fram_checkpoint_bytes_are_pinned() {
+    let snap = SurvivalSnapshot {
+        version: Version::Simplified,
+        duty_skip: 1,
+        duty_of: 4,
+        retry_max: 2,
+        retry_shift: 2,
+        link_capped: true,
+        tick: 777,
+        last_switch_tick: 700,
+        link_ewma_permille: 321,
+    };
+    let cases = [
+        (
+            BackendKind::Svm,
+            None,
+            [
+                0x4beb_d533_5c1d_96ed,
+                0xcca7_e809_8f38_f4bb,
+                0x9701_7d38_e032_84a4,
+                0xf4f7_45f2_1c32_5cdd,
+                0xa421_61fa_3bef_b682,
+                0xa809_9192_2345_e7a2,
+            ],
+        ),
+        (
+            BackendKind::Tsetlin,
+            Some(snap),
+            [
+                0xceb4_5d29_e7df_d3d2,
+                0xaffc_11dc_3060_1de4,
+                0x1af4_e425_106f_591f,
+                0x1321_8f88_596e_19c2,
+                0x4df1_5cbb_25b7_d63f,
+                0x052a_e1ad_63e0_b65f,
+            ],
+        ),
+    ];
+    for (kind, survival, expected) in cases {
+        let model =
+            train_backend_for_subject(&bank(), 0, Version::Simplified, kind, &quick_config(), 7)
+                .unwrap();
+        let mut ckpt = DetectorCheckpoint::new(Version::Simplified, model).unwrap();
+        let mut payload = |windows: u32| {
+            ckpt.windows_seen = windows;
+            ckpt.alerts_raised = windows / 10;
+            let mut out = vec![0u8; ckpt.encoded_len()];
+            ckpt.encode_into(&mut out).unwrap();
+            if let Some(s) = &survival {
+                out.extend_from_slice(&encode_survival(s));
+            }
+            out
+        };
+        let mut store = CheckpointStore::new();
+        let mut digests = Vec::new();
+        let third = payload(30);
+        for p in [payload(10), payload(20), third.clone()] {
+            store.commit(&p).unwrap();
+            digests.push(fnv1a(store.region()));
+        }
+        let torn = payload(40);
+        store.commit_torn(&torn, 4 + torn.len() + 6).unwrap();
+        digests.push(fnv1a(store.region()));
+        store.commit(&payload(50)).unwrap();
+        digests.push(fnv1a(store.region()));
+        store.flip_bit(SLOT_BYTES + HEADER_BYTES + 21, 5);
+        digests.push(fnv1a(store.region()));
+        assert_eq!(digests, expected, "{kind:?} region digests");
+        match store.restore() {
+            Restore::Valid {
+                generation,
+                payload,
+                rolled_back,
+            } => assert_eq!((generation, payload, rolled_back), (3, &third[..], true)),
+            other => panic!("{kind:?}: expected a rollback to generation 3, got {other:?}"),
+        }
+    }
 }
 
 #[test]
