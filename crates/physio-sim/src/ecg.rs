@@ -8,6 +8,8 @@
 //! without its phase-oscillator integration, which is unnecessary at the
 //! fidelity SIFT needs.
 
+use std::ops::Range;
+
 /// Shape of one wave component: a Gaussian bump.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wave {
@@ -248,20 +250,26 @@ pub fn render_turbo(
     (out, r_peaks)
 }
 
-/// Render a noise-free ECG trace.
+/// Render the samples `range` of a noise-free ECG trace.
 ///
 /// `r_times` are R-peak times in seconds (as produced by
-/// [`crate::rr::RrProcess::beat_times`]); the output covers
-/// `duration_s` at `fs` Hz. Returns the samples and the ground-truth
-/// R-peak sample indices that fall inside the rendered range.
+/// [`crate::rr::RrProcess::beat_times`]); the trace covers
+/// `duration_s` at `fs` Hz, and `range` is clamped to it. Returns the
+/// rendered samples (element `i` is trace sample `range.start + i`) and
+/// the ground-truth R-peak sample indices that fall inside the range.
+/// Every sample is a function of its own index and the beat train
+/// alone, so a sub-range is bit-identical to the same samples of the
+/// whole trace `0..n`.
 pub fn render(
     morph: &EcgMorphology,
     r_times: &[f64],
     duration_s: f64,
     fs: f64,
+    range: Range<usize>,
 ) -> (Vec<f64>, Vec<usize>) {
     let n = (duration_s * fs).round() as usize;
-    let mut out = vec![0.0f64; n];
+    let (first, end) = (range.start.min(n), range.end.min(n));
+    let mut out = vec![0.0f64; end.saturating_sub(first)];
     // Each beat contributes only within ±0.6·RR of its R peak, so render
     // beat-locally instead of summing all beats per sample.
     for (k, &rt) in r_times.iter().enumerate() {
@@ -271,15 +279,18 @@ pub fn render(
         } else {
             rr_prev
         };
-        let lo = ((rt - 0.6 * rr_prev) * fs).floor().max(0.0) as usize;
-        let hi = (((rt + 0.75 * rr_next) * fs).ceil() as usize).min(n);
+        let lo = (((rt - 0.6 * rr_prev) * fs).floor().max(0.0) as usize).max(first);
+        let hi = (((rt + 0.75 * rr_next) * fs).ceil() as usize).min(end);
+        if lo >= hi {
+            continue; // beat support outside the range
+        }
         // The beat whose R peak this is: use next RR for waves after
         // R (T wave), previous RR for waves before it (P wave). Both
         // stretches are fixed for the beat, so the five per-wave
         // `powf`s are hoisted out of the sample loop.
         let before = morph.prepare(rr_prev);
         let after = morph.prepare(rr_next);
-        for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
+        for (i, sample) in (lo..hi).zip(&mut out[lo - first..hi - first]) {
             let tau = i as f64 / fs - rt;
             let prepared = if tau >= 0.0 { &after } else { &before };
             *sample += prepared.at(tau);
@@ -288,7 +299,7 @@ pub fn render(
     let r_peaks = r_times
         .iter()
         .map(|t| (t * fs).round() as usize)
-        .filter(|&i| i < n)
+        .filter(|i| (first..end).contains(i))
         .collect();
     (out, r_peaks)
 }
@@ -301,7 +312,7 @@ mod tests {
     fn r_peak_is_global_max_of_clean_beat() {
         let m = EcgMorphology::default();
         let fs = 360.0;
-        let (sig, peaks) = render(&m, &[1.0, 1.9, 2.8], 3.5, fs);
+        let (sig, peaks) = render(&m, &[1.0, 1.9, 2.8], 3.5, fs, 0..1260);
         for &p in &peaks {
             // R sample should dominate its ±0.3 s neighbourhood.
             let lo = p.saturating_sub(100);
@@ -338,14 +349,14 @@ mod tests {
     #[test]
     fn render_length_matches_duration() {
         let m = EcgMorphology::default();
-        let (sig, _) = render(&m, &[0.5], 2.0, 360.0);
+        let (sig, _) = render(&m, &[0.5], 2.0, 360.0, 0..usize::MAX);
         assert_eq!(sig.len(), 720);
     }
 
     #[test]
     fn peaks_outside_duration_are_dropped() {
         let m = EcgMorphology::default();
-        let (_, peaks) = render(&m, &[0.5, 1.5, 9.0], 2.0, 360.0);
+        let (_, peaks) = render(&m, &[0.5, 1.5, 9.0], 2.0, 360.0, 0..720);
         assert_eq!(peaks.len(), 2);
     }
 
@@ -373,7 +384,7 @@ mod tests {
         let m = EcgMorphology::default();
         // Irregular beat train exercises both stretch directions.
         let r_times = [0.5, 1.2, 2.3, 3.0, 3.6, 4.8];
-        let (reference, ref_peaks) = render(&m, &r_times, 5.5, 360.0);
+        let (reference, ref_peaks) = render(&m, &r_times, 5.5, 360.0, 0..1980);
         let (turbo, turbo_peaks) = render_turbo(&m, &r_times, 5.5, 360.0);
         assert_eq!(ref_peaks, turbo_peaks);
         assert_eq!(reference.len(), turbo.len());

@@ -48,20 +48,33 @@ impl NoiseParams {
     }
 }
 
-/// Add the configured noise mix to `signal` in place, deterministically
+/// Add the configured noise mix in place to `signal`, which holds the
+/// samples `start..start + signal.len()` of a trace, deterministically
 /// from `seed`.
-pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
+///
+/// The white component draws two uniforms per sample from one stream,
+/// so the samples before `start` only advance it by their two draws
+/// each: a sub-range is bit-identical to the same samples of the whole
+/// trace noised from `start = 0`.
+pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64, start: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let two_pi = 2.0 * std::f64::consts::PI;
     // Random phases so different records don't share wander alignment.
     let wander_phase: f64 = rng.gen_range(0.0..two_pi);
     let hum_phase: f64 = rng.gen_range(0.0..two_pi);
-    for (i, x) in signal.iter_mut().enumerate() {
+    let white = params.white_sigma > 0.0;
+    let mut uniforms =
+        move || -> (f64, f64) { (rng.gen_range(f64::EPSILON..1.0), rng.gen_range(0.0..1.0)) };
+    if white {
+        for _ in 0..start {
+            uniforms();
+        }
+    }
+    for (i, x) in (start..).zip(signal.iter_mut()) {
         let t = i as f64 / fs;
         let mut add = 0.0;
-        if params.white_sigma > 0.0 {
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
+        if white {
+            let (u1, u2) = uniforms();
             let gauss = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
             add += params.white_sigma * gauss;
         }
@@ -142,7 +155,7 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let mut sig = vec![1.0; 100];
-        apply(&mut sig, &NoiseParams::none(), 360.0, 1);
+        apply(&mut sig, &NoiseParams::none(), 360.0, 1, 0);
         assert!(sig.iter().all(|x| (*x - 1.0).abs() < 1e-12));
     }
 
@@ -151,8 +164,8 @@ mod tests {
         let mut a = vec![0.0; 500];
         let mut b = vec![0.0; 500];
         let p = NoiseParams::default();
-        apply(&mut a, &p, 360.0, 9);
-        apply(&mut b, &p, 360.0, 9);
+        apply(&mut a, &p, 360.0, 9, 0);
+        apply(&mut b, &p, 360.0, 9, 0);
         assert_eq!(a, b);
     }
 
@@ -161,8 +174,8 @@ mod tests {
         let mut a = vec![0.0; 500];
         let mut b = vec![0.0; 500];
         let p = NoiseParams::default();
-        apply(&mut a, &p, 360.0, 1);
-        apply(&mut b, &p, 360.0, 2);
+        apply(&mut a, &p, 360.0, 1, 0);
+        apply(&mut b, &p, 360.0, 2, 0);
         assert_ne!(a, b);
     }
 
@@ -175,7 +188,7 @@ mod tests {
             hum_amp: 0.0,
             ..NoiseParams::default()
         };
-        apply(&mut sig, &p, 360.0, 4);
+        apply(&mut sig, &p, 360.0, 4, 0);
         let sd = dsp::stats::std_dev(&sig).unwrap();
         assert!((sd - 0.5).abs() < 0.05, "sd={sd}");
     }
@@ -255,7 +268,7 @@ mod tests {
             hum_amp: 0.0,
             ..NoiseParams::default()
         };
-        apply(&mut sig, &p, 360.0, 5);
+        apply(&mut sig, &p, 360.0, 5, 0);
         let (lo, hi) = dsp::stats::min_max(&sig).unwrap();
         assert!(lo >= -0.31 && hi <= 0.31);
         assert!(hi - lo > 0.3, "wander should actually oscillate");

@@ -11,6 +11,7 @@ use crate::noise;
 use crate::rr::RrProcess;
 use crate::subject::{Subject, SubjectId};
 use crate::SAMPLE_RATE_HZ;
+use std::ops::Range;
 
 /// Which synthesis kernels render a record.
 ///
@@ -163,10 +164,9 @@ impl Record {
             r_times.windows(2).all(|w| w[1] > w[0]),
             "beat times must be strictly increasing"
         );
-        let (mut ecg_sig, r_peaks) = ecg::render(&subject.ecg, r_times, duration_s, fs);
+        let (ecg_sig, r_peaks) = render_ecg(subject, r_times, duration_s, seed, fs, 0..usize::MAX);
         let (mut abp_sig, sys_peaks) = abp::render(&subject.abp, r_times, duration_s, fs);
-        noise::apply(&mut ecg_sig, &subject.ecg_noise, fs, seed ^ 0xEC6);
-        noise::apply(&mut abp_sig, &subject.abp_noise, fs, seed ^ 0xAB9);
+        noise::apply(&mut abp_sig, &subject.abp_noise, fs, seed ^ 0xAB9, 0);
         Record {
             subject: subject.id,
             fs,
@@ -174,6 +174,35 @@ impl Record {
             abp: abp_sig,
             r_peaks,
             sys_peaks,
+        }
+    }
+
+    /// The samples `range` of the ECG channel [`Record::synthesize`]
+    /// renders for the same `(subject, duration_s, seed)`, bit for bit,
+    /// without rendering the rest of the session or its ABP channel.
+    /// `range` is clamped to the session.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use physio_sim::{record::Record, subject::bank};
+    ///
+    /// let whole = Record::synthesize(&bank()[0], 6.0, 42);
+    /// let span = Record::ecg_span(&bank()[0], 6.0, 42, 720..1080);
+    /// assert_eq!(span.read(720, 360).0, &whole.ecg[720..1080]);
+    /// ```
+    pub fn ecg_span(subject: &Subject, duration_s: f64, seed: u64, range: Range<usize>) -> EcgSpan {
+        let fs = SAMPLE_RATE_HZ;
+        let mut rr = RrProcess::new(subject.rr, seed);
+        let r_times = rr.beat_times(0.4, duration_s);
+        let session_len = (duration_s * fs).round() as usize;
+        let start = range.start.min(session_len);
+        let (ecg, r_peaks) = render_ecg(subject, &r_times, duration_s, seed, fs, start..range.end);
+        EcgSpan {
+            session_len,
+            start,
+            ecg,
+            r_peaks,
         }
     }
 
@@ -221,6 +250,85 @@ impl Record {
             abp: self.abp[start..end].to_vec(),
             r_peaks: shift(&self.r_peaks),
             sys_peaks: shift(&self.sys_peaks),
+        }
+    }
+}
+
+/// The noisy ECG samples `range` (its end clamped to the session) and
+/// the R peaks among them: the one Reference ECG path, whole records
+/// included. `range.start` must lie inside the session (or at its end),
+/// since the noise stream is advanced past that many samples.
+fn render_ecg(
+    subject: &Subject,
+    r_times: &[f64],
+    duration_s: f64,
+    seed: u64,
+    fs: f64,
+    range: Range<usize>,
+) -> (Vec<f64>, Vec<usize>) {
+    let start = range.start;
+    let (mut ecg_sig, r_peaks) = ecg::render(&subject.ecg, r_times, duration_s, fs, range);
+    noise::apply(&mut ecg_sig, &subject.ecg_noise, fs, seed ^ 0xEC6, start);
+    (ecg_sig, r_peaks)
+}
+
+/// A stretch of one session's ECG channel, by absolute sample index:
+/// the samples a reader of part of a recording holds instead of the
+/// whole two-channel [`Record`] (see [`Record::ecg_span`]). It knows the
+/// length of the session it was cut from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EcgSpan {
+    session_len: usize,
+    /// Session index of `ecg[0]`.
+    start: usize,
+    ecg: Vec<f64>,
+    /// Ground-truth R peaks inside the span (session indices, ascending).
+    r_peaks: Vec<usize>,
+}
+
+impl EcgSpan {
+    /// Samples in the whole session the span was cut from.
+    pub fn session_len(&self) -> usize {
+        self.session_len
+    }
+
+    /// The session samples the span holds.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.ecg.len()
+    }
+
+    /// The session samples `start..start + len` and the R peaks among
+    /// them, relative to `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the samples lies outside the span: a reader
+    /// given too narrow a span must fail loudly, not read zeros.
+    pub fn read(&self, start: usize, len: usize) -> (&[f64], impl Iterator<Item = usize> + '_) {
+        let span = self.range();
+        assert!(
+            span.start <= start && start + len <= span.end,
+            "read {start}..{} outside the ECG span {span:?}",
+            start + len
+        );
+        let samples = &self.ecg[start - span.start..start + len - span.start];
+        let peaks = self
+            .r_peaks
+            .iter()
+            .filter(move |&&p| p >= start && p < start + len)
+            .map(move |&p| p - start);
+        (samples, peaks)
+    }
+}
+
+impl From<&Record> for EcgSpan {
+    /// The whole ECG channel of `record`.
+    fn from(record: &Record) -> Self {
+        EcgSpan {
+            session_len: record.len(),
+            start: 0,
+            ecg: record.ecg.clone(),
+            r_peaks: record.r_peaks.clone(),
         }
     }
 }

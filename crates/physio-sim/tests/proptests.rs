@@ -1,7 +1,10 @@
 //! Property-based tests for the physiological-signal substrate.
 
 use physio_sim::dataset::{sliding_windows, windows};
+use physio_sim::noise::NoiseParams;
+use physio_sim::population::population;
 use physio_sim::record::Record;
+use physio_sim::subject::Subject;
 use physio_sim::rr::{RrParams, RrProcess};
 use physio_sim::subject::bank;
 use proptest::prelude::*;
@@ -106,5 +109,83 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&q.score));
         prop_assert!((0.0..=1.0).contains(&q.flat_run_frac));
         prop_assert!((0.0..=1.0).contains(&q.rail_frac));
+    }
+}
+
+/// The sample range a case asks for, from a `shape` selector and two
+/// session fractions: empty, the whole session, ranges ending at `n`,
+/// ranges running past `n` (partly or wholly), and arbitrary ones.
+fn case_range(shape: u8, a: f64, b: f64, n: usize) -> std::ops::Range<usize> {
+    let at = |f: f64| (f * n as f64) as usize;
+    let (lo, hi) = (at(a.min(b)), at(a.max(b)));
+    match shape {
+        0 => lo..lo,
+        1 => 0..n,
+        2 => lo..n,
+        3 => lo..n + 1 + hi,
+        4 => n + lo..n + 1 + hi + lo,
+        _ => lo..hi,
+    }
+}
+
+/// `Record::ecg_span` against the whole record it stands in for: the
+/// span holds exactly `synthesize(..).ecg[range]` (clamped to the
+/// session), bit for bit, and exactly the R peaks inside it.
+fn check_span(
+    subject: &Subject,
+    secs: f64,
+    seed: u64,
+    range: std::ops::Range<usize>,
+) {
+    let whole = Record::synthesize(subject, secs, seed);
+    let span = Record::ecg_span(subject, secs, seed, range.clone());
+    let n = whole.len();
+    let (lo, hi) = (range.start.min(n), range.end.min(n).max(range.start.min(n)));
+    prop_assert_eq!(span.session_len(), n);
+    prop_assert_eq!(span.range(), lo..hi);
+    let (samples, peaks) = span.read(lo, hi - lo);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(samples), bits(&whole.ecg[lo..hi]));
+    let expected: Vec<usize> = whole
+        .r_peaks
+        .iter()
+        .filter(|&&p| (lo..hi).contains(&p))
+        .map(|&p| p - lo)
+        .collect();
+    prop_assert_eq!(peaks.collect::<Vec<_>>(), expected);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn ecg_span_is_the_record_ecg_bit_for_bit(
+        cohort_seed in any::<u64>(),
+        subject in 0usize..32,
+        seed in any::<u64>(),
+        secs in 1.0f64..60.0,
+        shape in 0u8..6,
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+    ) {
+        let subjects = population(32, cohort_seed);
+        let n = Record::synthesize(&subjects[subject], secs, seed).len();
+        check_span(&subjects[subject], secs, seed, case_range(shape, a, b, n));
+    }
+
+    /// With the noise silenced no per-sample draw happens, so a span
+    /// must not advance the stream for the samples before it either.
+    #[test]
+    fn ecg_span_of_a_noiseless_subject_skips_no_draw(
+        subject in 0usize..12,
+        seed in any::<u64>(),
+        shape in 0u8..6,
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+    ) {
+        let mut quiet = bank()[subject].clone();
+        quiet.ecg_noise = NoiseParams::none();
+        let n = Record::synthesize(&quiet, 20.0, seed).len();
+        check_span(&quiet, 20.0, seed, case_range(shape, a, b, n));
     }
 }

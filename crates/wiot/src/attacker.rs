@@ -10,9 +10,10 @@
 //! paper's threat model).
 
 use crate::device::{SensorPacket, Stream};
-use physio_sim::record::Record;
+use physio_sim::record::EcgSpan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Number of attack classes in the campaign taxonomy — the length of
 /// the per-class TP/FN arrays in [`crate::faults::FaultSummary`] and of
@@ -40,16 +41,16 @@ pub enum AttackMode {
     /// Channel compromise: substitute another person's ECG (the paper's
     /// Table II attack).
     Substitute {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor's ECG supplying the fake waveform.
+        donor: EcgSpan,
     },
     /// Firmware compromise: replay the victim's own ECG from `offset_s`
     /// seconds earlier (reporting *old* measurements).
     Replay {
         /// How far back the replayed data comes from.
         offset_s: f64,
-        /// The victim's own recording the replay is cut from.
-        source: Record,
+        /// The victim's own ECG the replay is cut from.
+        source: EcgSpan,
     },
     /// Physical compromise: the sensor freezes at its last value.
     Freeze,
@@ -63,9 +64,9 @@ pub enum AttackMode {
     /// at a fixed mix ratio, keeping part of the genuine waveform to
     /// evade the detector.
     Mimicry {
-        /// The donor recording (campaign engines pick the population's
+        /// The donor's ECG (campaign engines pick the population's
         /// nearest morphology neighbor).
-        donor: Record,
+        donor: EcgSpan,
         /// Donor share of the blend, 0–1000 (‰). 1000 degenerates to
         /// substitution, 0 to a passthrough that still counts as
         /// tampering.
@@ -77,8 +78,8 @@ pub enum AttackMode {
     ReplaySnr {
         /// How far back the replayed data comes from.
         offset_s: f64,
-        /// The victim's own recording the replay is cut from.
-        source: Record,
+        /// The victim's own ECG the replay is cut from.
+        source: EcgSpan,
         /// Replay SNR in dB; lower values bury the copy in noise.
         snr_db: f64,
     },
@@ -87,8 +88,8 @@ pub enum AttackMode {
     /// leaving the rest genuine — probing the detector's sensitivity to
     /// sub-window tampering.
     PartialWindow {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor's ECG supplying the fake waveform.
+        donor: EcgSpan,
         /// Detection-window length in ms (the injection duty period).
         window_ms: u64,
         /// Fraction of each window that is tampered, 0–1000 (‰).
@@ -100,16 +101,16 @@ pub enum AttackMode {
     /// (riding a Gilbert–Elliott burst-loss channel) from the lone
     /// attacker.
     Coordinated {
-        /// The donor recording shared by the attacking wave.
-        donor: Record,
+        /// The donor's ECG shared by the attacking wave.
+        donor: EcgSpan,
     },
     /// Adaptive threshold-probing: blends like mimicry, but bisects its
     /// blend factor against detector feedback ([`Attacker::feedback`])
     /// — alerted probes lower the blend, unnoticed probes raise it —
     /// converging on the detector's decision threshold.
     Adaptive {
-        /// The donor recording supplying the fake waveform.
-        donor: Record,
+        /// The donor's ECG supplying the fake waveform.
+        donor: EcgSpan,
     },
 }
 
@@ -261,7 +262,7 @@ impl Attacker {
         let adaptive_blend = self.adaptive_blend();
         match &self.mode {
             AttackMode::Substitute { donor } | AttackMode::Coordinated { donor } => {
-                if !substitute_from(&mut packet, donor) {
+                if !substitute_from(&mut packet, donor, ReadLaw::Aligned) {
                     // Not enough donor material for even one chunk: the
                     // attack degrades to a passthrough.
                     self.hijacked_packets -= 1;
@@ -269,7 +270,7 @@ impl Attacker {
                 }
             }
             AttackMode::Replay { offset_s, source } => {
-                if !replay_from(&mut packet, source, *offset_s, fs) {
+                if !substitute_from(&mut packet, source, ReadLaw::replay(*offset_s, fs)) {
                     self.hijacked_packets -= 1;
                     return packet;
                 }
@@ -308,7 +309,7 @@ impl Attacker {
                 source,
                 snr_db,
             } => {
-                if !replay_from(&mut packet, source, *offset_s, fs) {
+                if !substitute_from(&mut packet, source, ReadLaw::replay(*offset_s, fs)) {
                     self.hijacked_packets -= 1;
                     return packet;
                 }
@@ -334,7 +335,7 @@ impl Attacker {
                 let w = (*window_ms).max(1);
                 let pos = now_ms % w;
                 let covered = pos.saturating_mul(1000) < u64::from(*coverage_permille) * w;
-                if !covered || !substitute_from(&mut packet, donor) {
+                if !covered || !substitute_from(&mut packet, donor, ReadLaw::Aligned) {
                     // Outside the window's injected prefix (or donor too
                     // short): the chunk goes through untouched.
                     self.hijacked_packets -= 1;
@@ -352,78 +353,116 @@ impl Attacker {
     }
 }
 
-/// Overwrite the packet with the aligned donor slice (the substitution
-/// payload). Returns `false` without touching the packet when the donor
-/// recording is shorter than one chunk.
-fn substitute_from(packet: &mut SensorPacket, donor: &Record) -> bool {
-    let len = packet.samples.len();
-    if donor.ecg.len() < len {
-        return false;
-    }
-    let start = packet.start_sample % (donor.ecg.len() - len).max(1);
-    packet
-        .samples
-        .copy_from_slice(&donor.ecg[start..start + len]);
-    packet.peaks = donor
-        .r_peaks
-        .iter()
-        .filter(|&&p| p >= start && p < start + len)
-        .map(|&p| p - start)
-        .collect();
-    true
+/// Where a tampering mode reads the slice of its source ECG that goes
+/// into a packet: the one index law behind [`substitute_from`] and
+/// [`blend_from`], and behind the provisioning hull ([`ReadLaw::hull`])
+/// that must cover every read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadLaw {
+    /// Donor modes: the packet's own sample index, wrapped modulo
+    /// `source_len − len` (so a packet at `n − len` reads the start).
+    Aligned,
+    /// Replay modes: `shift` samples earlier, clamped into the source.
+    Replay {
+        /// How far back the replayed slice starts, samples.
+        shift: usize,
+    },
 }
 
-/// Overwrite the packet with the source slice from `offset_s` seconds
-/// earlier (the replay payload). Returns `false` when the source is
-/// shorter than one chunk.
-fn replay_from(packet: &mut SensorPacket, source: &Record, offset_s: f64, fs: f64) -> bool {
-    let len = packet.samples.len();
-    if source.ecg.len() < len {
-        return false;
+impl ReadLaw {
+    /// The replay law for an offset of `offset_s` seconds at `fs` Hz.
+    pub(crate) fn replay(offset_s: f64, fs: f64) -> Self {
+        ReadLaw::Replay {
+            shift: (offset_s * fs).round() as usize,
+        }
     }
-    let shift = (offset_s * fs).round() as usize;
-    let start = packet.start_sample.saturating_sub(shift);
-    let start = start.min(source.ecg.len() - len);
-    packet
-        .samples
-        .copy_from_slice(&source.ecg[start..start + len]);
-    packet.peaks = source
-        .r_peaks
-        .iter()
-        .filter(|&&p| p >= start && p < start + len)
-        .map(|&p| p - start)
-        .collect();
+
+    /// The source samples read for the `len`-sample packet starting at
+    /// session sample `start_sample`, from a source of `source_len`
+    /// samples; `None` when the source is shorter than one packet (the
+    /// attack then passes the packet through).
+    fn read(self, start_sample: usize, len: usize, source_len: usize) -> Option<Range<usize>> {
+        let last = source_len.checked_sub(len)?;
+        let start = match self {
+            ReadLaw::Aligned => start_sample % last.max(1),
+            ReadLaw::Replay { shift } => start_sample.saturating_sub(shift).min(last),
+        };
+        Some(start..start + len)
+    }
+
+    /// The smallest range of a session-length source (`session_len`
+    /// samples) that holds every read of an attacker active over
+    /// `[start_ms, end_ms)`; empty when it reads nothing. Packet `k` of
+    /// `chunk_len` samples starts at sample `k·chunk_len` and is
+    /// intercepted at `k·chunk_ms`, and only whole packets are sent:
+    /// the timeline of [`crate::device::SensorDevice::poll`] and the
+    /// scenario's tick loop.
+    pub(crate) fn hull(
+        self,
+        (start_ms, end_ms): (u64, u64),
+        chunk_ms: u64,
+        chunk_len: usize,
+        session_len: usize,
+    ) -> Range<usize> {
+        (0..session_len / chunk_len)
+            .filter(|&k| (start_ms..end_ms).contains(&(k as u64 * chunk_ms)))
+            .filter_map(|k| self.read(k * chunk_len, chunk_len, session_len))
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+            .unwrap_or(0..0)
+    }
+}
+
+/// The source slice [`ReadLaw::read`] places under `packet` and the R
+/// peaks in it (relative to the slice), or `None` when the source is
+/// shorter than one packet.
+fn source_slice<'s>(
+    packet: &SensorPacket,
+    source: &'s EcgSpan,
+    law: ReadLaw,
+) -> Option<(&'s [f64], impl Iterator<Item = usize> + 's)> {
+    let read = law.read(packet.start_sample, packet.samples.len(), source.session_len())?;
+    Some(source.read(read.start, read.len()))
+}
+
+/// Overwrite the packet with the source slice `law` places under it
+/// (the substitution and replay payloads). Returns `false` without
+/// touching the packet when the source is shorter than one chunk.
+fn substitute_from(packet: &mut SensorPacket, source: &EcgSpan, law: ReadLaw) -> bool {
+    let Some((samples, peaks)) = source_slice(packet, source, law) else {
+        return false;
+    };
+    packet.samples.copy_from_slice(samples);
+    packet.peaks = peaks.collect();
     true
 }
 
 /// Mix the aligned donor slice into the packet at `blend_permille` ‰
 /// donor share. Peak annotations follow the majority contributor. Returns
 /// `false` when the donor is shorter than one chunk.
-fn blend_from(packet: &mut SensorPacket, donor: &Record, blend_permille: u16) -> bool {
-    let len = packet.samples.len();
-    if donor.ecg.len() < len {
+fn blend_from(packet: &mut SensorPacket, donor: &EcgSpan, blend_permille: u16) -> bool {
+    let Some((samples, peaks)) = source_slice(packet, donor, ReadLaw::Aligned) else {
         return false;
-    }
-    let start = packet.start_sample % (donor.ecg.len() - len).max(1);
+    };
     let b = f64::from(blend_permille.min(1000)) / 1000.0;
-    for (s, d) in packet.samples.iter_mut().zip(&donor.ecg[start..start + len]) {
+    for (s, d) in packet.samples.iter_mut().zip(samples) {
         *s = b * d + (1.0 - b) * *s;
     }
     if blend_permille >= 500 {
-        packet.peaks = donor
-            .r_peaks
-            .iter()
-            .filter(|&&p| p >= start && p < start + len)
-            .map(|&p| p - start)
-            .collect();
+        packet.peaks = peaks.collect();
     }
     true
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+    use physio_sim::record::Record;
     use physio_sim::subject::bank;
+
+    /// The whole ECG of a synthesized bank recording.
+    pub(super) fn ecg_of(subject: usize, duration_s: f64, seed: u64) -> EcgSpan {
+        (&Record::synthesize(&bank()[subject], duration_s, seed)).into()
+    }
 
     fn ecg_packet(start_sample: usize, len: usize) -> SensorPacket {
         SensorPacket {
@@ -437,7 +476,7 @@ mod tests {
 
     #[test]
     fn inactive_outside_window() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let mut a = Attacker::new(AttackMode::Substitute { donor }, 1000, 2000, 0);
         let p = ecg_packet(0, 180);
         let out = a.intercept(500, p.clone(), 360.0);
@@ -449,7 +488,7 @@ mod tests {
 
     #[test]
     fn substitute_swaps_waveform() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -459,8 +498,18 @@ mod tests {
             0,
         );
         let out = a.intercept(100, ecg_packet(360, 180), 360.0);
-        assert_eq!(out.samples[..], donor.ecg[360..540]);
+        assert_eq!(out.samples, donor.read(360, 180).0);
         assert_eq!(a.hijacked_packets(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the ECG span")]
+    fn a_read_outside_the_span_is_loud() {
+        // The donor's first second only: a packet at 1–1.5 s reads past
+        // it, which must fail, never read zeros or pass through.
+        let donor = Record::ecg_span(&bank()[1], 10.0, 1, 0..360);
+        let mut a = Attacker::new(AttackMode::Substitute { donor }, 0, 10_000, 0);
+        a.intercept(100, ecg_packet(360, 180), 360.0);
     }
 
     #[test]
@@ -490,7 +539,7 @@ mod tests {
 
     #[test]
     fn replay_shifts_backwards() {
-        let source = physio_sim::record::Record::synthesize(&bank()[0], 20.0, 3);
+        let source = ecg_of(0, 20.0, 3);
         let mut a = Attacker::new(
             AttackMode::Replay {
                 offset_s: 5.0,
@@ -502,7 +551,7 @@ mod tests {
         );
         let out = a.intercept(100, ecg_packet(3600, 360), 360.0);
         // 3600 − 5·360 = 1800.
-        assert_eq!(out.samples[..], source.ecg[1800..2160]);
+        assert_eq!(out.samples, source.read(1800, 360).0);
     }
 
     #[test]
@@ -549,7 +598,7 @@ mod tests {
 
     #[test]
     fn mimicry_interpolates_between_victim_and_donor() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let full = |b| AttackMode::Mimicry {
             donor: donor.clone(),
             blend_permille: b,
@@ -581,7 +630,7 @@ mod tests {
 
     #[test]
     fn partial_window_tampering_respects_coverage() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::PartialWindow {
                 donor: donor.clone(),
@@ -593,7 +642,7 @@ mod tests {
             0,
         );
         let early = a.intercept(500, ecg_packet(180, 180), 360.0);
-        assert_eq!(early.samples[..], donor.ecg[180..360], "prefix is injected");
+        assert_eq!(early.samples, donor.read(180, 180).0, "prefix is injected");
         let late = a.intercept(4000, ecg_packet(1440, 180), 360.0);
         assert_eq!(late.samples, vec![0.5; 180], "tail stays genuine");
         assert_eq!(a.hijacked_packets(), 1);
@@ -604,7 +653,7 @@ mod tests {
 
     #[test]
     fn replay_snr_is_a_noisy_replay() {
-        let source = physio_sim::record::Record::synthesize(&bank()[0], 20.0, 3);
+        let source = ecg_of(0, 20.0, 3);
         let clean = |p: SensorPacket| {
             let mut a = Attacker::new(
                 AttackMode::Replay {
@@ -649,7 +698,7 @@ mod tests {
 
     #[test]
     fn adaptive_bisection_converges_on_the_threshold() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let mut a = Attacker::new(
             AttackMode::Adaptive {
                 donor: donor.clone(),
@@ -688,7 +737,7 @@ mod tests {
 
     #[test]
     fn class_indexes_and_names_are_consistent() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 2.0, 1);
+        let donor = ecg_of(1, 2.0, 1);
         let modes = [
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -727,7 +776,7 @@ mod tests {
 
     #[test]
     fn coordinated_is_substitution_with_its_own_tag() {
-        let donor = physio_sim::record::Record::synthesize(&bank()[1], 10.0, 1);
+        let donor = ecg_of(1, 10.0, 1);
         let mut s = Attacker::new(
             AttackMode::Substitute {
                 donor: donor.clone(),
@@ -748,10 +797,9 @@ mod tests {
 
 #[cfg(test)]
 mod short_source_tests {
+    use super::tests::ecg_of;
     use super::*;
     use crate::device::{SensorPacket, Stream};
-    use physio_sim::record::Record;
-    use physio_sim::subject::bank;
 
     fn big_packet() -> SensorPacket {
         SensorPacket {
@@ -765,7 +813,7 @@ mod short_source_tests {
 
     #[test]
     fn substitute_with_short_donor_passes_through() {
-        let donor = Record::synthesize(&bank()[1], 1.0, 1); // 360 samples < 720
+        let donor = ecg_of(1, 1.0, 1); // 360 samples < 720
         let mut a = Attacker::new(AttackMode::Substitute { donor }, 0, 10_000, 0);
         let p = big_packet();
         let out = a.intercept(5, p.clone(), 360.0);
@@ -775,7 +823,7 @@ mod short_source_tests {
 
     #[test]
     fn replay_with_short_source_passes_through() {
-        let source = Record::synthesize(&bank()[0], 1.0, 2);
+        let source = ecg_of(0, 1.0, 2);
         let mut a = Attacker::new(
             AttackMode::Replay {
                 offset_s: 5.0,

@@ -77,18 +77,36 @@ impl SensorDevice {
         )
     }
 
+    /// The ECG and ABP sensors streaming `record`, whose channels they
+    /// take over instead of copying.
+    pub(crate) fn pair(record: Record, chunk_s: f64) -> [Self; 2] {
+        let Record {
+            fs,
+            ecg,
+            abp,
+            r_peaks,
+            sys_peaks,
+            ..
+        } = record;
+        [
+            Self::new(Stream::Ecg, ecg, r_peaks, fs, chunk_s),
+            Self::new(Stream::Abp, abp, sys_peaks, fs, chunk_s),
+        ]
+    }
+
     fn new(stream: Stream, samples: Vec<f64>, peaks: Vec<usize>, fs: f64, chunk_s: f64) -> Self {
-        let chunk_len = ((chunk_s * fs).round() as usize).max(1);
         Self {
             stream,
             samples,
             peaks,
-            chunk_len,
+            chunk_len: chunk_len(chunk_s, fs),
             next_chunk: 0,
         }
     }
 
-    /// Emit the next packet, or `None` when the recording is exhausted.
+    /// Emit the next packet, or `None` when the recording is exhausted:
+    /// packet `k` holds samples `k·chunk_len..(k + 1)·chunk_len`, and a
+    /// last partial chunk is never sent.
     pub fn poll(&mut self) -> Option<SensorPacket> {
         let start = self.next_chunk as usize * self.chunk_len;
         if start + self.chunk_len > self.samples.len() {
@@ -111,6 +129,11 @@ impl SensorDevice {
         self.next_chunk += 1;
         Some(packet)
     }
+}
+
+/// Samples per packet of `chunk_s` seconds at `fs` Hz (at least one).
+pub(crate) fn chunk_len(chunk_s: f64, fs: f64) -> usize {
+    ((chunk_s * fs).round() as usize).max(1)
 }
 
 #[cfg(test)]

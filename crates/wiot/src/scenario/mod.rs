@@ -115,13 +115,19 @@ pub(crate) fn check_attack_interval(
     duration_s: f64,
 ) -> Result<(), WiotError> {
     let finite_nonneg = start_s.is_finite() && end_s.is_finite() && start_s >= 0.0;
-    let nonempty = ((start_s * 1000.0) as u64) < ((end_s * 1000.0) as u64);
+    let (start_ms, end_ms) = attack_window_ms(start_s, end_s);
+    let nonempty = start_ms < end_ms;
     if finite_nonneg && nonempty && end_s <= duration_s {
         return Ok(());
     }
     Err(WiotError::InvalidScenario {
         reason: "attack interval must be non-empty and inside the session",
     })
+}
+
+/// The attack interval `[start_s, end_s)` on the device's ms clock.
+pub(crate) fn attack_window_ms(start_s: f64, end_s: f64) -> (u64, u64) {
+    ((start_s * 1000.0) as u64, (end_s * 1000.0) as u64)
 }
 
 /// Reject a session length that is not finite and positive: the
@@ -236,7 +242,7 @@ impl Scenario {
     }
 
     /// Sensor packet length, ms.
-    fn chunk_ms(&self) -> u64 {
+    pub(crate) fn chunk_ms(&self) -> u64 {
         (self.chunk_s * 1000.0) as u64
     }
 
@@ -726,7 +732,7 @@ mod tests {
         let donor = Record::synthesize(&bank()[5], 60.0, 4242);
         let mut s = Scenario::new(0, Version::Simplified, 60.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Substitute { donor },
+            mode: AttackMode::Substitute { donor: (&donor).into() },
             start_s: 21.0,
             end_s: 45.0,
         });

@@ -2,7 +2,7 @@
 //! record, the attacker's intercept and its alarm feedback, and the
 //! per-stream sensor faults (dropout, stuck-at hold, clock skew).
 
-use super::Scenario;
+use super::{attack_window_ms, Scenario};
 use crate::attacker::Attacker;
 use crate::basestation::WindowOutcome::{self, Emitted, Salvaged};
 use crate::device::{SensorDevice, SensorPacket, Stream};
@@ -35,20 +35,13 @@ impl Source {
             scenario.synth,
         );
         let attacker = scenario.attack.as_ref().map(|spec| {
-            Attacker::new(
-                spec.mode.clone(),
-                (spec.start_s * 1000.0) as u64,
-                (spec.end_s * 1000.0) as u64,
-                scenario.seed ^ 0xA77,
-            )
+            let (start_ms, end_ms) = attack_window_ms(spec.start_s, spec.end_s);
+            Attacker::new(spec.mode.clone(), start_ms, end_ms, scenario.seed ^ 0xA77)
         });
         Self {
-            sensors: [
-                SensorDevice::ecg(&live, scenario.chunk_s),
-                SensorDevice::abp(&live, scenario.chunk_s),
-            ],
-            attacker,
             live_fs: live.fs,
+            sensors: SensorDevice::pair(live, scenario.chunk_s),
+            attacker,
             stuck_hold: [0.0; 2],
             feedback_cursor: 0,
         }

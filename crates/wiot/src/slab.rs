@@ -196,6 +196,24 @@ fn run_one(
     Ok((summary, out as u64))
 }
 
+/// Fails its device if the worker unwinds while simulating it, so the
+/// folder stops waiting for that device and the scope re-raises the
+/// panic instead of hanging.
+struct FailOnUnwind<'a> {
+    shared: &'a Shared,
+    device: usize,
+}
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let reason = "device simulation panicked";
+            self.shared
+                .fail(self.device, WiotError::InvalidScenario { reason });
+        }
+    }
+}
+
 /// Worker loop: claim the next device index, wait for the window,
 /// simulate, deliver. Exits when the cursor passes the fleet or an
 /// error makes its remaining claims irrelevant.
@@ -210,6 +228,7 @@ fn worker(spec: &FleetSpec, prov: &dyn FleetProvisioner, shared: &Shared) {
             Claim::Skip => return,
             Claim::Proceed => {}
         }
+        let _unwind = FailOnUnwind { shared, device };
         match run_one(spec, prov, device, &mut slot) {
             Ok((summary, bytes)) => shared.deliver(device, summary, bytes),
             Err(e) => {
@@ -414,6 +433,18 @@ mod tests {
         );
         assert!(r.pending_high_water >= 1);
         assert_eq!(r.report.devices, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_device_fails_the_run_instead_of_hanging() {
+        struct Panics;
+        impl FleetProvisioner for Panics {
+            fn provision(&self, _: &FleetSpec, _: usize) -> Result<DeviceProvision<'_>, WiotError> {
+                panic!("provisioning bug");
+            }
+        }
+        let _ = run(&FleetSpec::new(3, 9.0).with_threads(2), &Panics, false);
     }
 
     #[test]

@@ -93,7 +93,7 @@ proptest! {
         let b = bank();
         let donor = Record::synthesize(&b[2], 12.0, seed);
         let mut att = Attacker::new(
-            AttackMode::Substitute { donor: donor.clone() },
+            AttackMode::Substitute { donor: (&donor).into() },
             0,
             60_000,
             seed,

@@ -19,14 +19,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "substitution",
             "communication-channel compromise: another person's ECG is injected",
-            AttackMode::Substitute { donor },
+            AttackMode::Substitute { donor: (&donor).into() },
         ),
         (
             "replay",
             "firmware compromise: the wearer's own ECG from 15 s ago is replayed",
             AttackMode::Replay {
                 offset_s: 15.0,
-                source: victim_history,
+                source: (&victim_history).into(),
             },
         ),
         (

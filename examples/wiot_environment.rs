@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.persist = false;
     }
     scenario.attack = Some(AttackSpec {
-        mode: AttackMode::Substitute { donor },
+        mode: AttackMode::Substitute { donor: (&donor).into() },
         start_s: 30.0,
         end_s: 90.0,
     });

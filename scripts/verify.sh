@@ -19,8 +19,10 @@ cargo build --release
 cargo test -q --workspace
 # The CRC-32 kernel's bitwise oracle and the NVRAM store's properties
 # again, on the optimized build the benchmark measures (overflow checks
-# off, the table kernel as it ships).
-cargo test --release -q -p ml -p amulet-sim
+# off, the table kernel as it ships); likewise the ECG span renderer's
+# bit-equality properties and the attack read-law sweep, which
+# synthesize 56 s Reference records and are slow in a debug build.
+cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot
 
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -109,7 +109,7 @@ fn golden_attacked_lossy_session_verdicts() {
     let donor = physio_sim::record::Record::synthesize(&physio_sim::subject::bank()[5], 60.0, 4242);
     let mut scenario = Scenario::new(0, sift::features::Version::Simplified, 60.0);
     scenario.attack = Some(AttackSpec {
-        mode: wiot::attacker::AttackMode::Substitute { donor },
+        mode: wiot::attacker::AttackMode::Substitute { donor: (&donor).into() },
         start_s: 21.0,
         end_s: 45.0,
     });
@@ -134,7 +134,7 @@ fn golden_tsetlin_session_verdicts() {
     let mut scenario = Scenario::new(0, sift::features::Version::Simplified, 60.0);
     scenario.backend = ml::BackendKind::Tsetlin;
     scenario.attack = Some(AttackSpec {
-        mode: wiot::attacker::AttackMode::Substitute { donor },
+        mode: wiot::attacker::AttackMode::Substitute { donor: (&donor).into() },
         start_s: 21.0,
         end_s: 45.0,
     });

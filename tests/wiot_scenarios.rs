@@ -13,7 +13,7 @@ fn all_versions_catch_a_substitution_attack() {
         let donor = Record::synthesize(&bank()[8], 60.0, 1234);
         let mut s = Scenario::new(0, version, 60.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Substitute { donor },
+            mode: AttackMode::Substitute { donor: (&donor).into() },
             start_s: 21.0,
             end_s: 45.0,
         });
@@ -58,7 +58,7 @@ fn attack_confined_to_its_window() {
     let donor = Record::synthesize(&bank()[3], 90.0, 55);
     let mut s = Scenario::new(1, Version::Simplified, 90.0);
     s.attack = Some(AttackSpec {
-        mode: AttackMode::Substitute { donor },
+        mode: AttackMode::Substitute { donor: (&donor).into() },
         start_s: 30.0,
         end_s: 60.0,
     });
@@ -90,7 +90,7 @@ fn replay_attack_of_own_old_data_is_harder_but_detected_eventually() {
     s.attack = Some(AttackSpec {
         mode: AttackMode::Replay {
             offset_s: 30.0,
-            source,
+            source: (&source).into(),
         },
         start_s: 45.0,
         end_s: 105.0,
