@@ -17,16 +17,20 @@
 //! 4. **unreached public API** — a library `pub fn` that no root
 //!    reaches is dead code (`cg-unreached`). The roots are every fn in
 //!    a binary (`crates/*/src/bin/**`, `crates/*/src/main.rs`), in a
-//!    root integration test, example or bench (files read for their
-//!    call sites only), and the [`ENTRY_POINTS`]. `#[cfg(test)]` code
-//!    and `crates/*/tests/` are not callers. This reach
-//!    over-approximates: method names fan out to every method of that
-//!    name, [`UBIQUITOUS_METHODS`] included, and an unknown `Type::`
+//!    root integration test or example (files read for their call
+//!    sites only), and the [`ENTRY_POINTS`]. `#[cfg(test)]` code and
+//!    `crates/*/tests/` are not callers. This reach over-approximates:
+//!    method names fan out to every method of that name,
+//!    [`UBIQUITOUS_METHODS`] included, and an unknown `Type::`
 //!    qualifier to every trait method of that name; every identifier
 //!    that is not called, a field after `.` aside, counts as naming the
 //!    fns of that name as values (`.map(Record::synthesize)`, `[a, b]`,
 //!    a `static` fn table); trait-impl methods are never reported,
 //!    since `Display`, `Default` and operators call them implicitly.
+//!    So the rule also judges types, which that fan-out can keep alive:
+//!    a library plain-`pub` struct or enum is dead when only its own
+//!    impls (derived `Default` included) name it, not a root, item-level
+//!    code or any reached fn's signature or body.
 //!
 //! ## Soundness assumptions (documented, deliberate)
 //!
@@ -134,7 +138,7 @@ const NOT_A_CALL: &[&str] = &[
 
 /// Vendored stand-ins for external crates: their public API mirrors
 /// the real crates', so `cg-unreached` does not judge it.
-const UNREACHED_EXEMPT_CRATES: &[&str] = &["rand", "proptest", "criterion"];
+const UNREACHED_EXEMPT_CRATES: &[&str] = &["rand", "proptest"];
 
 /// Panicking macros, mirroring the lexical pass (debug_assert! compiles
 /// out of release firmware and is deliberately absent).
@@ -260,6 +264,8 @@ struct Graph {
     calls: Vec<Vec<CallSite>>,
     panics: Vec<PanicSite>,
     dyns: Vec<DynSite>,
+    /// Plain-`pub` item-level structs and enums: (file, line, name).
+    types: Vec<(usize, u32, String)>,
 }
 
 /// Run the interprocedural pass over the parsed workspace.
@@ -310,6 +316,7 @@ fn extract(files: &[ParsedFile]) -> Graph {
         calls: Vec::new(),
         panics: Vec::new(),
         dyns: Vec::new(),
+        types: Vec::new(),
     };
     for (file_idx, pf) in files.iter().enumerate() {
         extract_file(file_idx, pf, &mut graph);
@@ -437,7 +444,20 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     in_test: in_test(line),
                     public: declared_pub(&sig, p),
                 });
-                graph.calls.push(Vec::new());
+                // Types in the signature: named, for the reach pass only.
+                let hdr_end = header.body_open.unwrap_or(header.end);
+                let sig_types = sig.get(p + 2..hdr_end).unwrap_or(&[]).iter();
+                graph.calls.push(
+                    sig_types
+                        .filter_map(|t| ident_of(&t.kind))
+                        .filter(|w| w.starts_with(char::is_uppercase))
+                        .map(|w| CallSite {
+                            name: w.to_string(),
+                            kind: CallKind::Free,
+                            called: false,
+                        })
+                        .collect(),
+                );
                 if let Some(open) = header.body_open {
                     depth += 1;
                     open_fns.push((graph.fns.len() - 1, depth));
@@ -461,6 +481,17 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     if let Some(def) = graph.fns.get_mut(f) {
                         def.lets += 1;
                     }
+                }
+                p += 1;
+            }
+            TokenKind::Ident(w) if matches!(w.as_str(), "struct" | "enum") => {
+                // A definition, not a use: the name is no call site.
+                if let Some(name) = kind(p + 1).and_then(ident_of) {
+                    let public = matches!(kind(p.wrapping_sub(1)).and_then(ident_of), Some("pub"));
+                    if public && open_fns.is_empty() && !in_test(line) {
+                        graph.types.push((file_idx, line, name.to_string()));
+                    }
+                    p += 1;
                 }
                 p += 1;
             }
@@ -1315,7 +1346,8 @@ fn panic_findings(
 }
 
 /// `cg-unreached`: every library `pub fn` no root reaches, or the whole
-/// module at line 1 when none of its fns is reached.
+/// module at line 1 when none of its fns is reached; and every library
+/// `pub` type that only its own impls name.
 fn unreached_findings(graph: &Graph) -> Vec<Finding> {
     let is_root_file = |file: usize| {
         let path = graph.paths[file].as_str();
@@ -1337,21 +1369,18 @@ fn unreached_findings(graph: &Graph) -> Vec<Finding> {
         }
     }
 
+    let judged_file = |file: usize| {
+        !is_root_file(file) && !UNREACHED_EXEMPT_CRATES.contains(&crate_of(&graph.paths[file]))
+    };
     // The fns each library file is judged on, trait-impl methods aside.
     let mut judged: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (f, d) in graph.fns.iter().enumerate() {
-        let crate_name = crate_of(&graph.paths[d.file]);
-        if d.in_test
-            || !d.has_body
-            || d.trait_impl.is_some()
-            || is_root_file(d.file)
-            || UNREACHED_EXEMPT_CRATES.contains(&crate_name)
-        {
-            continue;
+        if !d.in_test && d.has_body && d.trait_impl.is_none() && judged_file(d.file) {
+            judged.entry(d.file).or_default().push(f);
         }
-        judged.entry(d.file).or_default().push(f);
     }
     let mut out = Vec::new();
+    let mut dead_modules = BTreeSet::new();
     for (file, fns) in judged {
         let path = &graph.paths[file];
         let dead: Vec<usize> = fns
@@ -1363,6 +1392,7 @@ fn unreached_findings(graph: &Graph) -> Vec<Finding> {
             continue;
         }
         if fns.iter().all(|&f| !reached[f]) {
+            dead_modules.insert(file);
             out.push(Finding::new(
                 "cg-unreached",
                 path,
@@ -1381,10 +1411,31 @@ fn unreached_findings(graph: &Graph) -> Vec<Finding> {
                 path,
                 d.line,
                 format!(
-                    "pub fn `{}` is reached from no binary, example, root test, bench or \
+                    "pub fn `{}` is reached from no binary, example, root test or \
                      embedded entry point; delete it or justify with \
                      lint:allow(cg-unreached, …)",
                     d.display()
+                ),
+            ));
+        }
+    }
+
+    // Names reached code mentions outside its own impl; the device holds
+    // each entry point's owner.
+    let mut named: BTreeSet<&str> = ENTRY_POINTS.iter().map(|ep| ep.owner).collect();
+    for (f, d) in graph.fns.iter().enumerate().filter(|&(f, _)| reached[f]) {
+        let own = d.owner.as_deref();
+        named.extend(graph.calls[f].iter().map(|s| s.name.as_str()).filter(|&n| own != Some(n)));
+    }
+    for (file, line, name) in &graph.types {
+        if judged_file(*file) && !dead_modules.contains(file) && !named.contains(name.as_str()) {
+            out.push(Finding::new(
+                "cg-unreached",
+                &graph.paths[*file],
+                *line,
+                format!(
+                    "pub type `{name}` is named by no root or reached code outside its own \
+                     impls; delete it or justify with lint:allow(cg-unreached, …)"
                 ),
             ));
         }

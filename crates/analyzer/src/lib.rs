@@ -120,10 +120,10 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 }
 
 /// Collect every `crates/*/src/**/*.rs` under `root`, plus the root
-/// files read for their call sites only (`tests/*.rs`, `examples/*.rs`,
-/// `crates/*/benches/*.rs`; see [`source::FileClass::call_sites_only`]),
-/// as sorted (workspace-relative path, contents) pairs. Sorting makes
-/// the analyzer's own output deterministic.
+/// files read for their call sites only (`tests/*.rs`, `examples/*.rs`;
+/// see [`source::FileClass::call_sites_only`]), as sorted
+/// (workspace-relative path, contents) pairs. Sorting makes the
+/// analyzer's own output deterministic.
 ///
 /// # Errors
 ///
@@ -137,7 +137,6 @@ pub fn collect_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("readdir: {e}"))?;
         dirs.push(entry.path().join("src"));
-        dirs.push(entry.path().join("benches"));
     }
     for dir in dirs.iter().filter(|d| d.is_dir()) {
         walk_rs(dir, &mut out)?;

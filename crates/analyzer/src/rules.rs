@@ -270,9 +270,10 @@ pub const RULES: &[RuleDef] = &[
         id: "cg-unreached",
         severity: Severity::Error,
         pass: Pass::CallGraph,
-        summary: "a library pub fn that no binary, example, root integration test, bench or \
+        summary: "a library pub fn that no binary, example, root integration test or \
                   embedded entry point reaches (over-approximated by name); a module none \
-                  of whose fns is reached is reported once, as the module",
+                  of whose fns is reached is reported once, as the module; a library pub \
+                  struct or enum that no reached code names outside its own impls",
     },
     RuleDef {
         id: "suppress-missing-reason",

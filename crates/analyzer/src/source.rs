@@ -18,9 +18,9 @@ const FLOAT_STRICT: &[&str] = &[
 const APP_CODE_PREFIX: &str = "crates/amulet-sim/src/apps/";
 
 /// Crates the determinism pass skips entirely: the bench harness times
-/// things on purpose, and the vendored stand-ins (`rand`, `proptest`,
-/// `criterion`) are test/bench infrastructure, not report paths.
-const DET_EXEMPT_CRATES: &[&str] = &["bench", "rand", "proptest", "criterion"];
+/// things on purpose, and the vendored stand-ins (`rand`, `proptest`)
+/// are test infrastructure, not report paths.
+const DET_EXEMPT_CRATES: &[&str] = &["bench", "rand", "proptest"];
 
 /// The files allowed to touch thread APIs: the slab fleet engine, whose
 /// bounded reorder window retires summaries in device-index order, so
@@ -47,9 +47,9 @@ pub struct FileClass {
     /// route to when this file is covered by a row of
     /// [`PINNED_PROFILES`] (e.g. `ckpt-embedded-profile`).
     pub pinned_rule: Option<&'static str>,
-    /// A root file outside `crates/*/src` (`tests/*.rs`, `examples/*.rs`,
-    /// `crates/*/benches/*.rs`): read only for the call sites that make
-    /// library code reachable; no rule runs on it.
+    /// A root file outside `crates/*/src` (`tests/*.rs`, `examples/*.rs`):
+    /// read only for the call sites that make library code reachable; no
+    /// rule runs on it.
     pub call_sites_only: bool,
 }
 
@@ -257,7 +257,7 @@ mod tests {
         assert!(svm.float_strict && svm.embedded && svm.pinned_rule.is_none());
         assert!(fixed.pinned_rule.is_none() && plain.pinned_rule.is_none());
         assert!(!fixed.call_sites_only && !bench.call_sites_only);
-        for path in ["tests/golden_traces.rs", "examples/quickstart.rs", "crates/bench/benches/svm.rs"] {
+        for path in ["tests/golden_traces.rs", "examples/quickstart.rs"] {
             assert!(classify(path).call_sites_only, "{path}");
         }
         let tele_hot = classify("crates/telemetry/src/record.rs");

@@ -189,14 +189,16 @@ fn unreached_pub_fn_fails_until_a_root_calls_it() {
     let root = mini_root("cli-cg-unreached", "crates/wiot/src/x.rs", lib);
     assert_eq!(run_analyzer(&root, false), 1, "an unreached pub fn must be an error");
 
-    for (name, caller, call) in [
-        ("cli-cg-reached-bin", "crates/wiot/src/bin/tool.rs", "wiot::x::orphan()"),
-        ("cli-cg-reached-test", "tests/it.rs", "wiot::x::orphan()"),
-        ("cli-cg-reached-bench", "crates/bench/benches/b.rs", "wiot::x::orphan()"),
+    // A root's call reaches it; a crate's own tests and benches are no roots.
+    let main = "fn main() {\n    let _ = wiot::x::orphan();\n}\n";
+    for (name, caller, code) in [
+        ("cli-cg-reached-bin", "crates/wiot/src/bin/tool.rs", 0),
+        ("cli-cg-reached-test", "tests/it.rs", 0),
+        ("cli-cg-unreached-crate-test", "crates/wiot/tests/it.rs", 1),
+        ("cli-cg-unreached-crate-bench", "crates/wiot/benches/b.rs", 1),
     ] {
-        let main = format!("fn main() {{\n    let _ = {call};\n}}\n");
-        let root = mini_root_files(name, &[("crates/wiot/src/x.rs", lib), (caller, &main)]);
-        assert_eq!(run_analyzer(&root, true), 0, "{name}: a root call must reach it");
+        let root = mini_root_files(name, &[("crates/wiot/src/x.rs", lib), (caller, main)]);
+        assert_eq!(run_analyzer(&root, true), code, "{name}");
     }
 }
 

@@ -18,6 +18,7 @@ const DETECTOR_VIOLATIONS: &str = include_str!("fixtures/detector_violations.rs"
 const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
 const CG_UNREACHED: &str = include_str!("fixtures/cg_unreached.rs");
 const CG_UNREACHED_ROOT_TEST: &str = include_str!("fixtures/cg_unreached_root_test.rs");
+const CG_UNREACHED_TYPE: &str = include_str!("fixtures/cg_unreached_type.rs");
 
 /// The `cg-unreached` fixture module as `crates/wiot/src/fx.rs`, with a
 /// bin root calling `from_bin` and `waived_but_reached`, a library
@@ -204,14 +205,16 @@ fn cg_unreached_fires_only_where_no_root_reaches() {
 #[test]
 fn cg_unreached_reports_a_dead_module_once() {
     // Without the root test the bin and the static table still reach
-    // three fns: no module finding, one per unreached pub fn instead.
+    // three fns: no module finding, one per unreached pub fn instead,
+    // and one for `Gauge`, which only its own impls name. Inside the
+    // dead module below its type finding is folded into the module's.
     let (findings, _) = cg_workspace(false);
     let lines: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == "cg-unreached")
         .map(|f| f.line)
         .collect();
-    assert_eq!(lines, vec![4, 12, 16, 20, 27, 31, 52, 56]);
+    assert_eq!(lines, vec![4, 12, 16, 20, 24, 27, 31, 52, 56]);
 
     // With no roots at all, every fn is unreached: one finding, at the
     // top of the module, and the two waivers inside it go stale.
@@ -229,6 +232,30 @@ fn cg_unreached_reports_a_dead_module_once() {
         got,
         vec![(1, "cg-unreached"), (42, "suppress-unused"), (47, "suppress-unused")]
     );
+}
+
+#[test]
+fn cg_unreached_flags_a_type_only_its_own_impls_name() {
+    // `fit` is reached through `LinearTrainer`, and the derived `Default`
+    // is no use: until a root names `KernelTrainer` (a crate's own tests
+    // would not be read), it is dead.
+    let call =
+        |t: &str| format!("fn main() {{\n    let _ = ml::fx::{t}::default().fit(&[]);\n}}\n");
+    let mut sources = vec![
+        ("crates/ml/src/fx.rs".to_string(), CG_UNREACHED_TYPE.to_string()),
+        ("crates/ml/src/bin/train.rs".to_string(), call("LinearTrainer")),
+    ];
+    let opts = Options {
+        deny_warnings: true,
+        run_budget: false,
+    };
+    let found = |sources: &[(String, String)]| -> Vec<(u32, &str)> {
+        let findings = analyze_sources(sources, &opts).findings;
+        findings.iter().map(|f| (f.line, f.rule)).collect()
+    };
+    assert_eq!(found(&sources), vec![(9, "cg-unreached")]);
+    sources.push(("tests/fit.rs".to_string(), call("KernelTrainer")));
+    assert!(found(&sources).is_empty());
 }
 
 #[test]

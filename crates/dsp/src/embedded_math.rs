@@ -6,44 +6,10 @@
 //! ("Amulet") execution flavor of the detector never calls into `std`'s
 //! transcendental functions:
 //!
-//! * [`sqrt_newton`] / [`sqrt_newton_f32`] — Newton–Raphson square roots,
+//! * [`sqrt_newton_f32`] — Newton–Raphson square root,
 //! * [`isqrt_u64`] — integer square root (used by the Q16.16 fixed-point
 //!   type),
 //! * [`atan_approx`] / [`atan2_approx`] — polynomial arctangent.
-
-/// Newton–Raphson square root for `f64`.
-///
-/// Converges to within a few ULP in ≤ 32 iterations for all finite
-/// non-negative inputs. Negative inputs return NaN, matching `f64::sqrt`.
-///
-/// # Examples
-///
-/// ```
-/// let y = dsp::embedded_math::sqrt_newton(2.0);
-/// assert!((y - std::f64::consts::SQRT_2).abs() < 1e-12);
-/// ```
-// lint:allow(embedded-no-f64, models the authors' double-precision C path; the Amulet flavor uses sqrt_newton_f32/isqrt_u64)
-// lint:allow(embedded-no-float-literal, Newton iteration constants are part of the reproduced algorithm)
-pub fn sqrt_newton(x: f64) -> f64 {
-    if x < 0.0 {
-        return f64::NAN;
-    }
-    if x == 0.0 || !x.is_finite() {
-        return x;
-    }
-    // Seed from the bit pattern (halve the exponent) for fast convergence.
-    let bits = x.to_bits();
-    let seed = f64::from_bits((bits >> 1) + (1023u64 << 51));
-    let mut y = if seed > 0.0 { seed } else { x };
-    for _ in 0..32 {
-        let next = 0.5 * (y + x / y);
-        if (next - y).abs() <= f64::EPSILON * next {
-            return next;
-        }
-        y = next;
-    }
-    y
-}
 
 /// Newton–Raphson square root for `f32` (the Amulet flavor runs in
 /// single precision).
@@ -151,24 +117,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sqrt_matches_std_across_range() {
-        for i in 0..2000 {
-            let x = i as f64 * 0.37 + 0.001;
-            let want = x.sqrt();
-            let got = sqrt_newton(x);
-            assert!(
-                (want - got).abs() <= want * 1e-14 + 1e-300,
-                "x={x} want={want} got={got}"
-            );
-        }
-    }
-
-    #[test]
-    fn sqrt_edge_cases() {
-        assert_eq!(sqrt_newton(0.0), 0.0);
-        assert!(sqrt_newton(-1.0).is_nan());
-        assert_eq!(sqrt_newton(f64::INFINITY), f64::INFINITY);
-        assert_eq!(sqrt_newton(1.0), 1.0);
+    fn sqrt_f32_edge_cases() {
+        assert_eq!(sqrt_newton_f32(0.0), 0.0);
+        assert!(sqrt_newton_f32(-1.0).is_nan());
+        assert_eq!(sqrt_newton_f32(f32::INFINITY), f32::INFINITY);
+        assert_eq!(sqrt_newton_f32(1.0), 1.0);
     }
 
     #[test]

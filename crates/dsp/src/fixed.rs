@@ -23,8 +23,8 @@ const ONE_RAW: i32 = 1 << FRAC_BITS;
 /// ```
 /// use dsp::fixed::Q16;
 ///
-/// let a = Q16::from_f64(1.5);
-/// let b = Q16::from_f64(2.0);
+/// let a = Q16::from_int(3) / Q16::from_int(2);
+/// let b = Q16::from_int(2);
 /// assert_eq!((a * b).to_f64(), 3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -41,19 +41,6 @@ impl Q16 {
     pub const MIN: Q16 = Q16(i32::MIN);
     /// Smallest positive increment (2⁻¹⁶).
     pub const EPSILON: Q16 = Q16(1);
-
-    /// Convert from `f64`, saturating at the representable range.
-    // lint:allow(embedded-no-f64, host-side conversion boundary; device code only sees the i32 raw value)
-    pub fn from_f64(x: f64) -> Self {
-        let scaled = x * ONE_RAW as f64;
-        if scaled >= i32::MAX as f64 {
-            Q16::MAX
-        } else if scaled <= i32::MIN as f64 {
-            Q16::MIN
-        } else {
-            Q16(scaled.round() as i32)
-        }
-    }
 
     /// Convert from an integer, saturating at the representable range.
     pub fn from_int(x: i32) -> Self {
@@ -201,13 +188,11 @@ impl std::iter::Sum for Q16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn round_trip_representable_values() {
-        for i in -1000..1000 {
-            let x = i as f64 / 16.0;
-            assert_eq!(Q16::from_f64(x).to_f64(), x);
-        }
+    /// The Q16 nearest to `x` (tests only build in-range values).
+    fn q(x: f64) -> Q16 {
+        Q16((x * ONE_RAW as f64).round() as i32)
     }
 
     #[test]
@@ -217,8 +202,8 @@ mod tests {
 
     #[test]
     fn basic_arithmetic() {
-        let a = Q16::from_f64(2.5);
-        let b = Q16::from_f64(0.5);
+        let a = q(2.5);
+        let b = q(0.5);
         assert_eq!((a + b).to_f64(), 3.0);
         assert_eq!((a - b).to_f64(), 2.0);
         assert_eq!((a * b).to_f64(), 1.25);
@@ -228,16 +213,10 @@ mod tests {
 
     #[test]
     fn saturation_on_overflow() {
-        let big = Q16::from_f64(30000.0);
+        let big = Q16::from_int(30000);
         assert_eq!(big * big, Q16::MAX);
         assert_eq!(big + Q16::MAX, Q16::MAX);
         assert_eq!((-big) * big, Q16::MIN);
-    }
-
-    #[test]
-    fn from_f64_saturates() {
-        assert_eq!(Q16::from_f64(1e9), Q16::MAX);
-        assert_eq!(Q16::from_f64(-1e9), Q16::MIN);
     }
 
     #[test]
@@ -258,7 +237,7 @@ mod tests {
     fn sqrt_accuracy() {
         for i in 1..500 {
             let x = i as f64 * 0.37;
-            let got = Q16::from_f64(x).sqrt().to_f64();
+            let got = q(x).sqrt().to_f64();
             let want = x.sqrt();
             assert!((got - want).abs() < 0.01, "x={x} got={got} want={want}");
         }
@@ -266,29 +245,52 @@ mod tests {
 
     #[test]
     fn sqrt_of_negative_is_zero() {
-        assert_eq!(Q16::from_f64(-4.0).sqrt(), Q16::ZERO);
+        assert_eq!(Q16::from_int(-4).sqrt(), Q16::ZERO);
     }
 
     #[test]
     fn abs_handles_min() {
         assert_eq!(Q16::MIN.abs(), Q16::MAX);
-        assert_eq!(Q16::from_f64(-2.0).abs().to_f64(), 2.0);
+        assert_eq!(Q16::from_int(-2).abs().to_f64(), 2.0);
     }
 
     #[test]
     fn sum_saturates() {
-        let total: Q16 = std::iter::repeat_n(Q16::from_f64(20000.0), 4).sum();
+        let total: Q16 = std::iter::repeat_n(Q16::from_int(20000), 4).sum();
         assert_eq!(total, Q16::MAX);
     }
 
     #[test]
     fn display_matches_f64() {
-        assert_eq!(Q16::from_f64(1.5).to_string(), "1.5");
+        assert_eq!(q(1.5).to_string(), "1.5");
     }
 
     #[test]
     fn from_i16_conversion() {
         assert_eq!(Q16::from(7i16).to_f64(), 7.0);
         assert_eq!(Q16::from(-3i16).to_f64(), -3.0);
+    }
+
+    proptest! {
+        #[test]
+        fn q16_addition_commutes(a in any::<i32>(), b in any::<i32>()) {
+            let (qa, qb) = (Q16(a), Q16(b));
+            prop_assert_eq!(qa + qb, qb + qa);
+        }
+
+        #[test]
+        fn q16_multiplication_commutes(a in any::<i32>(), b in any::<i32>()) {
+            let (qa, qb) = (Q16(a), Q16(b));
+            prop_assert_eq!(qa * qb, qb * qa);
+        }
+
+        /// Up to 150.0: the squared root's error stays under 0.02.
+        #[test]
+        fn q16_sqrt_squared_close(raw in 0..150 * ONE_RAW) {
+            let x = Q16(raw);
+            let r = x.sqrt();
+            let back = (r * r).to_f64();
+            prop_assert!((back - x.to_f64()).abs() < 0.02, "x={x} back={back}");
+        }
     }
 }

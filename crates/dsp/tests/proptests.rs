@@ -1,7 +1,6 @@
 //! Property-based tests for the DSP substrate.
 
-use dsp::embedded_math::{atan2_approx, isqrt_u64, sqrt_newton};
-use dsp::fixed::Q16;
+use dsp::embedded_math::{atan2_approx, isqrt_u64};
 use dsp::normalize;
 use dsp::stats;
 use proptest::prelude::*;
@@ -74,13 +73,6 @@ proptest! {
     }
 
     #[test]
-    fn sqrt_newton_agrees_with_std(x in 0.0f64..1e12) {
-        let want = x.sqrt();
-        let got = sqrt_newton(x);
-        prop_assert!((want - got).abs() <= want * 1e-12 + 1e-12);
-    }
-
-    #[test]
     fn isqrt_is_floor_sqrt(x in any::<u64>()) {
         let r = isqrt_u64(x);
         prop_assert!(r.checked_mul(r).is_some_and(|sq| sq <= x));
@@ -94,32 +86,6 @@ proptest! {
         let want = f64::atan2(y, x);
         let got = atan2_approx(y, x);
         prop_assert!((want - got).abs() < 5e-4, "want={want} got={got}");
-    }
-
-    #[test]
-    fn q16_round_trip_within_epsilon(x in -30000.0f64..30000.0) {
-        let q = Q16::from_f64(x);
-        prop_assert!((q.to_f64() - x).abs() <= 0.5 / 65536.0 + 1e-12);
-    }
-
-    #[test]
-    fn q16_addition_commutes(a in -10000.0f64..10000.0, b in -10000.0f64..10000.0) {
-        let (qa, qb) = (Q16::from_f64(a), Q16::from_f64(b));
-        prop_assert_eq!(qa + qb, qb + qa);
-    }
-
-    #[test]
-    fn q16_multiplication_commutes(a in -100.0f64..100.0, b in -100.0f64..100.0) {
-        let (qa, qb) = (Q16::from_f64(a), Q16::from_f64(b));
-        prop_assert_eq!(qa * qb, qb * qa);
-    }
-
-    #[test]
-    fn q16_sqrt_squared_close(x in 0.0f64..150.0) {
-        let q = Q16::from_f64(x);
-        let r = q.sqrt();
-        let back = (r * r).to_f64();
-        prop_assert!((back - x).abs() < 0.02, "x={x} back={back}");
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl Dataset {
         (&self.features[i], self.labels[i])
     }
 
-    /// All feature rows.
-    pub fn features(&self) -> &[Vec<f64>] {
-        &self.features
-    }
-
     /// All labels.
     pub fn labels(&self) -> &[Label] {
         &self.labels

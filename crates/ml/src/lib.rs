@@ -8,11 +8,9 @@
 //! * [`scaler`] — feature standardization,
 //! * [`linear_svm`] — L1-loss linear SVM trained by dual coordinate
 //!   descent (the liblinear algorithm),
-//! * [`smo`] — a kernelized SMO trainer (linear/RBF/polynomial) used to
-//!   back the paper's "SVM performed best among the algorithms we tried"
-//!   comparison,
 //! * [`baseline`] — logistic regression, k-NN and nearest-centroid
-//!   comparison classifiers,
+//!   comparison classifiers, which back the paper's "SVM performed best
+//!   among the algorithms we tried" in `bench --bin ablation`,
 //! * [`metrics`] — FP rate / FN rate / accuracy / F1 exactly as defined in
 //!   the paper's §IV, plus precision, recall, and ROC-AUC,
 //! * [`embedded`] — the flat, `f32` "translated" model representation
@@ -53,7 +51,6 @@ pub mod embedded;
 pub mod linear_svm;
 pub mod metrics;
 pub mod scaler;
-pub mod smo;
 pub mod tsetlin;
 
 mod error;

@@ -220,12 +220,32 @@ mod tests {
         d
     }
 
+    /// Each separable input with its trainer: `separable`, and 3-D
+    /// clusters around the origin and (2.5, 2.5, 2.5) fitted unbalanced.
+    fn separable_cases() -> [(Dataset, LinearSvmTrainer); 2] {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut d = Dataset::new(3).unwrap();
+        for _ in 0..40 {
+            for (shift, y) in [(0.0, Label::Negative), (2.5, Label::Positive)] {
+                let x = (0..3).map(|_| shift + rng.gen_range(-1.0..1.0)).collect();
+                d.push(x, y).unwrap();
+            }
+        }
+        let unbalanced = LinearSvmTrainer {
+            balanced: false,
+            ..LinearSvmTrainer::default()
+        };
+        [(separable(), LinearSvmTrainer::default()), (d, unbalanced)]
+    }
+
     #[test]
     fn separates_linearly_separable_data() {
-        let d = separable();
-        let m = LinearSvmTrainer::default().fit(&d).unwrap();
-        for (x, y) in d.iter() {
-            assert_eq!(m.predict(x), y, "x={x:?}");
+        for (d, trainer) in separable_cases() {
+            let m = trainer.fit(&d).unwrap();
+            for (x, y) in d.iter() {
+                assert_eq!(m.predict(x), y, "x={x:?}");
+            }
         }
     }
 
@@ -235,6 +255,17 @@ mod tests {
         let m = LinearSvmTrainer::default().fit(&d).unwrap();
         assert!(m.decision_function(&[2.0, 2.0]) > 0.0);
         assert!(m.decision_function(&[-1.0, -1.0]) < 0.0);
+        // The normal points along the class-mean difference.
+        for (d, trainer) in separable_cases() {
+            let mut diff = vec![0.0; d.dim()];
+            for (x, y) in d.iter() {
+                let w = y.sign() / d.count(y) as f64;
+                diff.iter_mut().zip(x).for_each(|(acc, v)| *acc += w * v);
+            }
+            let w = trainer.fit(&d).unwrap().weights().to_vec();
+            let cos = dot(&w, &diff) / (dot(&w, &w) * dot(&diff, &diff)).sqrt();
+            assert!(cos > 0.99, "normal {w:?} vs mean difference {diff:?}");
+        }
     }
 
     #[test]

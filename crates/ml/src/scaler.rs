@@ -143,7 +143,7 @@ mod tests {
         let s = StandardScaler::fit(&d).unwrap();
         let t = s.transform_dataset(&d).unwrap();
         for j in 0..2 {
-            let col: Vec<f64> = t.features().iter().map(|r| r[j]).collect();
+            let col: Vec<f64> = t.iter().map(|(r, _)| r[j]).collect();
             let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
             let var: f64 =
                 col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / col.len() as f64;

@@ -32,7 +32,7 @@ proptest! {
         let t = s.transform_dataset(&d).unwrap();
         // Column means of transformed data are ~0 for non-constant cols.
         for j in 0..3 {
-            let col: Vec<f64> = t.features().iter().map(|r| r[j]).collect();
+            let col: Vec<f64> = t.iter().map(|(r, _)| r[j]).collect();
             let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
             prop_assert!(mean.abs() < 1e-6, "col {j} mean {mean}");
         }
@@ -147,51 +147,4 @@ proptest! {
             prop_assert!(w[1].threshold >= w[0].threshold || w[0].threshold == f64::NEG_INFINITY);
         }
     }
-}
-
-/// Cross-validation of the two SVM trainers: on separable data the dual
-/// coordinate-descent and SMO solvers must agree on every training
-/// label (their decision functions approximate the same max-margin
-/// hyperplane).
-#[test]
-fn dual_cd_and_smo_agree_on_separable_data() {
-    use ml::linear_svm::LinearSvmTrainer;
-    use ml::smo::SmoTrainer;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut d = Dataset::new(3).unwrap();
-    for _ in 0..40 {
-        let n: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        d.push(n, Label::Negative).unwrap();
-        let p: Vec<f64> = (0..3).map(|_| 2.5 + rng.gen_range(-1.0..1.0)).collect();
-        d.push(p, Label::Positive).unwrap();
-    }
-    let cd = LinearSvmTrainer {
-        balanced: false,
-        ..LinearSvmTrainer::default()
-    }
-    .fit(&d)
-    .unwrap();
-    let smo = SmoTrainer::default().fit(&d).unwrap();
-    for (x, y) in d.iter() {
-        assert_eq!(cd.predict(x), y, "dual CD mislabels {x:?}");
-        assert_eq!(smo.predict(x), y, "SMO mislabels {x:?}");
-    }
-    // The SMO hyperplane points the same way as dual CD's: with the
-    // linear kernel, probing the decision function along each unit axis
-    // recovers its weights.
-    let origin = smo.decision_function(&[0.0; 3]);
-    let dot: f64 = cd
-        .weights()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let mut axis = [0.0; 3];
-            axis[i] = 1.0;
-            a * (smo.decision_function(&axis) - origin)
-        })
-        .sum();
-    assert!(dot > 0.0, "hyperplanes disagree in direction");
 }

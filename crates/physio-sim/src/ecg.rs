@@ -23,21 +23,13 @@ pub struct Wave {
 }
 
 impl Wave {
-    /// Evaluate the bump at `tau` seconds from the R peak, for a beat of
-    /// length `rr` seconds.
+    /// Hoist the per-beat constants (the RR stretch `powf`, the scaled
+    /// center, the Gaussian denominator) so the per-sample evaluation
+    /// ([`PreparedWave::at`]) is pure arithmetic plus one `exp`.
     ///
     /// `rr_scaling` is the exponent applied to `rr / rr_ref` when
     /// stretching the offset: `1.0` moves the wave proportionally with the
     /// beat length, `0.0` pins it.
-    fn eval(&self, tau: f64, rr: f64, rr_scaling: f64) -> f64 {
-        self.prepare(rr, rr_scaling).at(tau)
-    }
-
-    /// Hoist the per-beat constants (the RR stretch `powf`, the scaled
-    /// center, the Gaussian denominator) so the per-sample evaluation is
-    /// pure arithmetic plus one `exp`. [`PreparedWave::at`] runs the
-    /// exact operation sequence of the historical inline `eval`, so
-    /// prepared and direct evaluation agree bit for bit.
     fn prepare(&self, rr: f64, rr_scaling: f64) -> PreparedWave {
         const RR_REF: f64 = 60.0 / 65.0;
         let stretch = (rr / RR_REF).powf(rr_scaling);
@@ -113,26 +105,15 @@ impl Default for EcgMorphology {
 }
 
 impl EcgMorphology {
-    /// Evaluate the full PQRST complex at `tau` seconds from the R peak
-    /// of a beat with interval `rr`.
-    pub fn eval(&self, tau: f64, rr: f64) -> f64 {
-        // P and T track the beat length; the QRS complex is rigid.
-        self.p.eval(tau, rr, 1.0)
-            + self.q.eval(tau, rr, 0.0)
-            + self.r.eval(tau, rr, 0.0)
-            + self.s.eval(tau, rr, 0.0)
-            + self.t.eval(tau, rr, 0.6)
-    }
-
     /// Iterate over the five waves (P, Q, R, S, T order).
     pub fn waves(&self) -> [&Wave; 5] {
         [&self.p, &self.q, &self.r, &self.s, &self.t]
     }
 
-    /// Prepare the five waves for a fixed RR interval. The per-beat
-    /// stretch `powf`s run once here instead of once per sample; the
-    /// summation in [`PreparedMorphology::at`] keeps the P, Q, R, S, T
-    /// order, so results match [`EcgMorphology::eval`] bit for bit.
+    /// Prepare the five waves for a fixed RR interval, so the per-beat
+    /// stretch `powf`s run once here instead of once per sample;
+    /// [`PreparedMorphology::at`] then evaluates the PQRST complex at
+    /// `tau` seconds from the R peak, summing in P, Q, R, S, T order.
     fn prepare(&self, rr: f64) -> PreparedMorphology {
         PreparedMorphology {
             // P and T track the beat length; the QRS complex is rigid.
@@ -326,23 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn morphology_eval_far_from_beat_is_tiny() {
+    fn morphology_far_from_beat_is_tiny() {
         let m = EcgMorphology::default();
-        assert!(m.eval(5.0, 0.9).abs() < 1e-12);
-        assert!(m.eval(-5.0, 0.9).abs() < 1e-12);
+        assert!(m.prepare(0.9).at(5.0).abs() < 1e-12);
+        assert!(m.prepare(0.9).at(-5.0).abs() < 1e-12);
     }
 
     #[test]
     fn r_amplitude_dominates() {
         let m = EcgMorphology::default();
-        let at_r = m.eval(0.0, 0.9);
+        let at_r = m.prepare(0.9).at(0.0);
         assert!(at_r > 0.9, "R amplitude {at_r}");
     }
 
     #[test]
     fn t_wave_visible_after_r() {
         let m = EcgMorphology::default();
-        let at_t = m.eval(0.30, 60.0 / 65.0);
+        let at_t = m.prepare(60.0 / 65.0).at(0.30);
         assert!(at_t > 0.2, "T amplitude {at_t}");
     }
 
@@ -365,10 +346,11 @@ mod tests {
         let m = EcgMorphology::default();
         // Find T peak for short and long beats by scanning after R.
         let t_peak = |rr: f64| {
+            let beat = m.prepare(rr);
             let mut best = (0.0, f64::NEG_INFINITY);
             let mut tau = 0.1;
             while tau < 0.6 {
-                let v = m.eval(tau, rr);
+                let v = beat.at(tau);
                 if v > best.1 {
                     best = (tau, v);
                 }

@@ -40,30 +40,6 @@ impl std::fmt::Display for PlatformFlavor {
     }
 }
 
-/// Extract a feature vector with the chosen platform's arithmetic.
-///
-/// The Amulet flavor computes in `f32` and widens at the end, so the
-/// returned values carry single-precision rounding exactly as the device
-/// would produce.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::features::extract`].
-pub fn extract_flavored(
-    version: Version,
-    flavor: PlatformFlavor,
-    snippet: &Snippet,
-    config: &SiftConfig,
-) -> Result<Vec<f64>, SiftError> {
-    match flavor {
-        PlatformFlavor::Gold => crate::features::extract(version, snippet, config),
-        PlatformFlavor::Amulet => Ok(extract_amulet_f32(version, snippet, config)?
-            .into_iter()
-            .map(f64::from)
-            .collect()),
-    }
-}
-
 /// The embedded (`f32`) feature extractor — the code that would be
 /// generated C on the real device.
 ///
@@ -620,10 +596,11 @@ mod tests {
         let cfg = SiftConfig::default();
         let sn = snippet();
         for v in Version::ALL {
-            let gold = extract_flavored(v, PlatformFlavor::Gold, &sn, &cfg).unwrap();
-            let amulet = extract_flavored(v, PlatformFlavor::Amulet, &sn, &cfg).unwrap();
+            let gold = crate::features::extract(v, &sn, &cfg).unwrap();
+            let amulet = extract_amulet_f32(v, &sn, &cfg).unwrap();
             assert_eq!(gold.len(), amulet.len());
-            for (i, (g, a)) in gold.iter().zip(&amulet).enumerate() {
+            for (i, (g, &a)) in gold.iter().zip(&amulet).enumerate() {
+                let a = f64::from(a);
                 let tol = 0.05 * g.abs().max(0.5);
                 assert!((g - a).abs() < tol, "{v} feature {i}: gold={g} amulet={a}");
             }
@@ -636,9 +613,12 @@ mod tests {
         // point of Table II's platform comparison.
         let cfg = SiftConfig::default();
         let sn = snippet();
-        let gold = extract_flavored(Version::Original, PlatformFlavor::Gold, &sn, &cfg).unwrap();
-        let amulet =
-            extract_flavored(Version::Original, PlatformFlavor::Amulet, &sn, &cfg).unwrap();
+        let gold = crate::features::extract(Version::Original, &sn, &cfg).unwrap();
+        let amulet: Vec<f64> = extract_amulet_f32(Version::Original, &sn, &cfg)
+            .unwrap()
+            .into_iter()
+            .map(f64::from)
+            .collect();
         assert_ne!(gold, amulet);
     }
 

@@ -5,7 +5,7 @@ use ml::Label;
 use proptest::prelude::*;
 use sift::config::SiftConfig;
 use sift::features::{extract, Version};
-use sift::flavor::{extract_flavored, PlatformFlavor};
+use sift::flavor::extract_amulet_f32;
 use sift::portrait::{GridMatrix, Portrait};
 use sift::snippet::Snippet;
 
@@ -68,7 +68,7 @@ proptest! {
     fn amulet_features_finite_and_close(sn in snippet_strategy()) {
         let cfg = SiftConfig::default();
         for v in Version::ALL {
-            let amulet = extract_flavored(v, PlatformFlavor::Amulet, &sn, &cfg).unwrap();
+            let amulet = extract_amulet_f32(v, &sn, &cfg).unwrap();
             prop_assert!(amulet.iter().all(|x| x.is_finite()));
         }
     }

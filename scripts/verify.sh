@@ -7,6 +7,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark builds `wearbench` from its own manifest. Its path crates
+# still resolve `*.workspace = true` dependencies through the root
+# manifest's [workspace.dependencies], so an edit there can break this
+# build alone: build it exactly as the benchmark does.
+cargo build --release --offline --manifest-path crates/bench/src/bin/wearbench/Cargo.toml
 # Every member crate's unit, integration and doc tests (a bare `cargo
 # test` at this root runs only the root package's). Among them: the
 # analyzer's rule fixtures; the deterministic harness (golden_traces,
