@@ -4,17 +4,13 @@
 //! * [`heartrate`] — a simple heart-rate display app, demonstrating the
 //!   platform's multi-application deployment (several apps react to the
 //!   same sensor events without threads or isolation violations),
-//! * [`fall_detection`] — the paper's other canonical decision app,
-//!   consuming the internal accelerometer,
 //! * [`watchdog`] — a stream-liveness watchdog raising a distinct
 //!   alert when a sensor stream goes silent.
 
-pub mod fall_detection;
 pub mod heartrate;
 pub mod sift_app;
 pub mod watchdog;
 
-pub use fall_detection::FallDetectionApp;
 pub use heartrate::HeartRateApp;
 pub use sift_app::SiftApp;
 pub use watchdog::WatchdogApp;

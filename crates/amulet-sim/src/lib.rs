@@ -28,10 +28,10 @@
 //!   bookkeeping,
 //! * [`nvram`] — a crash-consistent A/B checkpoint store in the
 //!   nonvolatile FRAM, so detector state survives brownout-reboots,
-//! * [`apps`] — applications, including the three-state SIFT detector app
-//!   (*PeaksDataCheck → FeatureExtraction → MLClassifier*, paper §III)
-//!   and a simple heart-rate display app demonstrating multi-app
-//!   deployment.
+//! * [`apps`] — applications: the three-state SIFT detector app
+//!   (*PeaksDataCheck → FeatureExtraction → MLClassifier*, paper §III),
+//!   a simple heart-rate display app demonstrating multi-app
+//!   deployment, and a stream-liveness watchdog.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +46,6 @@ pub mod memory;
 pub mod nvram;
 pub mod os;
 pub mod profiler;
-pub mod sensors;
 pub mod toolchain;
 
 mod error;

@@ -46,6 +46,7 @@
 //! within the profile the remaining approximations are benign
 //! (closures and iterator adapters stay in their enclosing frame).
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
@@ -1191,6 +1192,11 @@ fn entry_fn(graph: &Graph, ep: &EntryPoint) -> Option<usize> {
 /// per-function entry ownership map used by the panic walk: for every
 /// function reachable from an entry point, the index (into
 /// [`ENTRY_POINTS`] order), BFS parent, and distance.
+///
+/// Equal-depth successors and an SCC's equal-frame members tie-break on
+/// the first-defined fn by (path, line), never on Tarjan numbering:
+/// that shifts whenever an unrelated file is added or deleted, and the
+/// certified chain must not.
 #[allow(clippy::type_complexity)]
 fn stack_report(
     files: &[ParsedFile],
@@ -1222,17 +1228,19 @@ fn stack_report(
             .max()
             .unwrap_or(0)
     };
+    let origin = |v: usize| (graph.paths[graph.fns[v].file].as_str(), graph.fns[v].line);
+    let first_def: Vec<_> = sccs
+        .iter()
+        .map(|comp| comp.iter().map(|&v| origin(v)).min())
+        .collect();
     let mut depth = vec![0usize; sccs.len()];
     let mut best_succ: Vec<Option<usize>> = vec![None; sccs.len()];
     for c in 0..sccs.len() {
-        let mut best = 0usize;
-        for &s in &succs[c] {
-            if depth[s] > best {
-                best = depth[s];
-                best_succ[c] = Some(s);
-            }
-        }
-        depth[c] = comp_frame(c) + best;
+        best_succ[c] = succs[c]
+            .iter()
+            .copied()
+            .max_by_key(|&s| (depth[s], Reverse(first_def[s])));
+        depth[c] = comp_frame(c) + best_succ[c].map_or(0, |s| depth[s]);
     }
 
     let mut entries = Vec::new();
@@ -1247,8 +1255,8 @@ fn stack_report(
         while let Some(cc) = c {
             let rep = sccs[cc]
                 .iter()
-                .max_by_key(|&&v| frame_bytes(&graph.fns[v]))
-                .copied();
+                .copied()
+                .min_by_key(|&v| (Reverse(frame_bytes(&graph.fns[v])), origin(v)));
             if let Some(rep) = rep {
                 let mut name = graph.fns[rep].display();
                 if sccs[cc].len() > 1 {
@@ -1599,6 +1607,31 @@ mod tests {
         assert_eq!(e.stack_bytes, 22, "{e:?}");
         assert_eq!(e.frames, 3);
         assert_eq!(e.chain, vec!["SurvivalPolicy::step", "deep", "deeper"]);
+    }
+
+    #[test]
+    fn stack_chain_ties_do_not_depend_on_unrelated_files() {
+        // step calls two callees with equal frames. An earlier file that
+        // reaches `second` through method-name fan-out makes Tarjan
+        // number `second`'s SCC first; the chain must still pick the
+        // first-defined callee.
+        let src = "impl SurvivalPolicy {\n  pub fn step(&mut self, x: u32) -> u32 {\n    self.first(x) + self.second(x)\n  }\n  fn first(&self, x: u32) -> u32 { x }\n  fn second(&self, x: u32) -> u32 { x }\n}\n";
+        let unrelated = "pub fn other(p: &Probe, x: u32) -> u32 {\n  p.second(x)\n}\n";
+        let chain = |with_unrelated: bool| {
+            let mut files = Vec::new();
+            if with_unrelated {
+                files.push(parsed("crates/amulet-sim/src/probe.rs", unrelated));
+            }
+            files.push(parsed("crates/wiot/src/survival.rs", src));
+            let g = extract(&files);
+            let edges = resolve_edges(&g, false);
+            let sccs = tarjan(g.fns.len(), &edges);
+            let (report, _) = stack_report(&files, &g, &edges, &sccs);
+            report.entries[0].chain.clone()
+        };
+        let expected = vec!["SurvivalPolicy::step", "SurvivalPolicy::first"];
+        assert_eq!(chain(false), expected);
+        assert_eq!(chain(true), expected);
     }
 
     #[test]

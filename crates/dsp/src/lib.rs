@@ -5,11 +5,8 @@
 //!
 //! * [`stats`] — descriptive statistics (mean, variance, percentiles, …),
 //! * [`normalize`] — min–max normalization used to build SIFT *portraits*,
-//! * [`filter`] — moving-average, derivative and band-pass biquad (RBJ)
-//!   filters used by the R-peak detector,
 //! * [`integrate`] — numerical integration, including the paper's
 //!   *simplified* composite-trapezoid rule (§III, FeatureExtraction state),
-//! * [`resample`] — linear-interpolation resampling between sample rates,
 //! * [`embedded_math`] — libm-free replacements (Newton square root,
 //!   polynomial `atan2`, …) that model the Amulet's "no C math library"
 //!   constraint (paper Insight #2),
@@ -32,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod embedded_math;
-pub mod filter;
 pub mod fixed;
 pub mod integrate;
 pub mod normalize;
-pub mod resample;
 pub mod stats;
 
 mod error;

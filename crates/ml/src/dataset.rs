@@ -104,15 +104,6 @@ impl Dataset {
         self.features.is_empty()
     }
 
-    /// Borrow sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn sample(&self, i: usize) -> (&[f64], Label) {
-        (&self.features[i], self.labels[i])
-    }
-
     /// All labels.
     pub fn labels(&self) -> &[Label] {
         &self.labels

@@ -17,8 +17,9 @@
 //!    rate, variability) differs across the [`subject::bank`] of 12
 //!    synthetic subjects, mirroring Fantasia's young/elderly split.
 //!
-//! The crate also provides the ground-truth-free peak detectors
-//! ([`rpeak`], [`syspeak`]) used when the base station receives live data.
+//! Every [`record::Record`] carries the ground-truth R-peak and
+//! systolic-peak indices of its synthesis; they stand in for the peak
+//! indexes the paper pre-stores on the Amulet.
 //!
 //! # Example
 //!
@@ -43,10 +44,8 @@ pub mod noise;
 pub mod population;
 pub mod quality;
 pub mod record;
-pub mod rpeak;
 pub mod rr;
 pub mod subject;
-pub mod syspeak;
 
 /// Default sample rate (Hz) used throughout the reproduction.
 ///

@@ -7,8 +7,6 @@
 
 use crate::SiftError;
 use physio_sim::record::Record;
-use physio_sim::rpeak::{self, RPeakConfig};
-use physio_sim::syspeak::{self, SysPeakConfig};
 
 /// One detection window of paired signals plus peak annotations.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,25 +89,6 @@ impl Snippet {
             window.r_peaks.clone(),
             window.sys_peaks.clone(),
         )
-    }
-
-    /// Build from raw signals, detecting the peaks on the fly (the "live
-    /// data" extension the paper mentions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SiftError::InvalidSnippet`] on malformed channels and
-    /// propagates detector errors (degenerate signals map to
-    /// [`SiftError::DegenerateSignal`]).
-    pub fn from_signals(ecg: Vec<f64>, abp: Vec<f64>, fs: f64) -> Result<Self, SiftError> {
-        if ecg.is_empty() || ecg.len() != abp.len() {
-            return Err(SiftError::InvalidSnippet {
-                reason: "channels empty or unequal",
-            });
-        }
-        let r_peaks = rpeak::detect(&ecg, fs, &RPeakConfig::default())?;
-        let sys_peaks = syspeak::detect(&abp, fs, &SysPeakConfig::default())?;
-        Self::new(ecg, abp, r_peaks, sys_peaks)
     }
 
     /// Number of samples per channel.
@@ -248,25 +227,5 @@ mod tests {
     fn pairing_handles_empty_peaks() {
         let sn = Snippet::new(vec![0.0; 10], vec![0.0; 10], vec![], vec![]).unwrap();
         assert!(sn.paired_peaks().is_empty());
-    }
-
-    #[test]
-    fn from_signals_detects_peaks() {
-        let s = &bank()[1];
-        let r = Record::synthesize(s, 10.0, 5);
-        let sn = Snippet::from_signals(r.ecg.clone(), r.abp.clone(), r.fs).unwrap();
-        // Detected counts should be near ground truth.
-        let diff = sn.r_peaks.len().abs_diff(r.r_peaks.len());
-        assert!(diff <= 2, "detected {} truth {}", sn.r_peaks.len(), r.r_peaks.len());
-    }
-
-    #[test]
-    fn from_signals_flat_abp_is_degenerate() {
-        let ecg = vec![0.0; 1080];
-        let abp = vec![80.0; 1080];
-        assert!(matches!(
-            Snippet::from_signals(ecg, abp, 360.0),
-            Err(SiftError::DegenerateSignal)
-        ));
     }
 }

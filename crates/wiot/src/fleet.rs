@@ -878,16 +878,26 @@ mod tests {
         .unwrap();
         let off = run_fleet_with_bank(&spec, &models).unwrap();
         let on = run_fleet_with_bank(&spec.clone().with_telemetry(true), &models).unwrap();
-        let on_threaded = run_fleet_with_bank(
-            &spec.clone().with_telemetry(true).with_threads(3),
-            &models,
-        )
-        .unwrap();
         assert_eq!(off.digest(), on.digest(), "telemetry changed the digest");
-        assert_eq!(on.digest(), on_threaded.digest());
         assert!(off.telemetry.is_none());
+        // `on` ran on the default single thread.
+        for threads in [2usize, 3, 8] {
+            let threaded = run_fleet_with_bank(
+                &spec.clone().with_telemetry(true).with_threads(threads),
+                &models,
+            )
+            .unwrap();
+            assert_eq!(
+                on.digest(),
+                threaded.digest(),
+                "telemetry changed the digest at {threads} threads"
+            );
+            assert_eq!(
+                on.telemetry, threaded.telemetry,
+                "merge not thread-stable at {threads} threads"
+            );
+        }
         let merged = on.telemetry.as_ref().expect("sink was on");
-        assert_eq!(on.telemetry, on_threaded.telemetry, "merge not thread-stable");
         assert!(merged.events.is_empty(), "aggregate must not carry a trace");
         assert_eq!(
             merged.counter(telemetry::CounterId::PacketsSent),

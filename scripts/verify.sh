@@ -16,7 +16,7 @@ cargo build --release --offline --manifest-path crates/bench/src/bin/wearbench/C
 # test` at this root runs only the root package's). Among them: the
 # analyzer's rule fixtures; the deterministic harness (golden_traces,
 # fleet_props, recovery_props, survival_props, adaptive_security,
-# adaptive_faults, wiot's transport_edges, resample_props); and the
+# adaptive_faults, wiot's transport_edges); and the
 # detector-zoo certification (detector_conformance runs every property
 # against BackendKind::ALL; ml's tsetlin_props covers the Tsetlin
 # backend's clause logic); and decoder_mutations, the one mutation

@@ -12,8 +12,8 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`dsp`] | filters, statistics, normalization, libm-free math, Q16.16 |
-//! | [`physio_sim`] | synthetic ECG/ABP subjects (Fantasia stand-in), peak detectors |
+//! | [`dsp`] | statistics, normalization, integration, libm-free math, Q16.16 |
+//! | [`physio_sim`] | synthetic ECG/ABP subjects (Fantasia stand-in) with peak annotations |
 //! | [`ml`] | linear SVM, scalers, metrics, baselines, embedded model codec |
 //! | [`sift`] | portraits, the three feature extractors, trainer, detector |
 //! | [`amulet_sim`] | QM state machines, AmuletOS, memory/energy models, ARP |

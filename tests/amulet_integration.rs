@@ -131,6 +131,13 @@ fn display_receives_both_apps_output() {
         .collect();
     assert!(apps.contains("sift-reduced"));
     assert!(apps.contains("heartrate"));
+    // The detector saw genuine data only: its alerts should be rare.
+    let sift_alerts = os
+        .alerts()
+        .iter()
+        .filter(|a| a.app == "sift-reduced")
+        .count();
+    assert!(sift_alerts <= 1, "sift false alerts: {sift_alerts}");
 }
 
 #[test]
@@ -176,67 +183,4 @@ fn battery_drains_to_exhaustion_near_predicted_lifetime() {
         (elapsed_days - predicted_days).abs() < predicted_days * 0.3,
         "exhausted after {elapsed_days:.4} scaled-days, predicted {predicted_days:.4}"
     );
-}
-
-#[test]
-fn three_apps_share_one_device() {
-    use amulet_sim::apps::fall_detection::{accel_signal, FallDetectionApp};
-    use amulet_sim::sensors::{Accelerometer, Activity};
-
-    let cfg = quick_config();
-    let model = train_for_subject(&bank(), 0, Version::Reduced, &cfg, 11).unwrap();
-    let sift = SiftApp::new(Version::Reduced, model.embedded().clone(), cfg.clone()).unwrap();
-    let hr = HeartRateApp::with_sample_rate(cfg.fs);
-    let fall = FallDetectionApp::default();
-    let image = FirmwareImage::build(
-        vec![sift.resource_spec(), hr.resource_spec(), fall.resource_spec()],
-        &ResourceProfiler::default(),
-    )
-    .unwrap();
-    let mut os = AmuletOs::new();
-    os.install(&image, vec![Box::new(sift), Box::new(hr), Box::new(fall)])
-        .unwrap();
-
-    // Interleave cardiac windows with accelerometer samples, including a
-    // fall mid-session.
-    let live = Record::synthesize(&bank()[0], 9.0, 77);
-    let mut acc = Accelerometer::new(Activity::Walking, 5);
-    let mut t_ms = 0u64;
-    for (k, w) in windows(&live, 3.0).unwrap().iter().enumerate() {
-        os.post(AmuletEvent::SnippetReady(Snippet::from_record(w).unwrap()));
-        if k == 1 {
-            acc.set_activity(Activity::Falling, t_ms);
-        }
-        for i in 0..150 {
-            let sample_t = t_ms + i * 20;
-            os.post(accel_signal(acc.sample(sample_t).value));
-            // Dispatch promptly: the event queue is small by design.
-            os.run_until_idle().unwrap();
-            os.advance_time(20);
-        }
-        t_ms += 3000;
-    }
-
-    // All three apps did their jobs on one run-to-completion event loop.
-    let apps: std::collections::BTreeSet<&str> = os
-        .display()
-        .lines()
-        .iter()
-        .map(|l| l.app.as_str())
-        .collect();
-    assert!(apps.contains("sift-reduced"));
-    assert!(apps.contains("heartrate"));
-    let fall_alerts = os
-        .alerts()
-        .iter()
-        .filter(|a| a.app == "fall-detection")
-        .count();
-    assert!(fall_alerts >= 1, "fall should be detected");
-    // The detector saw genuine data only: its alerts should be rare.
-    let sift_alerts = os
-        .alerts()
-        .iter()
-        .filter(|a| a.app == "sift-reduced")
-        .count();
-    assert!(sift_alerts <= 1, "sift false alerts: {sift_alerts}");
 }

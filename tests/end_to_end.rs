@@ -121,26 +121,3 @@ fn gold_and_amulet_flavors_agree_on_clear_cases() {
     }
     assert!(agree * 10 >= total * 9, "{agree}/{total} agreement");
 }
-
-#[test]
-fn live_peak_detection_path_works_end_to_end() {
-    // The "simple extension to perform these tasks at run-time based on
-    // live data": build snippets with detected (not ground-truth) peaks.
-    let subjects = bank();
-    let cfg = quick_config();
-    let model = train_for_subject(&subjects, 1, Version::Simplified, &cfg, 31).unwrap();
-    let det = Detector::new(model, PlatformFlavor::Gold, cfg.clone()).unwrap();
-    let own = Record::synthesize(&subjects[1], 30.0, 2_718);
-    let mut alerts = 0usize;
-    let mut total = 0usize;
-    for w in windows(&own, 3.0).unwrap() {
-        let sn = Snippet::from_signals(w.ecg.clone(), w.abp.clone(), w.fs).unwrap();
-        total += 1;
-        alerts += usize::from(det.classify(&sn).unwrap().is_alert());
-    }
-    // Live detection is noisier than annotated peaks but must stay sane.
-    assert!(
-        alerts * 2 < total,
-        "live-peak path false-alerted {alerts}/{total}"
-    );
-}
