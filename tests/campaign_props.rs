@@ -3,7 +3,7 @@
 //! bit-equality, inter-subject distinguishability, adaptive-attacker
 //! convergence, and campaign digest stability across thread counts.
 
-use ml::BackendKind;
+use ml::{BackendKind, DetectorModel};
 use physio_sim::population::{morphology_distance, population, LEGACY_BANK_SEED};
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
@@ -137,16 +137,40 @@ fn small_plan() -> CampaignPlan {
     }
 }
 
-/// The campaign digest — fleet digest plus the per-class matrix — is
-/// byte-identical at 1, 2, and 8 worker threads. This is the
-/// determinism guarantee the bench gate pins, asserted here at test
-/// scale so a violation fails fast in `cargo test`.
+/// `CampaignReport::digest` of [`small_plan`], and [`models_fnv`] of
+/// its pool's models, computed with every donor enrolled as a whole
+/// two-channel record on one thread.
+const SMALL_PLAN_DIGEST: u64 = 0x7058_D242_1D2A_423D;
+const SMALL_PLAN_MODELS_FNV: u64 = 0xA4B9_52B6_9249_96FB;
+
+/// FNV-1a 64 over the encoded models, in pool order.
+fn models_fnv(models: &[DetectorModel]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for b in models.iter().flat_map(DetectorModel::encode) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The campaign digest — fleet digest plus the per-class matrix — and
+/// the enrolled pool models are byte-identical at 1, 2, 3 and 8 worker
+/// threads: a pool of three split over two workers, over exactly three,
+/// and over more workers than victims. This is the determinism
+/// guarantee the bench gate pins, asserted here at test scale so a
+/// violation fails fast in `cargo test`.
 #[test]
 fn campaign_digest_is_thread_count_invariant() {
     let base = small_plan();
     let one = run_campaign(&base).unwrap();
     let digest = one.digest();
-    for threads in [2usize, 8] {
+    assert_eq!(
+        (digest, models_fnv(&one.pool_models)),
+        (SMALL_PLAN_DIGEST, SMALL_PLAN_MODELS_FNV),
+        "small campaign moved: digest {digest:#X}, models {:#X}",
+        models_fnv(&one.pool_models)
+    );
+    for threads in [2usize, 3, 8] {
         let r = run_campaign(&CampaignPlan {
             threads,
             ..base.clone()
@@ -154,6 +178,10 @@ fn campaign_digest_is_thread_count_invariant() {
         .unwrap();
         assert_eq!(digest, r.digest(), "digest moved at {threads} threads");
         assert_eq!(one.classes, r.classes, "matrix moved at {threads} threads");
+        assert_eq!(
+            one.pool_models, r.pool_models,
+            "models moved at {threads} threads"
+        );
     }
     // And it is a pure function of the plan: a different campaign seed
     // moves it.
