@@ -17,7 +17,7 @@
 
 use crate::config::SiftConfig;
 use crate::features::Version;
-use crate::trainer::{build_training_set, enroll, train_from_dataset};
+use crate::trainer::{build_training_set, enroll, train_from_dataset, DonorEcg};
 use crate::SiftError;
 use ml::tsetlin::TsetlinTrainer;
 use ml::{BackendKind, Dataset, DetectorModel};
@@ -81,16 +81,16 @@ pub fn train_backend_from_dataset(
 }
 
 /// Train a deployable model of family `kind` for a wearer against the
-/// given donors — the backend-generic sibling of
-/// [`crate::trainer::train`].
+/// given donors' ECG ([`DonorEcg`]: whole records or ECG spans) — the
+/// backend-generic sibling of [`crate::trainer::train`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`crate::trainer::train`], plus backend trainer
 /// errors.
-pub fn train_backend(
+pub fn train_backend<D: DonorEcg>(
     victim_train: &Record,
-    donor_trains: &[&Record],
+    donor_trains: &[D],
     version: Version,
     kind: BackendKind,
     config: &SiftConfig,
@@ -130,6 +130,7 @@ mod tests {
     use super::*;
     use crate::trainer::train_for_subject;
     use ml::DetectorBackend;
+    use physio_sim::record::EcgSpan;
     use physio_sim::subject::bank;
 
     fn quick_config() -> SiftConfig {
@@ -183,6 +184,29 @@ mod tests {
             sizes[0] > sizes[1] && sizes[1] > sizes[2],
             "ladder not monotone: {sizes:?}"
         );
+    }
+
+    /// Enrolling on the donors' whole-session ECG spans deploys the
+    /// very bytes that enrolling on their two-channel records does.
+    #[test]
+    fn span_donors_train_the_record_donors_model() {
+        let b = bank();
+        let cfg = quick_config();
+        let victim = Record::synthesize(&b[0], cfg.train_s, 11);
+        let donors: Vec<Record> = (1..4)
+            .map(|i| Record::synthesize(&b[i], cfg.train_s, 11 + i as u64))
+            .collect();
+        let spans: Vec<EcgSpan> = (1..4)
+            .map(|i| Record::ecg_span(&b[i], cfg.train_s, 11 + i as u64, 0..usize::MAX))
+            .collect();
+        let donor_refs: Vec<&Record> = donors.iter().collect();
+        for kind in [BackendKind::Svm, BackendKind::Tsetlin] {
+            let from_records =
+                train_backend(&victim, &donor_refs, Version::Simplified, kind, &cfg).unwrap();
+            let from_spans =
+                train_backend(&victim, &spans, Version::Simplified, kind, &cfg).unwrap();
+            assert_eq!(from_spans.encode(), from_records.encode(), "{kind:?}");
+        }
     }
 
     #[test]

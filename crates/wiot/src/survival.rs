@@ -16,12 +16,17 @@
 //!   margin and a minimum dwell time),
 //! * **sampling duty cycle** (skip N of M windows at the source):
 //!   below half charge the sensors skip one window in four, below a
-//!   quarter one in two, trading window coverage for radio and CPU
-//!   energy,
+//!   quarter one in two, trading window coverage for detector energy.
+//!   The battery drain, `crate::adaptive::DrawTable::draw_ua`, scales
+//!   only the detector's share of the draw by the windows kept; the
+//!   radio stays a flat `radio_avg_ua` inside the baseline,
 //! * **transport retry budget**: under low battery the ARQ spends
 //!   less on retransmissions (a smaller per-packet retry budget with
-//!   a wider backoff), accepting salvage/drop instead of burning the
-//!   radio on a bad link.
+//!   a wider backoff), accepting salvage/drop on a bad link. The
+//!   energy model charges no retransmission, so this rung changes link
+//!   behaviour but buys no modelled lifetime; ROADMAP.md's item
+//!   "Charge the survival ladder's retry rung for energy, or delete
+//!   it" settles which.
 //!
 //! Everything here is **fixed-point integer arithmetic** on `Copy`
 //! types: the module is pinned to the analyzer's embedded profile
