@@ -236,22 +236,25 @@ impl Record {
     /// Panics if `start > end` or `end > self.len()`.
     pub fn slice(&self, start: usize, end: usize) -> Record {
         assert!(start <= end && end <= self.len(), "slice out of bounds");
-        let shift = |peaks: &[usize]| -> Vec<usize> {
-            peaks
-                .iter()
-                .filter(|&&p| p >= start && p < end)
-                .map(|&p| p - start)
-                .collect()
-        };
         Record {
             subject: self.subject,
             fs: self.fs,
             ecg: self.ecg[start..end].to_vec(),
             abp: self.abp[start..end].to_vec(),
-            r_peaks: shift(&self.r_peaks),
-            sys_peaks: shift(&self.sys_peaks),
+            r_peaks: peaks_in(&self.r_peaks, start, end - start).collect(),
+            sys_peaks: peaks_in(&self.sys_peaks, start, end - start).collect(),
         }
     }
+}
+
+/// The peak indices of `peaks` inside `start..start + len`, relative to
+/// `start`: how a [`Record::slice`], an [`EcgSpan::read`] or any other
+/// reader of part of a recording re-indexes its annotations.
+pub fn peaks_in(peaks: &[usize], start: usize, len: usize) -> impl Iterator<Item = usize> + '_ {
+    peaks
+        .iter()
+        .filter(move |&&p| p >= start && p < start + len)
+        .map(move |&p| p - start)
 }
 
 /// The noisy ECG samples `range` (its end clamped to the session) and
@@ -312,12 +315,7 @@ impl EcgSpan {
             start + len
         );
         let samples = &self.ecg[start - span.start..start + len - span.start];
-        let peaks = self
-            .r_peaks
-            .iter()
-            .filter(move |&&p| p >= start && p < start + len)
-            .map(move |&p| p - start);
-        (samples, peaks)
+        (samples, peaks_in(&self.r_peaks, start, len))
     }
 }
 
@@ -448,6 +446,14 @@ mod tests {
             // Original index must have been annotated too.
             assert!(r.r_peaks.contains(&(p + start)));
         }
+    }
+
+    #[test]
+    fn peaks_in_keeps_the_first_sample_and_drops_the_end() {
+        let peaks = [0, 4, 5, 9, 14, 15, 20];
+        assert_eq!(peaks_in(&peaks, 5, 10).collect::<Vec<_>>(), [0, 4, 9]);
+        assert_eq!(peaks_in(&peaks, 0, 5).collect::<Vec<_>>(), [0, 4]);
+        assert_eq!(peaks_in(&peaks, 21, 4).count(), 0);
     }
 
     #[test]
