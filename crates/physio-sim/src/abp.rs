@@ -177,6 +177,54 @@ pub fn render(
     (out, sys_peaks)
 }
 
+/// The ABP renderer before the dicrotic-notch skip: the notch Gaussian
+/// at every sample after the systolic peak. Kept only as the oracle the
+/// Reference kernel must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::AbpMorphology;
+
+    fn kernel(morph: &AbpMorphology, x: f64) -> f64 {
+        if x < -morph.rise_s {
+            0.0
+        } else if x < 0.0 {
+            0.5 * (1.0 + (std::f64::consts::PI * x / morph.rise_s).cos())
+        } else {
+            let decay = (-x / morph.decay_s).exp();
+            let d = x - morph.notch_delay_s;
+            let notch = morph.notch_frac * (-d * d / (2.0 * 0.03f64 * 0.03)).exp();
+            decay + notch
+        }
+    }
+
+    pub(crate) fn render(
+        morph: &AbpMorphology,
+        r_times: &[f64],
+        duration_s: f64,
+        fs: f64,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let n = (duration_s * fs).round() as usize;
+        let mut out = vec![morph.diastolic_mmhg; n];
+        let pp = morph.pulse_pressure();
+        let tail = 4.0 * morph.decay_s + morph.notch_delay_s;
+        for &rt in r_times {
+            let peak_t = rt + morph.ptt_s;
+            let lo = (((peak_t - morph.rise_s) * fs).floor()).max(0.0) as usize;
+            let hi = (((peak_t + tail) * fs).ceil() as usize).min(n);
+            for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
+                let x = i as f64 / fs - peak_t;
+                *sample += pp * kernel(morph, x);
+            }
+        }
+        let sys_peaks = r_times
+            .iter()
+            .map(|rt| ((rt + morph.ptt_s) * fs).round() as usize)
+            .filter(|&i| i < n)
+            .collect();
+        (out, sys_peaks)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

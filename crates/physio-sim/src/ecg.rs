@@ -285,6 +285,53 @@ pub fn render(
     (out, r_peaks)
 }
 
+/// The per-sample renderer [`render`] replaced: every wave's `exp` at
+/// every sample of a beat's support. Kept only as the oracle the
+/// Reference kernel must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::EcgMorphology;
+    use std::ops::Range;
+
+    pub(crate) fn render(
+        morph: &EcgMorphology,
+        r_times: &[f64],
+        duration_s: f64,
+        fs: f64,
+        range: Range<usize>,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let n = (duration_s * fs).round() as usize;
+        let (first, end) = (range.start.min(n), range.end.min(n));
+        let mut out = vec![0.0f64; end.saturating_sub(first)];
+        for (k, &rt) in r_times.iter().enumerate() {
+            let rr_prev = if k > 0 { rt - r_times[k - 1] } else { 0.9 };
+            let rr_next = if k + 1 < r_times.len() {
+                r_times[k + 1] - rt
+            } else {
+                rr_prev
+            };
+            let lo = (((rt - 0.6 * rr_prev) * fs).floor().max(0.0) as usize).max(first);
+            let hi = (((rt + 0.75 * rr_next) * fs).ceil() as usize).min(end);
+            if lo >= hi {
+                continue;
+            }
+            let before = morph.prepare(rr_prev);
+            let after = morph.prepare(rr_next);
+            for (i, sample) in (lo..hi).zip(&mut out[lo - first..hi - first]) {
+                let tau = i as f64 / fs - rt;
+                let prepared = if tau >= 0.0 { &after } else { &before };
+                *sample += prepared.at(tau);
+            }
+        }
+        let r_peaks = r_times
+            .iter()
+            .map(|t| (t * fs).round() as usize)
+            .filter(|i| (first..end).contains(i))
+            .collect();
+        (out, r_peaks)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

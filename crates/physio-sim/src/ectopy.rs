@@ -8,7 +8,6 @@
 //! robustness claim.
 
 use crate::record::Record;
-use crate::rr::RrProcess;
 use crate::subject::Subject;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,8 +77,7 @@ pub fn synthesize_with_ectopy(
     seed: u64,
     params: &EctopyParams,
 ) -> (Record, Vec<usize>) {
-    let mut rr = RrProcess::new(subject.rr, seed);
-    let clean = rr.beat_times(0.4, duration_s);
+    let clean = crate::record::beat_train(subject, seed, duration_s);
     let (times, ectopic) = inject_premature_beats(&clean, params, seed ^ 0xEC7);
     (
         Record::synthesize_from_times(subject, &times, duration_s, seed, crate::SAMPLE_RATE_HZ),

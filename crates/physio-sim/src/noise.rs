@@ -148,6 +148,49 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
     }
 }
 
+/// The noise mix before the zero-amplitude skip: both sinusoids at
+/// every sample, whatever their amplitude. Kept only as the oracle
+/// [`apply`] must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::NoiseParams;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    pub(crate) fn apply(
+        signal: &mut [f64],
+        params: &NoiseParams,
+        fs: f64,
+        seed: u64,
+        start: usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let wander_phase: f64 = rng.gen_range(0.0..two_pi);
+        let hum_phase: f64 = rng.gen_range(0.0..two_pi);
+        let white = params.white_sigma > 0.0;
+        let mut uniforms =
+            move || -> (f64, f64) { (rng.gen_range(f64::EPSILON..1.0), rng.gen_range(0.0..1.0)) };
+        if white {
+            for _ in 0..start {
+                uniforms();
+            }
+        }
+        for (i, x) in (start..).zip(signal.iter_mut()) {
+            let t = i as f64 / fs;
+            let mut add = 0.0;
+            if white {
+                let (u1, u2) = uniforms();
+                let gauss = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
+                add += params.white_sigma * gauss;
+            }
+            add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
+            add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
+            *x += add;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -77,9 +77,7 @@ impl Record {
 
     /// Synthesize at an explicit sample rate.
     pub fn synthesize_at(subject: &Subject, duration_s: f64, seed: u64, fs: f64) -> Self {
-        let mut rr = RrProcess::new(subject.rr, seed);
-        // First beat a fraction of a second in so the P wave is complete.
-        let r_times = rr.beat_times(0.4, duration_s);
+        let r_times = beat_train(subject, seed, duration_s);
         Self::synthesize_from_times(subject, &r_times, duration_s, seed, fs)
     }
 
@@ -94,8 +92,7 @@ impl Record {
         seed: u64,
         profile: SynthProfile,
     ) -> Self {
-        let mut rr = RrProcess::new(subject.rr, seed);
-        let r_times = rr.beat_times(0.4, duration_s);
+        let r_times = beat_train(subject, seed, duration_s);
         Self::synthesize_from_times_profiled(
             subject,
             &r_times,
@@ -193,8 +190,7 @@ impl Record {
     /// ```
     pub fn ecg_span(subject: &Subject, duration_s: f64, seed: u64, range: Range<usize>) -> EcgSpan {
         let fs = SAMPLE_RATE_HZ;
-        let mut rr = RrProcess::new(subject.rr, seed);
-        let r_times = rr.beat_times(0.4, duration_s);
+        let r_times = beat_train(subject, seed, duration_s);
         let session_len = (duration_s * fs).round() as usize;
         let start = range.start.min(session_len);
         let (ecg, r_peaks) = render_ecg(subject, &r_times, duration_s, seed, fs, start..range.end);
@@ -245,6 +241,12 @@ impl Record {
             sys_peaks: peaks_in(&self.sys_peaks, start, end - start).collect(),
         }
     }
+}
+
+/// A session's beat train: the subject's RR process from `seed`, first
+/// beat 0.4 s in so its P wave is complete.
+pub(crate) fn beat_train(subject: &Subject, seed: u64, duration_s: f64) -> Vec<f64> {
+    RrProcess::new(subject.rr, seed).beat_times(0.4, duration_s)
 }
 
 /// The peak indices of `peaks` inside `start..start + len`, relative to
@@ -569,5 +571,152 @@ mod tests {
         let e = r.slice(10, 10);
         assert!(e.is_empty());
         assert_eq!(e.mean_heart_rate_bpm(), None);
+    }
+
+    /// Element-wise bit equality, naming the first differing sample.
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+            panic!("{what}: sample {i} is {:e}, oracle {:e}", got[i], want[i]);
+        }
+    }
+
+    /// The record the oracle kernels render for a beat train, composed
+    /// as [`Record::synthesize_from_times`] composes the Reference ones.
+    fn oracle_record(
+        subject: &Subject,
+        r_times: &[f64],
+        duration_s: f64,
+        seed: u64,
+        fs: f64,
+    ) -> Record {
+        let (mut ecg_sig, r_peaks) =
+            ecg::oracle::render(&subject.ecg, r_times, duration_s, fs, 0..usize::MAX);
+        noise::oracle::apply(&mut ecg_sig, &subject.ecg_noise, fs, seed ^ 0xEC6, 0);
+        let (mut abp_sig, sys_peaks) = abp::oracle::render(&subject.abp, r_times, duration_s, fs);
+        noise::oracle::apply(&mut abp_sig, &subject.abp_noise, fs, seed ^ 0xAB9, 0);
+        Record {
+            subject: subject.id,
+            fs,
+            ecg: ecg_sig,
+            abp: abp_sig,
+            r_peaks,
+            sys_peaks,
+        }
+    }
+
+    /// The noise-free ECG and ABP kernels and the noisy record of one
+    /// beat train, each against its oracle.
+    fn check_against_oracle(subject: &Subject, r_times: &[f64], secs: f64, seed: u64, fs: f64) {
+        let what = format!("{} seed {seed} {secs} s {fs} Hz", subject.id);
+        let (ecg_new, peaks_new) = ecg::render(&subject.ecg, r_times, secs, fs, 0..usize::MAX);
+        let (ecg_old, peaks_old) =
+            ecg::oracle::render(&subject.ecg, r_times, secs, fs, 0..usize::MAX);
+        assert_bits_eq(&ecg_new, &ecg_old, &format!("clean ECG, {what}"));
+        assert_eq!(peaks_new, peaks_old, "R peaks, {what}");
+        let (abp_new, sys_new) = abp::render(&subject.abp, r_times, secs, fs);
+        let (abp_old, sys_old) = abp::oracle::render(&subject.abp, r_times, secs, fs);
+        assert_bits_eq(&abp_new, &abp_old, &format!("clean ABP, {what}"));
+        assert_eq!(sys_new, sys_old, "systolic peaks, {what}");
+        let record = Record::synthesize_from_times(subject, r_times, secs, seed, fs);
+        let oracle = oracle_record(subject, r_times, secs, seed, fs);
+        assert_bits_eq(&record.ecg, &oracle.ecg, &format!("noisy ECG, {what}"));
+        assert_bits_eq(&record.abp, &oracle.abp, &format!("noisy ABP, {what}"));
+        assert_eq!(record, oracle, "{what}");
+    }
+
+    #[test]
+    fn reference_records_match_the_oracle_kernels_bit_for_bit() {
+        for subject in &bank() {
+            for seed in [1, 42, 0xDEAD_BEEF] {
+                for secs in [6.0, 30.0, 56.0] {
+                    let whole = Record::synthesize(subject, secs, seed);
+                    let r_times = beat_train(subject, seed, secs);
+                    assert_eq!(
+                        whole,
+                        oracle_record(subject, &r_times, secs, seed, SAMPLE_RATE_HZ)
+                    );
+                }
+            }
+            check_against_oracle(
+                subject,
+                &beat_train(subject, 9, 56.0),
+                56.0,
+                9,
+                SAMPLE_RATE_HZ,
+            );
+        }
+    }
+
+    #[test]
+    fn oracle_holds_for_stretched_and_edge_beats_and_other_rates() {
+        let b = bank();
+        for (k, subject) in b.iter().enumerate() {
+            let seed = 100 + k as u64;
+            // 1.8×-stretched beats: P and T underflow inside their own
+            // beat too, and the neighbours overlap less.
+            let stretched: Vec<f64> = beat_train(subject, seed, 30.0 / 1.8)
+                .iter()
+                .map(|t| 1.8 * t)
+                .collect();
+            check_against_oracle(subject, &stretched, 30.0, seed, SAMPLE_RATE_HZ);
+            // Beats within 0.6 RR of both record edges.
+            let rr = 60.0 / subject.rr.mean_hr_bpm;
+            let edge: Vec<f64> = (0..12).map(|j| 0.02 + j as f64 * rr).collect();
+            let secs = edge[11] + 0.1 * rr;
+            check_against_oracle(subject, &edge, secs, seed, SAMPLE_RATE_HZ);
+            for fs in [250.0, 128.0, 1000.0] {
+                check_against_oracle(subject, &beat_train(subject, seed, 12.0), 12.0, seed, fs);
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_holds_with_a_nonzero_abp_hum_and_silent_sinusoids() {
+        let mut hum = bank()[4].clone();
+        hum.abp_noise.hum_amp = 0.7;
+        hum.ecg_noise.hum_amp = 0.0;
+        hum.ecg_noise.wander_amp = 0.0;
+        let r_times = beat_train(&hum, 3, 20.0);
+        check_against_oracle(&hum, &r_times, 20.0, 3, SAMPLE_RATE_HZ);
+        let mut quiet = bank()[8].clone();
+        quiet.ecg_noise = crate::noise::NoiseParams::none();
+        quiet.abp_noise = crate::noise::NoiseParams::none();
+        check_against_oracle(
+            &quiet,
+            &beat_train(&quiet, 3, 20.0),
+            20.0,
+            3,
+            SAMPLE_RATE_HZ,
+        );
+    }
+
+    #[test]
+    fn ecg_spans_starting_inside_a_qrs_match_the_oracle() {
+        for subject in &bank() {
+            let (secs, seed) = (30.0, 77);
+            let r_times = beat_train(subject, seed, secs);
+            let whole = Record::synthesize(subject, secs, seed);
+            for &r in whole.r_peaks.iter().skip(3).step_by(9) {
+                for start in [r - 40, r - 6, r, r + 5, r + 30] {
+                    let range = start..start + 720;
+                    let (clean, _) =
+                        ecg::render(&subject.ecg, &r_times, secs, SAMPLE_RATE_HZ, range.clone());
+                    let (oracle, _) = ecg::oracle::render(
+                        &subject.ecg,
+                        &r_times,
+                        secs,
+                        SAMPLE_RATE_HZ,
+                        range.clone(),
+                    );
+                    assert_bits_eq(&clean, &oracle, &format!("{} span at {start}", subject.id));
+                    let mut noisy = oracle;
+                    let fs = SAMPLE_RATE_HZ;
+                    noise::oracle::apply(&mut noisy, &subject.ecg_noise, fs, seed ^ 0xEC6, start);
+                    let span = Record::ecg_span(subject, secs, seed, range);
+                    assert_bits_eq(span.read(start, noisy.len()).0, &noisy, "noisy span");
+                }
+            }
+        }
     }
 }
