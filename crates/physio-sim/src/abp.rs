@@ -10,6 +10,8 @@
 //! Because the pulse times come from the *same* RR process as the ECG,
 //! the two signals are inherently correlated — the property SIFT exploits.
 
+use crate::ecg::UNDERFLOW_EXP;
+
 /// Morphology of one subject's ABP pulse.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbpMorphology {
@@ -52,6 +54,15 @@ impl AbpMorphology {
     /// Evaluate the normalized pulse kernel at `x` seconds from the
     /// systolic peak (negative = during the upstroke). The kernel peaks
     /// at `1` at `x = 0` and is `0` before the upstroke begins.
+    ///
+    /// The dicrotic-notch Gaussian is left out where its exponent is
+    /// below [`UNDERFLOW_EXP`] (more than 1.13 s past the notch). That is
+    /// exact: the notch there is at most `notch_frac·3.3e-308`, while the
+    /// decay term `e^(-x/decay_s)` is at least `e^-5` over a rendered
+    /// pulse of any population subject (its support ends
+    /// `4·decay_s + notch_delay_s` past the peak), and it would take a
+    /// `decay_s` under 2 ms for the decay to sink to where the notch
+    /// could move a bit of the sum.
     pub fn kernel(&self, x: f64) -> f64 {
         if x < -self.rise_s {
             0.0
@@ -62,8 +73,12 @@ impl AbpMorphology {
             // Exponential diastolic decay plus the dicrotic rebound.
             let decay = (-x / self.decay_s).exp();
             let d = x - self.notch_delay_s;
-            let notch = self.notch_frac * (-d * d / (2.0 * 0.03f64 * 0.03)).exp();
-            decay + notch
+            let notch_exp = -d * d / (2.0 * 0.03f64 * 0.03);
+            if notch_exp < UNDERFLOW_EXP {
+                decay
+            } else {
+                decay + self.notch_frac * notch_exp.exp()
+            }
         }
     }
 }

@@ -63,6 +63,7 @@ pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64, start
     let wander_phase: f64 = rng.gen_range(0.0..two_pi);
     let hum_phase: f64 = rng.gen_range(0.0..two_pi);
     let white = params.white_sigma > 0.0;
+    let (wander, hum) = (params.wander_amp != 0.0, params.hum_amp != 0.0);
     let mut uniforms =
         move || -> (f64, f64) { (rng.gen_range(f64::EPSILON..1.0), rng.gen_range(0.0..1.0)) };
     if white {
@@ -72,14 +73,21 @@ pub fn apply(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64, start
     }
     for (i, x) in (start..).zip(signal.iter_mut()) {
         let t = i as f64 / fs;
+        // `add` starts at +0 and a round-to-nearest sum is −0 only when
+        // both terms are, so it is never −0: adding the ±0 a silent
+        // sinusoid would contribute leaves it unchanged, bit for bit.
         let mut add = 0.0;
         if white {
             let (u1, u2) = uniforms();
             let gauss = (-2.0 * u1.ln()).sqrt() * (two_pi * u2).cos();
             add += params.white_sigma * gauss;
         }
-        add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
-        add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
+        if wander {
+            add += params.wander_amp * (two_pi * params.wander_hz * t + wander_phase).sin();
+        }
+        if hum {
+            add += params.hum_amp * (two_pi * params.hum_hz * t + hum_phase).sin();
+        }
         *x += add;
     }
 }
@@ -128,8 +136,21 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
     // deviation exactly `white_sigma`.
     let k = params.white_sigma / (4.0 * (65536.0f64 * 65536.0 - 1.0) / 12.0).sqrt();
     let white = params.white_sigma > 0.0;
+    let (wander, hum) = (params.wander_amp != 0.0, params.hum_amp != 0.0);
     for x in signal.iter_mut() {
-        let mut add = params.wander_amp * w_s + params.hum_amp * h_s;
+        let mut add = 0.0;
+        if wander {
+            add += params.wander_amp * w_s;
+            let wn = w_s * w_rc + w_c * w_rs;
+            w_c = w_c * w_rc - w_s * w_rs;
+            w_s = wn;
+        }
+        if hum {
+            add += params.hum_amp * h_s;
+            let hn = h_s * h_rc + h_c * h_rs;
+            h_c = h_c * h_rc - h_s * h_rs;
+            h_s = hn;
+        }
         if white {
             let bits = rng.next_u64();
             let sum = (bits & 0xFFFF)
@@ -139,12 +160,6 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
             add += (sum as f64 - 2.0 * 65535.0) * k;
         }
         *x += add;
-        let wn = w_s * w_rc + w_c * w_rs;
-        w_c = w_c * w_rc - w_s * w_rs;
-        w_s = wn;
-        let hn = h_s * h_rc + h_c * h_rs;
-        h_c = h_c * h_rc - h_s * h_rs;
-        h_s = hn;
     }
 }
 
