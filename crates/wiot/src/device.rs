@@ -6,7 +6,7 @@
 //! on-sensor feature computation as one way to shrink the data stream
 //! (Insight #1, citing Mercury).
 
-use physio_sim::record::Record;
+use physio_sim::record::{peaks_in, Record};
 
 /// Which physiological stream a packet belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,18 +113,12 @@ impl SensorDevice {
             return None;
         }
         let end = start + self.chunk_len;
-        let peaks = self
-            .peaks
-            .iter()
-            .filter(|&&p| p >= start && p < end)
-            .map(|&p| p - start)
-            .collect();
         let packet = SensorPacket {
             stream: self.stream,
             seq: self.next_chunk,
             start_sample: start,
             samples: self.samples[start..end].to_vec(),
-            peaks,
+            peaks: peaks_in(&self.peaks, start, self.chunk_len).collect(),
         };
         self.next_chunk += 1;
         Some(packet)
