@@ -8,6 +8,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Configuration of the additive noise mix.
+///
+/// A component whose amplitude is `0.0` costs nothing: [`apply`] skips
+/// white noise with a `white_sigma` of `0.0` and either sinusoid with an
+/// amplitude of `0.0` instead of adding their `±0` to every sample, and
+/// [`apply_turbo`] skips silent white noise and a silent hum (every
+/// subject's ABP hum is silent).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseParams {
     /// Standard deviation of white Gaussian noise, in signal units.
@@ -120,7 +126,9 @@ impl SplitMix64 {
 /// configured `white_sigma` exactly in mean and variance but truncates
 /// the distribution at ±3.46σ. A different (faster) generator than
 /// [`apply`], deliberately: fleet-scale callers opt in through
-/// [`crate::record::SynthProfile::Turbo`].
+/// [`crate::record::SynthProfile::Turbo`]. A hum of amplitude `0.0` is
+/// not rotated or added at all; that drops a `±0` term, which could
+/// change only the sign of a zero noise sum.
 pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64) {
     let two_pi = 2.0 * std::f64::consts::PI;
     let mut rng = SplitMix64(seed);
@@ -136,15 +144,9 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
     // deviation exactly `white_sigma`.
     let k = params.white_sigma / (4.0 * (65536.0f64 * 65536.0 - 1.0) / 12.0).sqrt();
     let white = params.white_sigma > 0.0;
-    let (wander, hum) = (params.wander_amp != 0.0, params.hum_amp != 0.0);
+    let hum = params.hum_amp != 0.0;
     for x in signal.iter_mut() {
-        let mut add = 0.0;
-        if wander {
-            add += params.wander_amp * w_s;
-            let wn = w_s * w_rc + w_c * w_rs;
-            w_c = w_c * w_rc - w_s * w_rs;
-            w_s = wn;
-        }
+        let mut add = params.wander_amp * w_s;
         if hum {
             add += params.hum_amp * h_s;
             let hn = h_s * h_rc + h_c * h_rs;
@@ -160,6 +162,9 @@ pub fn apply_turbo(signal: &mut [f64], params: &NoiseParams, fs: f64, seed: u64)
             add += (sum as f64 - 2.0 * 65535.0) * k;
         }
         *x += add;
+        let wn = w_s * w_rc + w_c * w_rs;
+        w_c = w_c * w_rc - w_s * w_rs;
+        w_s = wn;
     }
 }
 
