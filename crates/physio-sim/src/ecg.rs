@@ -308,8 +308,9 @@ pub fn render(
         let before = morph.prepare(rr_prev);
         let after = morph.prepare(rr_next);
         // Split the beat into P+T stretches around one five-wave stretch
-        // `q_lo..q_hi`, padded by a sample against rounding; choosing
-        // the waves per sample instead measured 30 % slower.
+        // `q_lo..q_hi`, padded by a sample against rounding. Choosing
+        // the waves per sample instead ran slower than evaluating all
+        // five everywhere.
         let (reach_lo, reach_hi) = after.qrs_reach();
         let q_lo = (((rt + reach_lo) * fs).floor() - 1.0)
             .max(lo as f64)

@@ -15,8 +15,30 @@ use std::ops::Range;
 
 /// Which synthesis kernels render a record.
 ///
-/// [`SynthProfile::Reference`] is the historical per-sample evaluation —
-/// every digest-gated benchmark in the workspace is pinned to it.
+/// [`SynthProfile::Reference`] is bit-identical to the historical
+/// per-sample evaluation (every wave's `exp` and both sinusoids at every
+/// sample); every digest-gated benchmark in the workspace is pinned to
+/// it. It skips three kinds of term, each of which cannot reach a
+/// sample bit:
+///
+/// * Q, R and S outside the samples of each beat where one of their
+///   exponents is at least −708 ([`ecg::render`]). A term there is ±0
+///   or below `4.4e-308` mV, under half an ulp of the P and T waves it
+///   would join.
+/// * The dicrotic-notch Gaussian where its exponent is below −708
+///   ([`abp::AbpMorphology::kernel`]). The notch is then below
+///   `3.3e-308`, while the decay term of the same sum is at least
+///   `e^-(4 + notch_delay_s/decay_s)`, which is `e^-5` or more for every
+///   population subject.
+/// * A noise sinusoid whose amplitude is exactly `0.0`
+///   ([`noise::apply`]), such as every subject's ABP hum. It would add
+///   `0.0·sin θ = ±0`, and the noise sum it joins starts at +0 and so
+///   is never −0, which `x + (±0) = x` needs.
+///
+/// The skipped `exp` calls are the slow ones, since a subnormal result
+/// costs about ten times a normal one. `physio-sim`'s oracle tests hold the kernels to verbatim copies of
+/// the full evaluation.
+///
 /// [`SynthProfile::Turbo`] trades a bounded, documented amount of
 /// fidelity for roughly an order of magnitude less arithmetic per
 /// sample, for fleet-scale runs where synthesis dominates wall time:

@@ -187,4 +187,22 @@ baseline_gate "campaign matrix" "" exact \
   cargo run --release -q -p bench --bin campaign -- \
     --out target/verify/BENCH_campaign.json
 
+# The benchmark's two Reference-synthesis workloads, at their pinned
+# seed and length. `wearbench run` checks every timed round's engine
+# digest against the one pinned for it and exits nonzero on a mismatch,
+# so a one-bit drift in Reference synthesis fails this gate as well as
+# the benchmark. Its throughput and set-up figures are wall-clock and
+# are not gated here.
+for workload in fleet-fidelity campaign; do
+  wb_out=target/verify/wearbench_$workload.txt
+  if ! cargo run --release -q --offline \
+      --manifest-path crates/bench/src/bin/wearbench/Cargo.toml -- \
+      run --workload "$workload" > "$wb_out"; then
+    echo "verify: FAIL wearbench $workload:"
+    grep -v '^check ok' "$wb_out" || true
+    exit 1
+  fi
+  echo "verify: wearbench $workload round digests match their pins"
+done
+
 echo "verify: OK"
