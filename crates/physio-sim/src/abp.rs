@@ -56,7 +56,7 @@ impl AbpMorphology {
     /// at `1` at `x = 0` and is `0` before the upstroke begins.
     ///
     /// The dicrotic-notch Gaussian is left out where its exponent is
-    /// below [`UNDERFLOW_EXP`] (more than 1.13 s past the notch). That is
+    /// below [`UNDERFLOW_EXP`] (more than 1.13 s from the notch). That is
     /// exact: the notch there is at most `notch_frac·3.3e-308`, while the
     /// decay term `e^(-x/decay_s)` is at least `e^-5` over a rendered
     /// pulse of any population subject (its support ends
