@@ -7,7 +7,7 @@
 //! trigger the detector; this module provides the workload to test that
 //! robustness claim.
 
-use crate::record::Record;
+use crate::record::{beat_train, Record};
 use crate::subject::Subject;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,7 +77,7 @@ pub fn synthesize_with_ectopy(
     seed: u64,
     params: &EctopyParams,
 ) -> (Record, Vec<usize>) {
-    let clean = crate::record::beat_train(subject, seed, duration_s);
+    let clean = beat_train(subject, seed, duration_s);
     let (times, ectopic) = inject_premature_beats(&clean, params, seed ^ 0xEC7);
     (
         Record::synthesize_from_times(subject, &times, duration_s, seed, crate::SAMPLE_RATE_HZ),

@@ -36,8 +36,8 @@ use std::ops::Range;
 ///   is never −0, which `x + (±0) = x` needs.
 ///
 /// The skipped `exp` calls are the slow ones, since a subnormal result
-/// costs about ten times a normal one. `physio-sim`'s oracle tests hold the kernels to verbatim copies of
-/// the full evaluation.
+/// costs about ten times a normal one. `physio-sim`'s oracle tests hold
+/// the kernels to verbatim copies of the full evaluation.
 ///
 /// [`SynthProfile::Turbo`] trades a bounded, documented amount of
 /// fidelity for roughly an order of magnitude less arithmetic per
