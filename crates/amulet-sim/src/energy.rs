@@ -131,13 +131,6 @@ impl BatteryState {
         Self::with_capacity_uah(uah)
     }
 
-    /// Same capacity, but starting from `permille`/1000 state of charge.
-    pub fn with_initial_permille(mut self, permille: u16) -> Self {
-        let p = u64::from(permille.min(1000));
-        self.consumed_ua_ms = self.capacity_ua_ms / 1000 * (1000 - p);
-        self
-    }
-
     /// Integrate one tick: `current_ua` µA flowing for `dt_ms` ms.
     pub fn drain(&mut self, current_ua: u64, dt_ms: u64) {
         let delta = current_ua.saturating_mul(dt_ms);
@@ -337,12 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn battery_state_initial_permille_and_monotonicity() {
-        let b = BatteryState::with_capacity_uah(110_000).with_initial_permille(250);
-        assert_eq!(b.soc_permille(), 250);
-        let full = BatteryState::with_capacity_uah(110_000).with_initial_permille(1000);
-        assert_eq!(full.soc_permille(), 1000);
-        let mut prev = full;
+    fn battery_state_starts_full_and_drains_monotonically() {
+        let mut prev = BatteryState::with_capacity_uah(110_000);
+        assert_eq!(prev.soc_permille(), 1000);
         let mut soc = prev.soc_permille();
         for _ in 0..100 {
             prev.drain(500, 3_600_000);

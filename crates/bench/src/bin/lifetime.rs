@@ -47,7 +47,7 @@ use std::process::ExitCode;
 use wiot::adaptive::{version_index, DrawTable};
 use wiot::channel::LossModel;
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
-use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
+use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy, CUTOFF_PERMILLE};
 
 /// Simulated seconds per fast-forward tick. The policy was designed for
 /// 1 Hz ticks in the scenario layer; at whole-battery scale a 60 s tick
@@ -180,7 +180,7 @@ fn run_device(
         let current_ua = (draw.draw_ua(version, (duty_skip, duty_of)) * spread + 500) / 1000;
         battery.drain(current_ua, TICK_S * 1000);
 
-        if battery.soc_permille() <= cfg.cutoff_permille {
+        if battery.soc_permille() <= CUTOFF_PERMILLE {
             break;
         }
     }
@@ -263,7 +263,6 @@ fn digest_gate(seed: u64) -> Result<u64, Failure> {
     spec.template.survival = Some(SurvivalConfig {
         min_dwell_ticks: 5,
         drain_scale: 120_000,
-        ..SurvivalConfig::default()
     });
     let models = ModelBank::train(
         &bank(),

@@ -42,7 +42,6 @@ pub mod ecg;
 pub mod ectopy;
 pub mod noise;
 pub mod population;
-pub mod quality;
 pub mod record;
 pub mod rr;
 pub mod subject;

@@ -17,8 +17,6 @@ pub enum CounterId {
     WindowsSalvaged,
     /// Windows lost to the channel.
     WindowsDropped,
-    /// Windows rejected by the quality gate.
-    WindowsRejected,
     /// Windows classified by the host-side pipeline.
     WindowsClassified,
     /// Positive classifications (alerts).
@@ -74,7 +72,7 @@ pub enum CounterId {
 }
 
 /// Number of counters.
-pub const COUNTER_COUNT: usize = 30;
+pub const COUNTER_COUNT: usize = 29;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -82,7 +80,6 @@ impl CounterId {
         CounterId::WindowsEmitted,
         CounterId::WindowsSalvaged,
         CounterId::WindowsDropped,
-        CounterId::WindowsRejected,
         CounterId::WindowsClassified,
         CounterId::AlertsRaised,
         CounterId::StallAlerts,
@@ -122,7 +119,6 @@ impl CounterId {
             CounterId::WindowsEmitted => "windows_emitted",
             CounterId::WindowsSalvaged => "windows_salvaged",
             CounterId::WindowsDropped => "windows_dropped",
-            CounterId::WindowsRejected => "windows_rejected",
             CounterId::WindowsClassified => "windows_classified",
             CounterId::AlertsRaised => "alerts_raised",
             CounterId::StallAlerts => "stall_alerts",

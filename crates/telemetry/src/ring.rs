@@ -32,8 +32,6 @@ pub enum EventCode {
     WindowSalvaged,
     /// Window lost to the channel (`a` = index).
     WindowDropped,
-    /// Window rejected by the quality gate (`a` = index).
-    WindowRejected,
     /// Stream watchdog raised a stall alert.
     StallAlert,
     /// Survival-policy actuation (`a` = knob: 0 version, 1 duty,
@@ -56,7 +54,6 @@ impl EventCode {
             EventCode::WindowEmitted => "window_emitted",
             EventCode::WindowSalvaged => "window_salvaged",
             EventCode::WindowDropped => "window_dropped",
-            EventCode::WindowRejected => "window_rejected",
             EventCode::StallAlert => "stall_alert",
             EventCode::SurvivalAction => "survival_action",
         }

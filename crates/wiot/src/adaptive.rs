@@ -126,8 +126,7 @@ pub fn simulate_adaptive_deployment(
     let draw = DrawTable::new(&energy, config, BackendKind::Svm);
     let scale = u64::from(survival.drain_scale.max(1));
     let mut policy = SurvivalPolicy::new(survival, Version::Original);
-    let charged =
-        BatteryState::from_model(&energy).with_initial_permille(survival.initial_soc_permille);
+    let charged = BatteryState::from_model(&energy);
 
     // The strongest static deployment, drained to the same cutoff.
     let original_ua = draw

@@ -23,7 +23,6 @@ use amulet_sim::machine::{Alert, App};
 use amulet_sim::os::AmuletOs;
 use amulet_sim::profiler::ResourceProfiler;
 use amulet_sim::toolchain::FirmwareImage;
-use physio_sim::quality::{assess, QualityConfig};
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::extract_amulet_f32;
@@ -50,8 +49,6 @@ pub struct BaseStationStats {
     pub windows_dropped: u64,
     /// Packets accepted into windows.
     pub packets_received: u64,
-    /// Windows rejected by the quality gate.
-    pub windows_rejected: u64,
     /// Nearly complete windows repaired by zero-order-hold filling and
     /// still dispatched (see [`BaseStation::with_salvage`]).
     pub windows_salvaged: u64,
@@ -72,9 +69,6 @@ pub enum WindowOutcome {
     },
     /// The window was dropped (missing chunks).
     Dropped,
-    /// The window was rejected by the quality gate before reaching the
-    /// detector (excess noise / clipping).
-    Rejected,
     /// The window was missing chunks but was repaired by zero-order-hold
     /// filling and dispatched anyway — degraded, not dropped.
     Salvaged {
@@ -102,7 +96,6 @@ pub struct BaseStation {
     stats: BaseStationStats,
     window_log: VecDeque<(usize, WindowOutcome)>,
     window_log_cap: usize,
-    quality_gate: Option<QualityConfig>,
     /// Maximum missing chunks (across both channels) a window may have
     /// and still be repaired; `None` disables salvage.
     salvage_max_missing: Option<usize>,
@@ -181,7 +174,6 @@ impl BaseStation {
             stats: BaseStationStats::default(),
             window_log: VecDeque::new(),
             window_log_cap: DEFAULT_WINDOW_LOG_CAP,
-            quality_gate: None,
             salvage_max_missing: None,
             watchdog: None,
             feature_uplink: None,
@@ -192,13 +184,13 @@ impl BaseStation {
         })
     }
 
-    /// Enable the feature uplink: every window that passes the quality
-    /// gate and reaches the apps also has its `version` feature vector
-    /// extracted and queued (a handful of floats per 3-second window,
-    /// far cheaper to ship than raw samples). The fleet engine drains
-    /// the queue with [`BaseStation::take_uplinked_features`] and
-    /// re-scores whole batches at the sink with one batched SVM call —
-    /// on-device detection is unchanged.
+    /// Enable the feature uplink: every window that reaches the apps
+    /// also has its `version` feature vector extracted and queued (a
+    /// handful of floats per 3-second window, far cheaper to ship than
+    /// raw samples). The fleet engine drains the queue with
+    /// [`BaseStation::take_uplinked_features`] and re-scores whole
+    /// batches at the sink with one batched SVM call — on-device
+    /// detection is unchanged.
     pub fn with_feature_uplink(mut self, version: Version) -> Self {
         self.feature_uplink = Some(version);
         self
@@ -233,20 +225,6 @@ impl BaseStation {
         self.os.install_addon(&image, vec![Box::new(app)])?;
         self.watchdog = Some(Watchdog { timeout_ms, strict });
         Ok(self)
-    }
-
-    /// Enable the signal-quality gate: windows whose channels fail the
-    /// assessment are rejected before spending detector cycles.
-    ///
-    /// The gate intentionally does **not** screen out flat-lined
-    /// channels — a frozen sensor must reach the detector so it can
-    /// raise a security alert rather than being silently discarded; the
-    /// provided configuration should therefore keep
-    /// [`QualityConfig::max_flat_run_frac`] at `1.0`.
-    // lint:allow(cg-unreached, the only switch for the SQI gate EXPERIMENTS.md describes; removing the gate would remove CounterId::WindowsRejected)
-    pub fn with_quality_gate(mut self, config: QualityConfig) -> Self {
-        self.quality_gate = Some(config);
-        self
     }
 
     /// Accept one delivered packet and dispatch any completed windows.
@@ -305,8 +283,8 @@ impl BaseStation {
         self.window_log.push_back((idx, outcome));
     }
 
-    /// Assemble, gate, and dispatch the complete window `idx`, recording
-    /// its outcome and advancing the emission cursor. Callers check
+    /// Assemble and dispatch the complete window `idx`, recording its
+    /// outcome and advancing the emission cursor. Callers check
     /// [`Self::window_complete`] first; a half-present window is left
     /// untouched rather than torn down.
     fn emit_window(&mut self, idx: usize) -> Result<(), WiotError> {
@@ -320,8 +298,7 @@ impl BaseStation {
         self.dispatch_window(idx, e, a, false)
     }
 
-    /// Dispatch an assembled (complete or repaired) window through the
-    /// quality gate and the apps.
+    /// Dispatch an assembled (complete or repaired) window through the apps.
     fn dispatch_window(
         &mut self,
         idx: usize,
@@ -330,20 +307,6 @@ impl BaseStation {
         salvaged: bool,
     ) -> Result<(), WiotError> {
         let snippet = assemble(ecg, abp)?;
-        if let Some(gate) = &self.quality_gate {
-            let fs = self.config.fs;
-            let noisy = |samples: &[f64], peaks: &[usize]| {
-                assess(samples, peaks, fs, gate)
-                    .map(|q| !q.is_usable())
-                    .unwrap_or(false)
-            };
-            if noisy(&snippet.ecg, &snippet.r_peaks) || noisy(&snippet.abp, &snippet.sys_peaks) {
-                self.log_window(idx, WindowOutcome::Rejected);
-                self.stats.windows_rejected += 1;
-                self.emitted_through = self.emitted_through.max(idx + 1);
-                return Ok(());
-            }
-        }
         let mut shared_features = None;
         if let Some(version) = self.feature_uplink {
             // Windows the extractor cannot featurise (e.g. too few
@@ -905,108 +868,5 @@ mod tests {
             .filter(|l| l.app == "heartrate")
             .count();
         assert_eq!(hr_lines, 5);
-    }
-}
-
-#[cfg(test)]
-mod quality_gate_tests {
-    use super::*;
-    use crate::channel::Channel;
-    use crate::device::SensorDevice;
-    use physio_sim::record::Record;
-    use physio_sim::subject::bank;
-    use sift::features::Version;
-    use sift::trainer::train_for_subject;
-
-    fn quick_config() -> SiftConfig {
-        SiftConfig {
-            train_s: 60.0,
-            max_positive_per_donor: Some(15),
-            ..SiftConfig::default()
-        }
-    }
-
-    /// A gate config that screens noise but deliberately ignores
-    /// flat-lining (frozen sensors must reach the detector).
-    fn noise_only_gate() -> QualityConfig {
-        QualityConfig {
-            max_flat_run_frac: 1.0,
-            max_clip_frac: 1.0,
-            hr_band_bpm: (0.0, 10_000.0),
-            noise_weight: 1.0,
-        }
-    }
-
-    fn gated_station() -> BaseStation {
-        let cfg = quick_config();
-        let model = train_for_subject(&bank(), 0, Version::Simplified, &cfg, 7).unwrap();
-        let app = SiftApp::new(Version::Simplified, model.embedded().clone(), cfg.clone()).unwrap();
-        BaseStation::new(app, cfg, 0.5)
-            .unwrap()
-            .with_quality_gate(noise_only_gate())
-    }
-
-    fn stream(bs: &mut BaseStation, record: &Record) {
-        let mut ecg = SensorDevice::ecg(record, 0.5);
-        let mut abp = SensorDevice::abp(record, 0.5);
-        let mut ch = Channel::perfect();
-        let mut now = 0u64;
-        loop {
-            let (pe, pa) = (ecg.poll(), abp.poll());
-            if pe.is_none() && pa.is_none() {
-                break;
-            }
-            for p in [pe, pa].into_iter().flatten() {
-                for d in ch.transmit(now, p) {
-                    bs.receive(d).unwrap();
-                }
-            }
-            now += 500;
-        }
-    }
-
-    #[test]
-    fn clean_windows_pass_the_gate() {
-        let mut bs = gated_station();
-        let r = Record::synthesize(&bank()[0], 15.0, 42);
-        stream(&mut bs, &r);
-        assert_eq!(bs.stats().windows_rejected, 0);
-        assert_eq!(bs.stats().windows_emitted, 5);
-    }
-
-    #[test]
-    fn heavy_broadband_noise_is_rejected_before_the_detector() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut bs = gated_station();
-        let mut r = Record::synthesize(&bank()[0], 15.0, 42);
-        let mut rng = StdRng::seed_from_u64(9);
-        for s in r.ecg.iter_mut() {
-            *s += rng.gen_range(-2.0..2.0);
-        }
-        stream(&mut bs, &r);
-        let stats = bs.stats();
-        assert!(
-            stats.windows_rejected >= 4,
-            "expected rejects, got {stats:?}"
-        );
-    }
-
-    #[test]
-    fn frozen_channel_still_reaches_the_detector_and_alerts() {
-        let mut bs = gated_station();
-        let mut r = Record::synthesize(&bank()[0], 15.0, 42);
-        // Flat-line the entire ECG: a physical-compromise freeze.
-        for s in r.ecg.iter_mut() {
-            *s = 0.42;
-        }
-        r.r_peaks.clear();
-        stream(&mut bs, &r);
-        let stats = bs.stats();
-        assert_eq!(stats.windows_rejected, 0, "gate must not eat freezes");
-        assert!(
-            bs.alerts().len() >= 4,
-            "detector should alert on frozen windows: {stats:?}"
-        );
     }
 }

@@ -33,7 +33,8 @@ use crate::attacker::{AttackMode, ReadLaw, ATTACK_CLASS_COUNT, ATTACK_CLASS_NAME
 use crate::channel::LossModel;
 use crate::device::chunk_len;
 use crate::fleet::{
-    device_seed, run_fleet_provisioned, DeviceProvision, FleetProvisioner, FleetReport, FleetSpec,
+    device_seed, run_fleet_provisioned, DeviceProvision, Digest, FleetProvisioner, FleetReport,
+    FleetSpec,
 };
 use crate::scenario::{
     attack_window_ms, check_attack_interval, check_duration, AttackSpec, Scenario,
@@ -314,33 +315,27 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// 64-bit digest over the frozen fleet digest **and** the
-    /// per-class matrix: FNV-1a over the integer fields in class-index
-    /// order. Byte-identical across thread counts; the campaign bench
-    /// gate pins it.
+    /// per-class matrix: the fleet's FNV-1a `Digest` over the integer
+    /// fields in class-index order. Byte-identical across thread
+    /// counts; the campaign bench gate pins it.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        fold(self.fleet.digest());
-        fold(self.population_size as u64);
-        fold(self.seed);
+        let mut d = Digest::new();
+        d.u64(self.fleet.digest());
+        d.usize(self.population_size);
+        d.u64(self.seed);
         for c in &self.classes {
-            fold(c.devices as u64);
-            fold(c.windows_tp);
-            fold(c.windows_fn);
-            fold(c.windows_fp as u64);
-            fold(c.windows_tn as u64);
-            fold(c.detected_devices as u64);
-            fold(c.latency_sum_ms);
-            fold(u64::from(c.detection_permille));
-            fold(u64::from(c.wilson_lo_permille));
-            fold(u64::from(c.wilson_hi_permille));
+            d.usize(c.devices);
+            d.u64(c.windows_tp);
+            d.u64(c.windows_fn);
+            d.usize(c.windows_fp);
+            d.usize(c.windows_tn);
+            d.usize(c.detected_devices);
+            d.u64(c.latency_sum_ms);
+            d.u64(u64::from(c.detection_permille));
+            d.u64(u64::from(c.wilson_lo_permille));
+            d.u64(u64::from(c.wilson_hi_permille));
         }
-        h
+        d.0
     }
 }
 

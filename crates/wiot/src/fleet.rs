@@ -140,7 +140,7 @@ pub struct DeviceSummary {
     pub confusion: ConfusionMatrix,
     /// Windows excluded from scoring (partial attack overlap).
     pub ambiguous_windows: usize,
-    /// Windows lost to the channel or the quality gate.
+    /// Windows lost to the channel.
     pub dropped_windows: usize,
     /// Windows repaired by salvage.
     pub salvaged_windows: usize,
@@ -230,7 +230,7 @@ pub struct FleetReport {
     pub confusion: ConfusionMatrix,
     /// Ambiguous windows summed over the fleet.
     pub ambiguous_windows: usize,
-    /// Dropped/rejected windows summed over the fleet.
+    /// Dropped windows summed over the fleet.
     pub dropped_windows: usize,
     /// Salvaged windows summed over the fleet.
     pub salvaged_windows: usize,

@@ -980,8 +980,7 @@ mod tests {
         );
         assert_eq!(report.counter(CounterId::PacketsSent), traced.channel.sent);
         assert_eq!(
-            (report.counter(CounterId::WindowsDropped) + report.counter(CounterId::WindowsRejected))
-                as usize,
+            report.counter(CounterId::WindowsDropped) as usize,
             traced.dropped_windows
         );
         assert!(report
@@ -1083,10 +1082,7 @@ mod tests {
         assert_eq!(c(CounterId::CheckpointRollbacks), f.rollbacks);
 
         // Window outcomes and stall alerts.
-        assert_eq!(
-            (c(CounterId::WindowsDropped) + c(CounterId::WindowsRejected)) as usize,
-            r.dropped_windows
-        );
+        assert_eq!(c(CounterId::WindowsDropped) as usize, r.dropped_windows);
         assert_eq!(c(CounterId::WindowsSalvaged) as usize, r.salvaged_windows);
         assert_eq!(
             (c(CounterId::WindowsEmitted) + c(CounterId::WindowsSalvaged)) as usize,
@@ -1148,7 +1144,6 @@ mod tests {
         s.survival = Some(SurvivalConfig {
             min_dwell_ticks: 5,
             drain_scale: 60_000,
-            ..SurvivalConfig::default()
         });
         let r = run(&s).unwrap();
         let sr = r.survival.expect("policy was on");
@@ -1179,7 +1174,6 @@ mod tests {
         s.survival = Some(SurvivalConfig {
             min_dwell_ticks: 5,
             drain_scale: 60_000,
-            ..SurvivalConfig::default()
         });
         s.faults = FaultPlan::new()
             .with(FaultEvent {
@@ -1212,7 +1206,6 @@ mod tests {
         s.survival = Some(SurvivalConfig {
             min_dwell_ticks: 5,
             drain_scale: 60_000,
-            ..SurvivalConfig::default()
         });
         let traced = DeviceSim::with_options(
             &s,

@@ -4,7 +4,7 @@
 
 use super::DeviceSim;
 use crate::basestation::BaseStation;
-use crate::basestation::WindowOutcome::{Dropped, Emitted, Rejected, Salvaged};
+use crate::basestation::WindowOutcome::{Dropped, Emitted, Salvaged};
 use crate::channel::ChannelStats;
 use crate::faults::FaultSummary;
 use crate::sink::Sink;
@@ -24,8 +24,7 @@ pub struct SimReport {
     /// Windows excluded from scoring because the attack covered only
     /// part of them.
     pub ambiguous_windows: usize,
-    /// Windows dropped by the base station (lost packets) or rejected
-    /// by the quality gate.
+    /// Windows dropped by the base station (lost packets).
     pub dropped_windows: usize,
     /// Windows repaired by zero-order-hold salvage and dispatched
     /// flagged degraded.
@@ -172,7 +171,6 @@ impl SimReport {
         for &(idx, outcome) in station.window_log() {
             let (code, counter) = match outcome {
                 Dropped => (EventCode::WindowDropped, CounterId::WindowsDropped),
-                Rejected => (EventCode::WindowRejected, CounterId::WindowsRejected),
                 Emitted { .. } => (EventCode::WindowEmitted, CounterId::WindowsEmitted),
                 Salvaged { .. } => (EventCode::WindowSalvaged, CounterId::WindowsSalvaged),
             };

@@ -8,7 +8,9 @@ use crate::basestation::BaseStation;
 use crate::channel::link_badness_permille;
 use crate::faults::FaultSummary;
 use crate::persist::Persistence;
-use crate::survival::{window_is_skipped, SurvivalAction, SurvivalInputs, SurvivalPolicy};
+use crate::survival::{
+    window_is_skipped, SurvivalAction, SurvivalInputs, SurvivalPolicy, RETRY_TIGHT_BELOW_PERMILLE,
+};
 use crate::transport::Links;
 use crate::WiotError;
 use amulet_sim::apps::SiftApp;
@@ -50,8 +52,7 @@ impl SurvivalRuntime {
         let cfg = scenario.survival?;
         Some(Self {
             policy: SurvivalPolicy::new(cfg, scenario.version),
-            battery: BatteryState::from_model(model)
-                .with_initial_permille(cfg.initial_soc_permille),
+            battery: BatteryState::from_model(model),
             draw: DrawTable::new(model, &scenario.config, scenario.backend),
             models: vec![(scenario.version, deployed.clone())],
             actions: Vec::new(),
@@ -109,7 +110,7 @@ impl SurvivalRuntime {
         if self.cutoff_at_ms.is_none() && self.policy.is_cutoff(soc) {
             self.cutoff_at_ms = Some(now_ms);
         }
-        if soc <= self.policy.config().retry_tight_below_permille {
+        if soc <= RETRY_TIGHT_BELOW_PERMILLE {
             faults.low_battery_ticks += 1;
         }
         // Link badness: channel loss plus retransmission drag, folded

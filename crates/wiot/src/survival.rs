@@ -28,6 +28,11 @@
 //!   "Charge the survival ladder's retry rung for energy, or delete
 //!   it" settles which.
 //!
+//! The ladder's thresholds are compiled-in constants
+//! ([`ORIGINAL_ABOVE_PERMILLE`] through [`CUTOFF_PERMILLE`]), as they
+//! would be on the device; a [`SurvivalConfig`] sets only the version
+//! switch dwell and the drain-current scale.
+//!
 //! Everything here is **fixed-point integer arithmetic** on `Copy`
 //! types: the module is pinned to the analyzer's embedded profile
 //! (`survival-embedded-profile`) because the decision logic is meant
@@ -53,84 +58,77 @@ pub const PERMILLE_FULL: u16 = 1000;
 /// switched yet" (no dwell restriction applies).
 pub const NEVER_SWITCHED: u32 = u32::MAX;
 
-/// Tuning knobs of the survival policy. All thresholds are integer
-/// permille of battery state of charge (or link badness); all times
-/// are policy ticks (the scenario steps the policy once per simulated
-/// second, so ticks ≈ seconds).
+/// State of charge (‰) strictly above which the Original detector runs.
+pub const ORIGINAL_ABOVE_PERMILLE: u16 = 600;
+
+/// State of charge (‰) strictly above which at least the Simplified
+/// detector runs; at or below, Reduced.
+pub const SIMPLIFIED_ABOVE_PERMILLE: u16 = 350;
+
+/// Hysteresis margin (‰) added to a threshold when crossing it would
+/// *upgrade* (version, duty, or retry posture), so small oscillations
+/// around a threshold cannot flap the knobs.
+pub const HYSTERESIS_PERMILLE: u16 = 50;
+
+/// Smoothed link badness (‰) at or above which the policy caps the
+/// version at Simplified (Original's extra accuracy is wasted on a link
+/// that drops the evidence anyway).
+pub const LINK_BAD_PERMILLE: u16 = 150;
+
+/// Smoothed link badness (‰) at or below which the link cap is
+/// released. Below [`LINK_BAD_PERMILLE`], so the latch has a dead band.
+pub const LINK_CLEAR_PERMILLE: u16 = 100;
+
+/// State of charge (‰) at or below which the sensors skip one window
+/// in four.
+pub const DUTY_QUARTER_BELOW_PERMILLE: u16 = 500;
+
+/// State of charge (‰) at or below which the sensors skip one window
+/// in two (the heavier tier wins).
+pub const DUTY_HALF_BELOW_PERMILLE: u16 = 250;
+
+/// State of charge (‰) at or below which the transport runs on the
+/// tight retry budget (and the scenario counts a low-battery tick).
+pub const RETRY_TIGHT_BELOW_PERMILLE: u16 = 250;
+
+/// ARQ per-packet retry budget at normal charge.
+pub const RETRY_NORMAL_MAX: u8 = 5;
+
+/// ARQ per-packet retry budget under low battery.
+pub const RETRY_TIGHT_MAX: u8 = 2;
+
+/// Extra backoff doublings applied to every retransmission under low
+/// battery (backoff widening).
+pub const RETRY_EXTRA_SHIFT: u8 = 2;
+
+/// Detector backlog (assembled-but-unresolved windows) strictly above
+/// which the desired version is degraded one extra step until the
+/// backlog clears.
+pub const BACKLOG_WINDOWS_ABOVE: u16 = 8;
+
+/// State of charge (‰) at or below which the device is considered dead
+/// (fleet lifetime benches stop the clock here).
+pub const CUTOFF_PERMILLE: u16 = 5;
+
+/// The two survival-policy settings runs choose; every threshold is one
+/// of the constants above. Times are policy ticks (the scenario steps
+/// the policy once per simulated second, so ticks ≈ seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SurvivalConfig {
-    /// State of charge (‰) strictly above which the Original detector
-    /// runs.
-    pub original_above_permille: u16,
-    /// State of charge (‰) strictly above which at least the
-    /// Simplified detector runs; at or below, Reduced.
-    pub simplified_above_permille: u16,
-    /// Hysteresis margin (‰) added to a threshold when crossing it
-    /// would *upgrade* (version, duty, or retry posture), so small
-    /// oscillations around a threshold cannot flap the knobs.
-    pub hysteresis_permille: u16,
     /// Minimum ticks between two version switches. Duty and retry
     /// changes are cheap and not dwell-gated; a version switch
     /// reflashes the detector app and is.
     pub min_dwell_ticks: u32,
-    /// Smoothed link badness (‰) at or above which the policy caps the
-    /// version at Simplified (Original's extra accuracy is wasted on a
-    /// link that drops the evidence anyway).
-    pub link_bad_permille: u16,
-    /// Smoothed link badness (‰) at or below which the link cap is
-    /// released. Must be below [`Self::link_bad_permille`] for the
-    /// latch to have a dead band.
-    pub link_clear_permille: u16,
-    /// State of charge (‰) below-or-equal which the sensors skip one
-    /// window in four.
-    pub duty_quarter_below_permille: u16,
-    /// State of charge (‰) below-or-equal which the sensors skip one
-    /// window in two (the heavier tier wins).
-    pub duty_half_below_permille: u16,
-    /// State of charge (‰) below-or-equal which the transport runs on
-    /// the tight retry budget.
-    pub retry_tight_below_permille: u16,
-    /// ARQ per-packet retry budget at normal charge.
-    pub retry_normal_max: u8,
-    /// ARQ per-packet retry budget under low battery.
-    pub retry_tight_max: u8,
-    /// Extra backoff doublings applied to every retransmission under
-    /// low battery (backoff widening).
-    pub retry_extra_shift: u8,
-    /// Detector backlog (assembled-but-unresolved windows) strictly
-    /// above which the desired version is degraded one extra step
-    /// until the backlog clears.
-    pub backlog_windows_above: u16,
-    /// Initial battery state of charge (‰) the scenario seeds its
-    /// [`amulet_sim::energy::BatteryState`] with.
-    pub initial_soc_permille: u16,
     /// Multiplier on the simulated drain current, so a short scenario
     /// can traverse the whole discharge curve (1 = real time).
     pub drain_scale: u32,
-    /// State of charge (‰) at or below which the device is considered
-    /// dead (fleet lifetime benches stop the clock here).
-    pub cutoff_permille: u16,
 }
 
 impl Default for SurvivalConfig {
     fn default() -> Self {
         Self {
-            original_above_permille: 600,
-            simplified_above_permille: 350,
-            hysteresis_permille: 50,
             min_dwell_ticks: 60,
-            link_bad_permille: 150,
-            link_clear_permille: 100,
-            duty_quarter_below_permille: 500,
-            duty_half_below_permille: 250,
-            retry_tight_below_permille: 250,
-            retry_normal_max: 5,
-            retry_tight_max: 2,
-            retry_extra_shift: 2,
-            backlog_windows_above: 8,
-            initial_soc_permille: PERMILLE_FULL,
             drain_scale: 1,
-            cutoff_permille: 5,
         }
     }
 }
@@ -290,7 +288,7 @@ impl SurvivalPolicy {
             version: ceiling,
             duty_skip: 0,
             duty_of: 1,
-            retry_max: cfg.retry_normal_max,
+            retry_max: RETRY_NORMAL_MAX,
             retry_shift: 0,
             tick: 0,
             last_switch_tick: NEVER_SWITCHED,
@@ -300,7 +298,7 @@ impl SurvivalPolicy {
         }
     }
 
-    /// The policy's tuning knobs.
+    /// The policy's dwell and drain-scale settings.
     pub fn config(&self) -> SurvivalConfig {
         self.cfg
     }
@@ -331,10 +329,10 @@ impl SurvivalPolicy {
         self.link_capped
     }
 
-    /// Whether `soc_permille` is at or below the configured cutoff
-    /// (the device is considered dead).
+    /// Whether `soc_permille` is at or below [`CUTOFF_PERMILLE`] (the
+    /// device is considered dead).
     pub fn is_cutoff(&self, soc_permille: u16) -> bool {
-        soc_permille <= self.cfg.cutoff_permille
+        soc_permille <= CUTOFF_PERMILLE
     }
 
     /// The persistent decision state, for checkpointing.
@@ -391,10 +389,10 @@ impl SurvivalPolicy {
         let next = cur + (obs - cur) / 4;
         self.link_ewma_permille = next.clamp(0, i32::from(PERMILLE_FULL)) as u16;
         if self.link_capped {
-            if self.link_ewma_permille <= self.cfg.link_clear_permille {
+            if self.link_ewma_permille <= LINK_CLEAR_PERMILLE {
                 self.link_capped = false;
             }
-        } else if self.link_ewma_permille >= self.cfg.link_bad_permille {
+        } else if self.link_ewma_permille >= LINK_BAD_PERMILLE {
             self.link_capped = true;
         }
     }
@@ -403,19 +401,19 @@ impl SurvivalPolicy {
     /// hysteresis, capped by the link latch, the backlog, and the
     /// provisioned ceiling, all gated by the minimum dwell.
     fn step_version(&mut self, soc: u16, backlog: u16) -> Option<SurvivalAction> {
-        let hyst = self.cfg.hysteresis_permille;
+        let hyst = HYSTERESIS_PERMILLE;
         let cur = rank(self.version);
         // Upgrading into a tier costs an extra hysteresis margin;
         // holding a tier does not.
         let orig_thr = if cur >= 2 {
-            self.cfg.original_above_permille
+            ORIGINAL_ABOVE_PERMILLE
         } else {
-            self.cfg.original_above_permille.saturating_add(hyst)
+            ORIGINAL_ABOVE_PERMILLE.saturating_add(hyst)
         };
         let simp_thr = if cur >= 1 {
-            self.cfg.simplified_above_permille
+            SIMPLIFIED_ABOVE_PERMILLE
         } else {
-            self.cfg.simplified_above_permille.saturating_add(hyst)
+            SIMPLIFIED_ABOVE_PERMILLE.saturating_add(hyst)
         };
         let mut target: u8 = if soc > orig_thr {
             2
@@ -427,7 +425,7 @@ impl SurvivalPolicy {
         if self.link_capped {
             target = target.min(1);
         }
-        if backlog > self.cfg.backlog_windows_above {
+        if backlog > BACKLOG_WINDOWS_ABOVE {
             target = target.saturating_sub(1);
         }
         target = target.min(rank(self.ceiling));
@@ -454,21 +452,21 @@ impl SurvivalPolicy {
     /// Decide the duty tier (0 = full, 1 = skip 1 of 4, 2 = skip 1 of
     /// 2), lightening only with a hysteresis margin.
     fn step_duty(&mut self, soc: u16) -> Option<SurvivalAction> {
-        let hyst = self.cfg.hysteresis_permille;
+        let hyst = HYSTERESIS_PERMILLE;
         let cur_tier: u8 = match (self.duty_skip, self.duty_of) {
             (0, _) => 0,
             (_, 4) => 1,
             _ => 2,
         };
         let q_thr = if cur_tier > 0 {
-            self.cfg.duty_quarter_below_permille.saturating_add(hyst)
+            DUTY_QUARTER_BELOW_PERMILLE.saturating_add(hyst)
         } else {
-            self.cfg.duty_quarter_below_permille
+            DUTY_QUARTER_BELOW_PERMILLE
         };
         let h_thr = if cur_tier > 1 {
-            self.cfg.duty_half_below_permille.saturating_add(hyst)
+            DUTY_HALF_BELOW_PERMILLE.saturating_add(hyst)
         } else {
-            self.cfg.duty_half_below_permille
+            DUTY_HALF_BELOW_PERMILLE
         };
         let target: u8 = if soc > q_thr {
             0
@@ -498,16 +496,14 @@ impl SurvivalPolicy {
     /// with a hysteresis margin.
     fn step_retry(&mut self, soc: u16) -> Option<SurvivalAction> {
         let thr = if self.retry_shift > 0 {
-            self.cfg
-                .retry_tight_below_permille
-                .saturating_add(self.cfg.hysteresis_permille)
+            RETRY_TIGHT_BELOW_PERMILLE.saturating_add(HYSTERESIS_PERMILLE)
         } else {
-            self.cfg.retry_tight_below_permille
+            RETRY_TIGHT_BELOW_PERMILLE
         };
         let (max_retries, shift) = if soc <= thr {
-            (self.cfg.retry_tight_max, self.cfg.retry_extra_shift)
+            (RETRY_TIGHT_MAX, RETRY_EXTRA_SHIFT)
         } else {
-            (self.cfg.retry_normal_max, 0)
+            (RETRY_NORMAL_MAX, 0)
         };
         if (max_retries, shift) == (self.retry_max, self.retry_shift) {
             return None;
@@ -538,6 +534,32 @@ mod tests {
         SurvivalConfig {
             min_dwell_ticks: 2,
             ..SurvivalConfig::default()
+        }
+    }
+
+    #[test]
+    fn ladder_thresholds_are_ordered() {
+        // (lower, upper, rule): each rule needs `lower < upper`.
+        let strict = [
+            (LINK_CLEAR_PERMILLE, LINK_BAD_PERMILLE, "link latch dead band"),
+            (SIMPLIFIED_ABOVE_PERMILLE, ORIGINAL_ABOVE_PERMILLE, "version ladder"),
+            (CUTOFF_PERMILLE, ORIGINAL_ABOVE_PERMILLE, "cutoff below Original"),
+            (CUTOFF_PERMILLE, SIMPLIFIED_ABOVE_PERMILLE, "cutoff below Simplified"),
+            (CUTOFF_PERMILLE, DUTY_QUARTER_BELOW_PERMILLE, "cutoff below quarter duty"),
+            (CUTOFF_PERMILLE, DUTY_HALF_BELOW_PERMILLE, "cutoff below half duty"),
+            (CUTOFF_PERMILLE, RETRY_TIGHT_BELOW_PERMILLE, "cutoff below tight retry"),
+        ];
+        for (lower, upper, rule) in strict {
+            assert!(lower < upper, "{rule}: {lower} !< {upper}");
+        }
+        // (lower, upper, rule): each rule needs `lower <= upper`.
+        let weak = [
+            (DUTY_HALF_BELOW_PERMILLE, DUTY_QUARTER_BELOW_PERMILLE, "heavier duty tier"),
+            (ORIGINAL_ABOVE_PERMILLE + HYSTERESIS_PERMILLE, PERMILLE_FULL, "Original reachable"),
+            (RETRY_TIGHT_MAX.into(), RETRY_NORMAL_MAX.into(), "tight retry budget"),
+        ];
+        for (lower, upper, rule) in weak {
+            assert!(lower <= upper, "{rule}: {lower} !<= {upper}");
         }
     }
 
@@ -573,8 +595,7 @@ mod tests {
 
     #[test]
     fn upgrade_needs_hysteresis_margin() {
-        let cfg = fast_cfg();
-        let mut p = SurvivalPolicy::new(cfg, Version::Original);
+        let mut p = SurvivalPolicy::new(fast_cfg(), Version::Original);
         // Drain to Simplified territory.
         for _ in 0..4 {
             p.step(inputs(500));
@@ -582,27 +603,27 @@ mod tests {
         assert_eq!(p.version(), Version::Simplified);
         // Hovering just above the Original threshold is not enough...
         for _ in 0..10 {
-            p.step(inputs(cfg.original_above_permille + 1));
+            p.step(inputs(ORIGINAL_ABOVE_PERMILLE + 1));
         }
         assert_eq!(p.version(), Version::Simplified);
         // ...but clearing threshold + hysteresis upgrades.
         for _ in 0..10 {
-            p.step(inputs(cfg.original_above_permille + cfg.hysteresis_permille + 1));
+            p.step(inputs(ORIGINAL_ABOVE_PERMILLE + HYSTERESIS_PERMILLE + 1));
         }
         assert_eq!(p.version(), Version::Original);
         // The lower rung works the same: drain to Reduced, then hovering
         // just above the Simplified threshold holds Reduced...
         for _ in 0..4 {
-            p.step(inputs(cfg.simplified_above_permille - 50));
+            p.step(inputs(SIMPLIFIED_ABOVE_PERMILLE - 50));
         }
         assert_eq!(p.version(), Version::Reduced);
         for _ in 0..10 {
-            p.step(inputs(cfg.simplified_above_permille + 1));
+            p.step(inputs(SIMPLIFIED_ABOVE_PERMILLE + 1));
         }
         assert_eq!(p.version(), Version::Reduced);
         // ...and clearing it by the margin climbs exactly one rung.
         for _ in 0..10 {
-            p.step(inputs(cfg.simplified_above_permille + cfg.hysteresis_permille + 1));
+            p.step(inputs(SIMPLIFIED_ABOVE_PERMILLE + HYSTERESIS_PERMILLE + 1));
         }
         assert_eq!(p.version(), Version::Simplified);
     }

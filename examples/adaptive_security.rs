@@ -76,7 +76,6 @@ fn closed_loop() {
     scenario.survival = Some(SurvivalConfig {
         min_dwell_ticks: 5,
         drain_scale: 60_000,
-        ..SurvivalConfig::default()
     });
 
     println!("\nclosed-loop survival policy (60 s session, 60 000x drain):");

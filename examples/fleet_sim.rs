@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     surviving.template.survival = Some(SurvivalConfig {
         min_dwell_ticks: 5,
         drain_scale: 120_000,
-        ..SurvivalConfig::default()
     });
     let stressed = run_fleet_with_bank(&surviving, &models)?;
     let again = run_fleet_with_bank(&surviving.clone().with_threads(8), &models)?;

@@ -33,6 +33,16 @@ cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot -p sift
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Clippy only compiles the examples: run each one to completion in
+# release (stdout discarded; `model_export` writes only under the OS
+# temp dir). A nonzero exit fails the gate.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release -q --example "$name" >/dev/null \
+    || { echo "verify: FAIL example $name exited nonzero"; exit 1; }
+done
+echo "verify: every example ran to completion"
+
 # Workspace static analysis: embedded-profile, determinism, call-graph,
 # and budget invariants, with warnings promoted to failures. Also
 # regenerates results/ANALYZER_footprint.json, which is diffed whole

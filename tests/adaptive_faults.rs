@@ -12,7 +12,7 @@ use wiot::channel::{link_badness_permille, LossModel};
 use wiot::device::Stream;
 use wiot::faults::{FaultEvent, FaultKind, FaultPlan};
 use wiot::scenario::{run, Scenario, SimReport};
-use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
+use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy, LINK_BAD_PERMILLE};
 
 /// The link badness the runner feeds the policy: observed channel loss
 /// plus ARQ retransmission drag.
@@ -87,7 +87,7 @@ fn degraded_link_caps_the_engine_at_simplified_without_stalling() {
 
     let badness = observed_badness(&r);
     assert!(
-        badness >= SurvivalConfig::default().link_bad_permille,
+        badness >= LINK_BAD_PERMILLE,
         "observed badness {badness} permille should reach the link-cap threshold"
     );
     let p = settled_policy(badness);

@@ -145,7 +145,6 @@ fn fast_forward_switches_at_the_closed_loop_ticks() {
     let survival = SurvivalConfig {
         min_dwell_ticks: 5,
         drain_scale: 60_000,
-        ..SurvivalConfig::default()
     };
     let mut scenario = Scenario::new(0, Version::Original, 60.0).with_reliability();
     scenario.survival = Some(survival);

@@ -93,7 +93,6 @@ fn fleet_digest_with_active_survival_policy_stable_across_threads() {
     spec.template.survival = Some(SurvivalConfig {
         min_dwell_ticks: 5,
         drain_scale: 120_000,
-        ..SurvivalConfig::default()
     });
     let models = ModelBank::train(
         &bank(),

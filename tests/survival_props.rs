@@ -18,7 +18,9 @@
 
 use proptest::prelude::*;
 use sift::features::Version;
-use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
+use wiot::survival::{
+    SurvivalConfig, SurvivalInputs, SurvivalPolicy, LINK_BAD_PERMILLE, LINK_CLEAR_PERMILLE,
+};
 
 /// Degradation-ladder rank: higher = more capable = more expensive.
 fn rank(v: Version) -> u8 {
@@ -189,7 +191,7 @@ fn link_latch_caps_and_releases_with_a_dead_band() {
     assert!(p.link_capped());
     assert_eq!(p.version(), Version::Simplified);
     // Badness hovering between clear and cap thresholds: latch holds.
-    let mid = (cfg.link_clear_permille + cfg.link_bad_permille) / 2;
+    let mid = (LINK_CLEAR_PERMILLE + LINK_BAD_PERMILLE) / 2;
     for _ in 0..cfg.min_dwell_ticks * 4 {
         p.step(inputs(1000, mid, 0));
     }
