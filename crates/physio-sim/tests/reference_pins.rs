@@ -7,6 +7,7 @@
 //! single sample bit moves a digest.
 
 use physio_sim::ectopy::{inject_premature_beats, EctopyParams};
+use physio_sim::population::population;
 use physio_sim::record::Record;
 use physio_sim::rr::RrProcess;
 use physio_sim::subject::bank;
@@ -98,4 +99,40 @@ fn synthesize_at_250_hz_is_pinned() {
     assert_eq!(r.len(), 5000);
     let got = record_digest(&r);
     assert_eq!(got, 0xf216_9c28_91cd_1261, "{got:#018x}");
+}
+
+/// One digest over 64 population subjects' records of `secs` seconds,
+/// subject `k` from seed `k`: the bank's 12 subjects cover only a corner
+/// of the morphology and heart-rate ranges the population draws from.
+fn population_digest(secs: f64) -> u64 {
+    let mut h = Fnv::new();
+    for (k, subject) in population(64, 0x5EED).iter().enumerate() {
+        h.word(record_digest(&Record::synthesize(subject, secs, k as u64)));
+    }
+    h.0
+}
+
+#[test]
+fn population_records_of_30_s_are_pinned() {
+    let got = population_digest(30.0);
+    assert_eq!(got, 0x9748_1780_6aff_e63d, "{got:#018x}");
+}
+
+#[test]
+fn population_records_of_56_s_are_pinned() {
+    let got = population_digest(56.0);
+    assert_eq!(got, 0x7a69_e784_44d5_6f4a, "{got:#018x}");
+}
+
+#[test]
+fn population_ecg_spans_of_the_attack_hull_are_pinned() {
+    // 16 s..40 s of a 56 s session: the span a campaign's attackers read.
+    let mut h = Fnv::new();
+    for (k, subject) in population(64, 0x5EED).iter().enumerate() {
+        let span = Record::ecg_span(subject, 56.0, 0xA77 + k as u64, 5760..14400);
+        let (samples, peaks) = span.read(5760, 8640);
+        h.samples(samples);
+        h.peaks(&peaks.collect::<Vec<_>>());
+    }
+    assert_eq!(h.0, 0xce09_c532_1b24_a9ea, "{:#018x}", h.0);
 }
