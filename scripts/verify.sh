@@ -197,13 +197,14 @@ baseline_gate "campaign matrix" "" exact \
   cargo run --release -q -p bench --bin campaign -- \
     --out target/verify/BENCH_campaign.json
 
-# The benchmark's two Reference-synthesis workloads, at their pinned
-# seed and length. `wearbench run` checks every timed round's engine
-# digest against the one pinned for it and exits nonzero on a mismatch,
-# so a one-bit drift in Reference synthesis fails this gate as well as
-# the benchmark. Its throughput and set-up figures are wall-clock and
-# are not gated here.
-for workload in fleet-fidelity campaign; do
+# Every benchmark workload, at its pinned seed and length. `wearbench
+# run` checks every timed round's engine digest against the one pinned
+# for it and exits nonzero on a mismatch, so a one-bit drift in
+# Reference synthesis (fleet-fidelity, campaign) or in the feature
+# front end, link and window assembly (all four) fails this gate as
+# well as the benchmark. Its throughput and set-up figures are
+# wall-clock and are not gated here.
+for workload in fleet-turbo fleet-fidelity hostile-link campaign; do
   wb_out=target/verify/wearbench_$workload.txt
   if ! cargo run --release -q --offline \
       --manifest-path crates/bench/src/bin/wearbench/Cargo.toml -- \
