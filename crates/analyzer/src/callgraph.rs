@@ -3,7 +3,7 @@
 //! graph, and run three whole-program analyses over it:
 //!
 //! 1. **worst-case stack depth** — a per-function frame estimate from
-//!    the MSP430 calling convention (see [`frame_bytes`]), propagated
+//!    the MSP430 calling convention (see `frame_bytes`), propagated
 //!    along the longest call chain from each embedded entry point in
 //!    [`ENTRY_POINTS`]; the budget pass gates `statics + max stack`
 //!    against the 2 KB SRAM map;
@@ -21,7 +21,7 @@
 //!    sites only), and the [`ENTRY_POINTS`]. `#[cfg(test)]` code and
 //!    `crates/*/tests/` are not callers. This reach over-approximates:
 //!    method names fan out to every method of that name,
-//!    [`UBIQUITOUS_METHODS`] included, and an unknown `Type::`
+//!    `UBIQUITOUS_METHODS` included, and an unknown `Type::`
 //!    qualifier to every trait method of that name; every identifier
 //!    that is not called, a field after `.` aside, counts as naming the
 //!    fns of that name as values (`.map(Record::synthesize)`, `[a, b]`,
@@ -39,8 +39,11 @@
 //! workspace method of that name (conservative for stack, excluding the
 //! caller itself to avoid false self-loops), qualified `Type::method`
 //! and `Trait::method` calls resolve through an (owner, name) index
-//! with trait-impl fan-out, and calls the pass cannot resolve — std
-//! methods, macros' interiors, names on the [`UBIQUITOUS_METHODS`]
+//! with trait-impl fan-out, a free call to a name the caller binds (a
+//! parameter, or a `let` from its `;` to its block's end) resolves to
+//! nothing — it calls a closure, counted in the frame that defines it —
+//! and calls the pass cannot resolve — std
+//! methods, macros' interiors, names on the `UBIQUITOUS_METHODS`
 //! list — contribute **zero** stack. That unsoundness is exactly why
 //! recursion and dynamic dispatch are hard errors in embedded modules:
 //! within the profile the remaining approximations are benign
@@ -342,6 +345,13 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
     let mut owners: Vec<OwnerCtx> = Vec::new();
     // (fn index, depth of its body's opening brace)
     let mut open_fns: Vec<(usize, i32)> = Vec::new();
+    // Local bindings, parameters and `let` patterns: (fn index, depth of
+    // the block that scopes them, first token they shadow from, name).
+    // A free call to a bound name calls the binding (a closure or fn
+    // value), never a workspace fn of that name.
+    let mut locals: Vec<(usize, i32, usize, String)> = Vec::new();
+    // One past the last token of the current `let` pattern.
+    let mut pattern_end = 0usize;
     let mut p = 0usize;
     while p < sig.len() {
         let line = sig[p].line;
@@ -354,6 +364,7 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 depth -= 1;
                 owners.retain(|o| o.open_depth <= depth);
                 open_fns.retain(|&(_, d)| d <= depth);
+                locals.retain(|l| l.1 <= depth);
                 p += 1;
             }
             TokenKind::Ident(w) if w == "impl" && item_position(&sig, p) => {
@@ -461,7 +472,9 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 );
                 if let Some(open) = header.body_open {
                     depth += 1;
-                    open_fns.push((graph.fns.len() - 1, depth));
+                    let f = graph.fns.len() - 1;
+                    open_fns.push((f, depth));
+                    locals.extend(header.bindings.into_iter().map(|b| (f, depth, open, b)));
                     p = open + 1;
                 } else {
                     p = header.end + 1;
@@ -481,6 +494,16 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                 if let Some(&(f, _)) = open_fns.last() {
                     if let Some(def) = graph.fns.get_mut(f) {
                         def.lets += 1;
+                    }
+                    // An `if let`/`while let` (or let-chain) binding
+                    // scopes only its block: it shadows nothing here.
+                    let scoped = matches!(
+                        kind(p.wrapping_sub(1)).and_then(ident_of),
+                        Some("if" | "while")
+                    ) || is_punct(p.wrapping_sub(1), '&');
+                    if let (false, Some((names, end, stmt_end))) = (scoped, let_bindings(&sig, p)) {
+                        pattern_end = end;
+                        locals.extend(names.into_iter().map(|n| (f, depth, stmt_end, n)));
                     }
                 }
                 p += 1;
@@ -528,7 +551,9 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                         });
                     }
                 }
-                if !in_test && !NOT_A_CALL.contains(&name.as_str()) {
+                // A `let` pattern's own names bind; they name nothing.
+                let binding = p < pattern_end && is_binding_name(name);
+                if !in_test && !binding && !NOT_A_CALL.contains(&name.as_str()) {
                     let qualified = p >= 2 && is_punct(p - 1, ':') && is_punct(p - 2, ':');
                     let call_kind = if qualified {
                         // `<T as Trait>::m(…)` and friends have no
@@ -555,11 +580,15 @@ fn extract_file(file_idx: usize, pf: &ParsedFile, graph: &mut Graph) {
                     // Only a field access after `.` cannot. Extra matches
                     // only err toward reached.
                     let named = !called && !prev_dot;
+                    let shadowed = call_kind == CallKind::Free
+                        && cur_fn.is_some_and(|f| {
+                            locals.iter().any(|l| l.0 == f && l.2 < p && l.3 == *name)
+                        });
                     let calls = match cur_fn {
                         Some(f) => graph.calls.get_mut(f),
                         None => Some(&mut item_sites),
                     };
-                    if let (Some(calls), true) = (calls, called || named) {
+                    if let (Some(calls), true) = (calls, (called || named) && !shadowed) {
                         if let Some(original) = renames.get(name.as_str()) {
                             calls.push(CallSite {
                                 name: (*original).to_string(),
@@ -743,6 +772,8 @@ fn skip_generics(sig: &[&crate::lexer::Token], q: usize) -> usize {
 struct FnHeader {
     name: String,
     params: usize,
+    /// Names the parameter patterns bind (`self` aside).
+    bindings: Vec<String>,
     /// Index of the body's `{`, when the fn has one.
     body_open: Option<usize>,
     /// Index of the terminating token (`{` or `;`).
@@ -762,9 +793,22 @@ fn parse_fn_header(sig: &[&crate::lexer::Token], p: usize) -> Option<FnHeader> {
     let mut angle = 0i32;
     let mut commas = 0usize;
     let mut any_param = false;
+    // Inside a parameter's type, after its top-level `:`.
+    let mut in_type = false;
+    let mut bindings = Vec::new();
     let start = q;
     while q < sig.len() {
         match &sig[q].kind {
+            TokenKind::Ident(w) if paren >= 1 && !in_type => {
+                any_param = true;
+                if is_binding_name(w) {
+                    bindings.push(w.clone());
+                }
+            }
+            TokenKind::Punct(':') if paren == 1 && bracket == 0 && angle == 0 => {
+                any_param = true;
+                in_type = true;
+            }
             TokenKind::Punct('(') => paren += 1,
             TokenKind::Punct(')') => {
                 paren -= 1;
@@ -788,6 +832,7 @@ fn parse_fn_header(sig: &[&crate::lexer::Token], p: usize) -> Option<FnHeader> {
                 if !matches!(sig.get(q + 1).map(|t| &t.kind), Some(TokenKind::Punct(')'))) {
                     commas += 1;
                 }
+                in_type = false;
             }
             _ => {
                 if paren >= 1 && q > start {
@@ -812,6 +857,7 @@ fn parse_fn_header(sig: &[&crate::lexer::Token], p: usize) -> Option<FnHeader> {
                 return Some(FnHeader {
                     name,
                     params,
+                    bindings,
                     body_open: Some(q),
                     end: q,
                 });
@@ -820,6 +866,7 @@ fn parse_fn_header(sig: &[&crate::lexer::Token], p: usize) -> Option<FnHeader> {
                 return Some(FnHeader {
                     name,
                     params,
+                    bindings,
                     body_open: None,
                     end: q,
                 });
@@ -827,6 +874,47 @@ fn parse_fn_header(sig: &[&crate::lexer::Token], p: usize) -> Option<FnHeader> {
             _ => {}
         }
         q += 1;
+    }
+    None
+}
+
+/// Whether identifier `w` in a pattern binds a local (`mut`, `ref` and
+/// `self` do not; capitalized names are types and variants).
+fn is_binding_name(w: &str) -> bool {
+    w.starts_with(|c: char| c.is_lowercase() || c == '_')
+        && !matches!(w, "mut" | "ref" | "self" | "_")
+}
+
+/// The names the `let` at `p` binds, one past its pattern, and its
+/// terminating `;` (where the bindings take scope); `None` when no `;`
+/// closes it at its own nesting level.
+fn let_bindings(sig: &[&crate::lexer::Token], p: usize) -> Option<(Vec<String>, usize, usize)> {
+    let colon = |k: usize| matches!(sig.get(k).map(|t| &t.kind), Some(TokenKind::Punct(':')));
+    let mut names = Vec::new();
+    let mut pattern_end = None;
+    let mut nest = 0i32;
+    for (q, tok) in sig.iter().enumerate().skip(p + 1) {
+        match &tok.kind {
+            TokenKind::Punct('(' | '[' | '{') => nest += 1,
+            TokenKind::Punct(')' | ']' | '}') => {
+                nest -= 1;
+                if nest < 0 {
+                    return None;
+                }
+            }
+            TokenKind::Punct(';') if nest == 0 => {
+                return Some((names, pattern_end.unwrap_or(q), q))
+            }
+            // The pattern ends at its `=` or its type's `:` (not `::`).
+            TokenKind::Punct('=') if nest == 0 => pattern_end = pattern_end.or(Some(q)),
+            TokenKind::Punct(':') if nest == 0 && !colon(q - 1) && !colon(q + 1) => {
+                pattern_end = pattern_end.or(Some(q));
+            }
+            TokenKind::Ident(w) if pattern_end.is_none() && is_binding_name(w) => {
+                names.push(w.clone())
+            }
+            _ => {}
+        }
     }
     None
 }
@@ -1487,6 +1575,26 @@ mod tests {
         let edges = resolve_edges(&g, false);
         assert_eq!(edges[0], vec![1]);
         assert!(edges[1].is_empty());
+    }
+
+    #[test]
+    fn a_let_binding_shadows_from_its_statement_to_its_block_end() {
+        let pf = parsed(
+            "crates/wiot/src/x.rs",
+            "fn scan(x: u32) -> u32 { x }\nfn go(x: u32) -> u32 {\n  {\n    let scan = |y: u32| y;\n    scan(x);\n  }\n  let n = scan(x);\n  let scan = scan(n);\n  scan\n}\n",
+        );
+        let g = extract(&[pf]);
+        let go = g.fns.iter().position(|d| d.name == "go").unwrap();
+        // The closure's call, the bindings and the final value are
+        // local; the two calls outside the binding's scope are the fn's.
+        let called: Vec<bool> = g.calls[go]
+            .iter()
+            .filter(|s| s.name == "scan")
+            .map(|s| s.called)
+            .collect();
+        assert_eq!(called, vec![true, true]);
+        let edges = resolve_edges(&g, false);
+        assert_eq!(edges[go], vec![0]);
     }
 
     #[test]

@@ -19,6 +19,7 @@ const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
 const CG_UNREACHED: &str = include_str!("fixtures/cg_unreached.rs");
 const CG_UNREACHED_ROOT_TEST: &str = include_str!("fixtures/cg_unreached_root_test.rs");
 const CG_UNREACHED_TYPE: &str = include_str!("fixtures/cg_unreached_type.rs");
+const CG_LOCAL_SHADOW: &str = include_str!("fixtures/cg_local_shadow.rs");
 
 /// The `cg-unreached` fixture module as `crates/wiot/src/fx.rs`, with a
 /// bin root calling `from_bin` and `waived_but_reached`, a library
@@ -256,6 +257,39 @@ fn cg_unreached_flags_a_type_only_its_own_impls_name() {
     assert_eq!(found(&sources), vec![(9, "cg-unreached")]);
     sources.push(("tests/fit.rs".to_string(), call("KernelTrainer")));
     assert!(found(&sources).is_empty());
+}
+
+#[test]
+fn local_bindings_shadow_workspace_fns() {
+    // The entry point's closure `scan` and `apply`'s parameter `scan`
+    // call themselves, not the panicking workspace `scan`; renamed
+    // away, the same calls reach it.
+    let host = "pub fn scan(lanes: &[u16]) -> u16 {\n    lanes.first().copied().unwrap()\n}\n";
+    let opts = Options {
+        deny_warnings: true,
+        run_budget: false,
+    };
+    let analyze = |entry: &str| {
+        let sources = vec![
+            ("crates/wiot/src/survival.rs".to_string(), entry.to_string()),
+            ("crates/analyzer/src/scan.rs".to_string(), host.to_string()),
+        ];
+        let analysis = analyze_sources(&sources, &opts);
+        let entry = analysis.stack.entries.first();
+        let chain = entry.map(|e| e.chain.clone()).unwrap_or_default();
+        let findings = analysis.findings.iter();
+        let panics = findings.filter(|f| f.rule == "cg-panic-reachable").count();
+        (chain, panics)
+    };
+    let (chain, panics) = analyze(CG_LOCAL_SHADOW);
+    assert_eq!(chain, ["SurvivalPolicy::step", "apply"]);
+    assert_eq!(panics, 0);
+    let (chain, panics) = analyze(&CG_LOCAL_SHADOW.replace("let mut scan", "let mut fold"));
+    assert_eq!(chain, ["SurvivalPolicy::step", "scan"]);
+    assert_eq!(panics, 1);
+    let (chain, panics) = analyze(&CG_LOCAL_SHADOW.replace("apply(scan:", "apply(f:"));
+    assert_eq!(chain, ["SurvivalPolicy::step", "apply", "scan"]);
+    assert_eq!(panics, 1);
 }
 
 #[test]

@@ -10,13 +10,15 @@
 //! Three parts, all deterministic:
 //!
 //! 1. **Fast-forward lifetime sweep** — each device's discharge curve is
-//!    integrated in pure integer arithmetic at a 60 s tick using the
-//!    same `BatteryState` and per-version draw currents
-//!    (`wiot::adaptive::DrawTable`) the scenario layer uses, with a
-//!    per-device Gilbert–Elliott badness chain and seeded brownouts
-//!    that exercise the policy's snapshot/restore path
-//!    (any round-trip mismatch fails the bench). Reports p5/p50/p95
-//!    lifetime per policy and the adaptive ladder's occupancy.
+//!    integrated in pure integer arithmetic at a 60 s tick by the
+//!    battery loop the scenario layer runs (`wiot::adaptive::BatteryLoop`):
+//!    every tick drains at the posture in force, then steps the policy
+//!    on the charge left. A per-device Gilbert–Elliott badness chain
+//!    feeds the link sensor, and seeded brownouts exercise the policy's
+//!    snapshot/restore path (any round-trip mismatch fails the bench).
+//!    The static policies are loops that are drained and never stepped.
+//!    Reports p5/p50/p95 lifetime per policy, the adaptive ladder's
+//!    occupancy and the windows its duty cycle skipped.
 //! 2. **Accuracy tradeoff** — per-version detection accuracy from the
 //!    Table II machinery (Amulet flavor), weighted by the adaptive
 //!    policy's version occupancy. Duty-cycle skips cost *coverage*, not
@@ -32,7 +34,7 @@
 //!
 //! Writes `results/BENCH_lifetime.json` (override with `--out PATH`).
 
-use amulet_sim::energy::{BatteryState, EnergyModel};
+use amulet_sim::energy::EnergyModel;
 use bench::{
     fail, run_table2, splitmix64, thread_gate, write_artifact, Context, Failure, Flags, Scale,
 };
@@ -44,10 +46,10 @@ use sift::flavor::PlatformFlavor;
 use sift::trainer::ModelBank;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use wiot::adaptive::{version_index, DrawTable};
+use wiot::adaptive::{version_index, BatteryLoop, DrawTable};
 use wiot::channel::LossModel;
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
-use wiot::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy, CUTOFF_PERMILLE};
+use wiot::survival::{SurvivalConfig, SurvivalPolicy};
 
 /// Simulated seconds per fast-forward tick. The policy was designed for
 /// 1 Hz ticks in the scenario layer; at whole-battery scale a 60 s tick
@@ -85,19 +87,16 @@ impl Stream {
     }
 }
 
-/// Which deployment policy a device runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DeploymentPolicy {
-    AlwaysOriginal,
-    AlwaysReduced,
-    Adaptive,
-}
+/// A deployment: the provisioned build, and whether the survival policy
+/// steps. A static posture (always-Original, always-Reduced) is a
+/// battery loop that is drained and never stepped.
+type Deployment = (Version, bool);
 
 /// Outcome of one device's charge-to-cutoff run.
 struct DeviceLifetime {
     lifetime_days: f64,
     occupancy_ticks: [u64; 3],
-    duty_skipped_window_ticks: u64,
+    duty_skipped_windows: u64,
     reboots: u64,
     snapshot_mismatches: u64,
 }
@@ -109,23 +108,22 @@ struct DeviceLifetime {
 /// draw current is applied identically across the three policies so the
 /// comparison is paired.
 fn run_device(
-    policy_kind: DeploymentPolicy,
+    (ceiling, stepped): Deployment,
     device: usize,
     seed: u64,
-    draw: &DrawTable,
+    draw: DrawTable,
     model: &EnergyModel,
+    windows_per_tick: u64,
 ) -> DeviceLifetime {
     let cfg = SurvivalConfig::default();
-    let mut battery = BatteryState::from_model(model);
     let mut link = Stream::new(seed, 0xA11CE, device);
     let mut faults = Stream::new(seed, 0xB0B, device);
     // ±2 % manufacturing spread, permille, shared across policies.
     let spread = Stream::new(seed, 0x5EED, device).range(980, 1021);
+    let mut battery = BatteryLoop::new(SurvivalPolicy::new(cfg, ceiling), draw, model, spread);
 
-    let mut policy = SurvivalPolicy::new(cfg, Version::Original);
     let mut bad_state = false;
-    let mut occupancy_ticks = [0u64; 3];
-    let mut duty_skipped_window_ticks = 0u64;
+    let mut duty_skipped_windows = 0u64;
     let mut reboots = 0u64;
     let mut snapshot_mismatches = 0u64;
 
@@ -152,43 +150,32 @@ fn run_device(
         // failure, counted and gated below.
         if faults.chance(1, 2000) {
             reboots += 1;
-            let snap = policy.snapshot();
-            policy = SurvivalPolicy::new(cfg, Version::Original);
+            let snap = battery.policy().snapshot();
+            let policy = battery.policy_mut();
+            *policy = SurvivalPolicy::new(cfg, ceiling);
             policy.restore(snap);
             if policy.snapshot() != snap {
                 snapshot_mismatches += 1;
             }
         }
 
-        let (version, duty_skip, duty_of) = match policy_kind {
-            DeploymentPolicy::AlwaysOriginal => (Version::Original, 0, 1),
-            DeploymentPolicy::AlwaysReduced => (Version::Reduced, 0, 1),
-            DeploymentPolicy::Adaptive => {
-                policy.step(SurvivalInputs {
-                    soc_permille: battery.soc_permille(),
-                    link_badness_permille: badness_permille,
-                    backlog_windows: 0,
-                });
-                let (skip, of) = policy.duty();
-                (policy.version(), skip, of)
-            }
-        };
-        occupancy_ticks[version_index(version)] += 1;
-        duty_skipped_window_ticks += u64::from(duty_skip);
-
-        // Draw current under the posture, with the per-device spread.
-        let current_ua = (draw.draw_ua(version, (duty_skip, duty_of)) * spread + 500) / 1000;
-        battery.drain(current_ua, TICK_S * 1000);
-
-        if battery.soc_permille() <= CUTOFF_PERMILLE {
+        // The tick runs at the posture in force: drain, then step on
+        // the charge left.
+        let (skip, of) = battery.policy().duty();
+        duty_skipped_windows += windows_per_tick * u64::from(skip) / u64::from(of);
+        battery.drain(TICK_S * 1000);
+        if stepped {
+            battery.step(badness_permille, 0);
+        }
+        if battery.is_cutoff() {
             break;
         }
     }
 
     DeviceLifetime {
         lifetime_days: f64::from(tick) * TICK_S as f64 / 86_400.0,
-        occupancy_ticks,
-        duty_skipped_window_ticks,
+        occupancy_ticks: battery.occupancy_ticks(),
+        duty_skipped_windows,
         reboots,
         snapshot_mismatches,
     }
@@ -200,7 +187,7 @@ struct PolicySweep {
     p50_days: f64,
     p95_days: f64,
     occupancy_frac: [f64; 3],
-    duty_skipped_window_ticks: u64,
+    duty_skipped_windows: u64,
     reboots: u64,
     snapshot_mismatches: u64,
 }
@@ -214,11 +201,12 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn sweep(
-    policy: DeploymentPolicy,
+    deployment: Deployment,
     devices: usize,
     seed: u64,
-    draw: &DrawTable,
+    draw: DrawTable,
     model: &EnergyModel,
+    windows_per_tick: u64,
 ) -> PolicySweep {
     let mut lifetimes = Vec::with_capacity(devices);
     let mut occupancy = [0u64; 3];
@@ -226,12 +214,12 @@ fn sweep(
     let mut reboots = 0u64;
     let mut mismatches = 0u64;
     for device in 0..devices {
-        let d = run_device(policy, device, seed, draw, model);
+        let d = run_device(deployment, device, seed, draw, model, windows_per_tick);
         lifetimes.push(d.lifetime_days);
         for (acc, t) in occupancy.iter_mut().zip(d.occupancy_ticks) {
             *acc += t;
         }
-        duty_skipped += d.duty_skipped_window_ticks;
+        duty_skipped += d.duty_skipped_windows;
         reboots += d.reboots;
         mismatches += d.snapshot_mismatches;
     }
@@ -243,7 +231,7 @@ fn sweep(
         p50_days: percentile(&lifetimes, 0.50),
         p95_days: percentile(&lifetimes, 0.95),
         occupancy_frac,
-        duty_skipped_window_ticks: duty_skipped,
+        duty_skipped_windows: duty_skipped,
         reboots,
         snapshot_mismatches: mismatches,
     }
@@ -308,12 +296,13 @@ fn run() -> Result<(), Failure> {
         "lifetime sweep: {} devices x 3 policies, {} s ticks, seed {}",
         devices, TICK_S, seed
     );
+    let windows_per_tick = (TICK_S as f64 / config.window_s) as u64;
     let [original, reduced, adaptive] = [
-        DeploymentPolicy::AlwaysOriginal,
-        DeploymentPolicy::AlwaysReduced,
-        DeploymentPolicy::Adaptive,
+        (Version::Original, false),
+        (Version::Reduced, false),
+        (Version::Original, true),
     ]
-    .map(|policy| sweep(policy, devices, seed, &draw, &model));
+    .map(|deployment| sweep(deployment, devices, seed, draw, &model, windows_per_tick));
     for (name, s) in [
         ("always-original", &original),
         ("always-reduced", &reduced),
@@ -420,8 +409,8 @@ fn run() -> Result<(), Failure> {
     );
     let _ = writeln!(
         json,
-        "  \"duty_skipped_window_ticks\": {},",
-        adaptive.duty_skipped_window_ticks
+        "  \"duty_skipped_windows\": {},",
+        adaptive.duty_skipped_windows
     );
     let _ = writeln!(json, "  \"snapshot_mismatches\": {total_mismatches},");
     let _ = writeln!(json, "  \"digest\": \"{digest:#018x}\"");

@@ -94,7 +94,7 @@ impl AbpMorphology {
 /// Render an ABP trace with the throughput-first kernels: the diastolic
 /// `exp` decay becomes a one-multiply-per-sample geometric recurrence,
 /// the raised-cosine upstroke a phasor rotation, and the dicrotic-notch
-/// Gaussian the [`crate::ecg::add_gauss_run`] double-recurrence
+/// Gaussian the `ecg::add_gauss_run` double-recurrence
 /// truncated at ±5σ. Output differs from [`render`] only by that notch
 /// truncation and recurrence round-off (`≪ 1e-6` mmHg); fleet-scale
 /// callers opt in through [`crate::record::SynthProfile::Turbo`].

@@ -252,7 +252,7 @@ pub(crate) fn add_gauss_run(
 
 /// Render a noise-free ECG trace with the throughput-first kernels: each
 /// wave renders only its ±5σ support and the Gaussian is advanced by the
-/// [`add_gauss_run`] double-recurrence instead of one `exp` per sample
+/// `add_gauss_run` double-recurrence instead of one `exp` per sample
 /// per wave. Output differs from [`render`] by at most the 5σ truncation
 /// (`< 4e-6` mV); fleet-scale callers opt in through
 /// [`crate::record::SynthProfile::Turbo`].

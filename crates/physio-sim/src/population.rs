@@ -13,7 +13,7 @@
 //! `population(12, LEGACY_BANK_SEED)` reproduces the original
 //! 12-subject bank **bit for bit**: same cohort split (young first),
 //! same age ladders, same per-subject RNG seeds (`seed + index`), and
-//! the same draw order inside [`sample_subject`]. `bank()` now
+//! the same draw order inside `sample_subject`. `bank()` now
 //! delegates here, so the equality is structural, not coincidental.
 
 use crate::abp::AbpMorphology;

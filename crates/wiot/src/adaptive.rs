@@ -9,12 +9,14 @@
 //!
 //! The decision engine is the device-side [`SurvivalPolicy`]: the same
 //! integer controller the scenario, fleet and lifetime bench run. This
-//! module holds the host-side energy arithmetic it is fed with — the
-//! per-version draw current, derived once in [`DrawTable`] — and
-//! [`simulate_adaptive_deployment`], a whole-battery fast-forward of the
-//! policy that quantifies the vision.
+//! module holds the host-side energy arithmetic it is fed with: the
+//! per-version draw current, derived once in [`DrawTable`], and
+//! [`BatteryLoop`], the one loop that drains a battery at the policy's
+//! posture and then steps the policy on the charge left. The scenario's
+//! survival runtime, the lifetime bench and the `adaptive_security`
+//! example all drive it.
 
-use crate::survival::{SurvivalConfig, SurvivalInputs, SurvivalPolicy};
+use crate::survival::{SurvivalInputs, SurvivalPolicy, SurvivalVerdict};
 use amulet_sim::costs::{detector_cycles, tsetlin_classifier_cycles, OpCosts};
 use amulet_sim::energy::{BatteryState, EnergyModel};
 use ml::BackendKind;
@@ -85,139 +87,211 @@ impl DrawTable {
     }
 }
 
-/// Outcome of one phase of an adaptive deployment (the stretch between
-/// two version switches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptivePhase {
-    /// Version deployed during the phase.
-    pub version: Version,
-    /// Phase start, simulated seconds (policy ticks).
-    pub from_s: u64,
-    /// Phase end, simulated seconds (policy ticks).
-    pub to_s: u64,
+/// The one battery loop: a [`SurvivalPolicy`] deciding on a
+/// [`BatteryState`] that drains at the policy's posture through a
+/// [`DrawTable`]. Each tick a caller drains first, then steps, so the
+/// policy always reads the charge the tick left. A static posture is a
+/// loop that is drained and never stepped.
+#[derive(Debug, Clone)]
+pub struct BatteryLoop {
+    policy: SurvivalPolicy,
+    battery: BatteryState,
+    draw: DrawTable,
+    /// Drain current, permille of the table's draw.
+    scale_permille: u64,
+    /// Steps taken on each version, indexed by [`version_index`].
+    occupancy_ticks: [u64; 3],
 }
 
-/// Result of [`simulate_adaptive_deployment`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveReport {
-    /// The deployment phases, in order.
-    pub phases: Vec<AdaptivePhase>,
-    /// Total lifetime achieved, days.
-    pub lifetime_days: f64,
-    /// Lifetime of the strongest static deployment (original), days.
-    pub static_original_days: f64,
-}
-
-/// Runaway stop for [`simulate_adaptive_deployment`]: one year of ticks.
-const MAX_DEPLOYMENT_S: u64 = 365 * 86_400;
-
-/// Fast-forward a whole-battery adaptive deployment: the scenario's
-/// survival loop without the signal path. Each simulated second drains
-/// the battery by the posture's draw current (scaled by
-/// `survival.drain_scale`), then the policy steps on a clean link with
-/// no backlog, until the battery reaches cutoff. The static baseline is
-/// the Original build drained from the same charge to the same cutoff.
-/// This is the quantified version of the paper's Insight-#4 vision.
-pub fn simulate_adaptive_deployment(
-    config: &SiftConfig,
-    survival: SurvivalConfig,
-) -> AdaptiveReport {
-    let energy = EnergyModel::default();
-    let draw = DrawTable::new(&energy, config, BackendKind::Svm);
-    let scale = u64::from(survival.drain_scale.max(1));
-    let mut policy = SurvivalPolicy::new(survival, Version::Original);
-    let charged = BatteryState::from_model(&energy);
-
-    // The strongest static deployment, drained to the same cutoff.
-    let original_ua = draw
-        .draw_ua(Version::Original, (0, 1))
-        .saturating_mul(scale);
-    let mut battery = charged;
-    let mut static_s = 0u64;
-    while !policy.is_cutoff(battery.soc_permille()) && static_s < MAX_DEPLOYMENT_S {
-        battery.drain(original_ua, 1000);
-        static_s += 1;
-    }
-
-    let mut battery = charged;
-    let mut phases = Vec::new();
-    let mut phase_start = 0u64;
-    let mut now_s = 0u64;
-    while !policy.is_cutoff(battery.soc_permille()) && now_s < MAX_DEPLOYMENT_S {
-        let version = policy.version();
-        battery.drain(
-            draw.draw_ua(version, policy.duty()).saturating_mul(scale),
-            1000,
-        );
-        now_s += 1;
-        let verdict = policy.step(SurvivalInputs {
-            soc_permille: battery.soc_permille(),
-            ..SurvivalInputs::default()
-        });
-        if verdict.version.is_some() {
-            phases.push(AdaptivePhase {
-                version,
-                from_s: phase_start,
-                to_s: now_s,
-            });
-            phase_start = now_s;
+impl BatteryLoop {
+    /// A full battery under `model`, decided by `policy` and drained at
+    /// `scale_permille` ‰ of `draw`'s current.
+    pub fn new(
+        policy: SurvivalPolicy,
+        draw: DrawTable,
+        model: &EnergyModel,
+        scale_permille: u64,
+    ) -> Self {
+        Self {
+            policy,
+            battery: BatteryState::from_model(model),
+            draw,
+            scale_permille,
+            occupancy_ticks: [0; 3],
         }
     }
-    phases.push(AdaptivePhase {
-        version: policy.version(),
-        from_s: phase_start,
-        to_s: now_s,
-    });
-    AdaptiveReport {
-        phases,
-        lifetime_days: now_s as f64 / 86_400.0,
-        static_original_days: static_s as f64 / 86_400.0,
+
+    /// Drain `dt_ms` at the posture in force: the table's draw for the
+    /// policy's version and duty, scaled to `(draw · scale + 500) / 1000`
+    /// µA.
+    pub fn drain(&mut self, dt_ms: u64) {
+        let draw = self.draw.draw_ua(self.policy.version(), self.policy.duty());
+        let current = draw.saturating_mul(self.scale_permille).saturating_add(500) / 1000;
+        self.battery.drain(current, dt_ms);
+    }
+
+    /// Step the policy on the charge the last drain left and the link
+    /// and backlog sensors, and count the step against the version it
+    /// leaves in force.
+    pub fn step(&mut self, link_badness_permille: u16, backlog_windows: u16) -> SurvivalVerdict {
+        let verdict = self.policy.step(SurvivalInputs {
+            soc_permille: self.battery.soc_permille(),
+            link_badness_permille,
+            backlog_windows,
+        });
+        self.occupancy_ticks[version_index(self.policy.version())] += 1;
+        verdict
+    }
+
+    /// Remaining state of charge, permille.
+    pub fn soc_permille(&self) -> u16 {
+        self.battery.soc_permille()
+    }
+
+    /// Whether the battery is at or below the policy's cutoff.
+    pub fn is_cutoff(&self) -> bool {
+        self.policy.is_cutoff(self.battery.soc_permille())
+    }
+
+    /// The policy in force.
+    pub fn policy(&self) -> &SurvivalPolicy {
+        &self.policy
+    }
+
+    /// The policy, for a restore from its FRAM snapshot.
+    pub fn policy_mut(&mut self) -> &mut SurvivalPolicy {
+        &mut self.policy
+    }
+
+    /// Steps taken on each version, indexed by [`version_index`].
+    pub fn occupancy_ticks(&self) -> [u64; 3] {
+        self.occupancy_ticks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::survival::{
+        SurvivalAction, SurvivalConfig, CUTOFF_PERMILLE, ORIGINAL_ABOVE_PERMILLE,
+    };
+
+    fn svm_draw() -> DrawTable {
+        DrawTable::new(
+            &EnergyModel::default(),
+            &SiftConfig::default(),
+            BackendKind::Svm,
+        )
+    }
+
+    /// A full battery under `survival`'s drain scale, deciding from
+    /// `ceiling` down.
+    fn battery_loop(survival: SurvivalConfig, ceiling: Version) -> BatteryLoop {
+        let scale_permille = u64::from(survival.drain_scale.max(1)) * 1000;
+        let policy = SurvivalPolicy::new(survival, ceiling);
+        BatteryLoop::new(policy, svm_draw(), &EnergyModel::default(), scale_permille)
+    }
+
+    /// Run `lp` to cutoff at 1 s ticks on a clean link, stepping it when
+    /// `stepped`: the `(second, version)` of each switch and the
+    /// lifetime in seconds.
+    fn to_cutoff(lp: &mut BatteryLoop, stepped: bool) -> (Vec<(u64, Version)>, u64) {
+        let mut switches = Vec::new();
+        let mut now_s = 0u64;
+        while !lp.is_cutoff() {
+            lp.drain(1000);
+            now_s += 1;
+            if !stepped {
+                continue;
+            }
+            if let Some(SurvivalAction::SetVersion { to, .. }) = lp.step(0, 0).version {
+                switches.push((now_s, to));
+            }
+        }
+        (switches, now_s)
+    }
 
     #[test]
     fn adaptive_deployment_outlives_static_original() {
-        let report =
-            simulate_adaptive_deployment(&SiftConfig::default(), SurvivalConfig::default());
+        let survival = SurvivalConfig::default();
+        let mut adaptive = battery_loop(survival, Version::Original);
+        let (switches, lifetime_s) = to_cutoff(&mut adaptive, true);
+        let (_, static_s) = to_cutoff(&mut battery_loop(survival, Version::Original), false);
         assert!(
-            report.lifetime_days >= report.static_original_days * 1.5,
-            "adaptive {:.2} d vs static {:.2} d",
-            report.lifetime_days,
-            report.static_original_days
+            lifetime_s * 2 >= static_s * 3,
+            "adaptive {lifetime_s} s vs static {static_s} s"
         );
         // Three phases in version order, covering the whole deployment.
-        let versions: Vec<Version> = report.phases.iter().map(|p| p.version).collect();
-        assert_eq!(
-            versions,
-            vec![Version::Original, Version::Simplified, Version::Reduced]
-        );
-        assert_eq!(report.phases[0].from_s, 0);
-        for w in report.phases.windows(2) {
-            assert_eq!(w[0].to_s, w[1].from_s, "phases must tile");
-        }
-        let end = report.phases.last().map_or(0, |p| p.to_s);
-        assert_eq!(end as f64 / 86_400.0, report.lifetime_days);
+        let versions: Vec<Version> = switches.iter().map(|&(_, v)| v).collect();
+        assert_eq!(versions, vec![Version::Simplified, Version::Reduced]);
+        assert!(switches.windows(2).all(|w| 0 < w[0].0 && w[0].0 < w[1].0));
+        assert!(switches.iter().all(|&(at, _)| at <= lifetime_s));
+        let occupancy = adaptive.occupancy_ticks();
+        assert_eq!(occupancy.iter().sum::<u64>(), lifetime_s);
+        assert_eq!(occupancy[0], switches[0].0 - 1);
     }
 
     #[test]
     fn dwell_limits_switch_cadence() {
         let ten_days = 10 * 86_400;
-        let report = simulate_adaptive_deployment(
-            &SiftConfig::default(),
-            SurvivalConfig {
-                min_dwell_ticks: ten_days,
-                ..SurvivalConfig::default()
-            },
-        );
+        let survival = SurvivalConfig {
+            min_dwell_ticks: ten_days,
+            ..SurvivalConfig::default()
+        };
+        let (switches, _) = to_cutoff(&mut battery_loop(survival, Version::Original), true);
         // The first switch is free of the dwell gate; the second waits
         // it out even though the battery crossed its threshold earlier.
-        let switches: Vec<u64> = report.phases[1..].iter().map(|p| p.from_s).collect();
         assert_eq!(switches.len(), 2);
-        assert_eq!(switches[1] - switches[0], u64::from(ten_days));
+        assert_eq!(switches[1].0 - switches[0].0, u64::from(ten_days));
+    }
+
+    #[test]
+    fn the_switch_lands_on_the_tick_whose_drain_crosses_the_threshold() {
+        let mut lp = battery_loop(
+            SurvivalConfig {
+                min_dwell_ticks: 5,
+                drain_scale: 60_000,
+            },
+            Version::Original,
+        );
+        loop {
+            let before = lp.soc_permille();
+            lp.drain(1000);
+            let crossed =
+                before > ORIGINAL_ABOVE_PERMILLE && lp.soc_permille() <= ORIGINAL_ABOVE_PERMILLE;
+            let switched = lp.step(0, 0).version.is_some();
+            assert_eq!(switched, crossed, "at {} permille", lp.soc_permille());
+            if switched {
+                break;
+            }
+        }
+        assert_eq!(lp.policy().version(), Version::Simplified);
+    }
+
+    #[test]
+    fn a_static_posture_lasts_the_energy_models_lifetime() {
+        // Never stepped, the loop drains the provisioned build's full
+        // draw to cutoff, which comes once less than CUTOFF + 1 permille
+        // of the charge is left; at 60 s ticks, within one tick.
+        const TICK_S: u64 = 60;
+        let model = EnergyModel::default();
+        for version in [Version::Original, Version::Reduced] {
+            let mut lp = battery_loop(SurvivalConfig::default(), version);
+            let mut ticks = 0u64;
+            while !lp.is_cutoff() {
+                lp.drain(TICK_S * 1000);
+                ticks += 1;
+            }
+            let ua = svm_draw().draw_ua(version, (0, 1)) as f64;
+            let usable = 1.0 - f64::from(CUTOFF_PERMILLE + 1) / 1000.0;
+            let expected_s = model.lifetime_days(ua) * usable * 86_400.0;
+            let got_s = (ticks * TICK_S) as f64;
+            assert!(
+                (got_s - expected_s).abs() <= TICK_S as f64,
+                "{version}: {got_s} s vs {expected_s:.0} s"
+            );
+            assert_eq!(lp.occupancy_ticks(), [0; 3]);
+        }
     }
 
     #[test]

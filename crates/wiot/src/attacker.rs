@@ -173,7 +173,7 @@ impl Attacker {
     /// Create an attacker active over the given window.
     ///
     /// The RNG stream is split per instance from `(seed, start_ms,
-    /// end_ms)` — see [`split_attacker_seed`] — so campaign waves can
+    /// end_ms)` — see `split_attacker_seed` — so campaign waves can
     /// share one seed without correlating their noise draws.
     ///
     /// # Panics

@@ -8,7 +8,7 @@
 //! watchdog). Everything is driven from the single scenario seed, so a
 //! faulted run replays byte-identically.
 //!
-//! A [`DeviceSim`] holds one value per layer — `source`, [`Links`],
+//! A [`DeviceSim`] holds one value per layer — `source`, `transport::Links`,
 //! [`BaseStation`], [`Persistence`] and the survival `runtime` — and
 //! calls them in a fixed order each tick; `report` scores the session.
 
@@ -426,7 +426,7 @@ impl DeviceSim {
         if let Some(p) = persist.as_mut() {
             p.reserve(&mut station)?;
             if let Some(rt) = survival.as_ref() {
-                p.enable_survival(rt.policy.snapshot());
+                p.enable_survival(rt.battery.policy().snapshot());
             }
             p.commit(0, 0)?;
         }
@@ -508,8 +508,8 @@ impl DeviceSim {
             self.power_cycle()?;
         }
 
-        // Survival policy: integrate the battery model over this tick
-        // and run the 1 Hz control loop (no-op when disabled).
+        // Survival policy: drain the battery loop over this tick, then
+        // run the 1 Hz control loop (no-op when disabled).
         if let Some(rt) = self.survival.as_mut() {
             rt.step(
                 now_ms,
@@ -565,7 +565,7 @@ impl DeviceSim {
         // so a reboot resumes the same degradation posture.
         if let Some(p) = self.persist.as_mut() {
             if let Some(rt) = self.survival.as_ref() {
-                p.set_survival(rt.policy.snapshot());
+                p.set_survival(rt.battery.policy().snapshot());
             }
             let (windows, alerts) = stream_position(&self.station);
             p.commit(windows, alerts)?;
@@ -602,7 +602,7 @@ impl DeviceSim {
             return Ok(());
         }
         if let (Some(rt), Some(snap)) = (self.survival.as_mut(), p.survival()) {
-            rt.policy.restore(snap);
+            rt.battery.policy_mut().restore(snap);
             rt.apply_retry(&mut self.links);
         }
         Ok(())

@@ -1,32 +1,31 @@
 //! The survival runtime: the host-side carrier of the integer
-//! [`SurvivalPolicy`] — battery integration, the 1 Hz step, the sensor
-//! duty gate, and actuation on the links, detector and checkpoint.
+//! [`SurvivalPolicy`] — its [`BatteryLoop`] drained every chunk and
+//! stepped at 1 Hz, the sensor duty gate, and actuation on the links,
+//! detector and checkpoint.
 
 use super::{Scenario, SurvivalReport};
-use crate::adaptive::{version_index, DrawTable};
+use crate::adaptive::{version_index, BatteryLoop, DrawTable};
 use crate::basestation::BaseStation;
 use crate::channel::link_badness_permille;
 use crate::faults::FaultSummary;
 use crate::persist::Persistence;
 use crate::survival::{
-    window_is_skipped, SurvivalAction, SurvivalInputs, SurvivalPolicy, RETRY_TIGHT_BELOW_PERMILLE,
+    window_is_skipped, SurvivalAction, SurvivalPolicy, RETRY_TIGHT_BELOW_PERMILLE,
 };
 use crate::transport::Links;
 use crate::WiotError;
 use amulet_sim::apps::SiftApp;
-use amulet_sim::energy::{BatteryState, EnergyModel};
+use amulet_sim::energy::EnergyModel;
 use ml::DetectorModel;
 use physio_sim::subject::bank;
 use sift::features::Version;
 use telemetry::EventCode;
 
-/// The policy core plus everything the simulation needs to feed and
-/// actuate it: battery integration, the per-version current table,
-/// lazily trained models for hot-swaps, and the action log.
+/// The policy's battery loop plus everything the simulation needs to
+/// feed and actuate it: lazily trained models for hot-swaps, and the
+/// action log.
 pub(super) struct SurvivalRuntime {
-    pub(super) policy: SurvivalPolicy,
-    battery: BatteryState,
-    draw: DrawTable,
+    pub(super) battery: BatteryLoop,
     /// Hot-swap models per version in the scenario's backend family,
     /// seeded with the provisioned one and trained from the scenario
     /// seed on first switch into another version.
@@ -36,7 +35,6 @@ pub(super) struct SurvivalRuntime {
     /// sensor; chunks are counted in the fault summary).
     duty_skipped_windows: u64,
     last_skipped_window: Option<u64>,
-    occupancy_ticks: [u64; 3],
     cutoff_at_ms: Option<u64>,
 }
 
@@ -50,15 +48,15 @@ impl SurvivalRuntime {
         deployed: &DetectorModel,
     ) -> Option<Self> {
         let cfg = scenario.survival?;
+        let draw = DrawTable::new(model, &scenario.config, scenario.backend);
+        let scale_permille = u64::from(cfg.drain_scale.max(1)) * 1000;
+        let policy = SurvivalPolicy::new(cfg, scenario.version);
         Some(Self {
-            policy: SurvivalPolicy::new(cfg, scenario.version),
-            battery: BatteryState::from_model(model),
-            draw: DrawTable::new(model, &scenario.config, scenario.backend),
+            battery: BatteryLoop::new(policy, draw, model, scale_permille),
             models: vec![(scenario.version, deployed.clone())],
             actions: Vec::new(),
             duty_skipped_windows: 0,
             last_skipped_window: None,
-            occupancy_ticks: [0; 3],
             cutoff_at_ms: None,
         })
     }
@@ -66,7 +64,7 @@ impl SurvivalRuntime {
     /// The duty gate: whether window `window_idx`'s chunk is suppressed
     /// at the sensor, where the real ADC and radio would not even run.
     pub(super) fn skips(&mut self, window_idx: u64, faults: &mut FaultSummary) -> bool {
-        let (skip, of) = self.policy.duty();
+        let (skip, of) = self.battery.policy().duty();
         if !window_is_skipped(window_idx, skip, of) {
             return false;
         }
@@ -78,9 +76,9 @@ impl SurvivalRuntime {
         true
     }
 
-    /// One tick: integrate the battery model, and at 1 Hz sample the
-    /// sensors (state of charge, smoothed link badness, backlog), step
-    /// the policy and carry out its decisions: retry budget on both
+    /// One tick: drain the battery loop, and at 1 Hz sample the sensors
+    /// (state of charge, smoothed link badness, backlog), step the
+    /// policy and carry out its decisions: retry budget on both
     /// links, duty cycle (applied at the duty gate), and — the
     /// expensive one — a detector reflash for a version switch, with
     /// the FRAM checkpoint re-reserved and re-targeted at the new
@@ -95,19 +93,13 @@ impl SurvivalRuntime {
         faults: &mut FaultSummary,
     ) -> Result<(), WiotError> {
         use SurvivalAction::{SetDuty, SetRetry, SetVersion};
-        let scale = u64::from(self.policy.config().drain_scale.max(1));
-        let duty = self.policy.duty();
-        let current = self
-            .draw
-            .draw_ua(self.policy.version(), duty)
-            .saturating_mul(scale);
-        self.battery.drain(current, scenario.chunk_ms());
+        self.battery.drain(scenario.chunk_ms());
         if !now_ms.is_multiple_of(1000) {
             return Ok(());
         }
 
         let soc = self.battery.soc_permille();
-        if self.cutoff_at_ms.is_none() && self.policy.is_cutoff(soc) {
+        if self.cutoff_at_ms.is_none() && self.battery.is_cutoff() {
             self.cutoff_at_ms = Some(now_ms);
         }
         if soc <= RETRY_TIGHT_BELOW_PERMILLE {
@@ -124,12 +116,7 @@ impl SurvivalRuntime {
         let resolved = station.window_log().len() as u64 + self.duty_skipped_windows;
         let backlog = expected.saturating_sub(resolved).min(u64::from(u16::MAX)) as u16;
 
-        let verdict = self.policy.step(SurvivalInputs {
-            soc_permille: soc,
-            link_badness_permille: badness,
-            backlog_windows: backlog,
-        });
-        self.occupancy_ticks[version_index(self.policy.version())] += 1;
+        let verdict = self.battery.step(badness, backlog);
         if verdict.retry.is_some() {
             self.apply_retry(links);
         }
@@ -173,14 +160,14 @@ impl SurvivalRuntime {
 
     /// Put the policy's retry posture on both links.
     pub(super) fn apply_retry(&self, links: &mut Links) {
-        let (max, shift) = self.policy.retry();
+        let (max, shift) = self.battery.policy().retry();
         links.set_retry_budget(u32::from(max), u32::from(shift));
     }
 
     /// What the policy did over the session.
     pub(super) fn into_report(self, faults: &FaultSummary) -> SurvivalReport {
         SurvivalReport {
-            version_switches: u64::from(self.policy.switches()),
+            version_switches: u64::from(self.battery.policy().switches()),
             duty_skipped_chunks: faults.duty_skipped_chunks,
             retry_reconfigs: self
                 .actions
@@ -188,10 +175,10 @@ impl SurvivalRuntime {
                 .filter(|a| matches!(a, SurvivalAction::SetRetry { .. }))
                 .count() as u64,
             low_battery_ticks: faults.low_battery_ticks,
-            final_version: self.policy.version(),
+            final_version: self.battery.policy().version(),
             final_soc_permille: self.battery.soc_permille(),
             cutoff_at_ms: self.cutoff_at_ms,
-            occupancy_ticks: self.occupancy_ticks,
+            occupancy_ticks: self.battery.occupancy_ticks(),
             actions: self.actions,
         }
     }

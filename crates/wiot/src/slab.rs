@@ -35,7 +35,7 @@
 //! an error is recorded (a lower-index error may still surface);
 //! workers claiming indices at or above the recorded error skip out.
 //!
-//! [`map_ordered`] is the crate's other parallel loop, for work that
+//! `map_ordered` is the crate's other parallel loop, for work that
 //! needs no reorder window: campaign pool enrollment.
 
 use crate::fleet::{

@@ -17,9 +17,9 @@
 //! * **sampling duty cycle** (skip N of M windows at the source):
 //!   below half charge the sensors skip one window in four, below a
 //!   quarter one in two, trading window coverage for detector energy.
-//!   The battery drain, `crate::adaptive::DrawTable::draw_ua`, scales
-//!   only the detector's share of the draw by the windows kept; the
-//!   radio stays a flat `radio_avg_ua` inside the baseline,
+//!   The one battery loop, `crate::adaptive::BatteryLoop` (drain, then
+//!   step), scales only the detector's share of `DrawTable::draw_ua` by
+//!   the windows kept; the radio's flat `radio_avg_ua` is in the baseline,
 //! * **transport retry budget**: under low battery the ARQ spends
 //!   less on retransmissions (a smaller per-packet retry budget with
 //!   a wider backoff), accepting salvage/drop on a bad link. The

@@ -1,8 +1,8 @@
 //! Reliable transport on the sensor → base-station hop.
 //!
-//! The raw [`Channel`](crate::channel::Channel) loses, duplicates, and
-//! reorders packets; [`ArqLink`] wraps it with a lightweight ARQ so
-//! most losses never reach the detector:
+//! The raw [`Channel`] loses, duplicates, and reorders packets;
+//! [`ArqLink`] wraps it with a lightweight ARQ so most losses never
+//! reach the detector:
 //!
 //! * the receiver watches sequence numbers and issues a **NACK** for
 //!   each gap (either observed directly when a later packet overtakes

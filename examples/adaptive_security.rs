@@ -5,11 +5,12 @@
 //!
 //! Two acts:
 //!
-//! 1. **Open loop** — fast-forward a whole-battery deployment with
-//!    [`wiot::adaptive::simulate_adaptive_deployment`]: each simulated
-//!    second drains the battery by the active posture's draw current
-//!    ([`wiot::adaptive::DrawTable`]), and the policy switches when
-//!    thresholds are crossed.
+//! 1. **Open loop** — fast-forward a whole-battery deployment on the
+//!    [`wiot::adaptive::BatteryLoop`]: each simulated second drains the
+//!    battery by the active posture's draw current
+//!    ([`wiot::adaptive::DrawTable`]), then steps the policy on the
+//!    charge left, and the policy switches when thresholds are crossed.
+//!    The static baseline is the same loop, drained and never stepped.
 //! 2. **Closed loop** — run the full sample-level scenario with the
 //!    [`wiot::survival`] policy engaged and an accelerated battery, and
 //!    watch the policy walk the degradation ladder live: reflashing the
@@ -22,9 +23,9 @@ use amulet_sim::energy::EnergyModel;
 use ml::BackendKind;
 use sift::config::SiftConfig;
 use sift::features::Version;
-use wiot::adaptive::{simulate_adaptive_deployment, DrawTable};
+use wiot::adaptive::{BatteryLoop, DrawTable};
 use wiot::scenario::{run, Scenario};
-use wiot::survival::{SurvivalAction, SurvivalConfig};
+use wiot::survival::{SurvivalAction, SurvivalConfig, SurvivalPolicy};
 
 fn main() {
     let config = SiftConfig::default();
@@ -45,23 +46,40 @@ fn main() {
         );
     }
 
-    let report = simulate_adaptive_deployment(&config, SurvivalConfig::default());
+    // Real-time drain (1000 permille of the table's current), one
+    // policy tick a second on a clean link.
+    let policy = SurvivalPolicy::new(SurvivalConfig::default(), Version::Original);
+    let mut adaptive = BatteryLoop::new(policy, draw, &energy, 1000);
+    // The static Original baseline: the same loop, never stepped.
+    let mut fixed = adaptive.clone();
+    let mut static_s = 0u64;
+    while !fixed.is_cutoff() {
+        fixed.drain(1000);
+        static_s += 1;
+    }
 
     println!("\nadaptive deployment phases:");
-    for p in &report.phases {
-        println!(
-            "  day {:>5.2} .. {:>5.2}: {}",
-            p.from_s as f64 / 86_400.0,
-            p.to_s as f64 / 86_400.0,
-            p.version
-        );
+    let days = |s: u64| s as f64 / 86_400.0;
+    let (mut from_s, mut now_s) = (0u64, 0u64);
+    while !adaptive.is_cutoff() {
+        let version = adaptive.policy().version();
+        adaptive.drain(1000);
+        now_s += 1;
+        if adaptive.step(0, 0).version.is_some() || adaptive.is_cutoff() {
+            println!(
+                "  day {:>5.2} .. {:>5.2}: {version}",
+                days(from_s),
+                days(now_s)
+            );
+            from_s = now_s;
+        }
     }
     println!(
         "\nbattery at cutoff after {:.2} days with adaptive switching \
          (static original: {:.2} days, {:.2}x)",
-        report.lifetime_days,
-        report.static_original_days,
-        report.lifetime_days / report.static_original_days
+        days(now_s),
+        days(static_s),
+        now_s as f64 / static_s as f64
     );
 
     closed_loop();

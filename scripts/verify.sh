@@ -33,6 +33,10 @@ cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot -p sift
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every library's rustdoc, warnings promoted to failures: a broken,
+# ambiguous or private intra-doc link fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 # Clippy only compiles the examples: run each one to completion in
 # release (stdout discarded; `model_export` writes only under the OS
 # temp dir). A nonzero exit fails the gate.

@@ -1,9 +1,10 @@
 //! Integration of the adaptive-security decision engine — the survival
 //! policy — with the real platform apps: hot-swapping detector versions
-//! on a running AmuletOS, and the whole-battery fast-forward agreeing
-//! with the live closed loop.
+//! on a running AmuletOS, and the battery loop fast-forwarded alone
+//! agreeing with the live closed loop.
 
 use amulet_sim::apps::SiftApp;
+use amulet_sim::energy::EnergyModel;
 use amulet_sim::event::AmuletEvent;
 use amulet_sim::machine::App;
 use amulet_sim::os::AmuletOs;
@@ -15,7 +16,7 @@ use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::trainer::{train_for_subject, SiftModel};
-use wiot::adaptive::simulate_adaptive_deployment;
+use wiot::adaptive::{BatteryLoop, DrawTable};
 use wiot::scenario::{run, Scenario};
 use wiot::survival::{SurvivalAction, SurvivalConfig, SurvivalInputs, SurvivalPolicy};
 
@@ -137,9 +138,10 @@ fn reduced_ceiling_never_reflashes_at_full_battery() {
     assert_eq!(os.app_names(), vec!["sift-reduced"]);
 }
 
-/// The open-loop fast-forward is the closed loop without the signal
-/// path: with the same policy knobs and accelerated drain it must switch
-/// versions at exactly the ticks the live scenario reflashed at.
+/// The battery loop fast-forwarded alone is the closed loop without the
+/// signal path: with the same policy knobs and accelerated drain, and a
+/// clean link, it must switch versions at exactly the ticks the live
+/// scenario reflashed at.
 #[test]
 fn fast_forward_switches_at_the_closed_loop_ticks() {
     let survival = SurvivalConfig {
@@ -159,11 +161,17 @@ fn fast_forward_switches_at_the_closed_loop_ticks() {
             _ => None,
         })
         .collect();
-    let report = simulate_adaptive_deployment(&scenario.config, survival);
-    let fast: Vec<(u64, Version)> = report.phases[1..]
-        .iter()
-        .map(|p| (p.from_s, p.version))
-        .collect();
+    let energy = EnergyModel::default();
+    let draw = DrawTable::new(&energy, &scenario.config, scenario.backend);
+    let policy = SurvivalPolicy::new(survival, Version::Original);
+    let mut battery = BatteryLoop::new(policy, draw, &energy, 60_000 * 1000);
+    let mut fast = Vec::new();
+    for tick in 1..=60u64 {
+        battery.drain(1000);
+        if let Some(SurvivalAction::SetVersion { to, .. }) = battery.step(0, 0).version {
+            fast.push((tick, to));
+        }
+    }
     assert_eq!(fast, live);
     assert_eq!(
         fast,
