@@ -21,14 +21,15 @@
 //! every field is a pure function of the seeds, so `scripts/verify.sh`
 //! hard-fails on any drift from the committed copy.
 
-use bench::{fail, thread_gate, write_artifact, Context, Failure, Flags};
+use bench::{fail, thread_gate, write_artifact, Context, Failure, Flags, Json, Sweep};
 use ml::BackendKind;
 use physio_sim::population::LEGACY_BANK_SEED;
 use sift::features::Version;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use wiot::attacker::ATTACK_CLASS_COUNT;
-use wiot::campaign::{run_campaign, AttackClass, AttackWave, CampaignPlan, CampaignReport};
+use wiot::campaign::{
+    run_campaign, AttackClass, AttackWave, CampaignPlan, CampaignReport, ClassOutcome,
+};
 
 /// Session seconds per device: 7 detection windows of 8 s.
 const DURATION_S: f64 = 56.0;
@@ -94,14 +95,6 @@ fn plan(population_size: usize, population_seed: u64, backend: BackendKind) -> C
     }
 }
 
-/// Run one cell at 1, 2, and 8 threads; fail on digest drift.
-fn run_cell(p: &CampaignPlan) -> Result<CampaignReport, Failure> {
-    let cell = format!("campaign cell (pop {}, {})", p.population_size, p.backend.id());
-    let pass = |threads| run_campaign(&CampaignPlan { threads, ..p.clone() }).context(&cell);
-    let mut passes = thread_gate(&[1, 2, 8], CampaignReport::digest, pass).context(&cell)?;
-    Ok(passes.swap_remove(0))
-}
-
 fn main() -> ExitCode {
     bench::main(run)
 }
@@ -109,37 +102,32 @@ fn main() -> ExitCode {
 fn run() -> Result<(), Failure> {
     let flags = Flags::parse("campaign", "--out PATH")?;
     let out: String = flags.get("--out", "results/BENCH_campaign.json".into())?;
-    let cells = [
-        (12usize, LEGACY_BANK_SEED, BackendKind::Svm),
-        (12, LEGACY_BANK_SEED, BackendKind::Tsetlin),
-        (1024, POPULATION_SEED, BackendKind::Svm),
-        (1024, POPULATION_SEED, BackendKind::Tsetlin),
-    ];
+    let sweep = Sweep {
+        cells: vec![
+            (12usize, LEGACY_BANK_SEED, BackendKind::Svm),
+            (12, LEGACY_BANK_SEED, BackendKind::Tsetlin),
+            (1024, POPULATION_SEED, BackendKind::Svm),
+            (1024, POPULATION_SEED, BackendKind::Tsetlin),
+        ],
+        axes: |&(population, pop_seed, backend)| {
+            vec![
+                ("population", Json::num(population)),
+                ("population_seed", Json::num(pop_seed)),
+                ("backend", backend.id().into()),
+            ]
+        },
+    };
+    let classes: Vec<AttackClass> = waves().iter().map(|w| w.class).collect();
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"campaign\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"duration_s\": {DURATION_S},");
-    let _ = writeln!(
-        json,
-        "  \"attack_interval_s\": [{ATTACK_START_S}, {ATTACK_END_S}],"
-    );
-    let _ = writeln!(json, "  \"wave_devices\": {WAVE_DEVICES},");
-    let _ = writeln!(json, "  \"victim_pool\": {VICTIM_POOL},");
-    let _ = writeln!(json, "  \"donors_per_victim\": {DONORS_PER_VICTIM},");
-    let _ = writeln!(json, "  \"cells\": [");
-
-    for (ci, &(population, pop_seed, backend)) in cells.iter().enumerate() {
+    let reports = sweep.run(|&(population, pop_seed, backend)| {
         let p = plan(population, pop_seed, backend);
-        let report = run_cell(&p)?;
+        let pass = |threads| run_campaign(&CampaignPlan { threads, ..p.clone() }).context("run");
+        let report = thread_gate(&[1, 2, 8], CampaignReport::digest, pass)?.swap_remove(0);
 
         // The Table II attack class must never silently regress to a
         // detector that misses everything.
-        let sub = &report.classes[AttackClass::Substitution.index()];
-        if sub.windows_tp == 0 {
-            let cell = format!("pop {population}, {}", backend.id());
-            return fail(format!("substitution class detected nothing ({cell})"));
+        if report.classes[AttackClass::Substitution.index()].windows_tp == 0 {
+            return fail("substitution class detected nothing");
         }
         let staged = report.classes.iter().filter(|c| c.devices > 0).count();
         if staged < ATTACK_CLASS_COUNT {
@@ -155,23 +143,11 @@ fn run() -> Result<(), Failure> {
             "  {:<15} {:>5} {:>5} {:>5} {:>5} {:>9} {:>15}",
             "class", "tp", "fn", "fp", "tn", "rate", "wilson95"
         );
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"population\": {population},");
-        let _ = writeln!(json, "      \"population_seed\": {pop_seed},");
-        let _ = writeln!(json, "      \"backend\": \"{}\",", backend.id());
-        let _ = writeln!(json, "      \"devices\": {},", report.fleet.devices);
-        let _ = writeln!(json, "      \"digest\": \"{:#018x}\",", report.digest());
-        let _ = writeln!(json, "      \"classes\": [");
-        for (k, w) in p.waves.iter().enumerate() {
-            let c = &report.classes[w.class.index()];
-            let mean_latency = if c.detected_devices == 0 {
-                0
-            } else {
-                c.latency_sum_ms / c.detected_devices as u64
-            };
+        for class in &classes {
+            let c = &report.classes[class.index()];
             println!(
                 "  {:<15} {:>5} {:>5} {:>5} {:>5} {:>8}‰ [{:>4}‰, {:>4}‰]",
-                w.class.name(),
+                class.name(),
                 c.windows_tp,
                 c.windows_fn,
                 c.windows_fp,
@@ -180,37 +156,45 @@ fn run() -> Result<(), Failure> {
                 c.wilson_lo_permille,
                 c.wilson_hi_permille
             );
-            let _ = writeln!(
-                json,
-                "        {{ \"class\": \"{}\", \"devices\": {}, \"tp\": {}, \"fn\": {}, \
-                 \"fp\": {}, \"tn\": {}, \"detected_devices\": {}, \"mean_latency_ms\": {}, \
-                 \"detection_permille\": {}, \"wilson_lo_permille\": {}, \
-                 \"wilson_hi_permille\": {} }}{}",
-                w.class.name(),
-                c.devices,
-                c.windows_tp,
-                c.windows_fn,
-                c.windows_fp,
-                c.windows_tn,
-                c.detected_devices,
-                mean_latency,
-                c.detection_permille,
-                c.wilson_lo_permille,
-                c.wilson_hi_permille,
-                if k + 1 == p.waves.len() { "" } else { "," }
-            );
         }
-        let _ = writeln!(json, "      ]");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if ci + 1 == cells.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+        Ok(report)
+    })?;
 
-    write_artifact(&out, &json)?;
+    let class_row = |class: &AttackClass, c: &ClassOutcome| {
+        let mean_latency = c.latency_sum_ms.checked_div(c.detected_devices as u64).unwrap_or(0);
+        Json::obj([
+            ("class", class.name().into()),
+            ("devices", Json::num(c.devices)),
+            ("tp", Json::num(c.windows_tp)),
+            ("fn", Json::num(c.windows_fn)),
+            ("fp", Json::num(c.windows_fp)),
+            ("tn", Json::num(c.windows_tn)),
+            ("detected_devices", Json::num(c.detected_devices)),
+            ("mean_latency_ms", Json::num(mean_latency)),
+            ("detection_permille", Json::num(c.detection_permille)),
+            ("wilson_lo_permille", Json::num(c.wilson_lo_permille)),
+            ("wilson_hi_permille", Json::num(c.wilson_hi_permille)),
+        ])
+    };
+    let cells = sweep.rows(&reports, |r| {
+        let rows = classes.iter().map(|k| class_row(k, &r.classes[k.index()])).collect();
+        vec![
+            ("devices", Json::num(r.fleet.devices)),
+            ("digest", Json::hex(r.digest())),
+            ("classes", Json::Arr(rows)),
+        ]
+    });
+    let doc = Json::obj([
+        ("bench", "campaign".into()),
+        ("seed", Json::num(SEED)),
+        ("duration_s", Json::num(DURATION_S)),
+        ("attack_interval_s", Json::Arr(vec![Json::num(ATTACK_START_S), Json::num(ATTACK_END_S)])),
+        ("wave_devices", Json::num(WAVE_DEVICES)),
+        ("victim_pool", Json::num(VICTIM_POOL)),
+        ("donors_per_victim", Json::num(DONORS_PER_VICTIM)),
+        ("cells", cells),
+    ]);
+    write_artifact(&out, &doc.render())?;
     println!("wrote {out}");
     Ok(())
 }

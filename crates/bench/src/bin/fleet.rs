@@ -9,9 +9,7 @@
 //! regardless of `--threads`; the wall-clock fields are not, which is
 //! why `scripts/verify.sh` only warns on baseline drift.
 
-use bench::{fleet_bench_json, write_artifact, Context, Failure, Flags, FleetBenchResult};
-use physio_sim::subject::bank;
-use sift::trainer::ModelBank;
+use bench::{enroll_fleet, fleet_totals, write_artifact, Context, Failure, Flags, Json};
 use std::process::ExitCode;
 use std::time::Instant;
 use wiot::fleet::{run_fleet_with_bank, FleetSpec};
@@ -35,8 +33,7 @@ fn run() -> Result<(), Failure> {
     );
 
     let t0 = Instant::now();
-    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
-        .context("enrollment failed")?;
+    let models = enroll_fleet(&spec)?;
     let train_wall_s = t0.elapsed().as_secs_f64();
     println!(
         "enrolled {} subjects in {:.1} s (shared across all devices)",
@@ -48,31 +45,36 @@ fn run() -> Result<(), Failure> {
     let report = run_fleet_with_bank(&spec, &models).context("fleet run failed")?;
     let sim_wall_s = t1.elapsed().as_secs_f64();
 
-    let result = FleetBenchResult {
-        report,
-        threads,
-        duration_s,
-        train_wall_s,
-        sim_wall_s,
-    };
-    let rep = &result.report;
+    let throughput = report.simulated_device_s / sim_wall_s;
     println!(
         "simulated {:.0} device-seconds in {:.1} s wall -> {:.1} device-s/wall-s",
-        rep.simulated_device_s,
-        sim_wall_s,
-        result.throughput()
+        report.simulated_device_s, sim_wall_s, throughput
     );
     println!(
         "windows scored {} (sink flagged {}), recovery {:.3}, outliers {}, digest {:#018x}",
-        rep.windows_scored,
-        rep.sink_flagged,
-        rep.mean_window_recovery,
-        rep.outliers.len(),
-        rep.digest()
+        report.windows_scored,
+        report.sink_flagged,
+        report.mean_window_recovery,
+        report.outliers.len(),
+        report.digest()
     );
 
-    let json = fleet_bench_json(&result);
-    write_artifact(&out, &json)?;
+    // The digest and the report totals are deterministic; the wall-clock
+    // fields vary per machine, which is why the baseline diff in
+    // `scripts/verify.sh` is warn-only.
+    let head = [
+        ("devices", Json::num(devices)),
+        ("threads", Json::num(threads)),
+        ("seed", Json::num(seed)),
+        ("duration_s", Json::num(duration_s)),
+        ("simulated_device_s", Json::num(report.simulated_device_s)),
+        ("train_wall_s", Json::fixed(train_wall_s, 3)),
+        ("sim_wall_s", Json::fixed(sim_wall_s, 3)),
+        ("throughput_device_s_per_wall_s", Json::fixed(throughput, 1)),
+        ("digest", Json::hex(report.digest())),
+    ];
+    let doc = Json::obj(head.into_iter().chain(fleet_totals(&report)));
+    write_artifact(&out, &doc.render())?;
     println!("wrote {out}");
     Ok(())
 }

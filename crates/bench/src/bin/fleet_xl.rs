@@ -22,12 +22,12 @@
 //! run, which is why `scripts/verify.sh` hard-gates only the digest and
 //! warns on the rest.
 
-use bench::{fail, fleet_report_tail, thread_gate, write_artifact, Context, Failure, Flags};
+use bench::{
+    enroll_fleet, fail, fleet_totals, thread_gate, write_artifact, Context, Failure, Flags, Json,
+};
 use ml::BackendKind;
 use physio_sim::record::SynthProfile;
-use physio_sim::subject::bank;
 use sift::features::Version;
-use sift::trainer::ModelBank;
 use std::process::ExitCode;
 use std::time::Instant;
 use wiot::fleet::FleetSpec;
@@ -63,14 +63,7 @@ fn run() -> Result<(), Failure> {
     );
 
     let t0 = Instant::now();
-    let models = ModelBank::train_backend(
-        &bank(),
-        spec.template.version,
-        backend,
-        &spec.template.config,
-        spec.seed,
-    )
-    .context("enrollment failed")?;
+    let models = enroll_fleet(&spec)?;
     let train_wall_s = t0.elapsed().as_secs_f64();
     println!(
         "enrolled {} subjects in {:.1} s (shared across all devices)",
@@ -135,32 +128,27 @@ fn run() -> Result<(), Failure> {
         headline.retired_checkpoint_bytes
     );
 
-    let json = format!(
-        "{{\n  \"devices\": {},\n  \"threads\": {},\n  \"digest_threads\": {:?},\n  \
-         \"seed\": {},\n  \"duration_s\": {},\n  \"backend\": \"{}\",\n  \
-         \"version\": \"reduced\",\n  \"synth\": \"turbo\",\n  \"persist\": false,\n  \
-         \"simulated_device_s\": {},\n  \"train_wall_s\": {:.3},\n  \
-         \"sim_wall_s\": {:.3},\n  \"throughput_device_s_per_wall_s\": {:.1},\n  \
-         \"slab_digest\": \"{:#018x}\",\n  \
-         \"window_cap\": {},\n  \"pending_high_water\": {},\n  \
-         \"retired_checkpoint_bytes\": {},\n{}",
-        rep.devices,
-        thread_counts[thread_counts.len() - 1],
-        thread_counts,
-        rep.seed,
-        duration_s,
-        backend.id(),
-        rep.simulated_device_s,
-        train_wall_s,
-        sim_wall_s,
-        throughput,
-        headline.slab_digest,
-        headline.window_cap,
-        headline.pending_high_water,
-        headline.retired_checkpoint_bytes,
-        fleet_report_tail(rep),
-    );
-    write_artifact(&out, &json)?;
+    let head = [
+        ("devices", Json::num(rep.devices)),
+        ("threads", Json::num(thread_counts[thread_counts.len() - 1])),
+        ("digest_threads", Json::Arr(thread_counts.iter().map(Json::num).collect())),
+        ("seed", Json::num(rep.seed)),
+        ("duration_s", Json::num(duration_s)),
+        ("backend", backend.id().into()),
+        ("version", "reduced".into()),
+        ("synth", "turbo".into()),
+        ("persist", Json::num(false)),
+        ("simulated_device_s", Json::num(rep.simulated_device_s)),
+        ("train_wall_s", Json::fixed(train_wall_s, 3)),
+        ("sim_wall_s", Json::fixed(*sim_wall_s, 3)),
+        ("throughput_device_s_per_wall_s", Json::fixed(throughput, 1)),
+        ("slab_digest", Json::hex(headline.slab_digest)),
+        ("window_cap", Json::num(headline.window_cap)),
+        ("pending_high_water", Json::num(headline.pending_high_water)),
+        ("retired_checkpoint_bytes", Json::num(headline.retired_checkpoint_bytes)),
+    ];
+    let doc = Json::obj(head.into_iter().chain(fleet_totals(rep)));
+    write_artifact(&out, &doc.render())?;
     println!("wrote {out}");
     Ok(())
 }

@@ -20,8 +20,9 @@
 //!    Reports p5/p50/p95 lifetime per policy, the adaptive ladder's
 //!    occupancy and the windows its duty cycle skipped.
 //! 2. **Accuracy tradeoff** — per-version detection accuracy from the
-//!    Table II machinery (Amulet flavor), weighted by the adaptive
-//!    policy's version occupancy. Duty-cycle skips cost *coverage*, not
+//!    three Amulet cells of Table II (`bench::run_table2`; the Gold
+//!    cells are not evaluated), weighted by the adaptive policy's
+//!    version occupancy. Duty-cycle skips cost *coverage*, not
 //!    per-window accuracy, and are reported separately.
 //! 3. **Digest stability** — a survival-enabled stressed mini-fleet run
 //!    at 1, 2, and 8 threads; the digest must be identical (this is the
@@ -36,15 +37,13 @@
 
 use amulet_sim::energy::EnergyModel;
 use bench::{
-    fail, run_table2, splitmix64, thread_gate, write_artifact, Context, Failure, Flags, Scale,
+    enroll_fleet, fail, percentile, run_table2, splitmix64, thread_gate, write_artifact, Context,
+    Failure, Flags, Json, Scale, Sweep,
 };
 use ml::BackendKind;
-use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
-use sift::trainer::ModelBank;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use wiot::adaptive::{version_index, BatteryLoop, DrawTable};
 use wiot::channel::LossModel;
@@ -183,24 +182,15 @@ fn run_device(
 
 /// Aggregate of one policy's fleet sweep.
 struct PolicySweep {
-    p5_days: f64,
-    p50_days: f64,
-    p95_days: f64,
+    /// p5, p50 and p95 lifetime across the devices, days.
+    days: [f64; 3],
     occupancy_frac: [f64; 3],
     duty_skipped_windows: u64,
     reboots: u64,
     snapshot_mismatches: u64,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn sweep(
+fn run_policy(
     deployment: Deployment,
     devices: usize,
     seed: u64,
@@ -208,32 +198,20 @@ fn sweep(
     model: &EnergyModel,
     windows_per_tick: u64,
 ) -> PolicySweep {
-    let mut lifetimes = Vec::with_capacity(devices);
-    let mut occupancy = [0u64; 3];
-    let mut duty_skipped = 0u64;
-    let mut reboots = 0u64;
-    let mut mismatches = 0u64;
-    for device in 0..devices {
-        let d = run_device(deployment, device, seed, draw, model, windows_per_tick);
-        lifetimes.push(d.lifetime_days);
-        for (acc, t) in occupancy.iter_mut().zip(d.occupancy_ticks) {
-            *acc += t;
-        }
-        duty_skipped += d.duty_skipped_windows;
-        reboots += d.reboots;
-        mismatches += d.snapshot_mismatches;
-    }
+    let runs: Vec<DeviceLifetime> = (0..devices)
+        .map(|device| run_device(deployment, device, seed, draw, model, windows_per_tick))
+        .collect();
+    let mut lifetimes: Vec<f64> = runs.iter().map(|d| d.lifetime_days).collect();
     lifetimes.sort_by(f64::total_cmp);
+    let total = |count: fn(&DeviceLifetime) -> u64| runs.iter().map(count).sum();
+    let occupancy = [0, 1, 2].map(|v| runs.iter().map(|d| d.occupancy_ticks[v]).sum::<u64>());
     let total_ticks: u64 = occupancy.iter().sum();
-    let occupancy_frac = occupancy.map(|t| t as f64 / total_ticks.max(1) as f64);
     PolicySweep {
-        p5_days: percentile(&lifetimes, 0.05),
-        p50_days: percentile(&lifetimes, 0.50),
-        p95_days: percentile(&lifetimes, 0.95),
-        occupancy_frac,
-        duty_skipped_windows: duty_skipped,
-        reboots,
-        snapshot_mismatches: mismatches,
+        days: [0.05, 0.50, 0.95].map(|p| percentile(&lifetimes, p)),
+        occupancy_frac: occupancy.map(|t| t as f64 / total_ticks.max(1) as f64),
+        duty_skipped_windows: total(|d| d.duty_skipped_windows),
+        reboots: total(|d| d.reboots),
+        snapshot_mismatches: total(|d| d.snapshot_mismatches),
     }
 }
 
@@ -252,13 +230,7 @@ fn digest_gate(seed: u64) -> Result<u64, Failure> {
         min_dwell_ticks: 5,
         drain_scale: 120_000,
     });
-    let models = ModelBank::train(
-        &bank(),
-        spec.template.version,
-        &spec.template.config,
-        spec.seed,
-    )
-    .context("enrollment failed")?;
+    let models = enroll_fleet(&spec)?;
     let pass = |threads| {
         run_fleet_with_bank(&spec.clone().with_threads(threads), &models)
             .context(format!("fleet run failed at {threads} threads"))
@@ -297,22 +269,24 @@ fn run() -> Result<(), Failure> {
         devices, TICK_S, seed
     );
     let windows_per_tick = (TICK_S as f64 / config.window_s) as u64;
-    let [original, reduced, adaptive] = [
-        (Version::Original, false),
-        (Version::Reduced, false),
-        (Version::Original, true),
-    ]
-    .map(|deployment| sweep(deployment, devices, seed, draw, &model, windows_per_tick));
-    for (name, s) in [
-        ("always-original", &original),
-        ("always-reduced", &reduced),
-        ("adaptive", &adaptive),
-    ] {
+    let policies = [
+        ("always_original", (Version::Original, false)),
+        ("always_reduced", (Version::Reduced, false)),
+        ("adaptive", (Version::Original, true)),
+    ];
+    let sweep = Sweep {
+        cells: policies.into(),
+        axes: |&(name, _)| vec![("deployment", name.into())],
+    };
+    let swept = sweep.run(|&(name, deployment)| {
+        let s = run_policy(deployment, devices, seed, draw, &model, windows_per_tick);
         println!(
             "  {name:<15} p5 {:>5.1} d, p50 {:>5.1} d, p95 {:>5.1} d ({} reboots survived)",
-            s.p5_days, s.p50_days, s.p95_days, s.reboots
+            s.days[0], s.days[1], s.days[2], s.reboots
         );
-    }
+        Ok(s)
+    })?;
+    let [original, reduced, adaptive] = [&swept[0], &swept[1], &swept[2]];
     println!(
         "  adaptive occupancy: original {:.0}%, simplified {:.0}%, reduced {:.0}%",
         adaptive.occupancy_frac[0] * 100.0,
@@ -320,8 +294,8 @@ fn run() -> Result<(), Failure> {
         adaptive.occupancy_frac[2] * 100.0
     );
 
-    let reduced_ratio = reduced.p50_days / original.p50_days;
-    let adaptive_ratio = adaptive.p50_days / original.p50_days;
+    let reduced_ratio = reduced.days[1] / original.days[1];
+    let adaptive_ratio = adaptive.days[1] / original.days[1];
     println!(
         "  lifetime ratios vs always-original: reduced {reduced_ratio:.2}x, adaptive {adaptive_ratio:.2}x"
     );
@@ -335,25 +309,20 @@ fn run() -> Result<(), Failure> {
             "adaptive lifetime is {adaptive_ratio:.2}x always-Original, below the 1.5x gate"
         ));
     }
-    let total_mismatches = original.snapshot_mismatches
-        + reduced.snapshot_mismatches
-        + adaptive.snapshot_mismatches;
+    let total_mismatches: u64 = swept.iter().map(|s| s.snapshot_mismatches).sum();
     if total_mismatches > 0 {
         failures.push(format!(
             "{total_mismatches} survival snapshot round-trips did not restore bit-identically"
         ));
     }
 
-    // Accuracy tradeoff: per-version detection accuracy (Amulet flavor)
-    // weighted by the adaptive ladder's occupancy.
+    // Accuracy tradeoff: per-version detection accuracy (the Amulet
+    // cells of Table II) weighted by the adaptive ladder's occupancy.
     println!("accuracy tradeoff (Table II machinery, {scale_name} scale):");
-    let rows = run_table2(scale).context("accuracy evaluation failed")?;
+    let rows = run_table2(scale, &[PlatformFlavor::Amulet]).context("accuracy evaluation failed")?;
     let mut version_acc = [0.0f64; 3];
-    for row in rows
-        .iter()
-        .filter(|r| r.flavor == PlatformFlavor::Amulet)
-    {
-        version_acc[version_index(row.version)] = row.metrics.accuracy;
+    for row in &rows {
+        version_acc[version_index(row.version)] = row.result.averaged.accuracy;
     }
     let weighted_acc: f64 = version_acc
         .iter()
@@ -379,43 +348,36 @@ fn run() -> Result<(), Failure> {
     let digest = digest_gate(seed).context("lifetime bench: FAIL")?;
     println!("survival fleet digest {digest:#018x} (identical at 1, 2, and 8 threads)");
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"devices\": {},", devices);
-    let _ = writeln!(json, "  \"seed\": {},", seed);
-    let _ = writeln!(json, "  \"tick_s\": {TICK_S},");
-    let _ = writeln!(json, "  \"accuracy_scale\": \"{scale_name}\",");
-    for (name, s) in [
-        ("always_original", &original),
-        ("always_reduced", &reduced),
-        ("adaptive", &adaptive),
-    ] {
-        let _ = writeln!(
-            json,
-            "  \"{name}\": {{ \"p5_days\": {:.3}, \"p50_days\": {:.3}, \"p95_days\": {:.3}, \"reboots\": {} }},",
-            s.p5_days, s.p50_days, s.p95_days, s.reboots
-        );
+    let per_version = |x: [f64; 3], decimals| {
+        let names = ["original", "simplified", "reduced"];
+        names.into_iter().zip(x.map(|v| Json::fixed(v, decimals)))
+    };
+    let mut fields = vec![
+        ("devices", Json::num(devices)),
+        ("seed", Json::num(seed)),
+        ("tick_s", Json::num(TICK_S)),
+        ("accuracy_scale", scale_name.into()),
+    ];
+    for (&(name, _), s) in policies.iter().zip(&swept) {
+        let days = s.days.map(|d| Json::fixed(d, 3));
+        let days = ["p5_days", "p50_days", "p95_days"].into_iter().zip(days);
+        fields.push((name, Json::obj(days.chain([("reboots", Json::num(s.reboots))]))));
     }
-    let _ = writeln!(json, "  \"reduced_vs_original\": {reduced_ratio:.4},");
-    let _ = writeln!(json, "  \"adaptive_vs_original\": {adaptive_ratio:.4},");
-    let _ = writeln!(
-        json,
-        "  \"adaptive_occupancy\": {{ \"original\": {:.4}, \"simplified\": {:.4}, \"reduced\": {:.4} }},",
-        adaptive.occupancy_frac[0], adaptive.occupancy_frac[1], adaptive.occupancy_frac[2]
-    );
-    let _ = writeln!(
-        json,
-        "  \"accuracy\": {{ \"original\": {:.6}, \"simplified\": {:.6}, \"reduced\": {:.6}, \"adaptive_weighted\": {:.6}, \"loss_pp\": {:.4} }},",
-        version_acc[0], version_acc[1], version_acc[2], weighted_acc, acc_loss_pp
-    );
-    let _ = writeln!(
-        json,
-        "  \"duty_skipped_windows\": {},",
-        adaptive.duty_skipped_windows
-    );
-    let _ = writeln!(json, "  \"snapshot_mismatches\": {total_mismatches},");
-    let _ = writeln!(json, "  \"digest\": \"{digest:#018x}\"");
-    json.push_str("}\n");
-    write_artifact(&out, &json)?;
+    let accuracy = per_version(version_acc, 6).chain([
+        ("adaptive_weighted", Json::fixed(weighted_acc, 6)),
+        ("loss_pp", Json::fixed(acc_loss_pp, 4)),
+    ]);
+    fields.extend([
+        ("reduced_vs_original", Json::fixed(reduced_ratio, 4)),
+        ("adaptive_vs_original", Json::fixed(adaptive_ratio, 4)),
+        ("adaptive_occupancy", Json::obj(per_version(adaptive.occupancy_frac, 4))),
+        ("accuracy", Json::obj(accuracy)),
+        ("duty_skipped_windows", Json::num(adaptive.duty_skipped_windows)),
+        ("snapshot_mismatches", Json::num(total_mismatches)),
+        ("digest", Json::hex(digest)),
+    ]);
+    let doc = Json::Obj(fields);
+    write_artifact(&out, &doc.render())?;
     println!("wrote {out}");
 
     if failures.is_empty() {

@@ -13,9 +13,7 @@
 //! multi-threaded runs.
 
 use amulet_sim::nvram::{CheckpointStore, NVRAM_BYTES};
-use bench::{fail, splitmix64, thread_gate, Context, Failure, Flags};
-use physio_sim::subject::bank;
-use sift::trainer::ModelBank;
+use bench::{enroll_fleet, fail, splitmix64, thread_gate, Context, Failure, Flags};
 use std::process::ExitCode;
 use std::time::Instant;
 use wiot::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -84,8 +82,7 @@ fn run() -> Result<(), Failure> {
         power_cycles * devices,
     );
 
-    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
-        .context("enrollment failed")?;
+    let models = enroll_fleet(&spec)?;
 
     let t0 = Instant::now();
     let mut failures = Vec::new();

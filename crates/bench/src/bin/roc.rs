@@ -4,12 +4,11 @@
 //!
 //! Run: `cargo run --release -p bench --bin roc` (accepts `--smoke`).
 
-use bench::{Context, Failure, Scale};
+use bench::{run_table2, Context, Failure, Scale};
 use ml::metrics::{roc_auc, roc_curve, threshold_for_fpr, RocPoint};
-use physio_sim::subject::{bank, SubjectId};
-use sift::features::Version;
+use physio_sim::subject::SubjectId;
 use sift::flavor::PlatformFlavor;
-use sift::pipeline::{evaluate_with_models, train_models, EvalProtocol, EvaluationResult};
+use sift::pipeline::EvaluationResult;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -18,29 +17,16 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), Failure> {
     let scale = Scale::parse("roc")?;
-    let subjects: Vec<_> = bank().into_iter().take(scale.subject_count()).collect();
-    let config = scale.config();
-    let protocol = EvalProtocol::default();
-
     println!(
         "ROC analysis ({:?} scale, amulet flavor, {} subjects)\n",
         scale,
-        subjects.len()
+        scale.subject_count()
     );
-    for version in Version::ALL {
-        let models = train_models(&subjects, version, &config).context("training failed")?;
-        let ev = evaluate_with_models(
-            &subjects,
-            &models,
-            PlatformFlavor::Amulet,
-            &config,
-            &protocol,
-        )
-        .context("evaluation failed")?;
-        let (aucs, curve) = roc_summary(&ev)?;
+    for row in run_table2(scale, &[PlatformFlavor::Amulet]).context("evaluation failed")? {
+        let (aucs, curve) = roc_summary(&row.result)?;
         let mean_auc = aucs.iter().map(|(_, a)| a).sum::<f64>() / aucs.len() as f64;
         let per_subject: Vec<String> = aucs.iter().map(|(id, a)| format!("{id}:{a:.3}")).collect();
-        println!("=== {version} ===");
+        println!("=== {} ===", row.version);
         println!("  mean per-subject AUC : {mean_auc:.4}");
         println!("  per subject          : {}", per_subject.join("  "));
         for budget in [0.01, 0.05, 0.10] {
@@ -80,7 +66,10 @@ fn roc_summary(ev: &EvaluationResult) -> Result<(SubjectAucs, Vec<RocPoint>), Fa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use physio_sim::subject::bank;
     use sift::config::SiftConfig;
+    use sift::features::Version;
+    use sift::pipeline::{evaluate_with_models, train_models, EvalProtocol};
 
     /// Pooled Amulet scores, degenerate windows clamped, still give a
     /// curve from (1, 1) to (0, 0).

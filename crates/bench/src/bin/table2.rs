@@ -10,6 +10,7 @@
 //! fast 4-subject / 1-minute-training variant).
 
 use bench::{format_table2, paper_table2_reference, run_table2, Context, Failure, Scale};
+use sift::flavor::PlatformFlavor;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,7 +26,8 @@ fn run() -> Result<(), Failure> {
         scale.config().train_s
     );
     let started = std::time::Instant::now();
-    let rows = run_table2(scale).context("experiment failed")?;
+    let flavors = [PlatformFlavor::Amulet, PlatformFlavor::Gold];
+    let rows = run_table2(scale, &flavors).context("experiment failed")?;
     println!("{}", format_table2(&rows));
     println!("{}", paper_table2_reference());
     eprintln!("completed in {:.1} s", started.elapsed().as_secs_f64());

@@ -18,8 +18,9 @@
 //! 3. **Pipeline table**: for Original/Simplified/Reduced, the cost
 //!    model's per-stage MSP430 cycles (and the derived ms @ 16 MHz,
 //!    average current, lifetime) next to the *observed* per-stage span
-//!    statistics from a traced single-device session — the observed
-//!    mean cycles must equal the model, or the table is lying.
+//!    statistics from a traced single-device session — every stage
+//!    must record spans whose mean cycles equal the model, or the table
+//!    is lying.
 //!
 //! Writes `results/TELEMETRY_pipeline.json` and a per-device NDJSON
 //! trace to `results/TELEMETRY_trace.ndjson`.
@@ -27,14 +28,15 @@
 use amulet_sim::costs::{detector_cycles, OpCosts};
 use amulet_sim::energy::EnergyModel;
 use amulet_sim::CPU_HZ;
-use bench::{fail, thread_gate, traced_session, write_artifact, Context, Failure, Flags};
-use physio_sim::subject::bank;
+use bench::{
+    enroll_fleet, fail, observed_stage, thread_gate, traced_session, write_artifact, Context,
+    Failure, Flags, Json, Sweep,
+};
 use sift::features::Version;
-use sift::trainer::ModelBank;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 use telemetry::{CounterId, Stage, Telemetry};
+use wiot::adaptive::version_index;
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
 use wiot::scenario::Scenario;
 
@@ -54,9 +56,8 @@ fn record_path_ns_per_op(tele: &mut Telemetry, iters: u64) -> f64 {
 /// Hard gate: the frozen fleet digest must be byte-identical with the
 /// sink off and on, at every thread count, and the merged telemetry
 /// must not depend on the thread count either.
-fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, f64), Failure> {
-    let models = ModelBank::train(&bank(), spec.template.version, &spec.template.config, spec.seed)
-        .context("enrollment failed")?;
+fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, u64), Failure> {
+    let models = enroll_fleet(spec)?;
     let run = |threads: usize, telemetry_on: bool| -> Result<FleetReport, Failure> {
         let run_spec = spec.clone().with_threads(threads).with_telemetry(telemetry_on);
         let report = run_fleet_with_bank(&run_spec, &models)
@@ -82,8 +83,8 @@ fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, f64), Failure> {
     if passes.iter().any(|r| r.telemetry != passes[0].telemetry) {
         return fail("FAIL: merged fleet telemetry is not thread-count-stable");
     }
-    let windows = passes[0].telemetry.as_ref().map(|r| r.counter(CounterId::WindowsEmitted) as f64);
-    Ok((passes[0].digest(), windows.unwrap_or(0.0)))
+    let windows = passes[0].telemetry.as_ref().map(|r| r.counter(CounterId::WindowsEmitted));
+    Ok((passes[0].digest(), windows.unwrap_or(0)))
 }
 
 fn main() -> ExitCode {
@@ -119,28 +120,16 @@ fn run() -> Result<(), Failure> {
 
     // Per-stage pipeline table: cost model vs observed spans.
     let energy = EnergyModel::default();
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"source\": \"bench --bin telemetry\",");
-    let _ = writeln!(json, "  \"cpu_hz\": {CPU_HZ:.1},");
-    let _ = writeln!(json, "  \"fleet_digest\": \"{digest:#018x}\",");
-    let _ = writeln!(json, "  \"fleet_windows_emitted\": {fleet_windows:.0},");
-    let _ = writeln!(
-        json,
-        "  \"overhead\": {{ \"disabled_ns_per_op\": {disabled_ns:.3}, \
-         \"enabled_ns_per_op\": {enabled_ns:.3}, \"warn_threshold_ns\": {DISABLED_WARN_NS:.1}, \
-         \"within_threshold\": {overhead_ok} }},"
-    );
-    json.push_str("  \"versions\": [\n");
-
+    let ms = |cycles: f64| cycles / CPU_HZ * 1000.0;
     let mut trace = String::new();
-    for (vi, version) in [Version::Original, Version::Simplified, Version::Reduced]
-        .into_iter()
-        .enumerate()
-    {
+    let sweep = Sweep {
+        cells: Version::ALL.into(),
+        axes: |v| vec![("version", Json::Str(format!("{v:?}")))],
+    };
+    let tables = sweep.run(|&version| {
         let mut scenario = Scenario::new(0, version, 30.0);
-        scenario.seed = 0xC0FFEE + vi as u64;
-        let tele = traced_session(&scenario).context(format!("{version:?}"))?;
+        scenario.seed = 0xC0FFEE + version_index(version) as u64;
+        let tele = traced_session(&scenario)?;
         let model = detector_cycles(version, &scenario.config, &OpCosts::default(), 4.0);
         let window_s = scenario.config.window_s;
         let total = model.total();
@@ -148,60 +137,59 @@ fn run() -> Result<(), Failure> {
         let lifetime = energy.lifetime_days(avg_ua);
 
         println!("\n{version:?}: {total:.0} cycles/window -> {:.1} ms @ 16 MHz, {avg_ua:.1} uA avg, {lifetime:.0} days",
-            total / CPU_HZ * 1000.0);
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"version\": \"{version:?}\",");
-        let _ = writeln!(json, "      \"window_s\": {window_s:.1},");
-        let _ = writeln!(json, "      \"total_cycles\": {total:.1},");
-        let _ = writeln!(json, "      \"total_ms\": {:.3},", total / CPU_HZ * 1000.0);
-        let _ = writeln!(json, "      \"avg_current_ua\": {avg_ua:.2},");
-        let _ = writeln!(json, "      \"lifetime_days\": {lifetime:.1},");
-        json.push_str("      \"stages\": [\n");
-        let stage_rows = [
+            ms(total));
+        let mut stages = Vec::new();
+        for (stage, cycles) in [
             (Stage::PeakDetection, model.peaks_data_check),
             (Stage::FeatureExtraction, model.feature_extraction),
             (Stage::Svm, model.ml_classifier),
-        ];
-        for (si, (stage, cycles)) in stage_rows.into_iter().enumerate() {
-            let observed = tele.stage(stage);
+        ] {
+            let observed = observed_stage(&tele, stage, cycles)?;
             println!(
                 "  {:<18} model {:>12.0} cycles ({:>8.3} ms)   observed {} spans, mean {} cycles",
                 stage.name(),
                 cycles,
-                cycles / CPU_HZ * 1000.0,
+                ms(cycles),
                 observed.spans,
                 observed.mean_units()
             );
-            if observed.spans > 0 && observed.mean_units() != cycles as u64 {
-                return fail(format!(
-                    "FAIL: {} observed mean {} cycles != model {} cycles",
-                    stage.name(),
-                    observed.mean_units(),
-                    cycles as u64
-                ));
-            }
-            let _ = writeln!(
-                json,
-                "        {{ \"stage\": \"{}\", \"model_cycles\": {:.1}, \"model_ms\": {:.4}, \
-                 \"observed_spans\": {}, \"observed_mean_cycles\": {} }}{}",
-                stage.name(),
-                cycles,
-                cycles / CPU_HZ * 1000.0,
-                observed.spans,
-                observed.mean_units(),
-                if si + 1 < stage_rows.len() { "," } else { "" }
-            );
+            stages.push(Json::obj([
+                ("stage", stage.name().into()),
+                ("model_cycles", Json::fixed(cycles, 1)),
+                ("model_ms", Json::fixed(ms(cycles), 4)),
+                ("observed_spans", Json::num(observed.spans)),
+                ("observed_mean_cycles", Json::num(observed.mean_units())),
+            ]));
         }
-        json.push_str("      ]\n");
-        let _ = writeln!(json, "    }}{}", if vi < 2 { "," } else { "" });
 
         // The NDJSON trace carries every version's session back to back
         // (each meta line restates the snapshot it heads).
         trace.push_str(&telemetry::export::ndjson(&tele));
-    }
-    json.push_str("  ]\n}\n");
+        Ok(vec![
+            ("window_s", Json::fixed(window_s, 1)),
+            ("total_cycles", Json::fixed(total, 1)),
+            ("total_ms", Json::fixed(ms(total), 3)),
+            ("avg_current_ua", Json::fixed(avg_ua, 2)),
+            ("lifetime_days", Json::fixed(lifetime, 1)),
+            ("stages", Json::Arr(stages)),
+        ])
+    })?;
+    let overhead = Json::obj([
+        ("disabled_ns_per_op", Json::fixed(disabled_ns, 3)),
+        ("enabled_ns_per_op", Json::fixed(enabled_ns, 3)),
+        ("warn_threshold_ns", Json::fixed(DISABLED_WARN_NS, 1)),
+        ("within_threshold", Json::num(overhead_ok)),
+    ]);
+    let doc = Json::obj([
+        ("source", "bench --bin telemetry".into()),
+        ("cpu_hz", Json::fixed(CPU_HZ, 1)),
+        ("fleet_digest", Json::hex(digest)),
+        ("fleet_windows_emitted", Json::num(fleet_windows)),
+        ("overhead", overhead),
+        ("versions", sweep.rows(&tables, Vec::clone)),
+    ]);
 
-    write_artifact(&out_json, &json)?;
+    write_artifact(&out_json, &doc.render())?;
     write_artifact(&out_trace, &trace)?;
     println!("\nwrote {out_json} and {out_trace}");
     println!("telemetry gates passed (digest {digest:#018x})");

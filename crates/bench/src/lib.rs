@@ -4,24 +4,24 @@
 //! paper's evaluation (see `DESIGN.md` §3 for the index); this library
 //! holds the experiment drivers, the text-table formatting they share,
 //! and the one harness every binary runs on: a flag parser ([`Flags`]),
-//! one exit path ([`main`]), a thread-invariance gate ([`thread_gate`])
-//! and an artifact writer ([`write_artifact`]).
+//! one exit path ([`main`]), a thread-invariance gate ([`thread_gate`]),
+//! the bench matrix ([`Sweep`]), one JSON writer ([`Json`]) and an
+//! artifact writer ([`write_artifact`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ml::metrics::AveragedMetrics;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use sift::pipeline::{evaluate_with_models, train_models, EvalProtocol, EvaluationResult};
-use sift::SiftError;
+use sift::trainer::ModelBank;
 use std::fmt;
 use std::process::ExitCode;
 use std::str::FromStr;
-use telemetry::TelemetryReport;
-use wiot::fleet::FleetReport;
+use telemetry::{Stage, StageStats, TelemetryReport};
+use wiot::fleet::{FleetReport, FleetSpec};
 use wiot::scenario::{DeviceOptions, DeviceSim, Scenario};
 
 /// Why a bench binary stopped: the message is its one stderr line.
@@ -246,36 +246,31 @@ pub struct Table2Row {
     pub version: Version,
     /// Platform flavor.
     pub flavor: PlatformFlavor,
-    /// Subject-averaged metrics.
-    pub metrics: AveragedMetrics,
+    /// Per-subject outcomes and their subject-averaged metrics.
+    pub result: EvaluationResult,
 }
 
-/// Run the full Table II experiment: every version × flavor cell.
-///
-/// Models are trained once per version (training is platform-independent,
-/// as in the paper) and evaluated under both flavors.
-///
-/// # Errors
-///
-/// Propagates training/evaluation errors.
-pub fn run_table2(scale: Scale) -> Result<Vec<Table2Row>, SiftError> {
+/// Run the Table II cells of `flavors`, version-major: a [`Sweep`] over
+/// the versions, each trained once (training is platform-independent,
+/// as in the paper) and evaluated under every flavor.
+pub fn run_table2(scale: Scale, flavors: &[PlatformFlavor]) -> Result<Vec<Table2Row>, Failure> {
     let subjects: Vec<_> = bank().into_iter().take(scale.subject_count()).collect();
     let config = scale.config();
     let protocol = EvalProtocol::default();
-    let mut rows = Vec::new();
-    for version in Version::ALL {
-        let models = train_models(&subjects, version, &config)?;
-        for flavor in [PlatformFlavor::Amulet, PlatformFlavor::Gold] {
-            let result: EvaluationResult =
-                evaluate_with_models(&subjects, &models, flavor, &config, &protocol)?;
-            rows.push(Table2Row {
-                version,
-                flavor,
-                metrics: result.averaged,
-            });
-        }
-    }
-    Ok(rows)
+    let versions = Sweep {
+        cells: Version::ALL.into(),
+        axes: |v| vec![("version", Json::Str(v.to_string()))],
+    };
+    let cells = versions.run(|&version| {
+        let models = train_models(&subjects, version, &config).context("training failed")?;
+        let row = |&flavor| {
+            let result = evaluate_with_models(&subjects, &models, flavor, &config, &protocol);
+            let result = result.context(format!("{flavor} evaluation failed"))?;
+            Ok(Table2Row { version, flavor, result })
+        };
+        flavors.iter().map(row).collect::<Result<Vec<_>, Failure>>()
+    })?;
+    Ok(cells.concat())
 }
 
 /// Format the Table II rows in the paper's layout.
@@ -289,7 +284,7 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     );
     let _ = writeln!(out, "|{}|", "-".repeat(66));
     for r in rows {
-        let m = &r.metrics;
+        let m = &r.result.averaged;
         let _ = writeln!(
             out,
             "| {:<10} | {:<8} | {:>6.2}% | {:>6.2}% | {:>7.2}% | {:>6.2}% |",
@@ -315,72 +310,196 @@ pub fn paper_table2_reference() -> &'static str {
      | reduced    | matlab   |  22.08% |  14.39% |   81.76% |  84.04% |"
 }
 
-/// Everything the fleet bench measured: the deterministic report plus
-/// the wall-clock numbers that stay out of it.
-#[derive(Debug, Clone)]
-pub struct FleetBenchResult {
-    /// The deterministic fleet report.
-    pub report: FleetReport,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Per-device session length, seconds.
-    pub duration_s: f64,
-    /// Wall-clock spent training the model bank, seconds.
-    pub train_wall_s: f64,
-    /// Wall-clock spent simulating the fleet, seconds.
-    pub sim_wall_s: f64,
+/// One value of a bench artifact's JSON document. A number keeps the
+/// text it was formatted to, so each field keeps its own precision.
+///
+/// [`Json::render`] lays out every artifact by one rule: the root
+/// object, and each object element of a root-level array, is a block
+/// with one field per line; an array that holds objects puts one
+/// element per line; everything else is inline (`{ "k": v }`, `[a, b]`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A number or a literal (`true`, `false`), as written.
+    Num(String),
+    /// A string; `"` and `\` are escaped when written.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, its fields in order.
+    Obj(Vec<(&'static str, Json)>),
 }
 
-impl FleetBenchResult {
-    /// Simulated device-seconds per wall-second of fleet simulation —
-    /// the bench's headline throughput number.
-    pub fn throughput(&self) -> f64 {
-        if self.sim_wall_s > 0.0 {
-            self.report.simulated_device_s / self.sim_wall_s
-        } else {
-            0.0
-        }
+impl From<&str> for Json {
+    fn from(text: &str) -> Self {
+        Json::Str(text.into())
     }
 }
 
-/// Render the fleet bench result as the `BENCH_fleet.json` payload.
-///
-/// Deterministic fields (digest, windows, recovery) come straight from
-/// the report; wall-clock fields (`*_wall_s`, `throughput_*`) vary per
-/// machine, which is why the baseline diff in `scripts/verify.sh` is
-/// warn-only.
-pub fn fleet_bench_json(r: &FleetBenchResult) -> String {
-    let rep = &r.report;
-    format!(
-        "{{\n  \"devices\": {},\n  \"threads\": {},\n  \"seed\": {},\n  \"duration_s\": {},\n  \"simulated_device_s\": {},\n  \"train_wall_s\": {:.3},\n  \"sim_wall_s\": {:.3},\n  \"throughput_device_s_per_wall_s\": {:.1},\n  \"digest\": \"{:#018x}\",\n{}",
-        rep.devices,
-        r.threads,
-        rep.seed,
-        r.duration_s,
-        rep.simulated_device_s,
-        r.train_wall_s,
-        r.sim_wall_s,
-        r.throughput(),
-        rep.digest(),
-        fleet_report_tail(rep),
-    )
+impl Json {
+    /// An object with `fields` in order.
+    pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Self {
+        Json::Obj(fields.into_iter().collect())
+    }
+
+    /// A number or literal as `Display` writes it (an `f64` in its
+    /// shortest form: `56.0` is `56`).
+    pub fn num(x: impl fmt::Display) -> Self {
+        Json::Num(x.to_string())
+    }
+
+    /// `x` with `decimals` digits after the point.
+    pub fn fixed(x: f64, decimals: usize) -> Self {
+        Json::Num(format!("{x:.decimals$}"))
+    }
+
+    /// A 64-bit digest: the string `0x` and 16 hex digits.
+    pub fn hex(digest: u64) -> Self {
+        Json::Str(format!("{digest:#018x}"))
+    }
+
+    /// The whole document, newline-terminated.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0, true);
+        out + "\n"
+    }
+
+    /// Write `self` into a line indented by `indent`. `block` is set on
+    /// the root object and on its arrays, whose object elements are
+    /// blocks.
+    fn write(&self, out: &mut String, indent: usize, block: bool) {
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Num(text) => return out.push_str(text),
+            Json::Str(text) => return write_str(out, text),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(*k), v)).collect()),
+        };
+        let object = open == '{';
+        let holds_objects = items.iter().any(|(_, v)| matches!(v, Json::Obj(_)));
+        let lines = if object { block } else { holds_objects };
+        let pad = |depth| {
+            if lines {
+                format!("\n{:depth$}", "")
+            } else {
+                " ".repeat(usize::from(object))
+            }
+        };
+        out.push(open);
+        for (i, (key, value)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&if lines || i == 0 { pad(indent + 2) } else { " ".into() });
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            // The root hands `block` to its arrays, they to their elements.
+            let root_array = object && block && indent == 0 && matches!(value, Json::Arr(_));
+            value.write(out, indent + 2, root_array || !object && block);
+        }
+        out.push_str(&pad(indent));
+        out.push(close);
+    }
 }
 
-/// The nine deterministic report fields every fleet JSON artifact ends
-/// with (`windows_scored` … `mean_battery_left`), closing brace included.
-pub fn fleet_report_tail(rep: &FleetReport) -> String {
-    format!(
-        "  \"windows_scored\": {},\n  \"sink_flagged\": {},\n  \"dropped_windows\": {},\n  \"salvaged_windows\": {},\n  \"mean_window_recovery\": {:.6},\n  \"detections\": {},\n  \"stall_alerts\": {},\n  \"outliers\": {},\n  \"mean_battery_left\": {:.6}\n}}\n",
-        rep.windows_scored,
-        rep.sink_flagged,
-        rep.dropped_windows,
-        rep.salvaged_windows,
-        rep.mean_window_recovery,
-        rep.detections,
-        rep.stall_alerts,
-        rep.outliers.len(),
-        rep.usage.mean_battery_left(),
-    )
+fn write_str(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        if matches!(c, '"' | '\\') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
+}
+
+/// A bench matrix: `cells` over named axes, whose values `axes` gives.
+/// Each cell runs one closure; a cell whose result must not depend on
+/// the worker count runs its passes through [`thread_gate`] inside it.
+/// A cell's axis values name it when it fails and lead its artifact row.
+pub struct Sweep<C> {
+    /// The cells, in run and row order.
+    pub cells: Vec<C>,
+    /// A cell's axis names and values.
+    pub axes: fn(&C) -> Vec<(&'static str, Json)>,
+}
+
+impl<C> Sweep<C> {
+    /// Run `cell` on every cell in order; the first failure stops the
+    /// sweep and names its cell.
+    pub fn run<R>(
+        &self,
+        mut cell: impl FnMut(&C) -> Result<R, Failure>,
+    ) -> Result<Vec<R>, Failure> {
+        let label = |c| {
+            let mut label = String::from("cell ");
+            Json::Obj((self.axes)(c)).write(&mut label, 0, false);
+            label
+        };
+        self.cells.iter().map(|c| cell(c).context(label(c))).collect()
+    }
+
+    /// One artifact row per cell: its axis values, then `fields` of the
+    /// result [`Sweep::run`] returned for it.
+    pub fn rows<R>(
+        &self,
+        results: &[R],
+        fields: impl Fn(&R) -> Vec<(&'static str, Json)>,
+    ) -> Json {
+        let row = |(c, r)| Json::Obj([(self.axes)(c), fields(r)].concat());
+        Json::Arr(self.cells.iter().zip(results).map(row).collect())
+    }
+}
+
+/// The nearest-rank `p`-quantile (`0 ≤ p ≤ 1`) of `sorted`, an
+/// ascending slice: the element at index `round((len − 1) · p)`, or 0.0
+/// for an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// The spans `tele` observed on `stage`, checked against the cost
+/// model: a stage with no spans fails, as does one whose mean span is
+/// not `model_cycles`.
+pub fn observed_stage(
+    tele: &TelemetryReport,
+    stage: Stage,
+    model_cycles: f64,
+) -> Result<StageStats, Failure> {
+    let (observed, model) = (tele.stage(stage), model_cycles as u64);
+    if observed.spans == 0 || observed.mean_units() != model {
+        let (name, spans, mean) = (stage.name(), observed.spans, observed.mean_units());
+        return fail(format!("{name}: {spans} spans of mean {mean} cycles, model {model} cycles"));
+    }
+    Ok(observed)
+}
+
+/// The model bank the fleet `spec` deploys: the bank's subjects enrolled
+/// for its template's version and backend, at the fleet seed.
+pub fn enroll_fleet(spec: &FleetSpec) -> Result<ModelBank, Failure> {
+    let t = &spec.template;
+    let models = ModelBank::train_backend(&bank(), t.version, t.backend, &t.config, spec.seed);
+    models.context("enrollment failed")
+}
+
+/// The nine deterministic report fields every fleet artifact ends with.
+pub fn fleet_totals(rep: &FleetReport) -> [(&'static str, Json); 9] {
+    [
+        ("windows_scored", Json::num(rep.windows_scored)),
+        ("sink_flagged", Json::num(rep.sink_flagged)),
+        ("dropped_windows", Json::num(rep.dropped_windows)),
+        ("salvaged_windows", Json::num(rep.salvaged_windows)),
+        ("mean_window_recovery", Json::fixed(rep.mean_window_recovery, 6)),
+        ("detections", Json::num(rep.detections)),
+        ("stall_alerts", Json::num(rep.stall_alerts)),
+        ("outliers", Json::num(rep.outliers.len())),
+        ("mean_battery_left", Json::fixed(rep.usage.mean_battery_left(), 6)),
+    ]
 }
 
 #[cfg(test)]
@@ -389,15 +508,16 @@ mod tests {
 
     #[test]
     fn smoke_scale_table2_runs_and_beats_chance() {
-        let rows = run_table2(Scale::Smoke).unwrap();
+        let flavors = [PlatformFlavor::Amulet, PlatformFlavor::Gold];
+        let rows = run_table2(Scale::Smoke, &flavors).unwrap();
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(
-                r.metrics.accuracy > 0.6,
+                r.result.averaged.accuracy > 0.6,
                 "{} {} accuracy {}",
                 r.version,
                 r.flavor,
-                r.metrics.accuracy
+                r.result.averaged.accuracy
             );
         }
         let table = format_table2(&rows);
@@ -421,32 +541,102 @@ mod tests {
 
     #[test]
     fn fleet_json_is_well_formed_and_deterministic_fields_match() {
-        use sift::trainer::ModelBank;
-        use wiot::fleet::{run_fleet_with_bank, FleetSpec};
         let spec = FleetSpec::new(2, 9.0).with_seed(5);
-        let models = ModelBank::train(
-            &physio_sim::subject::bank(),
-            spec.template.version,
-            &spec.template.config,
-            spec.seed,
-        )
-        .unwrap();
-        let report = run_fleet_with_bank(&spec, &models).unwrap();
-        let digest = report.digest();
-        let result = FleetBenchResult {
-            report,
-            threads: 2,
-            duration_s: 9.0,
-            train_wall_s: 1.0,
-            sim_wall_s: 0.5,
+        let bank = enroll_fleet(&spec).unwrap();
+        let report = wiot::fleet::run_fleet_with_bank(&spec, &bank).unwrap();
+        let head = [
+            ("devices", Json::num(report.devices)),
+            ("throughput_device_s_per_wall_s", Json::fixed(report.simulated_device_s / 0.5, 1)),
+            ("digest", Json::hex(report.digest())),
+        ];
+        let json = Json::obj(head.into_iter().chain(fleet_totals(&report))).render();
+        assert!(json.starts_with("{\n  \"devices\": 2,\n"));
+        assert!(json.contains("\"throughput_device_s_per_wall_s\": 36.0,\n"));
+        assert!(json.contains(&format!("\"digest\": \"{:#018x}\",\n", report.digest())));
+        assert!(json.contains(&format!("\"windows_scored\": {},\n", report.windows_scored)));
+        let battery = format!("{:.6}", report.usage.mean_battery_left());
+        assert!(json.ends_with(&format!("\"mean_battery_left\": {battery}\n}}\n")));
+        assert_eq!(json.lines().count(), 14);
+    }
+
+    #[test]
+    fn writer_lays_out_blocks_rows_and_inline_values_by_one_rule() {
+        let doc = Json::obj([
+            ("name", "t".into()),
+            ("pair", Json::Arr(vec![Json::num(1), Json::num(2)])),
+            (
+                "inline",
+                Json::obj([
+                    ("a", Json::num(1)),
+                    ("b", Json::Arr(vec![Json::num(0.5), Json::num(2.0)])),
+                ]),
+            ),
+            (
+                "rows",
+                Json::Arr(vec![Json::obj([
+                    ("id", Json::num(0u64)),
+                    (
+                        "parts",
+                        Json::Arr(vec![
+                            Json::obj([("x", Json::fixed(0.5, 3))]),
+                            Json::obj([("x", Json::hex(255))]),
+                        ]),
+                    ),
+                    ("scalars", Json::Arr(vec![Json::num(true), Json::num(false)])),
+                ])]),
+            ),
+        ]);
+        let expected = "{
+  \"name\": \"t\",
+  \"pair\": [1, 2],
+  \"inline\": { \"a\": 1, \"b\": [0.5, 2] },
+  \"rows\": [
+    {
+      \"id\": 0,
+      \"parts\": [
+        { \"x\": 0.500 },
+        { \"x\": \"0x00000000000000ff\" }
+      ],
+      \"scalars\": [true, false]
+    }
+  ]
+}
+";
+        assert_eq!(doc.render(), expected);
+    }
+
+    #[test]
+    fn writer_escapes_quotes_and_backslashes() {
+        let doc = Json::obj([("path", r#"a"b\c"#.into())]);
+        assert_eq!(doc.render(), "{\n  \"path\": \"a\\\"b\\\\c\"\n}\n");
+        let doc = Json::obj([("a", Json::Arr(vec![r#"\""#.into()]))]);
+        assert_eq!(doc.render(), "{\n  \"a\": [\"\\\\\\\"\"]\n}\n");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let sorted: Vec<f64> = (0..200).map(f64::from).collect();
+        assert_eq!(percentile(&sorted, 0.0), 0.0);
+        assert_eq!(percentile(&sorted, 1.0), 199.0);
+        // round(199 · p): 9.95 → 10, 99.5 → 100, 189.05 → 189.
+        assert_eq!(percentile(&sorted, 0.05), 10.0);
+        assert_eq!(percentile(&sorted, 0.50), 100.0);
+        assert_eq!(percentile(&sorted, 0.95), 189.0);
+    }
+
+    #[test]
+    fn sweep_names_the_failed_cell_and_leads_rows_with_axis_values() {
+        let sweep = Sweep {
+            cells: vec![(1usize, "svm"), (2, "tsetlin")],
+            axes: |&(n, kind)| vec![("n", Json::num(n)), ("kind", kind.into())],
         };
-        let json = fleet_bench_json(&result);
-        assert!(json.contains("\"devices\": 2"));
-        assert!(json.contains(&format!("\"digest\": \"{digest:#018x}\"")));
-        assert!(json.contains("\"throughput_device_s_per_wall_s\": 36.0"));
-        // Crude structural check: balanced braces, one top-level object.
-        assert!(json.trim().starts_with('{') && json.trim().ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doubled = sweep.run(|&(n, _)| Ok(n * 2)).unwrap();
+        let rows = Json::obj([("rows", sweep.rows(&doubled, |&d| vec![("d", Json::num(d))]))]);
+        let second = "\"n\": 2,\n      \"kind\": \"tsetlin\",\n      \"d\": 4\n";
+        assert!(rows.render().contains(second));
+        let err = sweep.run(|&(n, _)| if n == 2 { fail("no") } else { Ok(n) }).unwrap_err();
+        assert_eq!(err, Failure::Run("cell { \"n\": 2, \"kind\": \"tsetlin\" }: no".into()));
     }
 
     fn demo(args: &[&str]) -> Result<Flags, Failure> {
