@@ -128,7 +128,7 @@ pub fn train_backend_for_subject(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::train_for_subject;
+    use crate::trainer::{train_for_subject, ModelBank};
     use ml::DetectorBackend;
     use physio_sim::record::EcgSpan;
     use physio_sim::subject::bank;
@@ -207,6 +207,29 @@ mod tests {
                 train_backend(&victim, &spans, Version::Simplified, kind, &cfg).unwrap();
             assert_eq!(from_spans.encode(), from_records.encode(), "{kind:?}");
         }
+    }
+
+    /// The twelve Simplified Tsetlin models the hostile-link fleet
+    /// enrolls (its training config and seed 61455), pinned by an FNV-1a
+    /// digest of their encodings: any change to the trainer that moves
+    /// one mask bit moves the digest.
+    #[test]
+    fn hostile_link_tsetlin_bank_is_pinned() {
+        let models = ModelBank::train_backend(
+            &bank(),
+            Version::Simplified,
+            BackendKind::Tsetlin,
+            &quick_config(),
+            61455,
+        )
+        .unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for victim in 0..models.len() {
+            for b in models.deployed(victim).unwrap().encode() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!((models.len(), digest), (12, 0xb256_65e2_9a4a_0287));
     }
 
     #[test]
