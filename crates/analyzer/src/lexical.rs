@@ -155,7 +155,7 @@ pub fn scan(file: &SourceFile, class: &FileClass) -> Vec<Finding> {
                         push(
                             "det-no-thread-api",
                             line,
-                            format!("`{name}` outside wiot::fleet; parallelism lives behind the fleet engine only"),
+                            format!("`{name}` outside wiot::slab; parallelism lives behind the slab fleet engine only"),
                         );
                     }
                 }

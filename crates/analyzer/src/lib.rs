@@ -14,7 +14,7 @@
 //! 2. **determinism** — workspace-wide bans protecting the
 //!    `FleetReport` digest: no `HashMap`/`HashSet`, no
 //!    `Instant`/`SystemTime` outside `bench`, no thread APIs outside
-//!    `wiot::fleet`.
+//!    `wiot::slab`.
 //! 3. **budget** — a semantic check that recomputes each detector
 //!    flavor's static footprint from the `amulet-sim` profiler and the
 //!    `ml` model format and compares it against the Amulet memory map

@@ -208,7 +208,7 @@ pub const RULES: &[RuleDef] = &[
         id: "det-no-thread-api",
         severity: Severity::Error,
         pass: Pass::Determinism,
-        summary: "no thread APIs outside wiot::fleet, whose ordered reduction is the one \
+        summary: "no thread APIs outside wiot::slab, whose bounded reorder window is the one \
                   audited parallel boundary",
     },
     RuleDef {

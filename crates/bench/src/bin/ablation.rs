@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p bench --bin ablation` (accepts `--smoke`
 //! to shrink the sweeps further).
 
-use bench::{Failure, Scale};
+use bench::{Context, Failure, Json, Scale, Sweep};
 use ml::baseline::{KnnClassifier, LogisticRegressionTrainer, NearestCentroid};
 use ml::linear_svm::LinearSvmTrainer;
 use ml::metrics::evaluate;
@@ -70,34 +70,41 @@ fn classifier_comparison(train_s: f64) {
     println!();
 }
 
-fn sweep<I: Copy + std::fmt::Display>(
+/// One parameter sweep of the Simplified Amulet pipeline over `axis`:
+/// each cell's config comes from `config_for`, and a failed cell stops
+/// the run, named by its axis value.
+fn sweep(
     title: &str,
-    values: &[I],
-    mut config_for: impl FnMut(I) -> SiftConfig,
+    axis: &'static str,
+    values: &[usize],
+    config_for: impl Fn(usize) -> SiftConfig,
     subjects: usize,
-) {
+) -> Result<(), Failure> {
     println!("=== {title} ===");
     let bank = bank();
-    let subs = &bank[..subjects];
-    for &v in values {
-        let config = config_for(v);
-        match evaluate_pipeline(
-            subs,
+    let cells = Sweep {
+        cells: values.iter().map(|&v| (axis, v)).collect(),
+        axes: |&(axis, v)| vec![(axis, Json::num(v))],
+    };
+    cells.run(|&(_, v)| {
+        let r = evaluate_pipeline(
+            &bank[..subjects],
             Version::Simplified,
             PlatformFlavor::Amulet,
-            &config,
+            &config_for(v),
             &EvalProtocol::default(),
-        ) {
-            Ok(r) => println!(
-                "  {v:>8}: accuracy {:.2}%  (fp {:.2}%, fn {:.2}%)",
-                r.averaged.accuracy * 100.0,
-                r.averaged.fp_rate * 100.0,
-                r.averaged.fn_rate * 100.0
-            ),
-            Err(e) => println!("  {v:>8}: failed ({e})"),
-        }
-    }
+        )
+        .context("evaluation failed")?;
+        println!(
+            "  {v:>8}: accuracy {:.2}%  (fp {:.2}%, fn {:.2}%)",
+            r.averaged.accuracy * 100.0,
+            r.averaged.fp_rate * 100.0,
+            r.averaged.fn_rate * 100.0
+        );
+        Ok(())
+    })?;
     println!();
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -112,29 +119,32 @@ fn run() -> Result<(), Failure> {
 
     sweep(
         "ablation 2: grid size n (simplified, amulet flavor)",
-        &[10usize, 25, 50, 100],
+        "grid_n",
+        &[10, 25, 50, 100],
         |n| SiftConfig {
             grid_n: n,
             ..ablation_config(train_s)
         },
         subjects,
-    );
+    )?;
 
     sweep(
         "ablation 3: window length w seconds",
-        &[2usize, 3, 6],
+        "window_s",
+        &[2, 3, 6],
         |w| SiftConfig {
             window_s: w as f64,
             ..ablation_config(train_s)
         },
         subjects,
-    );
+    )?;
 
     sweep(
         "ablation 4: training length (seconds of wearer data)",
-        &[30usize, 60, 120, 300],
+        "train_s",
+        &[30, 60, 120, 300],
         |t| ablation_config(t as f64),
         subjects,
-    );
+    )?;
     Ok(())
 }

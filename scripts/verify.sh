@@ -26,9 +26,12 @@ cargo test -q --workspace
 # again, on the optimized build the benchmark measures (overflow checks
 # off, the table kernel as it ships); likewise the ECG span renderer's
 # bit-equality properties and the attack read-law sweep, which
-# synthesize 56 s Reference records and are slow in a debug build; and
-# the trainer's in-place window reader against its materializing
-# oracle, with whole-record and ECG-span donors.
+# synthesize 56 s Reference records and are slow in a debug build; the
+# trainer's in-place window reader against its materializing oracle,
+# with whole-record and ECG-span donors; and the Tsetlin trainer against
+# its state-rescanning oracle over the knob grid (ml), with the
+# hostile-link enrollment's twelve Tsetlin models pinned by digest
+# (sift).
 cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot -p sift
 
 cargo clippy --workspace --all-targets -- -D warnings
