@@ -232,6 +232,31 @@ mod tests {
         assert_eq!((models.len(), digest), (12, 0xb256_65e2_9a4a_0287));
     }
 
+    /// The twelve SVM models each SVM fleet enrolls: fleet-turbo's
+    /// Reduced bank and fleet-fidelity's Simplified bank (their training
+    /// config and seed 61455), pinned by an FNV-1a digest of their
+    /// encodings: a feature that moves one bit moves a weight.
+    #[test]
+    fn svm_fleet_banks_are_pinned() {
+        for (version, pin) in [(Version::Reduced, 0x429d_d023_5f64_d007), (Version::Simplified, 0xe204_8f77_10eb_ae67)] {
+            let models = ModelBank::train_backend(
+                &bank(),
+                version,
+                BackendKind::Svm,
+                &quick_config(),
+                61455,
+            )
+            .unwrap();
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for victim in 0..models.len() {
+                for b in models.deployed(victim).unwrap().encode() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!((models.len(), digest), (12, pin), "{version:?}: {digest:#018x}");
+        }
+    }
+
     #[test]
     fn out_of_range_victim_rejected() {
         assert!(train_backend_for_subject(

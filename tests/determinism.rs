@@ -123,6 +123,34 @@ fn embedded_features_are_pinned() {
     assert_eq!(hash, 0x156e_dd36_e6ca_decb, "embedded feature hash");
 }
 
+/// The gold extractor pinned to its bits: an FNV-1a hash over the
+/// `to_bits()` of every feature `features::extract` returns, for all
+/// three versions, over the 48 bank windows of
+/// `embedded_features_are_pinned`. It moves only if the normalization,
+/// the grid, the pairing of peaks or the feature arithmetic changed.
+#[test]
+fn gold_features_are_pinned() {
+    let cfg = SiftConfig::default();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut count = 0;
+    for (i, subject) in bank().iter().enumerate() {
+        let record = Record::synthesize(subject, 12.0, 100 + i as u64);
+        for w in windows(&record, 3.0).unwrap() {
+            let snippet = Snippet::from_record(&w).unwrap();
+            for v in Version::ALL {
+                for f in sift::features::extract(v, &snippet, &cfg).unwrap() {
+                    for b in f.to_bits().to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                    count += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(count, 12 * 4 * (8 + 8 + 5));
+    assert_eq!(hash, 0x852f_3837_9615_4333, "gold feature hash");
+}
+
 /// FNV-1a 64 over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
