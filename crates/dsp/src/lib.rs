@@ -4,7 +4,7 @@
 //! workspace is built on:
 //!
 //! * [`stats`] — descriptive statistics (mean, variance, percentiles, …),
-//! * [`normalize`] — min–max normalization used to build SIFT *portraits*,
+//! * [`normalize`] — the min–max range that SIFT *portraits* normalize by,
 //! * [`integrate`] — numerical integration, including the paper's
 //!   *simplified* composite-trapezoid rule (§III, FeatureExtraction state),
 //! * [`embedded_math`] — libm-free replacements (Newton square root,
@@ -16,10 +16,12 @@
 //! # Example
 //!
 //! ```
-//! use dsp::normalize::min_max;
+//! use dsp::normalize::range;
 //!
 //! # fn main() -> Result<(), dsp::DspError> {
-//! let normalized = min_max(&[1.0, 2.0, 3.0])?;
+//! let samples = [1.0, 2.0, 3.0];
+//! let (lo, span) = range(&samples)?;
+//! let normalized: Vec<f64> = samples.iter().map(|x| (x - lo) / span).collect();
 //! assert_eq!(normalized, vec![0.0, 0.5, 1.0]);
 //! # Ok(())
 //! # }

@@ -12,9 +12,9 @@ fn finite_signal(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #[test]
     fn min_max_normalization_stays_in_unit_interval(xs in finite_signal(2)) {
-        match normalize::min_max(&xs) {
-            Ok(n) => {
-                prop_assert_eq!(n.len(), xs.len());
+        match normalize::range(&xs) {
+            Ok((lo, span)) => {
+                let n: Vec<f64> = xs.iter().map(|x| (x - lo) / span).collect();
                 for y in &n {
                     prop_assert!((-1e-12..=1.0 + 1e-12).contains(y));
                 }
@@ -32,7 +32,8 @@ proptest! {
 
     #[test]
     fn min_max_is_order_preserving(xs in finite_signal(2)) {
-        if let Ok(n) = normalize::min_max(&xs) {
+        if let Ok((lo, span)) = normalize::range(&xs) {
+            let n: Vec<f64> = xs.iter().map(|x| (x - lo) / span).collect();
             for i in 0..xs.len() {
                 for j in 0..xs.len() {
                     if xs[i] < xs[j] {
@@ -40,6 +41,30 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn range_is_the_min_max_fold_bit_for_bit(
+        xs in finite_signal(1),
+        zeros in prop::collection::vec((0usize..200, any::<bool>()), 0..4),
+    ) {
+        // Signed zeros dropped in as extremes or among the samples.
+        let mut xs = xs;
+        for (at, negative) in zeros {
+            let i = at % xs.len();
+            xs[i] = if negative { -0.0 } else { 0.0 };
+        }
+        match (normalize::range(&xs), stats::min_max(&xs)) {
+            (Ok((lo, span)), Ok((min, max))) => {
+                prop_assert_eq!(lo.to_bits(), min.to_bits());
+                prop_assert_eq!(span.to_bits(), (max - min).to_bits());
+            }
+            (Err(e), Ok((min, max))) => {
+                prop_assert_eq!(e, dsp::DspError::ConstantSignal);
+                prop_assert!(min == max);
+            }
+            (got, expect) => prop_assert!(false, "{:?} vs {:?}", got, expect),
         }
     }
 

@@ -13,7 +13,8 @@
 //!
 //! 1. **Portrait** — `w = 3` seconds of synchronously measured, min–max
 //!    normalized ECG `e(t)` and ABP `a(t)` form the planar curve
-//!    `f(t) = (a(t), e(t))` ([`portrait`]).
+//!    `f(t) = (a(t), e(t))`. The feature path reads it off one axis per
+//!    channel without materializing it; [`portrait`] renders it.
 //! 2. **Features** — eight features per portrait: three *matrix* features
 //!    from a 50×50 occupancy grid and five *geometric* features from the
 //!    R-peak and systolic-peak locations ([`features`]). Three variants

@@ -1,4 +1,5 @@
-//! The two-dimensional ECG/ABP *portrait* and its occupancy grid.
+//! The two-dimensional ECG/ABP *portrait* and its occupancy grid, as
+//! a desktop view.
 //!
 //! Paper §II-A: "w time-units synchronously measured ECG and ABP signals
 //! are first transformed into a two-dimensional normalized form called a
@@ -7,7 +8,14 @@
 //! normalized ABP and ECG. Matrix features view the portrait as an
 //! `n × n` grid `C` where `c(i, j)` counts the portrait points falling in
 //! grid cell `(i, j)`.
+//!
+//! The detector never builds these: [`crate::features::extract`] reads
+//! the same normalization and cells off per-channel axes. A [`Portrait`]
+//! materializes the points of those axes and a [`GridMatrix`] counts
+//! them, for rendering (`examples/portrait_gallery.rs`) and inspection;
+//! neither computes a feature.
 
+use crate::features::{cell, Axis};
 use crate::snippet::Snippet;
 use crate::SiftError;
 
@@ -19,7 +27,9 @@ pub type PeakPair = (PortraitPoint, PortraitPoint);
 
 /// A normalized 2-D portrait: the parametric curve `(a(t), e(t))` with
 /// both coordinates in `[0, 1]`, plus the portrait-space location of the
-/// annotated peaks.
+/// annotated peaks. A view for rendering and inspection: its points
+/// carry the bits the feature path reads, but no feature is computed
+/// from it.
 ///
 /// # Examples
 ///
@@ -60,29 +70,19 @@ impl Portrait {
     /// portrait).
     pub fn from_snippet(snippet: &Snippet) -> Result<Self, SiftError> {
         snippet.check()?;
-        let a = dsp::normalize::min_max(&snippet.abp)?;
-        let e = dsp::normalize::min_max(&snippet.ecg)?;
-        let points: Vec<(f64, f64)> = a.iter().copied().zip(e.iter().copied()).collect();
-        let r_peak_points = snippet
-            .r_peaks
-            .iter()
-            .map(|&i| points[i])
-            .collect();
-        let sys_peak_points = snippet
-            .sys_peaks
-            .iter()
-            .map(|&i| points[i])
-            .collect();
-        let paired_points = snippet
-            .paired_peaks()
-            .into_iter()
-            .map(|(r, s)| (points[r], points[s]))
-            .collect();
+        let a = Axis::new(&snippet.abp)?;
+        let e = Axis::new(&snippet.ecg)?;
+        let point = |i: usize| (a.at(i), e.at(i));
+        let points = |peaks: &[usize]| peaks.iter().map(|&i| point(i)).collect();
         Ok(Self {
-            points,
-            r_peak_points,
-            sys_peak_points,
-            paired_points,
+            points: (0..snippet.len()).map(point).collect(),
+            r_peak_points: points(&snippet.r_peaks),
+            sys_peak_points: points(&snippet.sys_peaks),
+            paired_points: snippet
+                .paired_peaks()
+                .into_iter()
+                .map(|(r, s)| (point(r), point(s)))
+                .collect(),
         })
     }
 
@@ -118,7 +118,10 @@ impl Portrait {
     }
 }
 
-/// The `n × n` occupancy-count matrix `C` over the unit square.
+/// The `n × n` occupancy-count matrix `C` over the unit square, with the
+/// cell law the feature path bins by. A view: the spatial-filling index
+/// and the column features are computed from the channel axes, not
+/// from this matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridMatrix {
     n: usize,
@@ -143,9 +146,7 @@ impl GridMatrix {
         }
         let mut counts = vec![0u32; n * n];
         for &(x, y) in portrait.points() {
-            let col = ((x * n as f64) as usize).min(n - 1);
-            let row = ((y * n as f64) as usize).min(n - 1);
-            counts[row * n + col] += 1;
+            counts[cell(y, n) * n + cell(x, n)] += 1;
         }
         Ok(Self {
             n,
@@ -167,25 +168,6 @@ impl GridMatrix {
     /// Total points counted (= portrait length).
     pub fn total(&self) -> u32 {
         self.total
-    }
-
-    /// Column averages: for each column, the mean count over its `n`
-    /// cells. This is the curve whose spread and area form two of the
-    /// three matrix features.
-    pub fn column_averages(&self) -> Vec<f64> {
-        (0..self.n)
-            .map(|col| {
-                let sum: u32 = (0..self.n).map(|row| self.counts[row * self.n + col]).sum();
-                sum as f64 / self.n as f64
-            })
-            .collect()
-    }
-
-    /// Occupancy probabilities `p(i,j) = c(i,j) / total` flattened
-    /// row-major (used by the spatial-filling index).
-    pub fn probabilities(&self) -> Vec<f64> {
-        let t = self.total.max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / t).collect()
     }
 
     /// Render the grid as ASCII art (density ramp ` .:+#@`), ECG on the
@@ -290,22 +272,6 @@ mod tests {
         assert_eq!(sum, 4);
         // The (1,1) point lands in the last cell, not out of bounds.
         assert_eq!(g.count(3, 3), 1);
-    }
-
-    #[test]
-    fn column_averages_sum_matches_total() {
-        let p = sample_portrait();
-        let g = GridMatrix::from_portrait(&p, 50).unwrap();
-        let col_sum: f64 = g.column_averages().iter().sum::<f64>() * 50.0;
-        assert!((col_sum - p.len() as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let p = sample_portrait();
-        let g = GridMatrix::from_portrait(&p, 50).unwrap();
-        let s: f64 = g.probabilities().iter().sum();
-        assert!((s - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -60,20 +60,7 @@ impl Snippet {
                 reason: "ecg and abp lengths differ",
             });
         }
-        let sorted_in_range = |peaks: &[usize]| {
-            peaks.windows(2).all(|w| w[0] < w[1]) && peaks.iter().all(|&p| p < self.ecg.len())
-        };
-        if !sorted_in_range(&self.r_peaks) {
-            return Err(SiftError::InvalidSnippet {
-                reason: "r peaks unsorted or out of range",
-            });
-        }
-        if !sorted_in_range(&self.sys_peaks) {
-            return Err(SiftError::InvalidSnippet {
-                reason: "systolic peaks unsorted or out of range",
-            });
-        }
-        Ok(())
+        check_peaks(&self.r_peaks, &self.sys_peaks, self.ecg.len())
     }
 
     /// Build from a (windowed) [`Record`], trusting its ground-truth peak
@@ -106,23 +93,44 @@ impl Snippet {
     /// pressure pulse launched by that contraction). R peaks with no
     /// following systolic peak in the window are unpaired.
     pub fn paired_peaks(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut sys_iter = self.sys_peaks.iter().copied().peekable();
-        for &r in &self.r_peaks {
-            while let Some(&s) = sys_iter.peek() {
-                if s < r {
-                    sys_iter.next();
-                } else {
-                    break;
-                }
-            }
-            if let Some(&s) = sys_iter.peek() {
-                out.push((r, s));
-                sys_iter.next();
-            }
-        }
-        out
+        pair_peaks(&self.r_peaks, &self.sys_peaks).collect()
     }
+}
+
+/// The peak invariants of [`Snippet::new`] for a window of `len`
+/// samples: each list strictly ascending and below `len`.
+pub(crate) fn check_peaks(
+    r_peaks: &[usize],
+    sys_peaks: &[usize],
+    len: usize,
+) -> Result<(), SiftError> {
+    let sorted_in_range =
+        |peaks: &[usize]| peaks.windows(2).all(|w| w[0] < w[1]) && peaks.iter().all(|&p| p < len);
+    if !sorted_in_range(r_peaks) {
+        return Err(SiftError::InvalidSnippet {
+            reason: "r peaks unsorted or out of range",
+        });
+    }
+    if !sorted_in_range(sys_peaks) {
+        return Err(SiftError::InvalidSnippet {
+            reason: "systolic peaks unsorted or out of range",
+        });
+    }
+    Ok(())
+}
+
+/// The pairing of [`Snippet::paired_peaks`] over ascending peak lists,
+/// lazily: each R peak takes the first systolic peak at or after it
+/// that no earlier R peak took.
+pub(crate) fn pair_peaks<'p>(
+    r_peaks: &'p [usize],
+    sys_peaks: &'p [usize],
+) -> impl Iterator<Item = (usize, usize)> + 'p {
+    let mut sys = sys_peaks.iter().copied().peekable();
+    r_peaks.iter().filter_map(move |&r| {
+        while sys.next_if(|&s| s < r).is_some() {}
+        sys.next().map(|s| (r, s))
+    })
 }
 
 #[cfg(test)]

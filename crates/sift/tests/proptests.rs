@@ -50,8 +50,7 @@ proptest! {
             .map(|(r, c)| g.count(r, c))
             .sum();
         prop_assert_eq!(total, sn.len() as u32);
-        let psum: f64 = g.probabilities().iter().sum();
-        prop_assert!((psum - 1.0).abs() < 1e-9);
+        prop_assert_eq!(g.total(), sn.len() as u32);
     }
 
     #[test]

@@ -27,11 +27,16 @@ cargo test -q --workspace
 # off, the table kernel as it ships); likewise the ECG span renderer's
 # bit-equality properties and the attack read-law sweep, which
 # synthesize 56 s Reference records and are slow in a debug build; the
-# trainer's in-place window reader against its materializing oracle,
-# with whole-record and ECG-span donors; and the Tsetlin trainer against
-# its state-rescanning oracle over the knob grid (ml), with the
-# hostile-link enrollment's twelve Tsetlin models pinned by digest
-# (sift).
+# gold extractor's channel-axis path against its portrait-based oracle
+# (sift::features::oracle: edge-case channels, grids of 2 to 300 cells);
+# the trainer's in-place window reader, which shares each victim ABP
+# axis across donors, against its materializing oracle, with
+# whole-record and ECG-span donors; and the Tsetlin trainer against its
+# state-rescanning oracle over the knob grid (ml). The twelve models of
+# each fleet enrollment are pinned by digest (sift): hostile-link's
+# Tsetlin bank and the SVM banks of fleet-turbo (Reduced) and
+# fleet-fidelity (Simplified). The gold features themselves are pinned
+# by tests/determinism.rs::gold_features_are_pinned above.
 cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot -p sift
 
 cargo clippy --workspace --all-targets -- -D warnings
