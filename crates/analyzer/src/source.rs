@@ -22,9 +22,11 @@ const APP_CODE_PREFIX: &str = "crates/amulet-sim/src/apps/";
 /// are test infrastructure, not report paths.
 const DET_EXEMPT_CRATES: &[&str] = &["bench", "rand", "proptest"];
 
-/// The files allowed to touch thread APIs: the slab fleet engine, whose
-/// bounded reorder window retires summaries in device-index order, so
-/// its use of `std::thread::scope` is deterministic by construction.
+/// The files allowed to touch thread APIs: the slab fleet engine. Its one
+/// `std::thread::scope`, in the ordered fold that also runs campaign
+/// enrollment, folds results in index order through a bounded window
+/// whose protocol a unit test checks over every schedule, so the
+/// threads cannot change a result.
 const THREAD_OK: &[&str] = &["crates/wiot/src/slab.rs"];
 
 /// Crates under the warn-level library panic-hygiene rule.

@@ -12,13 +12,11 @@ use crate::DspError;
 /// maps every sample into the unit interval `[0, 1]`.
 ///
 /// `lo` and `span = hi − lo` come from the very `(lo, hi)` bits that
-/// [`stats::min_max`] returns, found by a faster scan: sample `i` goes
-/// to lane `i % 8`, each lane keeps its own minimum and maximum (eight
-/// independent chains instead of one), and finiteness is one flag over
-/// the whole scan. Two samples of equal
-/// value have equal bits unless they are `-0.0` and `+0.0`, so a nonzero
-/// extreme does not depend on the order of the scan; when an extreme is
-/// zero, its sign is taken from [`stats::min_max`]'s sequential fold.
+/// [`stats::min_max`] returns, found by the faster lane scan of
+/// [`extremes`]. Two samples of equal value have equal bits unless they
+/// are `-0.0` and `+0.0`, so a nonzero extreme does not depend on the
+/// order of the scan; when an extreme is zero, its sign is taken from
+/// [`stats::min_max`]'s sequential fold.
 ///
 /// # Errors
 ///
@@ -41,19 +39,7 @@ pub fn range(samples: &[f64]) -> Result<(f64, f64), DspError> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
     }
-    let mut lo = [f64::INFINITY; LANES];
-    let mut hi = [f64::NEG_INFINITY; LANES];
-    let mut finite = true;
-    let (chunks, tail) = samples.as_chunks::<LANES>();
-    for lanes in chunks {
-        scan_lanes(lanes, &mut lo, &mut hi, &mut finite);
-    }
-    scan_lanes(tail, &mut lo, &mut hi, &mut finite);
-    if !finite {
-        return Err(DspError::NonFiniteInput);
-    }
-    let mut lo = lo.into_iter().fold(f64::INFINITY, f64::min);
-    let mut hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    let (mut lo, mut hi) = extremes(samples).ok_or(DspError::NonFiniteInput)?;
     if lo == 0.0 || hi == 0.0 {
         (lo, hi) = stats::min_max(samples)?;
     }
@@ -63,7 +49,28 @@ pub fn range(samples: &[f64]) -> Result<(f64, f64), DspError> {
     Ok((lo, hi - lo))
 }
 
-/// Lanes of [`range`]'s scan.
+/// The smallest and largest of `samples` as `(lo, hi)`, or `None` if a
+/// sample is NaN or infinite; `(∞, −∞)` when there are none.
+///
+/// Sample `i` goes to lane `i % 8` and each lane keeps its own minimum
+/// and maximum, so the eight loop-carried chains are independent;
+/// finiteness is one flag over the whole scan, checked after it. The
+/// lanes then fold into one `(lo, hi)`.
+pub fn extremes(samples: &[f64]) -> Option<(f64, f64)> {
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut finite = true;
+    let (chunks, tail) = samples.as_chunks::<LANES>();
+    for lanes in chunks {
+        scan_lanes(lanes, &mut lo, &mut hi, &mut finite);
+    }
+    scan_lanes(tail, &mut lo, &mut hi, &mut finite);
+    let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    finite.then_some((lo, hi))
+}
+
+/// Lanes of [`extremes`]' scan.
 const LANES: usize = 8;
 
 /// Fold up to [`LANES`] samples into the per-lane minima and maxima,

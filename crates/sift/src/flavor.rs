@@ -243,32 +243,17 @@ impl Adc {
         (self.lo + f64::from(code) * ((self.hi - self.lo) / 4095.0)) as f32
     }
 
-    /// Codes of the smallest and largest sample, from one scan. Sample
-    /// `i` goes to lane `i % 8` ([`scan_lanes`]), and each lane keeps its
-    /// own minimum and maximum, so the eight loop-carried chains are
-    /// independent. Finiteness is one flag over the whole scan, checked
-    /// after it.
+    /// Codes of the smallest and largest sample, from one
+    /// [`dsp::normalize::extremes`] scan.
     ///
     /// Corrupt driver data (NaN/∞) cannot be meaningfully quantized, and
     /// a channel with no span after quantization cannot be normalized;
     /// both are a degenerate signal, so the detector alerts instead of
-    /// silently classifying a rail-clamped artifact.
+    /// silently classifying a rail-clamped artifact. An empty window
+    /// scans to `(∞, −∞)`, whose codes have no span either.
     fn extremes(self, signal: &[f64]) -> Result<(u16, u16), SiftError> {
-        let mut lo = [f64::INFINITY; LANES];
-        let mut hi = [f64::NEG_INFINITY; LANES];
-        let (chunks, tail) = signal.as_chunks::<LANES>();
-        let mut finite = true;
-        for lanes in chunks {
-            scan_lanes(lanes, &mut lo, &mut hi, &mut finite);
-        }
-        scan_lanes(tail, &mut lo, &mut hi, &mut finite);
-        if !finite {
-            return Err(SiftError::DegenerateSignal);
-        }
-        let (lo, hi) = (
-            self.code(lo.into_iter().fold(f64::INFINITY, f64::min)),
-            self.code(hi.into_iter().fold(f64::NEG_INFINITY, f64::max)),
-        );
+        let (lo, hi) = dsp::normalize::extremes(signal).ok_or(SiftError::DegenerateSignal)?;
+        let (lo, hi) = (self.code(lo), self.code(hi));
         if hi <= lo {
             return Err(SiftError::DegenerateSignal);
         }
@@ -282,19 +267,6 @@ impl Adc {
         let (lo, hi) = self.extremes(signal)?;
         let (min, span) = (self.level(lo), self.level(hi) - self.level(lo));
         Ok(move |v| (self.level(self.code(v)) - min) / span)
-    }
-}
-
-/// Lanes of [`Adc::extremes`]' scan.
-const LANES: usize = 8;
-
-/// Fold up to [`LANES`] samples into the per-lane minima and maxima,
-/// sample `j` into lane `j`, and clear `finite` if one is NaN or ∞.
-fn scan_lanes(samples: &[f64], lo: &mut [f64; LANES], hi: &mut [f64; LANES], finite: &mut bool) {
-    for ((&v, lo), hi) in samples.iter().zip(lo).zip(hi) {
-        *finite &= v.is_finite();
-        *lo = if v < *lo { v } else { *lo };
-        *hi = if v > *hi { v } else { *hi };
     }
 }
 

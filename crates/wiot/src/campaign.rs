@@ -549,7 +549,8 @@ pub fn run_campaign_chunked(
         .collect();
     let n = plan.population_size;
     let train_s = template.config.train_s;
-    let models = crate::slab::map_ordered(pool.len(), plan.threads, |slot| {
+    let mut models = Vec::with_capacity(pool.len());
+    let enroll = |_: &mut (), slot: usize| {
         let victim = pool[slot];
         let train_seed = device_seed(plan.seed ^ 0x7EA1, victim);
         let victim_rec = Record::synthesize(&subjects[victim], train_s, train_seed);
@@ -571,6 +572,9 @@ pub fn run_campaign_chunked(
             plan.backend,
             &template.config,
         )
+    };
+    crate::slab::ordered_fold(pool.len(), plan.threads, enroll, |_, model| {
+        models.push(model);
     })?;
 
     let spec = FleetSpec {

@@ -709,16 +709,9 @@ impl Reducer {
         }
     }
 
-    /// Close the fold into a [`FleetReport`]. `per_device` is whatever
-    /// the caller kept — every row for [`run_fleet_provisioned`], none
-    /// for a fold-only stream (the aggregates always cover every pushed
-    /// device either way).
-    pub(crate) fn finish(
-        self,
-        seed: u64,
-        duration_s: f64,
-        per_device: Vec<DeviceSummary>,
-    ) -> FleetReport {
+    /// Close the fold into a [`FleetReport`] with no `per_device` rows:
+    /// [`run_fleet_provisioned`] adds the rows it kept.
+    pub(crate) fn finish(self, seed: u64, duration_s: f64) -> FleetReport {
         let devices = self.count;
         FleetReport {
             devices,
@@ -754,7 +747,7 @@ impl Reducer {
             faults: self.faults,
             telemetry: self.telemetry,
             outliers: self.outliers,
-            per_device,
+            per_device: Vec::new(),
         }
     }
 }
@@ -789,7 +782,10 @@ pub fn run_fleet_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
 ) -> Result<FleetReport, WiotError> {
-    crate::slab::run(spec, prov, true).map(|slab| slab.report)
+    let mut rows = Vec::new();
+    let mut report = crate::slab::run(spec, prov, |row| rows.push(row))?.report;
+    report.per_device = rows;
+    Ok(report)
 }
 
 #[cfg(test)]

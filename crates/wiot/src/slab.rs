@@ -1,13 +1,13 @@
 //! Slab-based streaming fleet engine: bounded-memory multiplexing of
 //! arbitrarily many devices over a small worker pool.
 //!
-//! This is the one fleet engine. A fixed pool of workers pulls device
-//! indices from a shared cursor, each worker materializes one device at
-//! a time into its own reusable slab slot, and a single folder thread
-//! retires summaries in device-index order the moment they are
-//! contiguous. [`run_fleet_streamed_provisioned`] keeps nothing after
-//! the fold; [`crate::fleet::run_fleet_provisioned`] drives the same
-//! loop and also moves each retired [`DeviceSummary`] into
+//! This is the one fleet engine. A fixed pool of workers claims device
+//! indices in order, each worker materializes one device at a time into
+//! its own reusable slab slot, and the calling thread retires summaries
+//! in device-index order the moment they are contiguous.
+//! [`run_fleet_streamed_provisioned`] keeps nothing after the fold;
+//! [`crate::fleet::run_fleet_provisioned`] drives the same loop and also
+//! moves each retired [`DeviceSummary`] into
 //! [`FleetReport::per_device`]. Apart from those collected rows,
 //! resident state is O(workers), not O(devices):
 //!
@@ -30,13 +30,21 @@
 //!   worker count, and a collected report's
 //!   [`FleetReport::slab_digest`] equals the streamed digest.
 //!
-//! The lowest-device-index provisioning or simulation error wins,
-//! deterministically. Workers holding lower indices keep running after
-//! an error is recorded (a lower-index error may still surface);
-//! workers claiming indices at or above the recorded error skip out.
+//! The lowest-device-index provisioning or simulation failure wins,
+//! deterministically: an error is returned, a panic is re-raised with
+//! its own payload once every worker has stopped. Workers holding lower
+//! indices keep running after a failure is recorded (a lower-index
+//! failure may still surface); no index is claimed after it.
 //!
-//! `map_ordered` is the crate's other parallel loop, for work that
-//! needs no reorder window: campaign pool enrollment.
+//! The private `ordered_fold` runs this engine and campaign pool
+//! enrollment. Its protocol is the plain state type `Window`: claim,
+//! deliver, fail and advance are transitions with no locks or atomics,
+//! each reporting whether its caller must wait and which condvar to
+//! wake. The threaded shell holds a `Window` under one mutex and waits
+//! only when a transition says it is blocked. The unit test
+//! `every_schedule_keeps_the_window_protocol` runs every interleaving of
+//! those transitions for small folds and checks the order, the window
+//! bound, progress, the wake-ups and the lowest-index failure.
 
 use crate::fleet::{
     digest_device, BankProvisioner, DeviceProvision, DeviceSummary, Digest, FleetProvisioner,
@@ -45,8 +53,9 @@ use crate::fleet::{
 use crate::WiotError;
 use sift::checkpoint::DetectorCheckpoint;
 use sift::trainer::ModelBank;
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
@@ -74,86 +83,229 @@ pub struct SlabReport {
     pub retired_checkpoint_bytes: u64,
 }
 
-/// Reorder buffer between unordered workers and the in-order folder.
-struct FoldState {
-    /// Finished summaries waiting to become contiguous, plus each
-    /// device's retired-checkpoint byte count.
-    pending: BTreeMap<usize, (DeviceSummary, u64)>,
-    /// Next device index the folder will retire.
+/// The ordered fold's protocol between claiming workers and the one
+/// in-order folder, without threads. Each method is one transition,
+/// made while the shell holds its mutex.
+#[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
+struct Window<T, F> {
+    /// Indices `0..n` are run.
+    n: usize,
+    /// Most indices claimed and not yet taken by the folder.
+    window: usize,
+    /// Next index to claim; every lower one is claimed.
+    cursor: usize,
+    /// Next index to fold; every lower one is taken.
     next_fold: usize,
-    /// Lowest-index error seen so far.
-    error: Option<(usize, WiotError)>,
-    /// Largest `pending.len()` ever observed.
+    /// Delivered values waiting to become contiguous.
+    pending: BTreeMap<usize, T>,
+    /// Lowest failing index so far, with its failure.
+    failure: Option<(usize, F)>,
+    /// Largest `pending.len()` ever reached.
     high_water: usize,
 }
 
-/// Everything the workers and the folder share.
-struct Shared {
-    /// Monotone device-claim cursor.
-    cursor: AtomicUsize,
-    fold: Mutex<FoldState>,
-    /// Workers wait here for the claim window to reach their index (or
-    /// for an error at or below it).
-    can_claim: Condvar,
-    /// The folder waits here for the next contiguous summary (or an
-    /// error at exactly `next_fold`).
-    ready: Condvar,
-    window_cap: usize,
+/// The condvars a transition may have unblocked: claimers wait for the
+/// window to move, the folder for its next index.
+#[derive(Clone, Copy, Default)]
+struct Wake {
+    claimers: bool,
+    folder: bool,
 }
 
-/// What a worker learned while waiting for its claim window.
+/// A worker's claim.
 enum Claim {
-    /// The window reached this index: simulate the device.
-    Proceed,
-    /// An error at or below this index makes the result irrelevant.
-    Skip,
+    Run(usize),
+    /// The window is full: wait for the folder to advance.
+    Wait,
+    /// Every index is claimed, or a failure ended the run.
+    Exit,
 }
 
-impl Shared {
-    /// Block until device `i` is inside the claim window. Bounds the
-    /// reorder buffer: `i < next_fold + window_cap` at proceed time,
-    /// and `next_fold` only grows, so every pending index stays within
-    /// `window_cap` of the fold frontier.
-    fn wait_for_window(&self, i: usize) -> Claim {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
+/// Where the folder goes next.
+enum Next<T> {
+    Fold(usize, T),
+    /// The next index is not delivered yet.
+    Wait,
+    /// Every index is folded, or the next one failed.
+    End,
+}
+
+impl<T, F> Window<T, F> {
+    fn new(n: usize, window: usize) -> Self {
+        Self {
+            n,
+            window,
+            cursor: 0,
+            next_fold: 0,
+            pending: BTreeMap::new(),
+            failure: None,
+            high_water: 0,
+        }
+    }
+
+    /// Whether a failure below index `i` is recorded.
+    fn failed_below(&self, i: usize) -> bool {
+        self.failure.as_ref().is_some_and(|(f, _)| *f < i)
+    }
+
+    /// Claim the next index once it is inside the window. Only claimed,
+    /// untaken indices are pending, and `next_fold` only grows, so
+    /// admission below `next_fold + window` keeps `pending ≤ window`.
+    /// After a failure no claim is needed: every lower index is claimed.
+    fn claim(&mut self) -> Claim {
+        if self.failure.is_some() || self.cursor == self.n {
+            Claim::Exit
+        } else if self.cursor < self.next_fold + self.window {
+            self.cursor += 1;
+            Claim::Run(self.cursor - 1)
+        } else {
+            Claim::Wait
+        }
+    }
+
+    /// Index `i`'s value; dropped if a lower failure means it never folds.
+    fn deliver(&mut self, i: usize, value: T) -> Wake {
+        if !self.failed_below(i) {
+            self.pending.insert(i, value);
+            self.high_water = self.high_water.max(self.pending.len());
+        }
+        Wake {
+            claimers: false,
+            folder: i == self.next_fold,
+        }
+    }
+
+    /// Index `i` failed; the lowest failing index wins and drops the
+    /// pending values above it.
+    fn fail(&mut self, i: usize, failure: F) -> Wake {
+        if self.failed_below(i) {
+            return Wake::default();
+        }
+        self.failure = Some((i, failure));
+        self.pending.split_off(&i);
+        Wake {
+            claimers: true,
+            folder: i == self.next_fold,
+        }
+    }
+
+    /// Hand the folder the next index in order, freeing its window slot.
+    /// The run ends at `n`, or at a failure at or below `next_fold`.
+    fn advance(&mut self) -> (Next<T>, Wake) {
+        if self.next_fold == self.n || self.failed_below(self.next_fold + 1) {
+            return (Next::End, Wake::default());
+        }
+        let Some(value) = self.pending.remove(&self.next_fold) else {
+            return (Next::Wait, Wake::default());
+        };
+        self.next_fold += 1;
+        let wake = Wake {
+            claimers: true,
+            folder: false,
+        };
+        (Next::Fold(self.next_fold - 1, value), wake)
+    }
+}
+
+/// Why an index failed: `f`'s error, or its panic's payload.
+enum Failure<E> {
+    Error(E),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// The window an [`ordered_fold`] ran with.
+pub(crate) struct WindowStats {
+    /// Worker threads used.
+    pub(crate) workers: usize,
+    /// Most indices claimed and not yet folded (`workers × 4`).
+    pub(crate) window: usize,
+    /// Most values that were ever waiting to be folded.
+    pub(crate) high_water: usize,
+}
+
+/// `f` over `0..n` on `threads` scoped workers (at least one, at most
+/// `n`), each value passed to `fold` on the caller's thread, outside the
+/// lock, in index order. Each worker makes its scratch `S` once and
+/// hands it to every `f` call it runs.
+///
+/// The lowest failing index decides the result: its error is returned,
+/// or its panic re-raised with the panic's own payload once every
+/// worker has stopped; nothing at or above it is folded. For an `f`
+/// whose result depends only on its index, the result is the same at
+/// any thread count.
+pub(crate) fn ordered_fold<S: Default, T: Send, E: Send>(
+    n: usize,
+    threads: usize,
+    f: impl Fn(&mut S, usize) -> Result<T, E> + Sync,
+    mut fold: impl FnMut(usize, T),
+) -> Result<WindowStats, E> {
+    let workers = threads.clamp(1, n.max(1));
+    let window = workers * 4;
+    let state = Mutex::new(Window::new(n, window));
+    let (claimable, ready) = (Condvar::new(), Condvar::new());
+    // No transition panics, so a poisoned lock still holds a whole state.
+    let lock = || state.lock().unwrap_or_else(PoisonError::into_inner);
+    let wake = |w: Wake| {
+        if w.claimers {
+            claimable.notify_all();
+        }
+        if w.folder {
+            ready.notify_one();
+        }
+    };
+    let worker = || {
+        let mut scratch = S::default();
+        let mut st = lock();
         loop {
-            if let Some((e, _)) = &st.error {
-                if *e <= i {
-                    return Claim::Skip;
+            let i = match st.claim() {
+                Claim::Run(i) => i,
+                Claim::Wait => {
+                    st = claimable.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    continue;
                 }
+                Claim::Exit => return,
+            };
+            drop(st);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i)));
+            st = lock();
+            wake(match outcome {
+                Ok(Ok(value)) => st.deliver(i, value),
+                Ok(Err(e)) => st.fail(i, Failure::Error(e)),
+                Err(payload) => st.fail(i, Failure::Panic(payload)),
+            });
+        }
+    };
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(worker);
+        }
+        let mut st = lock();
+        loop {
+            let (next, w) = st.advance();
+            wake(w);
+            match next {
+                Next::Fold(i, value) => {
+                    drop(st);
+                    let folded = panic::catch_unwind(AssertUnwindSafe(|| fold(i, value)));
+                    st = lock();
+                    if let Err(payload) = folded {
+                        wake(st.fail(i, Failure::Panic(payload)));
+                    }
+                }
+                Next::Wait => st = ready.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Next::End => break,
             }
-            if i < st.next_fold + self.window_cap {
-                return Claim::Proceed;
-            }
-            st = self.can_claim.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Deliver device `i`'s summary to the folder.
-    fn deliver(&self, i: usize, summary: DeviceSummary, retired_bytes: u64) {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
-        // A result at or above a recorded error will never be folded.
-        let dead = st.error.as_ref().is_some_and(|(e, _)| *e <= i);
-        if !dead {
-            st.pending.insert(i, (summary, retired_bytes));
-            st.high_water = st.high_water.max(st.pending.len());
-        }
-        self.ready.notify_all();
-    }
-
-    /// Record device `i`'s error; the lowest index wins.
-    fn fail(&self, i: usize, err: WiotError) {
-        let mut st = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
-        let lower = st.error.as_ref().is_none_or(|(e, _)| i < *e);
-        if lower {
-            st.error = Some((i, err));
-            // Results above the error are dead weight; drop them now.
-            st.pending.split_off(&i);
-        }
-        // Wake everyone: waiting claimants may now skip, and the folder
-        // may now be looking at the erroring index.
-        self.can_claim.notify_all();
-        self.ready.notify_all();
+    });
+    let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    match st.failure {
+        None => Ok(WindowStats {
+            workers,
+            window,
+            high_water: st.high_water,
+        }),
+        Some((_, Failure::Error(e))) => Err(e),
+        Some((_, Failure::Panic(payload))) => panic::resume_unwind(payload),
     }
 }
 
@@ -199,49 +351,6 @@ fn run_one(
     Ok((summary, out as u64))
 }
 
-/// Fails its device if the worker unwinds while simulating it, so the
-/// folder stops waiting for that device and the scope re-raises the
-/// panic instead of hanging.
-struct FailOnUnwind<'a> {
-    shared: &'a Shared,
-    device: usize,
-}
-
-impl Drop for FailOnUnwind<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            let reason = "device simulation panicked";
-            self.shared
-                .fail(self.device, WiotError::InvalidScenario { reason });
-        }
-    }
-}
-
-/// Worker loop: claim the next device index, wait for the window,
-/// simulate, deliver. Exits when the cursor passes the fleet or an
-/// error makes its remaining claims irrelevant.
-fn worker(spec: &FleetSpec, prov: &dyn FleetProvisioner, shared: &Shared) {
-    let mut slot = Vec::new();
-    loop {
-        let device = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if device >= spec.devices {
-            return;
-        }
-        match shared.wait_for_window(device) {
-            Claim::Skip => return,
-            Claim::Proceed => {}
-        }
-        let _unwind = FailOnUnwind { shared, device };
-        match run_one(spec, prov, device, &mut slot) {
-            Ok((summary, bytes)) => shared.deliver(device, summary, bytes),
-            Err(e) => {
-                shared.fail(device, e);
-                return;
-            }
-        }
-    }
-}
-
 /// Run a fleet through the streaming slab engine with an arbitrary
 /// [`FleetProvisioner`]. Aggregates (and [`SlabReport::slab_digest`])
 /// are bit-identical at any worker count; the per-device vector is
@@ -255,104 +364,44 @@ pub fn run_fleet_streamed_provisioned(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
 ) -> Result<SlabReport, WiotError> {
-    run(spec, prov, false)
+    run(spec, prov, drop)
 }
 
-/// The engine behind both fleet entry points. With `keep_rows` the
-/// folder moves each summary into the report's `per_device` after
-/// folding it ([`crate::fleet::run_fleet_provisioned`]); without it the
-/// summary is dropped.
+/// The engine behind both fleet entry points: each device's summary is
+/// folded into the digest and aggregates in index order, then handed to
+/// `retire` ([`crate::fleet::run_fleet_provisioned`] keeps it as a row).
 pub(crate) fn run(
     spec: &FleetSpec,
     prov: &dyn FleetProvisioner,
-    keep_rows: bool,
+    mut retire: impl FnMut(DeviceSummary),
 ) -> Result<SlabReport, WiotError> {
     if spec.devices == 0 {
         return Err(WiotError::InvalidScenario {
             reason: "fleet must have at least one device",
         });
     }
-    let workers = spec.threads.clamp(1, spec.devices);
-    let window_cap = workers * 4;
-    let shared = Shared {
-        cursor: AtomicUsize::new(0),
-        fold: Mutex::new(FoldState {
-            pending: BTreeMap::new(),
-            next_fold: 0,
-            error: None,
-            high_water: 0,
-        }),
-        can_claim: Condvar::new(),
-        ready: Condvar::new(),
-        window_cap,
-    };
-
     let mut digest = Digest::new();
     let mut reducer = Reducer::new();
     let mut retired_checkpoint_bytes = 0u64;
-    let mut rows = Vec::new();
-    let mut failure: Option<WiotError> = None;
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker(spec, prov, &shared));
-        }
-        // The scope's own thread is the folder: retire summaries in
-        // strict index order, folding digest and aggregates, keeping
-        // nothing after the fold unless rows are collected.
-        let mut next = 0usize;
-        while next < spec.devices {
-            let entry = {
-                let mut st = shared.fold.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if st.error.as_ref().is_some_and(|(e, _)| *e == next) {
-                        break None;
-                    }
-                    if let Some(entry) = st.pending.remove(&next) {
-                        st.next_fold = next + 1;
-                        // The claim window just moved: wake waiters.
-                        shared.can_claim.notify_all();
-                        break Some(entry);
-                    }
-                    st = shared.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            match entry {
-                Some((summary, bytes)) => {
-                    // Outside the lock: fold and retire.
-                    digest_device(&mut digest, &summary);
-                    reducer.push(&summary);
-                    retired_checkpoint_bytes += bytes;
-                    if keep_rows {
-                        rows.push(summary);
-                    }
-                    next += 1;
-                }
-                None => {
-                    let st = shared.fold.lock().unwrap_or_else(PoisonError::into_inner);
-                    failure = st.error.as_ref().map(|(_, e)| e.clone());
-                    break;
-                }
-            }
-        }
-    });
-
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let high_water = shared
-        .fold
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .high_water;
-    let report = reducer.finish(spec.seed, spec.template.duration_s, rows);
+    let window = ordered_fold(
+        spec.devices,
+        spec.threads,
+        |slot, device| run_one(spec, prov, device, slot),
+        |_, (summary, bytes)| {
+            digest_device(&mut digest, &summary);
+            reducer.push(&summary);
+            retired_checkpoint_bytes += bytes;
+            retire(summary);
+        },
+    )?;
+    let report = reducer.finish(spec.seed, spec.template.duration_s);
     digest.usize(report.devices);
     report.digest_aggregates_into(&mut digest);
     Ok(SlabReport {
         slab_digest: digest.0,
-        workers,
-        window_cap,
-        pending_high_water: high_water,
+        workers: window.workers,
+        window_cap: window.window,
+        pending_high_water: window.high_water,
         retired_checkpoint_bytes,
         report,
     })
@@ -371,57 +420,12 @@ pub fn run_fleet_streamed(spec: &FleetSpec, models: &ModelBank) -> Result<SlabRe
     run_fleet_streamed_provisioned(spec, &BankProvisioner::for_spec(spec, models)?)
 }
 
-/// `f` over `0..n` on `threads` scoped workers (capped at `n`), the
-/// results in index order; or the lowest-index error, whatever the
-/// thread count, for an `f` whose result depends only on its index.
-/// Workers claim indices from a shared cursor and stop
-/// at their first error: every lower index was claimed before it, so
-/// every lower index is run. A worker's panic is re-raised on the
-/// caller once the other workers finish their claims.
-pub(crate) fn map_ordered<T: Send, E: Send>(
-    n: usize,
-    threads: usize,
-    f: impl Fn(usize) -> Result<T, E> + Sync,
-) -> Result<Vec<T>, E> {
-    let cursor = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            // Relaxed: the cursor only hands out indices; results reach
-            // the caller through the join.
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            let result = f(i);
-            let failed = result.is_err();
-            done.push((i, result));
-            if failed {
-                return done;
-            }
-        }
-    };
-    let mut done: Vec<(usize, Result<T, E>)> = thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.clamp(1, n.max(1)))
-            .map(|_| scope.spawn(claim))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| {
-                w.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::{run_fleet_provisioned, run_fleet_with_bank, FleetSpec};
     use physio_sim::subject::bank;
+    use std::collections::HashSet;
 
     fn trained_bank(spec: &FleetSpec) -> ModelBank {
         ModelBank::train(
@@ -485,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "provisioning bug")]
     fn a_panicking_device_fails_the_run_instead_of_hanging() {
         struct Panics;
         impl FleetProvisioner for Panics {
@@ -493,7 +497,7 @@ mod tests {
                 panic!("provisioning bug");
             }
         }
-        let _ = run(&FleetSpec::new(3, 9.0).with_threads(2), &Panics, false);
+        let _ = run(&FleetSpec::new(3, 9.0).with_threads(2), &Panics, drop);
     }
 
     #[test]
@@ -552,29 +556,191 @@ mod tests {
     }
 
     #[test]
-    fn map_ordered_keeps_index_order_at_any_thread_count() {
+    fn ordered_fold_keeps_index_order_at_any_thread_count() {
         for threads in [0, 1, 2, 3, 7, 16] {
-            let out: Result<Vec<usize>, ()> = map_ordered(7, threads, |i| Ok(i * i));
-            assert_eq!(out, Ok(vec![0, 1, 4, 9, 16, 25, 36]), "{threads} threads");
+            let mut out = Vec::new();
+            let window = ordered_fold(
+                7,
+                threads,
+                |_: &mut (), i| Ok::<_, ()>(i * i),
+                |i, v| {
+                    out.push((i, v));
+                },
+            )
+            .unwrap();
+            let squares: Vec<_> = (0..7).map(|i| (i, i * i)).collect();
+            assert_eq!(out, squares, "{threads} threads");
+            assert_eq!(window.workers, threads.clamp(1, 7));
+            assert!(window.high_water <= window.window);
         }
-        let none: Result<Vec<u8>, ()> = map_ordered(0, 4, |_| Ok(0));
-        assert_eq!(none, Ok(vec![]));
+        let mut none: Vec<u8> = Vec::new();
+        let window = ordered_fold(0, 4, |_: &mut (), _| Ok::<_, ()>(0), |_, v| none.push(v));
+        assert_eq!(window.map(|w| w.workers), Ok(1));
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn map_ordered_returns_the_lowest_index_error() {
+    fn ordered_fold_returns_the_lowest_index_error() {
         for threads in [1, 2, 3, 8] {
-            let out = map_ordered(9, threads, |i| if i % 4 == 2 { Err(i) } else { Ok(i) });
-            assert_eq!(out, Err(2), "{threads} threads");
+            let mut folded = Vec::new();
+            let f = |_: &mut (), i| if i % 4 == 2 { Err(i) } else { Ok(i) };
+            let out = ordered_fold(9, threads, f, |_, v| folded.push(v));
+            assert_eq!(out.map(|_| ()), Err(2), "{threads} threads");
+            assert_eq!(folded, [0, 1], "{threads} threads");
         }
     }
 
     #[test]
     #[should_panic(expected = "enrollment 3 panicked")]
-    fn map_ordered_reraises_a_worker_panic() {
-        let _ = map_ordered(6, 2, |i| -> Result<usize, ()> {
-            assert!(i != 3, "enrollment {i} panicked");
-            Ok(i)
-        });
+    fn ordered_fold_reraises_the_lowest_index_panic() {
+        // Every index from 3 up panics; the lowest one's payload wins.
+        let _ = ordered_fold(
+            6,
+            2,
+            |_: &mut (), i| -> Result<usize, ()> {
+                assert!(i < 3, "enrollment {i} panicked");
+                Ok(i)
+            },
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fold 3 panicked")]
+    fn ordered_fold_reraises_a_fold_panic() {
+        // More indices than the window: blocked claimers must be released.
+        let _ = ordered_fold(
+            20,
+            2,
+            |_: &mut (), i| Ok::<_, ()>(i),
+            |i, _| assert!(i < 3, "fold {i} panicked"),
+        );
+    }
+
+    /// One thread of the checker's model, by the transition it makes next.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Actor {
+        /// The folder, about to advance.
+        Taking,
+        /// A worker, about to claim.
+        Claiming,
+        /// A worker that ran index `i`, about to deliver or fail it.
+        Ran(usize),
+        /// Waiting on its condvar (the folder's or the claimers') until
+        /// a transition wakes that condvar, then retrying.
+        Blocked,
+        Done,
+    }
+
+    /// Every schedule of `workers` claimers and one folder over `0..n`
+    /// with the given window, index `fails` (if any) failing: returns
+    /// the number of distinct states reached.
+    fn check_every_schedule(
+        n: usize,
+        workers: usize,
+        window: usize,
+        fails: Option<usize>,
+    ) -> usize {
+        let case = format!("n {n}, {workers} workers, window {window}, fails {fails:?}");
+        let mut actors = vec![Actor::Taking];
+        actors.resize(workers + 1, Actor::Claiming);
+        let mut todo = vec![(Window::<usize, ()>::new(n, window), actors)];
+        let mut seen = HashSet::new();
+        while let Some((st, actors)) = todo.pop() {
+            if !seen.insert((st.clone(), actors.clone())) {
+                continue;
+            }
+            assert!(
+                st.pending.len() <= window,
+                "pending over the window: {case}"
+            );
+            // A blocked actor whose retry would now go ahead missed its wake-up.
+            for (a, actor) in actors.iter().enumerate() {
+                if *actor == Actor::Blocked {
+                    let mut retry = st.clone();
+                    let blocked = if a == 0 {
+                        matches!(retry.advance().0, Next::Wait)
+                    } else {
+                        matches!(retry.claim(), Claim::Wait)
+                    };
+                    assert!(blocked, "actor {a} was not woken: {case}");
+                }
+            }
+            let movable: Vec<usize> = (0..actors.len())
+                .filter(|&a| !matches!(actors[a], Actor::Blocked | Actor::Done))
+                .collect();
+            if movable.is_empty() {
+                assert!(
+                    actors.iter().all(|a| *a == Actor::Done),
+                    "nothing can move: {case}"
+                );
+                // Every index below the failure folded, nothing above it.
+                assert_eq!(st.next_fold, fails.unwrap_or(n), "{case}");
+                assert_eq!(st.failure.map(|(i, ())| i), fails, "{case}");
+                continue;
+            }
+            for a in movable {
+                let (mut st, mut actors) = (st.clone(), actors.clone());
+                let wake = match actors[a] {
+                    Actor::Taking => {
+                        let (next, wake) = st.advance();
+                        actors[a] = match next {
+                            Next::Fold(i, value) => {
+                                assert_eq!((i, value), (st.next_fold - 1, i), "{case}");
+                                assert!(fails.is_none_or(|f| i < f), "folded {i}: {case}");
+                                Actor::Taking
+                            }
+                            Next::Wait => Actor::Blocked,
+                            Next::End => Actor::Done,
+                        };
+                        wake
+                    }
+                    Actor::Claiming => {
+                        actors[a] = match st.claim() {
+                            Claim::Run(i) => Actor::Ran(i),
+                            Claim::Wait => Actor::Blocked,
+                            Claim::Exit => Actor::Done,
+                        };
+                        Wake::default()
+                    }
+                    Actor::Ran(i) => {
+                        actors[a] = Actor::Claiming;
+                        if fails == Some(i) {
+                            st.fail(i, ())
+                        } else {
+                            st.deliver(i, i)
+                        }
+                    }
+                    Actor::Blocked | Actor::Done => unreachable!(),
+                };
+                if actors[0] == Actor::Blocked && wake.folder {
+                    actors[0] = Actor::Taking;
+                }
+                for actor in &mut actors[1..] {
+                    if *actor == Actor::Blocked && wake.claimers {
+                        *actor = Actor::Claiming;
+                    }
+                }
+                todo.push((st, actors));
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn every_schedule_keeps_the_window_protocol() {
+        // A panic reaches the state as a failure like an error does, so
+        // one failing index covers both.
+        let mut states = 0;
+        for n in 0..=6 {
+            for workers in 1..=3 {
+                for window in 1..=workers * 4 {
+                    for fails in std::iter::once(None).chain((0..n).map(Some)) {
+                        states += check_every_schedule(n, workers, window, fails);
+                    }
+                }
+            }
+        }
+        assert!(states > 100_000, "{states} states");
     }
 }
