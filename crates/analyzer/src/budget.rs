@@ -99,8 +99,8 @@ impl FlavorFootprint {
     }
 }
 
-/// Exact serialized model size for a flavor, mirroring
-/// `ml::embedded::EmbeddedModel::footprint_bytes` (magic + version +
+/// Exact serialized model size for a flavor, mirroring the SVM's
+/// `DetectorBackend::footprint_bytes` (magic + version +
 /// u32 dim + f32 weights/means/scales/bias + CRC-32 trailer) without
 /// training a model.
 pub fn model_bytes(version: Version) -> usize {
@@ -280,13 +280,30 @@ pub fn budget_findings(footprints: &[FlavorFootprint]) -> Vec<Finding> {
 /// embedded entry point's chain must fit next to the worst flavor's
 /// static SRAM demand. On the MSP430 the stack and app statics share
 /// the same 2 KB, so the check is `statics + max stack <= SRAM_BYTES`.
+/// A row of the entry-point table that matches no definition or several
+/// fails too: its stack would otherwise drop out of the certificate.
 pub fn stack_findings(footprints: &[FlavorFootprint], stack: &StackReport) -> Vec<Finding> {
     let worst_statics = footprints
         .iter()
         .map(FlavorFootprint::total_sram_bytes)
         .max()
         .unwrap_or(0);
-    let mut out = Vec::new();
+    let mut out: Vec<Finding> = stack
+        .unresolved
+        .iter()
+        .map(|(ep, matches)| {
+            Finding::new(
+                "budget-entry-unresolved",
+                "<budget>",
+                0,
+                format!(
+                    "entry point {} (fn `{}` of `{}` in {}) matches {} definitions, not one; \
+                     its stack would go uncertified: fix the ENTRY_POINTS row",
+                    ep.label, ep.name, ep.owner, ep.file, matches,
+                ),
+            )
+        })
+        .collect();
     for e in &stack.entries {
         let total = worst_statics + e.stack_bytes;
         if total > SRAM_BYTES {
@@ -558,6 +575,7 @@ mod tests {
                 frames: 2,
                 chain: vec![label.to_string(), "helper".to_string()],
             }],
+            ..StackReport::default()
         }
     }
 

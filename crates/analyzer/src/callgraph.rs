@@ -79,6 +79,10 @@ pub struct EntryPoint {
     pub label: &'static str,
 }
 
+/// The file that holds [`ENTRY_POINTS`]: a file set that contains it is
+/// the workspace, where every row must match exactly one definition.
+const ENTRY_TABLE_FILE: &str = "crates/analyzer/src/callgraph.rs";
+
 /// The embedded entry points whose worst-case stack the analyzer
 /// certifies. Order is report order.
 pub const ENTRY_POINTS: &[EntryPoint] = &[
@@ -246,6 +250,10 @@ pub struct EntryStack {
 pub struct StackReport {
     /// One certificate per resolved entry point, in table order.
     pub entries: Vec<EntryStack>,
+    /// The [`ENTRY_POINTS`] rows that match no definition or several,
+    /// with their match counts, when the file set holds the table. The
+    /// budget pass fails the run on each.
+    pub(crate) unresolved: Vec<(EntryPoint, usize)>,
 }
 
 /// Everything the interprocedural pass produces.
@@ -1265,15 +1273,19 @@ fn recursion_findings(
     out
 }
 
-/// The definition of entry point `ep`, when the workspace has it.
-fn entry_fn(graph: &Graph, ep: &EntryPoint) -> Option<usize> {
-    graph.fns.iter().position(|d| {
-        !d.in_test
-            && d.has_body
-            && d.name == ep.name
-            && d.owner.as_deref() == Some(ep.owner)
-            && graph.paths[d.file] == ep.file
-    })
+/// Every definition matching entry point `ep`: exactly one in a sound
+/// workspace, none in a fixture file set that lacks the entry's file.
+fn entry_defs(graph: &Graph, ep: &EntryPoint) -> Vec<usize> {
+    (0..graph.fns.len())
+        .filter(|&f| {
+            let d = &graph.fns[f];
+            !d.in_test
+                && d.has_body
+                && d.name == ep.name
+                && d.owner.as_deref() == Some(ep.owner)
+                && graph.paths[d.file] == ep.file
+        })
+        .collect()
 }
 
 /// Longest-path stack certificates over the SCC condensation, plus the
@@ -1333,8 +1345,16 @@ fn stack_report(
 
     let mut entries = Vec::new();
     let mut entry_fns: Vec<(usize, usize)> = Vec::new(); // (entry idx, fn idx)
+    // Every row must resolve in the tree that holds this table; a
+    // fixture file set without it lacks the entry files too.
+    let holds_table = graph.paths.iter().any(|p| p == ENTRY_TABLE_FILE);
+    let mut unresolved = Vec::new();
     for (e_idx, ep) in ENTRY_POINTS.iter().enumerate() {
-        let Some(f) = entry_fn(graph, ep) else {
+        let found = entry_defs(graph, ep);
+        let [f] = found[..] else {
+            if holds_table {
+                unresolved.push((*ep, found.len()));
+            }
             continue;
         };
         entry_fns.push((e_idx, f));
@@ -1385,7 +1405,7 @@ fn stack_report(
             }
         }
     }
-    (StackReport { entries }, reach)
+    (StackReport { entries, unresolved }, reach)
 }
 
 fn panic_findings(
@@ -1456,7 +1476,7 @@ fn unreached_findings(graph: &Graph) -> Vec<Finding> {
             let d = &graph.fns[f];
             !d.in_test && (d.name.is_empty() || is_root_file(d.file))
         })
-        .chain(ENTRY_POINTS.iter().filter_map(|ep| entry_fn(graph, ep)))
+        .chain(ENTRY_POINTS.iter().flat_map(|ep| entry_defs(graph, ep)))
         .collect();
     while let Some(v) = work.pop() {
         if !reached[v] {

@@ -245,6 +245,13 @@ pub const RULES: &[RuleDef] = &[
                   statics + stack past the Amulet's 2 KB SRAM",
     },
     RuleDef {
+        id: "budget-entry-unresolved",
+        severity: Severity::Error,
+        pass: Pass::Budget,
+        summary: "a row of the certified entry-point table matches no function or several, \
+                  so its worst-case stack would drop out of the certificate",
+    },
+    RuleDef {
         id: "cg-recursion",
         severity: Severity::Error,
         pass: Pass::CallGraph,

@@ -3,7 +3,7 @@
 //! a clean one. The fixtures live under `tests/fixtures/` and are lexed
 //! by the analyzer, never compiled.
 
-use analyzer::budget::{budget_findings, compute_footprints};
+use analyzer::budget::{budget_findings, compute_footprints, stack_findings};
 use analyzer::rules::{Finding, Severity};
 use analyzer::{analyze_source, analyze_sources, Options};
 use sift::config::SiftConfig;
@@ -290,6 +290,45 @@ fn local_bindings_shadow_workspace_fns() {
     let (chain, panics) = analyze(&CG_LOCAL_SHADOW.replace("apply(scan:", "apply(f:"));
     assert_eq!(chain, ["SurvivalPolicy::step", "apply", "scan"]);
     assert_eq!(panics, 1);
+}
+
+#[test]
+fn every_entry_row_must_match_exactly_one_fn() {
+    // The survival entry's file defines `SurvivalPolicy::step` once or
+    // twice; no other entry's file is in the set. The rows are judged
+    // only when the set holds the file of the entry-point table.
+    let step = "pub struct SurvivalPolicy;\nimpl SurvivalPolicy {\n    pub fn step(&mut self) {}\n}\n";
+    let twice = format!("{step}impl SurvivalPolicy {{\n    pub fn step(&self) {{}}\n}}\n");
+    let opts = Options {
+        deny_warnings: true,
+        run_budget: false,
+    };
+    let unresolved = |survival: &str, with_table: bool| -> (Vec<String>, usize) {
+        let mut sources = vec![("crates/wiot/src/survival.rs".to_string(), survival.to_string())];
+        if with_table {
+            sources.push(("crates/analyzer/src/callgraph.rs".to_string(), String::new()));
+        }
+        let analysis = analyze_sources(&sources, &opts);
+        let messages = stack_findings(&[], &analysis.stack)
+            .into_iter()
+            .filter(|f| f.rule == "budget-entry-unresolved" && f.severity == Severity::Error)
+            .map(|f| f.message)
+            .collect();
+        (messages, analysis.stack.entries.len())
+    };
+    let (found, certified) = unresolved(&twice, true);
+    assert_eq!((found.len(), certified), (6, 0));
+    let ambiguous: Vec<_> = found.iter().filter(|m| m.contains("SurvivalPolicy::step")).collect();
+    assert_eq!(ambiguous.len(), 1);
+    assert!(ambiguous[0].contains("matches 2 definitions"), "{}", ambiguous[0]);
+    assert_eq!(found.iter().filter(|m| m.contains("matches 0 definitions")).count(), 5);
+    // Defined once, the row resolves and is certified.
+    let (found, certified) = unresolved(step, true);
+    assert_eq!((found.len(), certified), (5, 1));
+    assert!(found.iter().all(|m| !m.contains("SurvivalPolicy::step")));
+    // A fixture set without the table is not judged.
+    assert_eq!(unresolved(&twice, false), (vec![], 0));
+    assert_eq!(unresolved(step, false), (vec![], 1));
 }
 
 #[test]

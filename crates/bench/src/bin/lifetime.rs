@@ -45,7 +45,7 @@ use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::flavor::PlatformFlavor;
 use std::process::ExitCode;
-use wiot::adaptive::{version_index, BatteryLoop, DrawTable};
+use wiot::adaptive::{BatteryLoop, DrawTable};
 use wiot::channel::LossModel;
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
 use wiot::survival::{SurvivalConfig, SurvivalPolicy};
@@ -322,7 +322,7 @@ fn run() -> Result<(), Failure> {
     let rows = run_table2(scale, &[PlatformFlavor::Amulet]).context("accuracy evaluation failed")?;
     let mut version_acc = [0.0f64; 3];
     for row in &rows {
-        version_acc[version_index(row.version)] = row.result.averaged.accuracy;
+        version_acc[row.version.index()] = row.result.averaged.accuracy;
     }
     let weighted_acc: f64 = version_acc
         .iter()

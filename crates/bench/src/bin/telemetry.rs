@@ -36,7 +36,6 @@ use sift::features::Version;
 use std::process::ExitCode;
 use std::time::Instant;
 use telemetry::{CounterId, Stage, Telemetry};
-use wiot::adaptive::version_index;
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
 use wiot::scenario::Scenario;
 
@@ -128,7 +127,7 @@ fn run() -> Result<(), Failure> {
     };
     let tables = sweep.run(|&version| {
         let mut scenario = Scenario::new(0, version, 30.0);
-        scenario.seed = 0xC0FFEE + version_index(version) as u64;
+        scenario.seed = 0xC0FFEE + version.index() as u64;
         let tele = traced_session(&scenario)?;
         let model = detector_cycles(version, &scenario.config, &OpCosts::default(), 4.0);
         let window_s = scenario.config.window_s;

@@ -1,11 +1,15 @@
 //! The detector zoo's backend surface: one trait, one deployable enum.
 //!
 //! [`DetectorBackend`] is the contract every on-device classifier
-//! family implements — score, batch-score (bit-equal to scalar),
-//! footprint, and the heap-free checkpoint codec entry point.
-//! [`DetectorModel`] is the deployable sum type the rest of the stack
-//! (apps, checkpoints, persistence, fleet sink) carries, so adding a
-//! backend touches this file and nothing structural downstream.
+//! family implements — score, batch-score (bit-equal to scalar), label,
+//! footprint, and the heap-free checkpoint codec entry point. It is the
+//! only definition of each operation: a backend implements it in its
+//! own module ([`crate::embedded`], [`crate::tsetlin`]), under that
+//! module's analyzer profile, with no inherent twin and no default body
+//! to fall back on. [`DetectorModel`] is the deployable sum type the
+//! rest of the stack (apps, checkpoints, persistence, fleet sink)
+//! carries, so adding a backend is one impl in its module and one
+//! variant here, and nothing structural downstream.
 //!
 //! Decoding dispatches on the leading magic bytes: `SIFTMDL` blobs are
 //! SVM model codec v2, `SIFTTSM` blobs are Tsetlin codec v1. A blob
@@ -75,97 +79,31 @@ pub trait DetectorBackend {
     /// [`MlError::DimensionMismatch`] when `batch.len()` is not a
     /// multiple of `dim()` — the batch cannot be split into whole
     /// feature rows.
-    fn score_batch_f32(&self, batch: &[f32]) -> Result<Vec<f32>, MlError> {
-        let dim = self.dim();
-        if dim == 0 || !batch.len().is_multiple_of(dim) {
-            return Err(MlError::DimensionMismatch {
-                expected: dim,
-                actual: batch.len(),
-            });
-        }
-        Ok(batch
-            .chunks_exact(dim)
-            .map(|row| self.score_f32(row))
-            .collect())
-    }
+    fn score_batch_f32(&self, batch: &[f32]) -> Result<Vec<f32>, MlError>;
 
     /// Exact serialized size in bytes (FRAM contribution).
     fn footprint_bytes(&self) -> usize;
 
-    /// Heap-free serialization into a caller-provided buffer.
+    /// Heap-free serialization into a caller-provided buffer, returning
+    /// the bytes written (always `footprint_bytes()`).
     ///
     /// # Errors
     ///
-    /// [`MlError::MalformedModel`] when `out` is too small.
+    /// [`MlError::MalformedModel`] when `out` is too small; nothing is
+    /// written in that case.
     fn encode_into(&self, out: &mut [u8]) -> Result<usize, MlError>;
 
-    /// Hard label by decision sign.
-    fn predict_f32(&self, x: &[f32]) -> Label {
-        if self.score_f32(x) > 0.0 {
-            Label::Positive
-        } else {
-            Label::Negative
-        }
-    }
-}
+    /// Hard label by decision sign: `Positive` exactly when the score
+    /// is above zero, as [`Label::from_sign`] reads it.
+    fn predict_f32(&self, x: &[f32]) -> Label;
 
-impl DetectorBackend for EmbeddedModel {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Svm
-    }
-
-    fn dim(&self) -> usize {
-        EmbeddedModel::dim(self)
-    }
-
-    fn score_f32(&self, x: &[f32]) -> f32 {
-        self.decision_function_f32(x)
-    }
-
-    fn score_batch_f32(&self, batch: &[f32]) -> Result<Vec<f32>, MlError> {
-        self.decision_batch_f32(batch)
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        EmbeddedModel::footprint_bytes(self)
-    }
-
-    fn encode_into(&self, out: &mut [u8]) -> Result<usize, MlError> {
-        EmbeddedModel::encode_into(self, out)
-    }
-
-    fn predict_f32(&self, x: &[f32]) -> Label {
-        EmbeddedModel::predict_f32(self, x)
-    }
-}
-
-impl DetectorBackend for TsetlinModel {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tsetlin
-    }
-
-    fn dim(&self) -> usize {
-        TsetlinModel::dim(self)
-    }
-
-    fn score_f32(&self, x: &[f32]) -> f32 {
-        TsetlinModel::score_f32(self, x)
-    }
-
-    fn score_batch_f32(&self, batch: &[f32]) -> Result<Vec<f32>, MlError> {
-        TsetlinModel::score_batch_f32(self, batch)
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        TsetlinModel::footprint_bytes(self)
-    }
-
-    fn encode_into(&self, out: &mut [u8]) -> Result<usize, MlError> {
-        TsetlinModel::encode_into(self, out)
-    }
-
-    fn predict_f32(&self, x: &[f32]) -> Label {
-        TsetlinModel::predict_f32(self, x)
+    /// Serialize to the backend's on-flash byte format. Host-side: the
+    /// device reads the finished image out of FRAM.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.footprint_bytes()];
+        // Cannot fail: the buffer is sized by the same formula.
+        let _ = self.encode_into(&mut out);
+        out
     }
 }
 
@@ -198,14 +136,6 @@ impl DetectorModel {
         Err(MlError::MalformedModel {
             reason: "no registered backend magic",
         })
-    }
-
-    /// Serialize to the backend's on-flash byte format.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            DetectorModel::Svm(m) => m.encode(),
-            DetectorModel::Tsetlin(m) => m.encode(),
-        }
     }
 
     /// The Tsetlin model, when that is what this is.
@@ -327,19 +257,6 @@ mod tests {
             DetectorModel::decode(b"NOTAMODELATALL"),
             Err(MlError::MalformedModel { .. })
         ));
-    }
-
-    #[test]
-    fn trait_surface_agrees_with_inherent_methods() {
-        let em = svm_model();
-        let x = [0.5f32, 0.25];
-        let d: &dyn DetectorBackend = &em;
-        assert_eq!(d.score_f32(&x).to_bits(), em.decision_function_f32(&x).to_bits());
-        assert_eq!(d.footprint_bytes(), em.footprint_bytes());
-        let tm = tsetlin_model();
-        let d: &dyn DetectorBackend = &tm;
-        assert_eq!(d.score_f32(&x).to_bits(), tm.score_f32(&x).to_bits());
-        assert_eq!(d.dim(), 2);
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //!   the paper's §IV, plus precision, recall, and ROC-AUC,
 //! * [`embedded`] — the flat, `f32` "translated" model representation
 //!   deployed on the simulated Amulet, including a byte-level codec,
+//!   plus the CRC-32 and the little-endian reader and writer that every
+//!   FRAM codec in the workspace uses,
 //! * [`tsetlin`] — an integer-only Tsetlin machine backend (clause
 //!   masks over booleanized features) with its own on-flash codec,
-//! * [`backend`] — the [`backend::DetectorBackend`] trait and the
-//!   deployable [`backend::DetectorModel`] sum type tying the zoo
-//!   together.
+//! * [`backend`] — the [`backend::DetectorBackend`] trait, the one
+//!   definition of each deployed-model operation (each backend
+//!   implements it in its own module), and the deployable
+//!   [`backend::DetectorModel`] sum type tying the zoo together.
 //!
 //! # Example
 //!

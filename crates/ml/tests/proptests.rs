@@ -5,7 +5,7 @@ use ml::embedded::EmbeddedModel;
 use ml::linear_svm::{LinearSvm, LinearSvmTrainer};
 use ml::metrics::{roc_auc, roc_curve, ConfusionMatrix};
 use ml::scaler::StandardScaler;
-use ml::Classifier;
+use ml::{Classifier, DetectorBackend};
 use proptest::prelude::*;
 
 fn labeled_points(min: usize) -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {

@@ -10,7 +10,7 @@ use ml::tsetlin::{
     encoded_len, f32_key, TsetlinModel, TsetlinTrainer, MAGIC, MAX_CLAUSE_PAIRS, MAX_FEATURES,
     THRESHOLDS_PER_FEATURE,
 };
-use ml::{Label, MlError};
+use ml::{DetectorBackend, Label, MlError};
 use proptest::prelude::*;
 
 /// A small labeled training set with both classes present: `dim`

@@ -50,6 +50,12 @@ impl Version {
     /// All versions, in the paper's presentation order.
     pub const ALL: [Version; 3] = [Version::Original, Version::Simplified, Version::Reduced];
 
+    /// Position in [`Version::ALL`] (declaration order): the index of
+    /// per-version tables and the checkpoint's version tag byte.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Dimension of the feature vector this version produces.
     pub fn feature_count(self) -> usize {
         match self {

@@ -524,7 +524,7 @@ mod tests {
     use super::*;
     use crate::features;
     use crate::snippet::Snippet;
-    use ml::Classifier;
+    use ml::{Classifier, DetectorBackend};
     use physio_sim::subject::bank;
 
     /// The gold features of a window the trainer would use.

@@ -24,16 +24,6 @@ use sift::config::SiftConfig;
 use sift::features::Version;
 use sift::zoo::tsetlin_pairs;
 
-/// Stable index of a version in per-version tables:
-/// `[Original, Simplified, Reduced]`.
-pub fn version_index(v: Version) -> usize {
-    match v {
-        Version::Original => 0,
-        Version::Simplified => 1,
-        Version::Reduced => 2,
-    }
-}
-
 /// Average system draw current per detector version, in integer µA.
 ///
 /// The detector's share is the energy model's duty-cycle-weighted
@@ -45,7 +35,7 @@ pub struct DrawTable {
     /// Baseline (sleep) system current, µA.
     baseline_ua: u64,
     /// Detector current on top of baseline per version, µA, indexed by
-    /// [`version_index`].
+    /// [`Version::index`].
     active_delta_ua: [u64; 3],
 }
 
@@ -63,7 +53,7 @@ impl DrawTable {
                     tsetlin_classifier_cycles(v.feature_count(), tsetlin_pairs(v) as usize, &costs);
             }
             let avg = model.average_current_for_cycles_ua(cycles.total(), config.window_s);
-            active_delta_ua[version_index(v)] = (avg - baseline).max(0.0).round() as u64;
+            active_delta_ua[v.index()] = (avg - baseline).max(0.0).round() as u64;
         }
         Self {
             baseline_ua: baseline.round() as u64,
@@ -80,7 +70,7 @@ impl DrawTable {
     /// duty cycle, µA: duty cycling scales only the detector's share,
     /// never the baseline (the display and radio stay on).
     pub fn draw_ua(&self, version: Version, (skip, of): (u8, u8)) -> u64 {
-        let delta = self.active_delta_ua[version_index(version)];
+        let delta = self.active_delta_ua[version.index()];
         let of = u64::from(of.max(1));
         let kept = of - u64::from(skip).min(of);
         self.baseline_ua + delta * kept / of
@@ -99,7 +89,7 @@ pub struct BatteryLoop {
     draw: DrawTable,
     /// Drain current, permille of the table's draw.
     scale_permille: u64,
-    /// Steps taken on each version, indexed by [`version_index`].
+    /// Steps taken on each version, indexed by [`Version::index`].
     occupancy_ticks: [u64; 3],
 }
 
@@ -139,7 +129,7 @@ impl BatteryLoop {
             link_badness_permille,
             backlog_windows,
         });
-        self.occupancy_ticks[version_index(self.policy.version())] += 1;
+        self.occupancy_ticks[self.policy.version().index()] += 1;
         verdict
     }
 
@@ -163,7 +153,7 @@ impl BatteryLoop {
         &mut self.policy
     }
 
-    /// Steps taken on each version, indexed by [`version_index`].
+    /// Steps taken on each version, indexed by [`Version::index`].
     pub fn occupancy_ticks(&self) -> [u64; 3] {
         self.occupancy_ticks
     }

@@ -4,7 +4,7 @@
 //! detector and checkpoint.
 
 use super::{Scenario, SurvivalReport};
-use crate::adaptive::{version_index, BatteryLoop, DrawTable};
+use crate::adaptive::{BatteryLoop, DrawTable};
 use crate::basestation::BaseStation;
 use crate::channel::link_badness_permille;
 use crate::faults::FaultSummary;
@@ -144,7 +144,7 @@ impl SurvivalRuntime {
         let actions = [verdict.retry, verdict.duty, verdict.version];
         for action in actions.into_iter().flatten() {
             let (kind, arg) = match action {
-                SetVersion { to, .. } => (0, version_index(to) as u64),
+                SetVersion { to, .. } => (0, to.index() as u64),
                 SetDuty { skip, of, .. } => (1, pack(skip, of)),
                 SetRetry {
                     max_retries: m,

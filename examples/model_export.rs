@@ -6,6 +6,7 @@
 //! Run: `cargo run --release --example model_export`
 
 use ml::embedded::EmbeddedModel;
+use ml::DetectorBackend;
 use physio_sim::subject::bank;
 use sift::config::SiftConfig;
 use sift::features::Version;

@@ -3,6 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+use ml::DetectorBackend;
 use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;

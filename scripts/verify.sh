@@ -38,6 +38,11 @@ cargo test -q --workspace
 # fleet-fidelity (Simplified). The gold features themselves are pinned
 # by tests/determinism.rs::gold_features_are_pinned above.
 cargo test --release -q -p ml -p amulet-sim -p physio-sim -p wiot -p sift
+# The mutation harness over every CRC-guarded FRAM decoder, on the same
+# optimized build: the five codecs read through one shared
+# `ml::embedded::LeReader`, and the benchmark runs them with overflow
+# checks off.
+cargo test --release -q --test decoder_mutations
 
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -3,7 +3,7 @@
 //! bit-equality, inter-subject distinguishability, adaptive-attacker
 //! convergence, and campaign digest stability across thread counts.
 
-use ml::{BackendKind, DetectorModel};
+use ml::{BackendKind, DetectorBackend, DetectorModel};
 use physio_sim::population::{morphology_distance, population, LEGACY_BANK_SEED};
 use physio_sim::record::Record;
 use physio_sim::subject::bank;

@@ -18,7 +18,7 @@ use amulet_sim::apps::SiftApp;
 use amulet_sim::nvram::{CheckpointStore, Restore, SLOT_BYTES};
 use ml::embedded::EmbeddedModel;
 use ml::tsetlin::{TsetlinModel, TsetlinTrainer, MAX_CLAUSE_PAIRS, MAX_FEATURES};
-use ml::{BackendKind, DetectorModel, Label, MlError};
+use ml::{BackendKind, DetectorBackend, DetectorModel, Label, MlError};
 use physio_sim::subject::bank;
 use proptest::prelude::*;
 use sift::checkpoint::DetectorCheckpoint;

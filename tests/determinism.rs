@@ -2,7 +2,7 @@
 //! function of its seeds.
 
 use amulet_sim::nvram::{CheckpointStore, Restore, HEADER_BYTES, SLOT_BYTES};
-use ml::BackendKind;
+use ml::{BackendKind, DetectorBackend};
 use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the full train → deploy → attack → detect
 //! loop, exercised through the public API of every layer.
 
+use ml::DetectorBackend;
 use physio_sim::dataset::windows;
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
