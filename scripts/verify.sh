@@ -148,6 +148,11 @@ for paper_out in table1 fig3 table3 table2 roc ablation attacks; do
   baseline_gate "$paper_out" "" exact "results/$paper_out.txt" "target/verify/$paper_out.txt" \
     sh -c "cargo run --release -q -p bench --bin $paper_out > target/verify/$paper_out.txt"
 done
+# The paper's four attacks again, each under Gilbert–Elliott burst loss
+# with ARQ, salvage and the watchdog on: the attacker's intercept and
+# the reliability stack together, diffed exactly like the table above.
+baseline_gate "attacks --faults" "" exact results/attacks_faults.txt target/verify/attacks_faults.txt \
+  sh -c "cargo run --release -q -p bench --bin attacks -- --faults > target/verify/attacks_faults.txt"
 
 # Telemetry gates: the bin exits nonzero if enabling the sink perturbs
 # the fleet digest at any thread count, if the merged fleet telemetry
