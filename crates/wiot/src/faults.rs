@@ -304,7 +304,7 @@ pub struct FaultSummary {
     pub low_battery_ticks: u64,
     /// Attacked (truth-positive) windows the detector alerted on, per
     /// attack class — indexed by
-    /// [`crate::attacker::AttackMode::class_index`]. Campaign-engine
+    /// [`crate::attacker::AttackClass::index`]. Campaign-engine
     /// accounting; rides FaultSummary → DeviceSummary → FleetReport
     /// outside the frozen fleet digest.
     pub attack_windows_tp: [u64; ATTACK_CLASS_COUNT],

@@ -709,6 +709,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport, WiotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacker::AttackClass;
     use crate::faults::{FaultEvent, FaultKind};
     use physio_sim::record::Record;
     use telemetry::CounterId;
@@ -732,7 +733,7 @@ mod tests {
         let donor = Record::synthesize(&bank()[5], 60.0, 4242);
         let mut s = Scenario::new(0, Version::Simplified, 60.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Substitute { donor: (&donor).into() },
+            mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
             start_s: 21.0,
             end_s: 45.0,
         });
@@ -749,7 +750,7 @@ mod tests {
     fn freeze_attack_triggers_degenerate_alerts() {
         let mut s = Scenario::new(1, Version::Simplified, 30.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Freeze,
+            mode: AttackMode::new(AttackClass::Freeze, None, 0),
             start_s: 9.0,
             end_s: 21.0,
         });
@@ -919,7 +920,7 @@ mod tests {
         for (start_s, end_s) in [(5.0, 3.0), (8.0, f64::NAN), (8.0, 8.0004), (f64::NAN, 16.0)] {
             s = Scenario::new(0, Version::Original, 24.0);
             s.attack = Some(AttackSpec {
-                mode: AttackMode::Freeze,
+                mode: AttackMode::new(AttackClass::Freeze, None, 0),
                 start_s,
                 end_s,
             });

@@ -91,7 +91,7 @@ impl SimReport {
         let (scenario, station) = (&sim.scenario, &sim.station);
         let window_ms = scenario.window_ms();
         let attack_span = sim.source.attack_span();
-        let attack_class = scenario.attack.as_ref().map(|a| a.mode.class_index());
+        let attack_class = scenario.attack.as_ref().map(|a| a.mode.class().index());
         let mut faults = sim.fault_summary;
         let mut confusion = ConfusionMatrix::default();
         let mut ambiguous = 0usize;

@@ -4,7 +4,7 @@
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use proptest::prelude::*;
-use wiot::attacker::{AttackMode, Attacker};
+use wiot::attacker::{AttackClass, AttackMode, Attacker};
 use wiot::channel::Channel;
 use wiot::device::{SensorDevice, SensorPacket, Stream};
 
@@ -66,7 +66,7 @@ proptest! {
         now in 0u64..15_000,
         seed in any::<u64>(),
     ) {
-        let mut att = Attacker::new(AttackMode::Freeze, start, start + len, seed);
+        let mut att = Attacker::new(AttackMode::new(AttackClass::Freeze, None, 0), start, start + len, seed);
         let abp = SensorPacket {
             stream: Stream::Abp,
             seq: 0,
@@ -92,12 +92,8 @@ proptest! {
     ) {
         let b = bank();
         let donor = Record::synthesize(&b[2], 12.0, seed);
-        let mut att = Attacker::new(
-            AttackMode::Substitute { donor: (&donor).into() },
-            0,
-            60_000,
-            seed,
-        );
+        let substitute = AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0);
+        let mut att = Attacker::new(substitute, 0, 60_000, seed);
         let len = 180;
         let start = start_chunk * len;
         let out = att.intercept(10, ecg_packet(start, len, 0.0), 360.0);
@@ -110,7 +106,8 @@ proptest! {
     #[test]
     fn noise_injection_bounded_by_amplitude(amp_mpct in 1u32..200, seed in any::<u64>()) {
         let amp = amp_mpct as f64 / 100.0;
-        let mut att = Attacker::new(AttackMode::NoiseInject { amplitude_mv: amp }, 0, 60_000, seed);
+        let noise = AttackMode::new(AttackClass::NoiseInject { amplitude_mv: amp }, None, 0);
+        let mut att = Attacker::new(noise, 0, 60_000, seed);
         let clean = ecg_packet(0, 64, 0.5);
         let out = att.intercept(5, clean.clone(), 360.0);
         for (o, c) in out.samples.iter().zip(&clean.samples) {

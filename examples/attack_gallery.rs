@@ -7,7 +7,7 @@
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::features::Version;
-use wiot::attacker::AttackMode;
+use wiot::attacker::AttackClass;
 use wiot::scenario::{run, AttackSpec, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,38 +15,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let donor = Record::synthesize(&bank()[5], duration_s, 2);
     let victim_history = Record::synthesize(&bank()[0], duration_s, 0xC0FFEE ^ 0x11FE);
 
-    let gallery: Vec<(&str, &str, AttackMode)> = vec![
+    let gallery = [
         (
             "substitution",
             "communication-channel compromise: another person's ECG is injected",
-            AttackMode::Substitute { donor: (&donor).into() },
+            AttackClass::Substitution,
         ),
         (
             "replay",
             "firmware compromise: the wearer's own ECG from 15 s ago is replayed",
-            AttackMode::Replay {
-                offset_s: 15.0,
-                source: (&victim_history).into(),
-            },
+            AttackClass::Replay { offset_s: 15.0 },
         ),
         (
             "freeze",
             "physical compromise: the sensor output is stuck at its last value",
-            AttackMode::Freeze,
+            AttackClass::Freeze,
         ),
         (
             "noise injection",
             "sensory-channel attack: EMI-style interference rides on the waveform",
-            AttackMode::NoiseInject { amplitude_mv: 0.6 },
+            AttackClass::NoiseInject { amplitude_mv: 0.6 },
         ),
     ];
 
-    for (name, description, mode) in gallery {
+    for (name, description, class) in gallery {
         println!("=== {name} ===");
         println!("    {description}");
         let mut scenario = Scenario::new(0, Version::Simplified, duration_s);
+        let window_ms = (scenario.config.window_s * 1000.0) as u64;
         scenario.attack = Some(AttackSpec {
-            mode,
+            mode: class.materialize(&victim_history, &donor, window_ms),
             start_s: 24.0,
             end_s: 48.0,
         });

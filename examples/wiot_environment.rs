@@ -20,7 +20,7 @@
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::features::Version;
-use wiot::attacker::AttackMode;
+use wiot::attacker::{AttackClass, AttackMode};
 use wiot::channel::LossModel;
 use wiot::device::Stream;
 use wiot::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.persist = false;
     }
     scenario.attack = Some(AttackSpec {
-        mode: AttackMode::Substitute { donor: (&donor).into() },
+        mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
         start_s: 30.0,
         end_s: 90.0,
     });

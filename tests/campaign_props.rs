@@ -64,7 +64,8 @@ fn population_subjects_are_pairwise_distinguishable() {
 fn adaptive_probe_bracket_halves_each_round() {
     let donor = Record::synthesize(&bank()[1], 2.0, 3);
     for theta in [100u16, 333, 500, 777, 901] {
-        let mut att = Attacker::new(AttackMode::Adaptive { donor: (&donor).into() }, 0, 1000, 9);
+        let adaptive = AttackMode::new(AttackClass::Adaptive, Some((&donor).into()), 0);
+        let mut att = Attacker::new(adaptive, 0, 1000, 9);
         for k in 1..=10u32 {
             let blend = att.adaptive_blend();
             att.feedback(blend >= theta);

@@ -17,6 +17,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use wiot::attacker::{AttackClass, AttackMode};
 use wiot::basestation::WindowOutcome;
 use wiot::fleet::{run_fleet_with_bank, FleetSpec};
 use wiot::scenario::{AttackSpec, DeviceSim, Scenario};
@@ -108,7 +109,7 @@ fn golden_attacked_lossy_session_verdicts() {
     let donor = physio_sim::record::Record::synthesize(&physio_sim::subject::bank()[5], 60.0, 4242);
     let mut scenario = Scenario::new(0, sift::features::Version::Simplified, 60.0);
     scenario.attack = Some(AttackSpec {
-        mode: wiot::attacker::AttackMode::Substitute { donor: (&donor).into() },
+        mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
         start_s: 21.0,
         end_s: 45.0,
     });
@@ -133,7 +134,7 @@ fn golden_tsetlin_session_verdicts() {
     let mut scenario = Scenario::new(0, sift::features::Version::Simplified, 60.0);
     scenario.backend = ml::BackendKind::Tsetlin;
     scenario.attack = Some(AttackSpec {
-        mode: wiot::attacker::AttackMode::Substitute { donor: (&donor).into() },
+        mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
         start_s: 21.0,
         end_s: 45.0,
     });

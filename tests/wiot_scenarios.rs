@@ -4,7 +4,7 @@
 use physio_sim::record::Record;
 use physio_sim::subject::bank;
 use sift::features::Version;
-use wiot::attacker::AttackMode;
+use wiot::attacker::{AttackClass, AttackMode};
 use wiot::scenario::{run, AttackSpec, LinkParams, Scenario};
 
 #[test]
@@ -13,7 +13,7 @@ fn all_versions_catch_a_substitution_attack() {
         let donor = Record::synthesize(&bank()[8], 60.0, 1234);
         let mut s = Scenario::new(0, version, 60.0);
         s.attack = Some(AttackSpec {
-            mode: AttackMode::Substitute { donor: (&donor).into() },
+            mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
             start_s: 21.0,
             end_s: 45.0,
         });
@@ -58,7 +58,7 @@ fn attack_confined_to_its_window() {
     let donor = Record::synthesize(&bank()[3], 90.0, 55);
     let mut s = Scenario::new(1, Version::Simplified, 90.0);
     s.attack = Some(AttackSpec {
-        mode: AttackMode::Substitute { donor: (&donor).into() },
+        mode: AttackMode::new(AttackClass::Substitution, Some((&donor).into()), 0),
         start_s: 30.0,
         end_s: 60.0,
     });
@@ -88,10 +88,7 @@ fn replay_attack_of_own_old_data_is_harder_but_detected_eventually() {
     let source = Record::synthesize(&bank()[0], 120.0, 0xC0FFEE ^ 0x11FE);
     let mut s = Scenario::new(0, Version::Simplified, 120.0);
     s.attack = Some(AttackSpec {
-        mode: AttackMode::Replay {
-            offset_s: 30.0,
-            source: (&source).into(),
-        },
+        mode: AttackMode::new(AttackClass::Replay { offset_s: 30.0 }, Some((&source).into()), 0),
         start_s: 45.0,
         end_s: 105.0,
     });
