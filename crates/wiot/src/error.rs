@@ -11,15 +11,6 @@ pub enum WiotError {
         /// Violated constraint.
         reason: &'static str,
     },
-    /// The ARQ layer exhausted its retry budget for a packet while the
-    /// transport was configured as strict (see
-    /// [`crate::transport::ArqConfig::strict`]).
-    RetryBudgetExhausted {
-        /// Stream whose packet could not be delivered.
-        stream: Stream,
-        /// Sequence number of the abandoned packet.
-        seq: u64,
-    },
     /// A sensor stream stopped delivering data for longer than the
     /// base-station watchdog tolerates while the watchdog was
     /// configured as strict.
@@ -39,9 +30,6 @@ impl fmt::Display for WiotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WiotError::InvalidScenario { reason } => write!(f, "invalid scenario: {reason}"),
-            WiotError::RetryBudgetExhausted { stream, seq } => {
-                write!(f, "retry budget exhausted for {stream} packet #{seq}")
-            }
             WiotError::StreamStalled { stream, silent_ms } => {
                 write!(f, "{stream} stream stalled: silent for {silent_ms} ms")
             }
@@ -96,13 +84,6 @@ mod tests {
 
     #[test]
     fn transport_fault_variants_display() {
-        let e = WiotError::RetryBudgetExhausted {
-            stream: Stream::Ecg,
-            seq: 42,
-        };
-        assert!(e.to_string().contains("ecg"));
-        assert!(e.to_string().contains("42"));
-        assert!(e.source().is_none());
         let e = WiotError::StreamStalled {
             stream: Stream::Abp,
             silent_ms: 5000,

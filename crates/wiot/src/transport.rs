@@ -45,11 +45,6 @@ pub struct ArqConfig {
     /// How long a packet may be overdue before the receiver NACKs it,
     /// ms. Also the tail-loss detection timeout after the send time.
     pub nack_delay_ms: u64,
-    /// When `true`, exhausting a packet's retry budget is a hard
-    /// [`WiotError::RetryBudgetExhausted`] instead of a counted
-    /// give-up. Off by default: losing a chunk is survivable (the base
-    /// station can salvage the window).
-    pub strict: bool,
 }
 
 impl Default for ArqConfig {
@@ -59,7 +54,6 @@ impl Default for ArqConfig {
             base_backoff_ms: 10,
             buffer_cap: 64,
             nack_delay_ms: 30,
-            strict: false,
         }
     }
 }
@@ -211,12 +205,14 @@ impl ArqLink {
     /// Advance the link to `now_ms`: collect every packet that has
     /// arrived, discard duplicates, NACK + retransmit overdue gaps, and
     /// return the fresh arrivals (in arrival order).
+    /// A packet whose retry budget runs out (or whose buffered copy was
+    /// evicted before recovery) is a counted give-up, never an error:
+    /// losing a chunk is survivable, since the base station can salvage
+    /// the window.
     ///
     /// # Errors
     ///
-    /// In strict mode ([`ArqConfig::strict`]), returns
-    /// [`WiotError::RetryBudgetExhausted`] when a packet's retry budget
-    /// runs out (or its buffered copy was evicted before recovery).
+    /// None at present: every loss is counted in [`TransportStats`].
     pub fn pump(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
         let arrivals = self.collect_arrivals(now_ms);
         let mut out = Vec::new();
@@ -234,7 +230,7 @@ impl ArqLink {
             out.push(delivery);
         }
         self.detect_tail_losses(now_ms);
-        self.service_gaps(now_ms)?;
+        self.service_gaps(now_ms);
         Ok(out)
     }
 
@@ -279,15 +275,6 @@ impl ArqLink {
     /// override).
     pub fn channel_mut(&mut self) -> &mut Channel {
         &mut self.channel
-    }
-
-    fn stream(&self) -> Stream {
-        // All packets on one link share a stream; fall back to Ecg when
-        // nothing was sent yet (only reachable in error paths).
-        self.buffer
-            .front()
-            .map(|b| b.packet.stream)
-            .unwrap_or(Stream::Ecg)
     }
 
     /// Remove and return everything arriving by `now_ms`, in stable
@@ -356,15 +343,13 @@ impl ArqLink {
 
     /// NACK and retransmit every due gap; abandon gaps whose budget ran
     /// out.
-    fn service_gaps(&mut self, now_ms: u64) -> Result<(), WiotError> {
-        let stream = self.stream();
+    fn service_gaps(&mut self, now_ms: u64) {
         let due: Vec<u64> = self
             .gaps
             .iter()
             .filter(|(_, g)| now_ms >= g.next_retry_ms)
             .map(|(&seq, _)| seq)
             .collect();
-        let mut exhausted: Option<u64> = None;
         for seq in due {
             let Some(gap) = self.gaps.get_mut(&seq) else {
                 continue;
@@ -375,7 +360,6 @@ impl ArqLink {
                 // Unrecoverable: stop waiting for it so in-order
                 // release can move past the hole.
                 self.mark_delivered(seq);
-                exhausted.get_or_insert(seq);
                 continue;
             }
             self.stats.nacks_sent += 1;
@@ -402,13 +386,8 @@ impl ArqLink {
                     self.gaps.remove(&seq);
                     self.stats.give_ups += 1;
                     self.mark_delivered(seq);
-                    exhausted.get_or_insert(seq);
                 }
             }
-        }
-        match exhausted {
-            Some(seq) if self.config.strict => Err(WiotError::RetryBudgetExhausted { stream, seq }),
-            _ => Ok(()),
         }
     }
 }
@@ -496,7 +475,7 @@ impl Links {
     ///
     /// # Errors
     ///
-    /// A strict ARQ link's [`WiotError::RetryBudgetExhausted`].
+    /// As [`ArqLink::pump`].
     pub(crate) fn deliver(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
         let mut arrivals = Vec::new();
         for link in &mut self.0 {
@@ -668,38 +647,6 @@ mod tests {
         assert_eq!(s.give_ups, 10, "{s:?}");
         assert!(s.retransmits > 0);
         assert!(link.idle());
-    }
-
-    #[test]
-    fn strict_mode_surfaces_retry_budget_exhaustion() {
-        let ch = Channel::new(1.0, 0, 0, 1).unwrap();
-        let mut link = ArqLink::new(
-            ch,
-            ArqConfig {
-                strict: true,
-                max_retries: 2,
-                ..ArqConfig::default()
-            },
-        )
-        .unwrap();
-        link.send(0, packet(0));
-        let mut err = None;
-        for t in 1..100 {
-            if let Err(e) = link.pump(t * 10) {
-                err = Some(e);
-                break;
-            }
-        }
-        assert!(
-            matches!(
-                err,
-                Some(WiotError::RetryBudgetExhausted {
-                    stream: Stream::Ecg,
-                    seq: 0
-                })
-            ),
-            "{err:?}"
-        );
     }
 
     #[test]
