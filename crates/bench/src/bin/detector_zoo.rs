@@ -37,7 +37,7 @@ use sift::pipeline::{evaluate_detectors, train_models, EvalProtocol};
 use sift::trainer::{ModelBank, SiftModel};
 use sift::zoo::tsetlin_pairs;
 use std::process::ExitCode;
-use telemetry::{Stage, Telemetry};
+use telemetry::Stage;
 use wiot::scenario::Scenario;
 
 /// Smoke-scale protocol shared by every cell: 4 subjects, 1 minute of
@@ -99,8 +99,7 @@ fn run() -> Result<(), Failure> {
                     .context("detector assembly failed")
             })
             .collect::<Result<Vec<Detector>, Failure>>()?;
-        let mut untraced = Telemetry::disabled();
-        let m = evaluate_detectors(&subjects, &detectors, &protocol, &mut untraced)
+        let m = evaluate_detectors(&subjects, &detectors, &protocol)
             .context("backend evaluation failed")?
             .averaged;
         let deployed = detectors[0].deployed();

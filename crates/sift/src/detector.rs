@@ -5,13 +5,11 @@
 //! means the ECG snippet is considered altered and an alert is raised.
 
 use crate::config::SiftConfig;
-use crate::features::Version;
 use crate::flavor::{extract_amulet_f32, PlatformFlavor};
 use crate::snippet::Snippet;
 use crate::trainer::SiftModel;
 use crate::SiftError;
 use ml::{DetectorBackend, DetectorModel, Label};
-use telemetry::{CounterId, Stage, Telemetry};
 
 /// Outcome of classifying one snippet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,53 +145,6 @@ impl Detector {
                 })
             }
         }
-    }
-
-    /// Classify one snippet and record per-stage telemetry spans.
-    ///
-    /// The verdict is computed by [`Detector::classify`] — telemetry is
-    /// recorded *after* the fact from the snippet and configuration, so
-    /// the result is bit-identical whether `tele` is enabled, disabled,
-    /// or absent entirely. Span units are deterministic work counts:
-    ///
-    /// * `Filter` — samples conditioned (both channels, `2n`);
-    /// * `PeakDetection` — R/systolic peak pairs validated;
-    /// * `FeatureExtraction` — portrait workload: `2n + grid²` for the
-    ///   portrait-based versions, `3 · pairs` for `Reduced` (geometric
-    ///   features only, the paper's §V memory optimization);
-    /// * `Svm` — feature-vector dimensionality.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Detector::classify`]; nothing is recorded on
-    /// error.
-    pub fn classify_traced(
-        &self,
-        snippet: &Snippet,
-        tele: &mut Telemetry,
-        t_ms: u64,
-    ) -> Result<Detection, SiftError> {
-        let detection = self.classify(snippet)?;
-        if tele.is_enabled() {
-            let n = snippet.len() as u64;
-            let pairs = snippet.paired_peaks().len() as u64;
-            let version = self.model.version();
-            tele.span(t_ms, Stage::Filter, 2 * n);
-            tele.span(t_ms, Stage::PeakDetection, pairs);
-            let extraction_units = match version {
-                Version::Reduced => 3 * pairs,
-                Version::Original | Version::Simplified => {
-                    2 * n + (self.config.grid_n * self.config.grid_n) as u64
-                }
-            };
-            tele.span(t_ms, Stage::FeatureExtraction, extraction_units);
-            tele.span(t_ms, Stage::Svm, version.feature_count() as u64);
-            tele.count(CounterId::WindowsClassified, 1);
-            if detection.is_alert() {
-                tele.count(CounterId::AlertsRaised, 1);
-            }
-        }
-        Ok(detection)
     }
 }
 

@@ -17,7 +17,6 @@ use ml::metrics::{AveragedMetrics, ConfusionMatrix};
 use ml::Label;
 use physio_sim::record::Record;
 use physio_sim::subject::{Subject, SubjectId};
-use telemetry::Telemetry;
 
 /// Protocol parameters for the Table II experiment, and the one place
 /// the protocol's per-subject test set is built (`EvalProtocol::test_set`).
@@ -118,16 +117,11 @@ pub fn evaluate_with_models(
         .iter()
         .map(|m| Detector::new(m.clone(), flavor, config.clone()))
         .collect::<Result<Vec<_>, _>>()?;
-    evaluate_detectors(subjects, &detectors, protocol, &mut Telemetry::disabled())
+    evaluate_detectors(subjects, &detectors, protocol)
 }
 
 /// The Table II loop: classify every window of each subject's
 /// protocol test set with that subject's detector.
-///
-/// Each classified window records Filter → PeakDetection →
-/// FeatureExtraction → Svm spans (see [`Detector::classify_traced`])
-/// stamped with the window's position on the simulated test-replay
-/// clock; results are bit-identical whether `tele` is enabled or not.
 ///
 /// # Errors
 ///
@@ -138,7 +132,6 @@ pub fn evaluate_detectors(
     subjects: &[Subject],
     detectors: &[Detector],
     protocol: &EvalProtocol,
-    tele: &mut Telemetry,
 ) -> Result<EvaluationResult, SiftError> {
     if detectors.len() != subjects.len() {
         return Err(SiftError::InvalidConfig {
@@ -148,13 +141,10 @@ pub fn evaluate_detectors(
     let mut per_subject = Vec::with_capacity(subjects.len());
     for (i, (subject, detector)) in subjects.iter().zip(detectors).enumerate() {
         let window_s = detector.config().window_s;
-        let window_ms = (window_s * 1000.0) as u64;
         let mut matrix = ConfusionMatrix::default();
         let mut scored = Vec::new();
-        for (widx, w) in protocol.test_set(subjects, i, window_s)?.iter().enumerate() {
-            // Simulated clock: windows replay back to back per subject.
-            let t_ms = widx as u64 * window_ms;
-            let detection = detector.classify_traced(&w.snippet, tele, t_ms)?;
+        for w in &protocol.test_set(subjects, i, window_s)? {
+            let detection = detector.classify(&w.snippet)?;
             matrix.record(w.truth, detection.label);
             scored.push((detection.score, w.truth));
         }
@@ -310,34 +300,6 @@ mod tests {
             &EvalProtocol::default()
         )
         .is_err());
-    }
-
-    #[test]
-    fn traced_evaluation_matches_untraced_and_records_all_stages() {
-        use telemetry::{Stage, Telemetry};
-        let subjects = &bank()[..2];
-        let cfg = quick_config();
-        let models = train_models(subjects, Version::Simplified, &cfg).unwrap();
-        let protocol = EvalProtocol::default();
-        let plain =
-            evaluate_with_models(subjects, &models, PlatformFlavor::Gold, &cfg, &protocol)
-                .unwrap();
-        let detectors: Vec<Detector> = models
-            .iter()
-            .map(|m| Detector::new(m.clone(), PlatformFlavor::Gold, cfg.clone()).unwrap())
-            .collect();
-        let mut tele = Telemetry::enabled();
-        let traced = evaluate_detectors(subjects, &detectors, &protocol, &mut tele).unwrap();
-        assert_eq!(plain, traced, "telemetry must not perturb results");
-        let report = tele.report().unwrap();
-        let windows: u64 = traced.per_subject.iter().map(|s| s.matrix.total() as u64).sum();
-        for stage in Stage::ALL {
-            assert_eq!(report.stage(stage).spans, windows, "{}", stage.name());
-        }
-        assert_eq!(
-            report.counter(telemetry::CounterId::WindowsClassified),
-            windows
-        );
     }
 
     #[test]

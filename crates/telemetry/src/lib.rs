@@ -43,42 +43,41 @@ pub mod ring;
 pub use metrics::{CounterId, GaugeId, Histogram, StageStats, COUNTER_COUNT, GAUGE_COUNT};
 pub use ring::{Event, EventCode, EventRing};
 
-/// The four instrumented pipeline stages (paper Fig. 2 / §III). The
-/// Amulet's three QM states map onto the last three; `Filter` covers
-/// the host-side signal conditioning that precedes windowing.
+/// The three instrumented pipeline stages: the Amulet's three QM states
+/// (paper Fig. 2 / §III). A stage's discriminant is its trace code, the
+/// `a` word of its span events. Code 0 belonged to a retired host-side
+/// filter stage and stays unused, so recorded traces keep their codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Signal conditioning / snippet validation.
-    Filter,
     /// R-peak and systolic-peak handling (*PeaksDataCheck* on the QM).
-    PeakDetection,
+    PeakDetection = 1,
     /// Portrait, grid and geometric features (*FeatureExtraction*).
-    FeatureExtraction,
+    FeatureExtraction = 2,
     /// Standardization + hyperplane dot product (*MLClassifier*).
-    Svm,
+    Svm = 3,
 }
 
 /// Number of pipeline stages.
-pub const STAGE_COUNT: usize = 4;
+pub const STAGE_COUNT: usize = 3;
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
-        Stage::Filter,
-        Stage::PeakDetection,
-        Stage::FeatureExtraction,
-        Stage::Svm,
-    ];
+    pub const ALL: [Stage; STAGE_COUNT] =
+        [Stage::PeakDetection, Stage::FeatureExtraction, Stage::Svm];
 
-    /// Dense index (stable export order).
+    /// Dense index, `0..STAGE_COUNT` (stable export order).
     pub fn index(self) -> usize {
-        self as usize
+        self as usize - 1
+    }
+
+    /// Trace code: the `a` word of this stage's span events.
+    pub fn code(self) -> u64 {
+        self as u64
     }
 
     /// Stable snake_case name for traces and JSON exports.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Filter => "filter",
             Stage::PeakDetection => "peak_detection",
             Stage::FeatureExtraction => "feature_extraction",
             Stage::Svm => "svm",
@@ -254,8 +253,9 @@ mod tests {
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
         }
-        assert_eq!(Stage::Filter.name(), "filter");
+        assert_eq!(Stage::PeakDetection.name(), "peak_detection");
         assert_eq!(Stage::Svm.name(), "svm");
+        assert_eq!(Stage::ALL.map(Stage::code), [1, 2, 3]);
     }
 
     #[test]
@@ -285,9 +285,9 @@ mod tests {
         let mut a = Telemetry::enabled();
         let mut b = Telemetry::enabled();
         a.count(CounterId::PacketsSent, 7);
-        a.span(0, Stage::Filter, 11);
+        a.span(0, Stage::PeakDetection, 11);
         b.count(CounterId::PacketsSent, 9);
-        b.span(0, Stage::Filter, 13);
+        b.span(0, Stage::PeakDetection, 13);
         let (ra, rb) = (a.report().unwrap(), b.report().unwrap());
         let mut ab = ra.clone();
         ab.merge(&rb);

@@ -17,8 +17,6 @@ pub enum CounterId {
     WindowsSalvaged,
     /// Windows lost to the channel.
     WindowsDropped,
-    /// Windows classified by the host-side pipeline.
-    WindowsClassified,
     /// Positive classifications (alerts).
     AlertsRaised,
     /// Stream-stalled alerts from the watchdog.
@@ -72,7 +70,7 @@ pub enum CounterId {
 }
 
 /// Number of counters.
-pub const COUNTER_COUNT: usize = 29;
+pub const COUNTER_COUNT: usize = 28;
 
 impl CounterId {
     /// Every counter, in export order.
@@ -80,7 +78,6 @@ impl CounterId {
         CounterId::WindowsEmitted,
         CounterId::WindowsSalvaged,
         CounterId::WindowsDropped,
-        CounterId::WindowsClassified,
         CounterId::AlertsRaised,
         CounterId::StallAlerts,
         CounterId::PacketsSent,
@@ -119,7 +116,6 @@ impl CounterId {
             CounterId::WindowsEmitted => "windows_emitted",
             CounterId::WindowsSalvaged => "windows_salvaged",
             CounterId::WindowsDropped => "windows_dropped",
-            CounterId::WindowsClassified => "windows_classified",
             CounterId::AlertsRaised => "alerts_raised",
             CounterId::StallAlerts => "stall_alerts",
             CounterId::PacketsSent => "packets_sent",
@@ -314,19 +310,19 @@ mod tests {
         let mut tele_b = crate::Telemetry::enabled();
         let mut tele_all = crate::Telemetry::enabled();
         for v in [0u64, 1, 5, 100, 1 << 40] {
-            tele_a.span(0, crate::Stage::Filter, v);
-            tele_all.span(0, crate::Stage::Filter, v);
+            tele_a.span(0, crate::Stage::PeakDetection, v);
+            tele_all.span(0, crate::Stage::PeakDetection, v);
         }
         for v in [7u64, 9, 1 << 20] {
-            tele_b.span(0, crate::Stage::Filter, v);
-            tele_all.span(0, crate::Stage::Filter, v);
+            tele_b.span(0, crate::Stage::PeakDetection, v);
+            tele_all.span(0, crate::Stage::PeakDetection, v);
         }
         let mut merged = tele_a.report().unwrap();
         merged.merge(&tele_b.report().unwrap());
         let all = tele_all.report().unwrap();
         assert_eq!(
-            merged.stage(crate::Stage::Filter).hist,
-            all.stage(crate::Stage::Filter).hist
+            merged.stage(crate::Stage::PeakDetection).hist,
+            all.stage(crate::Stage::PeakDetection).hist
         );
     }
 

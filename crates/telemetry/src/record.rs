@@ -52,7 +52,7 @@ impl Telemetry {
             inner.ring.push(Event {
                 t_ms,
                 code: EventCode::Span,
-                a: stage.index() as u64,
+                a: stage.code(),
                 b: units,
             });
         }
@@ -145,7 +145,7 @@ mod tests {
         assert_eq!(s.hist.count, 2);
         assert_eq!(r.events.len(), 2);
         assert_eq!(r.events[0].code, EventCode::Span);
-        assert_eq!(r.events[0].a, Stage::FeatureExtraction.index() as u64);
+        assert_eq!(r.events[0].a, Stage::FeatureExtraction.code());
         assert_eq!(r.events[0].b, 37_000);
     }
 

@@ -12,7 +12,7 @@ pub enum EventCode {
     /// Padding/default slot value; never recorded by instrumentation.
     #[default]
     None,
-    /// A stage span closed: `a` = [`crate::Stage::index`], `b` = units.
+    /// A stage span closed: `a` = [`crate::Stage::code`], `b` = units.
     Span,
     /// Brownout power cycle (`a` = reboot ordinal).
     FaultReboot,
