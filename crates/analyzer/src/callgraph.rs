@@ -53,6 +53,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
+use crate::lexical::PANIC_MACROS;
 use crate::rules::{certifies_panic_site, Finding};
 use crate::ParsedFile;
 
@@ -147,12 +148,6 @@ const NOT_A_CALL: &[&str] = &[
 /// Vendored stand-ins for external crates: their public API mirrors
 /// the real crates', so `cg-unreached` does not judge it.
 const UNREACHED_EXEMPT_CRATES: &[&str] = &["rand", "proptest"];
-
-/// Panicking macros, mirroring the lexical pass (debug_assert! compiles
-/// out of release firmware and is deliberately absent).
-const PANIC_MACROS: &[&str] = &[
-    "panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne",
-];
 
 /// One extracted function definition.
 #[derive(Debug)]

@@ -135,7 +135,8 @@ pub const RULES: &[RuleDef] = &[
         severity: Severity::Error,
         pass: Pass::Embedded,
         summary: "no heap allocation (Vec::/Box::/String::/vec!/format!/.to_vec/.to_string/\
-                  .to_owned) in embedded modules (AmuletOS apps get static buffers only)",
+                  .to_owned/.collect) in embedded modules (AmuletOS apps get static buffers \
+                  only)",
     },
     RuleDef {
         id: "embedded-no-panic",

@@ -194,6 +194,7 @@ impl EmbeddedModel {
     /// Returns [`MlError::DimensionMismatch`] if the scaler and model
     /// dimensions disagree.
     // lint:allow(embedded-no-float-literal, host-side translation step; 1/sigma is folded once here so the device never divides)
+    // lint:allow(embedded-no-heap-alloc, host-side translation step; the device receives the encoded bytes, never a trained model)
     pub fn translate(scaler: &StandardScaler, svm: &LinearSvm) -> Result<Self, MlError> {
         if scaler.dim() != svm.dim() {
             return Err(MlError::DimensionMismatch {
@@ -252,6 +253,7 @@ impl EmbeddedModel {
                 reason: "checksum mismatch",
             });
         }
+        // lint:allow(embedded-no-heap-alloc, the model's arrays are Vecs in this representation; each is sized once from the checked dimension and never grows)
         let f32s = |r: &mut LeReader<'_>, n: usize| -> Vec<f32> {
             (0..n).map(|_| f32::from_le_bytes(r.pull())).collect()
         };
@@ -391,6 +393,7 @@ impl DetectorBackend for EmbeddedModel {
 }
 
 // lint:allow(embedded-no-f64, host-side bridge to the f64 Classifier trait used by the evaluation harness)
+// lint:allow(embedded-no-heap-alloc, host-side bridge: the f64 input is narrowed into an f32 scratch vector)
 impl Classifier for EmbeddedModel {
     fn decision_function(&self, x: &[f64]) -> f64 {
         let xs: Vec<f32> = x.iter().map(|&v| v as f32).collect();
