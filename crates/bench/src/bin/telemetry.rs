@@ -35,17 +35,17 @@ use bench::{
 use sift::features::Version;
 use std::process::ExitCode;
 use std::time::Instant;
-use telemetry::{CounterId, Stage, Telemetry};
+use telemetry::{GaugeId, Stage, Telemetry};
 use wiot::fleet::{run_fleet_with_bank, FleetReport, FleetSpec};
 use wiot::scenario::Scenario;
 
-/// Time one record-hot-path iteration (a counter bump plus a stage
-/// span) against `tele`, in ns/op.
+/// Time one record-hot-path iteration (a gauge set plus a stage span)
+/// against `tele`, in ns/op.
 fn record_path_ns_per_op(tele: &mut Telemetry, iters: u64) -> f64 {
     let t0 = Instant::now();
     for i in 0..iters {
         let tele = std::hint::black_box(&mut *tele);
-        tele.count(CounterId::WindowsEmitted, 1);
+        tele.gauge_set(GaugeId::BatteryPermille, i as i64);
         tele.span(i, Stage::Svm, 7);
     }
     std::hint::black_box(&mut *tele);
@@ -55,7 +55,7 @@ fn record_path_ns_per_op(tele: &mut Telemetry, iters: u64) -> f64 {
 /// Hard gate: the frozen fleet digest must be byte-identical with the
 /// sink off and on, at every thread count, and the merged telemetry
 /// must not depend on the thread count either.
-fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, u64), Failure> {
+fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, usize), Failure> {
     let models = enroll_fleet(spec)?;
     let run = |threads: usize, telemetry_on: bool| -> Result<FleetReport, Failure> {
         let run_spec = spec.clone().with_threads(threads).with_telemetry(telemetry_on);
@@ -82,8 +82,10 @@ fn check_digest_invariance(spec: &FleetSpec) -> Result<(u64, u64), Failure> {
     if passes.iter().any(|r| r.telemetry != passes[0].telemetry) {
         return fail("FAIL: merged fleet telemetry is not thread-count-stable");
     }
-    let windows = passes[0].telemetry.as_ref().map(|r| r.counter(CounterId::WindowsEmitted));
-    Ok((passes[0].digest(), windows.unwrap_or(0)))
+    // Every emitted or salvaged window was scored or ambiguous.
+    let fleet = &passes[0];
+    let windows = fleet.confusion.total() + fleet.ambiguous_windows - fleet.salvaged_windows;
+    Ok((fleet.digest(), windows))
 }
 
 fn main() -> ExitCode {

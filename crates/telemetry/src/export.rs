@@ -2,14 +2,13 @@
 //! fixed order. No wall-clock, no locale, no float formatting — two
 //! identical reports always serialize to byte-identical text.
 
-use crate::metrics::{CounterId, GaugeId};
+use crate::metrics::GaugeId;
 use crate::{Stage, TelemetryReport};
 use std::fmt::Write as _;
 
 /// Render a report as NDJSON: one `meta` line, one line per non-zero
-/// counter, one per gauge, one per stage with spans, then one line per
-/// ring event (oldest first). Output is byte-deterministic for a given
-/// report.
+/// gauge, one per stage with spans, then one line per ring event
+/// (oldest first). Output is byte-deterministic for a given report.
 pub fn ndjson(report: &TelemetryReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -17,17 +16,6 @@ pub fn ndjson(report: &TelemetryReport) -> String {
         "{{\"type\":\"meta\",\"events_recorded\":{},\"events_dropped\":{}}}",
         report.events_recorded, report.events_dropped
     );
-    for id in CounterId::ALL {
-        let v = report.counter(id);
-        if v != 0 {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-                id.name(),
-                v
-            );
-        }
-    }
     for id in GaugeId::ALL {
         let v = report.gauge(id);
         if v != 0 {
@@ -88,22 +76,23 @@ mod tests {
     #[test]
     fn ndjson_is_deterministic_and_well_formed() {
         let mut t = Telemetry::enabled();
-        t.count(CounterId::WindowsEmitted, 3);
         t.gauge_set(GaugeId::BatteryPermille, 950);
-        t.span(10, Stage::Svm, 129_000);
+        t.span(10, Stage::Svm, 5);
         t.event(20, EventCode::FaultReboot, 1, 0);
         let r = t.report().unwrap();
         let a = ndjson(&r);
-        let b = ndjson(&r);
-        assert_eq!(a, b, "same report must serialize identically");
-        // Every line is a JSON object.
-        for line in a.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-        assert!(a.contains("\"name\":\"windows_emitted\",\"value\":3"));
-        assert!(a.contains("\"name\":\"battery_permille\",\"value\":950"));
-        assert!(a.contains("\"name\":\"svm\",\"spans\":1,\"units\":129000"));
-        assert!(a.contains("\"code\":\"fault_reboot\""));
+        assert_eq!(a, ndjson(&r), "same report must serialize identically");
+        // Meta, the non-zero gauge, the stage with spans, then the ring
+        // oldest first: the span's own event, then the reboot.
+        let expected = concat!(
+            "{\"type\":\"meta\",\"events_recorded\":2,\"events_dropped\":0}\n",
+            "{\"type\":\"gauge\",\"name\":\"battery_permille\",\"value\":950}\n",
+            "{\"type\":\"stage\",\"name\":\"svm\",\"spans\":1,\"units\":5,",
+            "\"mean_units\":5,\"buckets\":[0,0,0,1]}\n",
+            "{\"type\":\"event\",\"t_ms\":10,\"code\":\"span\",\"a\":3,\"b\":5}\n",
+            "{\"type\":\"event\",\"t_ms\":20,\"code\":\"fault_reboot\",\"a\":1,\"b\":0}\n",
+        );
+        assert_eq!(a, expected);
     }
 
     #[test]

@@ -3,20 +3,23 @@
 //! The paper's core contribution is *measurement*: per-stage resource
 //! numbers justify the Simplified/Reduced detector variants (§IV–V).
 //! This crate is the reproduction's measuring instrument — a telemetry
-//! layer that can be wired through every hot path (SIFT pipeline,
-//! AmuletOS cost metering, transport/channel faults, fleet engine)
-//! without ever perturbing a result:
+//! layer that can be wired through every hot path (AmuletOS cost
+//! metering, scenario faults and windows, fleet engine) without ever
+//! perturbing a result. It records three kinds of thing:
 //!
 //! * **Events** — sim-clock-timestamped, fixed-size records in a
 //!   bounded, preallocated ring buffer ([`ring`]). Overflow drops the
 //!   oldest event and counts the eviction; nothing ever reallocates.
-//! * **Metrics** — a fixed registry of counters and gauges plus
-//!   power-of-two-bucket histograms ([`metrics`]). Everything is
-//!   integer-valued, so aggregation across devices is element-wise
-//!   addition and therefore bit-stable at any thread count.
+//! * **Metrics** — a fixed registry of gauges plus power-of-two-bucket
+//!   histograms ([`metrics`]). Everything is integer-valued, so
+//!   aggregation across devices is element-wise addition and therefore
+//!   bit-stable at any thread count.
 //! * **Spans** — per-stage work accounting ([`Stage`]): on the Amulet
 //!   path a span's units are the cost model's MSP430 cycles, so stage
 //!   breakdowns come out in the paper's units rather than wall-clock.
+//!
+//! It keeps no counters: a run's counts live in the report structs of
+//! the code that measured them.
 //!
 //! # Determinism rules
 //!
@@ -30,7 +33,7 @@
 //!    one `Option` discriminant test.
 //! 4. All mutation lives in [`record`], which is held to the embedded
 //!    profile by the workspace analyzer (`tele-embedded-profile`): no
-//!    heap after init, no panics, no floats in the counter path.
+//!    heap after init, no panics, no floats in the record path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +43,7 @@ pub mod metrics;
 pub mod record;
 pub mod ring;
 
-pub use metrics::{CounterId, GaugeId, Histogram, StageStats, COUNTER_COUNT, GAUGE_COUNT};
+pub use metrics::{GaugeId, Histogram, StageStats, GAUGE_COUNT};
 pub use ring::{Event, EventCode, EventRing};
 
 /// The three instrumented pipeline stages: the Amulet's three QM states
@@ -93,7 +96,6 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 #[derive(Debug, Clone)]
 pub(crate) struct Inner {
     pub(crate) ring: EventRing,
-    pub(crate) counters: [u64; COUNTER_COUNT],
     pub(crate) gauges: [i64; GAUGE_COUNT],
     pub(crate) stages: [StageStats; STAGE_COUNT],
 }
@@ -126,7 +128,6 @@ impl Telemetry {
         Telemetry {
             inner: Some(Box::new(Inner {
                 ring: EventRing::new(events),
-                counters: [0; COUNTER_COUNT],
                 gauges: [0; GAUGE_COUNT],
                 stages: [StageStats::new(); STAGE_COUNT],
             })),
@@ -142,7 +143,6 @@ impl Telemetry {
     /// (`None` when disabled).
     pub fn report(&self) -> Option<TelemetryReport> {
         self.inner.as_deref().map(|inner| TelemetryReport {
-            counters: inner.counters,
             gauges: inner.gauges,
             stages: inner.stages,
             events_recorded: inner.ring.recorded(),
@@ -164,8 +164,6 @@ impl Default for Telemetry {
 /// merged numbers are bit-stable at any thread count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryReport {
-    /// Counter values, indexed by [`CounterId::index`].
-    pub counters: [u64; COUNTER_COUNT],
     /// Gauge values, indexed by [`GaugeId::index`]. Summed on merge:
     /// divide by the device count for fleet means.
     pub gauges: [i64; GAUGE_COUNT],
@@ -176,18 +174,13 @@ pub struct TelemetryReport {
     /// Events evicted by ring overflow.
     pub events_dropped: u64,
     /// The ring contents, oldest first. Cleared by [`merge`]
-    /// (per-device traces stay per-device; aggregates carry counts).
+    /// (per-device traces stay per-device; aggregates carry totals).
     ///
     /// [`merge`]: TelemetryReport::merge
     pub events: Vec<Event>,
 }
 
 impl TelemetryReport {
-    /// Value of one counter.
-    pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters.get(id.index()).copied().unwrap_or(0)
-    }
-
     /// Value of one gauge.
     pub fn gauge(&self, id: GaugeId) -> i64 {
         self.gauges.get(id.index()).copied().unwrap_or(0)
@@ -201,13 +194,10 @@ impl TelemetryReport {
             .unwrap_or_else(StageStats::new)
     }
 
-    /// Fold `other` into `self`: counters, gauges, stage statistics and
-    /// event totals add element-wise; the event list is dropped (traces
-    /// are per-device artifacts, not aggregates).
+    /// Fold `other` into `self`: gauges, stage statistics and event
+    /// totals add element-wise; the event list is dropped (traces are
+    /// per-device artifacts, not aggregates).
     pub fn merge(&mut self, other: &TelemetryReport) {
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a = a.saturating_add(*b);
-        }
         for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
             *a = a.saturating_add(*b);
         }
@@ -240,7 +230,7 @@ mod tests {
     fn enabled_handle_reports_zeroed_state() {
         let t = Telemetry::enabled();
         let r = t.report().unwrap();
-        assert!(r.counters.iter().all(|&c| c == 0));
+        assert!(r.gauges.iter().all(|&g| g == 0));
         assert!(r.events.is_empty());
         assert_eq!(r.events_recorded, 0);
         for s in Stage::ALL {
@@ -259,11 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_drops_events() {
+    fn merge_adds_gauges_and_spans_and_drops_events() {
         let mut a = Telemetry::enabled();
         let mut b = Telemetry::enabled();
-        a.count(CounterId::WindowsEmitted, 2);
-        b.count(CounterId::WindowsEmitted, 3);
+        a.gauge_set(GaugeId::BatteryPermille, 900);
+        b.gauge_set(GaugeId::BatteryPermille, 850);
         a.event(1, EventCode::WindowEmitted, 0, 0);
         b.event(2, EventCode::WindowEmitted, 1, 0);
         a.span(5, Stage::Svm, 100);
@@ -271,7 +261,7 @@ mod tests {
         let mut ra = a.report().unwrap();
         let rb = b.report().unwrap();
         ra.merge(&rb);
-        assert_eq!(ra.counter(CounterId::WindowsEmitted), 5);
+        assert_eq!(ra.gauge(GaugeId::BatteryPermille), 1750);
         assert_eq!(ra.stage(Stage::Svm).spans, 2);
         assert_eq!(ra.stage(Stage::Svm).units, 300);
         // Span events + window events from both sides are counted...
@@ -284,9 +274,10 @@ mod tests {
     fn merge_is_order_insensitive_for_integers() {
         let mut a = Telemetry::enabled();
         let mut b = Telemetry::enabled();
-        a.count(CounterId::PacketsSent, 7);
+        a.gauge_set(GaugeId::LinkDegraded, 1);
         a.span(0, Stage::PeakDetection, 11);
-        b.count(CounterId::PacketsSent, 9);
+        a.event(3, EventCode::StallAlert, 0, 0);
+        b.gauge_set(GaugeId::BatteryPermille, 970);
         b.span(0, Stage::PeakDetection, 13);
         let (ra, rb) = (a.report().unwrap(), b.report().unwrap());
         let mut ab = ra.clone();

@@ -1,149 +1,11 @@
-//! The metrics registry: a fixed, enum-indexed set of counters and
-//! gauges plus power-of-two-bucket histograms.
+//! The metrics registry: a fixed, enum-indexed set of gauges plus
+//! power-of-two-bucket histograms.
 //!
 //! Everything here is integer-valued on purpose: merging two devices'
 //! metrics is element-wise addition, which is associative over the
 //! fleet engine's device-ordered fold and therefore bit-stable at any
 //! thread count (no floating-point accumulation order to worry about).
-//! Mutation (observe/increment) lives in [`crate::record`].
-
-/// Every counter the stack records. Fixed at compile time so recording
-/// indexes an array instead of hashing a name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterId {
-    /// Windows dispatched to the detector intact.
-    WindowsEmitted,
-    /// Windows repaired by zero-order-hold salvage.
-    WindowsSalvaged,
-    /// Windows lost to the channel.
-    WindowsDropped,
-    /// Positive classifications (alerts).
-    AlertsRaised,
-    /// Stream-stalled alerts from the watchdog.
-    StallAlerts,
-    /// Packets offered to the channel.
-    PacketsSent,
-    /// Packets the channel lost.
-    PacketsLost,
-    /// Packets the radio MAC duplicated.
-    PacketsDuplicated,
-    /// Packets delivered on the late (reordering) path.
-    PacketsReordered,
-    /// Packets delivered with a corrupted payload.
-    PacketsCorrupted,
-    /// ARQ data frames sent (first transmissions).
-    ArqDataSent,
-    /// ARQ retransmissions.
-    ArqRetransmits,
-    /// ARQ NACKs sent by the receiver.
-    ArqNacksSent,
-    /// Sequence gaps the ARQ closed.
-    ArqGapRecoveries,
-    /// Chunks the ARQ gave up on.
-    ArqGiveUps,
-    /// Duplicate frames the ARQ discarded.
-    ArqDuplicatesDiscarded,
-    /// Reassembly-buffer evictions.
-    ArqBufferEvictions,
-    /// Brownout power cycles.
-    FaultReboots,
-    /// Checkpoint commits cut mid-write.
-    FaultTornCommits,
-    /// FRAM bit flips injected.
-    FaultBitrotFlips,
-    /// Sensor chunks lost to dropout.
-    FaultDropoutChunks,
-    /// Sensor chunks frozen by a stuck ADC.
-    FaultStuckChunks,
-    /// Successful checkpoint recoveries after reboot.
-    CheckpointRecoveries,
-    /// Recoveries that rolled back to an older generation.
-    CheckpointRollbacks,
-    /// Detector-version switches actuated by the survival policy.
-    SurvivalVersionSwitches,
-    /// Sensor chunks suppressed by the survival duty cycle.
-    SurvivalDutySkippedChunks,
-    /// Transport retry-posture changes actuated by the survival policy.
-    SurvivalRetryReconfigs,
-    /// Policy ticks spent below the low-battery threshold.
-    SurvivalLowBatteryTicks,
-}
-
-/// Number of counters.
-pub const COUNTER_COUNT: usize = 28;
-
-impl CounterId {
-    /// Every counter, in export order.
-    pub const ALL: [CounterId; COUNTER_COUNT] = [
-        CounterId::WindowsEmitted,
-        CounterId::WindowsSalvaged,
-        CounterId::WindowsDropped,
-        CounterId::AlertsRaised,
-        CounterId::StallAlerts,
-        CounterId::PacketsSent,
-        CounterId::PacketsLost,
-        CounterId::PacketsDuplicated,
-        CounterId::PacketsReordered,
-        CounterId::PacketsCorrupted,
-        CounterId::ArqDataSent,
-        CounterId::ArqRetransmits,
-        CounterId::ArqNacksSent,
-        CounterId::ArqGapRecoveries,
-        CounterId::ArqGiveUps,
-        CounterId::ArqDuplicatesDiscarded,
-        CounterId::ArqBufferEvictions,
-        CounterId::FaultReboots,
-        CounterId::FaultTornCommits,
-        CounterId::FaultBitrotFlips,
-        CounterId::FaultDropoutChunks,
-        CounterId::FaultStuckChunks,
-        CounterId::CheckpointRecoveries,
-        CounterId::CheckpointRollbacks,
-        CounterId::SurvivalVersionSwitches,
-        CounterId::SurvivalDutySkippedChunks,
-        CounterId::SurvivalRetryReconfigs,
-        CounterId::SurvivalLowBatteryTicks,
-    ];
-
-    /// Dense array index.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name for exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::WindowsEmitted => "windows_emitted",
-            CounterId::WindowsSalvaged => "windows_salvaged",
-            CounterId::WindowsDropped => "windows_dropped",
-            CounterId::AlertsRaised => "alerts_raised",
-            CounterId::StallAlerts => "stall_alerts",
-            CounterId::PacketsSent => "packets_sent",
-            CounterId::PacketsLost => "packets_lost",
-            CounterId::PacketsDuplicated => "packets_duplicated",
-            CounterId::PacketsReordered => "packets_reordered",
-            CounterId::PacketsCorrupted => "packets_corrupted",
-            CounterId::ArqDataSent => "arq_data_sent",
-            CounterId::ArqRetransmits => "arq_retransmits",
-            CounterId::ArqNacksSent => "arq_nacks_sent",
-            CounterId::ArqGapRecoveries => "arq_gap_recoveries",
-            CounterId::ArqGiveUps => "arq_give_ups",
-            CounterId::ArqDuplicatesDiscarded => "arq_duplicates_discarded",
-            CounterId::ArqBufferEvictions => "arq_buffer_evictions",
-            CounterId::FaultReboots => "fault_reboots",
-            CounterId::FaultTornCommits => "fault_torn_commits",
-            CounterId::FaultBitrotFlips => "fault_bitrot_flips",
-            CounterId::FaultDropoutChunks => "fault_dropout_chunks",
-            CounterId::FaultStuckChunks => "fault_stuck_chunks",
-            CounterId::CheckpointRecoveries => "checkpoint_recoveries",
-            CounterId::CheckpointRollbacks => "checkpoint_rollbacks",
-            CounterId::SurvivalVersionSwitches => "survival_version_switches",
-            CounterId::SurvivalDutySkippedChunks => "survival_duty_skipped_chunks",
-            CounterId::SurvivalRetryReconfigs => "survival_retry_reconfigs",
-            CounterId::SurvivalLowBatteryTicks => "survival_low_battery_ticks",
-        }
-    }
-}
+//! Mutation (set/observe) lives in [`crate::record`].
 
 /// Instantaneous values. Integer-valued; callers quantize (e.g. battery
 /// fraction → permille) *outside* the recording hot path.
@@ -153,20 +15,14 @@ pub enum GaugeId {
     LinkDegraded,
     /// Battery remaining, permille of capacity.
     BatteryPermille,
-    /// Windows awaiting sink-side batch scoring.
-    UplinkBacklog,
 }
 
 /// Number of gauges.
-pub const GAUGE_COUNT: usize = 3;
+pub const GAUGE_COUNT: usize = 2;
 
 impl GaugeId {
     /// Every gauge, in export order.
-    pub const ALL: [GaugeId; GAUGE_COUNT] = [
-        GaugeId::LinkDegraded,
-        GaugeId::BatteryPermille,
-        GaugeId::UplinkBacklog,
-    ];
+    pub const ALL: [GaugeId; GAUGE_COUNT] = [GaugeId::LinkDegraded, GaugeId::BatteryPermille];
 
     /// Dense array index.
     pub fn index(self) -> usize {
@@ -178,7 +34,6 @@ impl GaugeId {
         match self {
             GaugeId::LinkDegraded => "link_degraded",
             GaugeId::BatteryPermille => "battery_permille",
-            GaugeId::UplinkBacklog => "uplink_backlog",
         }
     }
 }
@@ -279,17 +134,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_indices_are_dense_and_names_unique() {
-        for (i, c) in CounterId::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i, "{}", c.name());
-        }
+    fn gauge_indices_are_dense_and_names_unique() {
         for (i, g) in GaugeId::ALL.iter().enumerate() {
             assert_eq!(g.index(), i, "{}", g.name());
         }
-        let mut names: Vec<&str> = CounterId::ALL.iter().map(|c| c.name()).collect();
+        let mut names: Vec<&str> = GaugeId::ALL.iter().map(|g| g.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), COUNTER_COUNT, "duplicate counter name");
+        assert_eq!(names.len(), GAUGE_COUNT, "duplicate gauge name");
     }
 
     #[test]

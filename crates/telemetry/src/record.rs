@@ -7,20 +7,11 @@
 //! every slot access goes through `get`/`get_mut` and every add
 //! saturates.
 
-use crate::metrics::{CounterId, GaugeId, Histogram};
+use crate::metrics::{GaugeId, Histogram};
 use crate::ring::{Event, EventCode, EventRing};
 use crate::{Stage, Telemetry};
 
 impl Telemetry {
-    /// Add `n` to a counter. No-op when disabled.
-    pub fn count(&mut self, id: CounterId, n: u64) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            if let Some(slot) = inner.counters.get_mut(id.index()) {
-                *slot = slot.saturating_add(n);
-            }
-        }
-    }
-
     /// Set a gauge to an instantaneous value. No-op when disabled.
     pub fn gauge_set(&mut self, id: GaugeId, value: i64) {
         if let Some(inner) = self.inner.as_deref_mut() {
@@ -103,7 +94,6 @@ mod tests {
     #[test]
     fn disabled_recording_is_a_no_op() {
         let mut t = Telemetry::disabled();
-        t.count(CounterId::PacketsSent, 5);
         t.gauge_set(GaugeId::BatteryPermille, 900);
         t.event(1, EventCode::FaultReboot, 0, 0);
         t.span(2, Stage::Svm, 1000);
@@ -111,26 +101,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_record() {
+    fn gauges_record_and_overwrite() {
         let mut t = Telemetry::enabled();
-        t.count(CounterId::PacketsSent, 5);
-        t.count(CounterId::PacketsSent, 2);
+        t.gauge_set(GaugeId::LinkDegraded, 1);
         t.gauge_set(GaugeId::BatteryPermille, 940);
         t.gauge_set(GaugeId::BatteryPermille, 910);
         let r = t.report().unwrap();
-        assert_eq!(r.counter(CounterId::PacketsSent), 7);
+        assert_eq!(r.gauge(GaugeId::LinkDegraded), 1);
         assert_eq!(r.gauge(GaugeId::BatteryPermille), 910, "gauges overwrite");
-    }
-
-    #[test]
-    fn counters_saturate_instead_of_wrapping() {
-        let mut t = Telemetry::enabled();
-        t.count(CounterId::PacketsSent, u64::MAX);
-        t.count(CounterId::PacketsSent, 10);
-        assert_eq!(
-            t.report().unwrap().counter(CounterId::PacketsSent),
-            u64::MAX
-        );
     }
 
     #[test]

@@ -172,9 +172,10 @@ pub struct DeviceSummary {
     /// Sum of sink margins (index order within the device).
     pub margin_sum: f64,
     /// The device's telemetry snapshot (`None` unless
-    /// [`FleetSpec::telemetry`] was set). Integer counters only, so the
-    /// fleet merge is exact at any thread count; excluded from
-    /// [`FleetReport::digest`] like [`DeviceSummary::faults`].
+    /// [`FleetSpec::telemetry`] was set). Integer gauges, stage stats
+    /// and event totals only, so the fleet merge is exact at any thread
+    /// count; excluded from [`FleetReport::digest`] like
+    /// [`DeviceSummary::faults`].
     pub telemetry: Option<telemetry::TelemetryReport>,
 }
 
@@ -264,8 +265,8 @@ pub struct FleetReport {
     pub outliers: Vec<FleetOutlier>,
     /// Telemetry merged over the fleet in device-index order (`None`
     /// unless [`FleetSpec::telemetry`] was set). The merge drops the
-    /// per-device event rings and sums the integer counters/stage
-    /// stats, so it is thread-count-stable; excluded from
+    /// per-device event rings and sums the integer gauges, stage stats
+    /// and event totals, so it is thread-count-stable; excluded from
     /// [`FleetReport::digest`].
     pub telemetry: Option<telemetry::TelemetryReport>,
     /// Every device's summary, in device order.
@@ -669,7 +670,7 @@ impl Reducer {
             match self.telemetry.as_mut() {
                 Some(m) => m.merge(t),
                 None => {
-                    // The aggregate carries counters, not any single
+                    // The aggregate carries totals, not any single
                     // device's event trace.
                     let mut first = t.clone();
                     first.events.clear();
@@ -895,10 +896,17 @@ mod tests {
         }
         let merged = on.telemetry.as_ref().expect("sink was on");
         assert!(merged.events.is_empty(), "aggregate must not carry a trace");
-        assert_eq!(
-            merged.counter(telemetry::CounterId::PacketsSent),
-            on.channel.sent
-        );
+        // The merge is the device-order sum of the per-device stage
+        // stats and event totals.
+        let devices: Vec<_> = on.per_device.iter().flat_map(|d| &d.telemetry).collect();
+        assert_eq!(devices.len(), on.devices);
+        for stage in telemetry::Stage::ALL {
+            let spans: u64 = devices.iter().map(|t| t.stage(stage).spans).sum();
+            assert!(spans > 0, "{}", stage.name());
+            assert_eq!(merged.stage(stage).spans, spans, "{}", stage.name());
+        }
+        let recorded: u64 = devices.iter().map(|t| t.events_recorded).sum();
+        assert_eq!(merged.events_recorded, recorded);
         // Per-device snapshots keep their event traces.
         assert!(on.per_device.iter().all(|d| d
             .telemetry

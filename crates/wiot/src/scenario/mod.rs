@@ -458,7 +458,7 @@ impl DeviceSim {
 
     /// Feed both links' arrivals to the station in delivery-time order.
     fn deliver_arrivals(&mut self) -> Result<(), WiotError> {
-        for d in self.links.deliver(self.now_ms)? {
+        for d in self.links.deliver(self.now_ms) {
             self.station.receive(d)?;
         }
         Ok(())
@@ -685,10 +685,7 @@ impl DeviceSim {
     /// As [`DeviceSim::step`].
     pub fn into_report(mut self) -> Result<SimReport, WiotError> {
         self.run_to_completion()?;
-        let survival = self
-            .survival
-            .take()
-            .map(|rt| rt.into_report(&self.fault_summary));
+        let survival = self.survival.take().map(SurvivalRuntime::into_report);
         let mut report = SimReport::assemble(&self, survival);
         let tele = std::mem::take(self.station.os_mut().telemetry_mut());
         report.flush_telemetry(tele, &self.station, self.scenario.window_ms());
@@ -711,8 +708,8 @@ mod tests {
     use super::*;
     use crate::attacker::AttackClass;
     use crate::faults::{FaultEvent, FaultKind};
+    use crate::survival::SurvivalAction;
     use physio_sim::record::Record;
-    use telemetry::CounterId;
 
     #[test]
     fn quiet_session_has_few_false_alerts() {
@@ -946,7 +943,7 @@ mod tests {
     #[test]
     fn telemetry_is_behaviorally_invisible_and_captures_the_session() {
         // Same seed, sink on vs off: identical verdicts, identical
-        // battery bits — and the traced run's counters agree with the
+        // battery bits — and the traced run's events agree with the
         // report's own numbers.
         let mut s = Scenario::new(0, Version::Reduced, 30.0);
         s.link.loss_prob = 0.08;
@@ -975,30 +972,18 @@ mod tests {
         );
         assert!(plain.telemetry.is_none());
         let report = traced.telemetry.expect("sink was enabled");
-        assert_eq!(
-            report.counter(CounterId::FaultReboots),
-            traced.faults.reboots
-        );
-        assert_eq!(report.counter(CounterId::PacketsSent), traced.channel.sent);
-        assert_eq!(
-            report.counter(CounterId::WindowsDropped) as usize,
-            traced.dropped_windows
-        );
-        assert!(report
-            .events
-            .iter()
-            .any(|e| e.code == EventCode::FaultReboot));
-        assert!(report
-            .events
-            .iter()
-            .any(|e| matches!(e.code, EventCode::WindowEmitted | EventCode::WindowDropped)));
+        let count = |code| report.events.iter().filter(|e| e.code == code).count();
+        assert_eq!(count(EventCode::FaultReboot) as u64, traced.faults.reboots);
+        assert_eq!(count(EventCode::WindowDropped), traced.dropped_windows);
+        assert!(count(EventCode::WindowEmitted) > 0);
     }
 
     #[test]
-    fn telemetry_flush_matches_every_report_counter_on_a_hostile_session() {
+    fn telemetry_records_every_fault_window_and_stall_of_a_hostile_session() {
         // ARQ over a lossy link, a reboot, a torn commit, bit rot, a
-        // dropout and a stuck episode: every counter the end-of-session
-        // flush records must equal the report field it was taken from.
+        // dropout and a stuck episode: each fault leaves an event at the
+        // tick it fired, the flush leaves one event per window outcome
+        // and stall alert, and the battery gauge reads the report's.
         let payload = sift::checkpoint::encoded_len(Version::Simplified);
         let seq = amulet_sim::nvram::CheckpointStore::commit_sequence_len(payload);
         let mut s = Scenario::new(0, Version::Simplified, 30.0).with_reliability();
@@ -1037,18 +1022,19 @@ mod tests {
                 end_s: 20.6,
                 kind: FaultKind::CheckpointBitRot { byte: 40, bit: 2 },
             });
-        let r = DeviceSim::with_options(
+        let mut sim = DeviceSim::with_options(
             &s,
             DeviceOptions {
                 telemetry: true,
                 ..DeviceOptions::default()
             },
         )
-        .unwrap()
-        .into_report()
         .unwrap();
+        sim.run_to_completion().unwrap();
+        let log = sim.window_log().clone();
+        let r = sim.into_report().unwrap();
         let tele = r.telemetry.as_ref().expect("sink was enabled");
-        let c = |id| tele.counter(id);
+        assert_eq!(tele.events_dropped, 0, "the ring held the whole session");
 
         // The session really was hostile.
         let t = r.transport.expect("ARQ was on");
@@ -1060,40 +1046,75 @@ mod tests {
         assert!(r.faults.dropout_chunks > 0 && r.faults.stuck_chunks > 0);
         assert!(r.stall_alerts > 0, "the 10 s dropout outlasts the watchdog");
 
-        let ch = r.channel;
-        assert_eq!(c(CounterId::PacketsSent), ch.sent);
-        assert_eq!(c(CounterId::PacketsLost), ch.lost);
-        assert_eq!(c(CounterId::PacketsDuplicated), ch.duplicated);
-        assert_eq!(c(CounterId::PacketsReordered), ch.reordered);
-        assert_eq!(c(CounterId::PacketsCorrupted), ch.corrupted);
-        assert_eq!(c(CounterId::ArqDataSent), t.data_sent);
-        assert_eq!(c(CounterId::ArqRetransmits), t.retransmits);
-        assert_eq!(c(CounterId::ArqNacksSent), t.nacks_sent);
-        assert_eq!(c(CounterId::ArqGapRecoveries), t.gap_recoveries);
-        assert_eq!(c(CounterId::ArqGiveUps), t.give_ups);
-        assert_eq!(c(CounterId::ArqDuplicatesDiscarded), t.duplicates_discarded);
-        assert_eq!(c(CounterId::ArqBufferEvictions), t.buffer_evictions);
-        let f = r.faults;
-        assert_eq!(c(CounterId::FaultReboots), f.reboots);
-        assert_eq!(c(CounterId::FaultTornCommits), f.torn_commits);
-        assert_eq!(c(CounterId::FaultBitrotFlips), f.bitrot_flips);
-        assert_eq!(c(CounterId::FaultDropoutChunks), f.dropout_chunks);
-        assert_eq!(c(CounterId::FaultStuckChunks), f.stuck_chunks);
-        assert_eq!(c(CounterId::CheckpointRecoveries), f.recoveries);
-        assert_eq!(c(CounterId::CheckpointRollbacks), f.rollbacks);
+        // Each fault event at its tick: the first tick at or after the
+        // scheduled instant. Episodes fire once per chunk tick inside
+        // `[start, end)`, on their stream (ECG 0, ABP 1).
+        let chunk_ms = s.chunk_ms();
+        let tick = |at_ms: u64| at_ms.div_ceil(chunk_ms) * chunk_ms;
+        let episode = |from_ms: u64, to_ms: u64, stream: u64| -> Vec<(u64, u64, u64)> {
+            (tick(from_ms)..to_ms).step_by(chunk_ms as usize).map(|t| (t, stream, 0)).collect()
+        };
+        let events = |code| -> Vec<(u64, u64, u64)> {
+            tele.events
+                .iter()
+                .filter(|e| e.code == code)
+                .map(|e| (e.t_ms, e.a, e.b))
+                .collect()
+        };
+        let torn_ms = tick(15_200);
+        assert_eq!(
+            events(EventCode::FaultReboot),
+            [(tick(9_300), 1, 0), (torn_ms, 2, 0)]
+        );
+        assert_eq!(events(EventCode::FaultTornCommit), [(torn_ms, seq as u64 - 6, 0)]);
+        assert_eq!(events(EventCode::FaultBitRot), [(tick(20_600), 40, 2)]);
+        assert_eq!(events(EventCode::FaultDropout), episode(3_000, 13_000, 1));
+        assert_eq!(events(EventCode::FaultStuck), episode(18_000, 20_000, 0));
+        assert_eq!(events(EventCode::FaultDropout).len() as u64, r.faults.dropout_chunks);
+        assert_eq!(events(EventCode::FaultStuck).len() as u64, r.faults.stuck_chunks);
 
-        // Window outcomes and stall alerts.
-        assert_eq!(c(CounterId::WindowsDropped) as usize, r.dropped_windows);
-        assert_eq!(c(CounterId::WindowsSalvaged) as usize, r.salvaged_windows);
-        assert_eq!(
-            (c(CounterId::WindowsEmitted) + c(CounterId::WindowsSalvaged)) as usize,
-            r.confusion.total() + r.ambiguous_windows
-        );
-        assert_eq!(c(CounterId::StallAlerts) as usize, r.stall_alerts);
-        assert_eq!(
-            c(CounterId::AlertsRaised) as usize + r.stall_alerts,
-            r.sink.alerts().len()
-        );
+        // One window event per window-log entry, in log order, with its
+        // outcome and alert bit.
+        let window_ms = s.window_ms();
+        let expected: Vec<(u64, EventCode, u64, u64)> = log
+            .iter()
+            .map(|&(idx, outcome)| {
+                let (code, alerted) = match outcome {
+                    WindowOutcome::Dropped => (EventCode::WindowDropped, false),
+                    WindowOutcome::Emitted { alerted } => (EventCode::WindowEmitted, alerted),
+                    WindowOutcome::Salvaged { alerted } => (EventCode::WindowSalvaged, alerted),
+                };
+                (idx as u64 * window_ms, code, idx as u64, u64::from(alerted))
+            })
+            .collect();
+        let windows: Vec<(u64, EventCode, u64, u64)> = tele
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.code,
+                    EventCode::WindowEmitted | EventCode::WindowSalvaged | EventCode::WindowDropped
+                )
+            })
+            .map(|e| (e.t_ms, e.code, e.a, e.b))
+            .collect();
+        assert_eq!(windows, expected);
+        assert_eq!(events(EventCode::WindowDropped).len(), r.dropped_windows);
+        assert_eq!(events(EventCode::WindowSalvaged).len(), r.salvaged_windows);
+
+        // One stall event per watchdog alert, at the alert's instant;
+        // with the alerted windows they are every archived alert.
+        let stalls: Vec<(u64, u64, u64)> = r
+            .sink
+            .alerts()
+            .iter()
+            .filter(|a| a.app == "watchdog")
+            .map(|a| (a.at_ms, 0, 0))
+            .collect();
+        assert_eq!(stalls.len(), r.stall_alerts);
+        assert_eq!(events(EventCode::StallAlert), stalls);
+        let alerted = windows.iter().filter(|w| w.3 == 1).count();
+        assert_eq!(alerted + r.stall_alerts, r.sink.alerts().len());
         assert_eq!(
             tele.gauge(GaugeId::BatteryPermille),
             (r.battery_left * 1000.0) as i64
@@ -1129,7 +1150,7 @@ mod tests {
         assert!(sr.actions.is_empty(), "{:?}", sr.actions);
         assert_eq!(sr.version_switches, 0);
         assert_eq!(sr.final_version, Version::Reduced);
-        assert_eq!(sr.duty_skipped_chunks, 0);
+        assert_eq!(on.faults.duty_skipped_chunks, 0);
         // 30 s of real-time drain truncates at most one permille.
         assert!(sr.final_soc_permille >= 999);
         assert!(off.survival.is_none());
@@ -1150,11 +1171,9 @@ mod tests {
         let sr = r.survival.expect("policy was on");
         assert!(sr.version_switches >= 2, "{:?}", sr.actions);
         assert_eq!(sr.final_version, Version::Reduced);
-        assert!(sr.duty_skipped_chunks > 0);
-        assert_eq!(r.faults.duty_skipped_chunks, sr.duty_skipped_chunks);
+        assert!(r.faults.duty_skipped_chunks > 0);
         assert!(sr.retry_reconfigs >= 1);
-        assert!(sr.low_battery_ticks > 0);
-        assert_eq!(r.faults.low_battery_ticks, sr.low_battery_ticks);
+        assert!(r.faults.low_battery_ticks > 0);
         assert!(sr.cutoff_at_ms.is_some(), "soc {} ‰", sr.final_soc_permille);
         // Time was spent in every rung of the ladder.
         assert!(
@@ -1202,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn survival_telemetry_counters_capture_the_session() {
+    fn survival_telemetry_events_capture_every_actuation() {
         let mut s = Scenario::new(0, Version::Original, 60.0).with_reliability();
         s.survival = Some(SurvivalConfig {
             min_dwell_ticks: 5,
@@ -1220,28 +1239,32 @@ mod tests {
         .unwrap();
         let sr = traced.survival.as_ref().expect("policy was on");
         let tele = traced.telemetry.as_ref().expect("sink was on");
-        assert_eq!(
-            tele.counter(CounterId::SurvivalVersionSwitches),
-            sr.version_switches
-        );
-        assert_eq!(
-            tele.counter(CounterId::SurvivalDutySkippedChunks),
-            sr.duty_skipped_chunks
-        );
-        assert_eq!(
-            tele.counter(CounterId::SurvivalRetryReconfigs),
-            sr.retry_reconfigs
-        );
-        assert_eq!(
-            tele.counter(CounterId::SurvivalLowBatteryTicks),
-            sr.low_battery_ticks
-        );
-        // Every actuation left a tick-stamped event in the ring.
-        let actuations = tele
+        assert_eq!(tele.events_dropped, 0, "the ring held the whole session");
+        // Every actuation, in decision order, left an event at its
+        // policy tick (tick 1 is the step at 0 ms), carrying its knob
+        // (0 version, 1 duty, 2 retry) and packed setting.
+        let pack = |hi: u8, lo: u8| (u64::from(hi) << 8) | u64::from(lo);
+        let expected: Vec<(u64, u64, u64)> = sr
+            .actions
+            .iter()
+            .map(|&action| match action {
+                SurvivalAction::SetVersion { at_tick, to, .. } => (at_tick, 0, to.index() as u64),
+                SurvivalAction::SetDuty { at_tick, skip, of } => (at_tick, 1, pack(skip, of)),
+                SurvivalAction::SetRetry {
+                    at_tick,
+                    max_retries,
+                    backoff_extra_shift,
+                } => (at_tick, 2, pack(max_retries, backoff_extra_shift)),
+            })
+            .map(|(at_tick, kind, arg)| ((u64::from(at_tick) - 1) * 1000, kind, arg))
+            .collect();
+        let actuations: Vec<(u64, u64, u64)> = tele
             .events
             .iter()
             .filter(|e| e.code == EventCode::SurvivalAction)
-            .count();
-        assert_eq!(actuations, sr.actions.len());
+            .map(|e| (e.t_ms, e.a, e.b))
+            .collect();
+        assert!(sr.version_switches >= 2 && sr.retry_reconfigs >= 1, "{:?}", sr.actions);
+        assert_eq!(actuations, expected);
     }
 }

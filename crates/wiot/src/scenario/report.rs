@@ -1,6 +1,7 @@
 //! Session reports: [`SimReport`] and [`SurvivalReport`], the scoring
 //! of the window log against the attack span, and the end-of-session
-//! telemetry flush, which records the report's own figures.
+//! telemetry flush, which records what the report does not hold: the
+//! timestamped window and stall events and the battery gauge.
 
 use super::DeviceSim;
 use crate::basestation::BaseStation;
@@ -13,7 +14,7 @@ use crate::transport::TransportStats;
 use ml::metrics::ConfusionMatrix;
 use ml::Label;
 use sift::features::Version;
-use telemetry::{CounterId, EventCode, GaugeId, Telemetry, TelemetryReport};
+use telemetry::{EventCode, GaugeId, Telemetry, TelemetryReport};
 
 /// Result of running a scenario.
 #[derive(Debug, Clone)]
@@ -47,8 +48,8 @@ pub struct SimReport {
     pub stall_alerts: usize,
     /// Battery fraction remaining at the end of the session.
     pub battery_left: f64,
-    /// Final telemetry snapshot: counters, per-stage span statistics
-    /// and the event ring. `None` unless [`DeviceOptions::telemetry`](super::DeviceOptions::telemetry)
+    /// Final telemetry snapshot: gauges, per-stage span statistics and
+    /// the event ring. `None` unless [`DeviceOptions::telemetry`](super::DeviceOptions::telemetry)
     /// enabled the sink — and never an input to anything above.
     pub telemetry: Option<TelemetryReport>,
     /// What the survival policy did (`None` when [`Scenario::survival`](super::Scenario::survival)
@@ -65,12 +66,8 @@ pub struct SurvivalReport {
     pub actions: Vec<SurvivalAction>,
     /// Detector version switches performed (reflash count).
     pub version_switches: u64,
-    /// Sensor chunks suppressed by the duty cycle.
-    pub duty_skipped_chunks: u64,
     /// Times the transport retry posture was reconfigured.
     pub retry_reconfigs: u64,
-    /// Policy ticks spent at or below the low-battery threshold.
-    pub low_battery_ticks: u64,
     /// Detector version in force when the session ended.
     pub final_version: Version,
     /// Modeled battery state of charge at session end, permille.
@@ -157,8 +154,9 @@ impl SimReport {
     }
 
     /// Flush the session into `tele` and keep its snapshot in
-    /// [`SimReport::telemetry`]: an event per window outcome and stall
-    /// alert, then this report's own counters and battery gauge.
+    /// [`SimReport::telemetry`]: an event per window outcome (`b` = the
+    /// alert bit) and per stall alert, then the battery gauge. The
+    /// session's counts live in this report alone.
     pub(super) fn flush_telemetry(
         &mut self,
         mut tele: Telemetry,
@@ -169,53 +167,15 @@ impl SimReport {
             return;
         }
         for &(idx, outcome) in station.window_log() {
-            let (code, counter) = match outcome {
-                Dropped => (EventCode::WindowDropped, CounterId::WindowsDropped),
-                Emitted { .. } => (EventCode::WindowEmitted, CounterId::WindowsEmitted),
-                Salvaged { .. } => (EventCode::WindowSalvaged, CounterId::WindowsSalvaged),
+            let (code, alerted) = match outcome {
+                Dropped => (EventCode::WindowDropped, false),
+                Emitted { alerted } => (EventCode::WindowEmitted, alerted),
+                Salvaged { alerted } => (EventCode::WindowSalvaged, alerted),
             };
-            let alerted = matches!(
-                outcome,
-                Emitted { alerted: true } | Salvaged { alerted: true }
-            );
             tele.event(idx as u64 * window_ms, code, idx as u64, u64::from(alerted));
-            tele.count(counter, 1);
-            if alerted {
-                tele.count(CounterId::AlertsRaised, 1);
-            }
         }
         for alert in stall_alerts(station) {
             tele.event(alert.at_ms, EventCode::StallAlert, 0, 0);
-        }
-        tele.count(CounterId::StallAlerts, self.stall_alerts as u64);
-        let channel = self.channel;
-        tele.count(CounterId::PacketsSent, channel.sent);
-        tele.count(CounterId::PacketsLost, channel.lost);
-        tele.count(CounterId::PacketsDuplicated, channel.duplicated);
-        tele.count(CounterId::PacketsReordered, channel.reordered);
-        tele.count(CounterId::PacketsCorrupted, channel.corrupted);
-        if let Some(t) = self.transport {
-            tele.count(CounterId::ArqDataSent, t.data_sent);
-            tele.count(CounterId::ArqRetransmits, t.retransmits);
-            tele.count(CounterId::ArqNacksSent, t.nacks_sent);
-            tele.count(CounterId::ArqGapRecoveries, t.gap_recoveries);
-            tele.count(CounterId::ArqGiveUps, t.give_ups);
-            tele.count(CounterId::ArqDuplicatesDiscarded, t.duplicates_discarded);
-            tele.count(CounterId::ArqBufferEvictions, t.buffer_evictions);
-        }
-        let faults = self.faults;
-        tele.count(CounterId::FaultReboots, faults.reboots);
-        tele.count(CounterId::FaultTornCommits, faults.torn_commits);
-        tele.count(CounterId::FaultBitrotFlips, faults.bitrot_flips);
-        tele.count(CounterId::FaultDropoutChunks, faults.dropout_chunks);
-        tele.count(CounterId::FaultStuckChunks, faults.stuck_chunks);
-        tele.count(CounterId::CheckpointRecoveries, faults.recoveries);
-        tele.count(CounterId::CheckpointRollbacks, faults.rollbacks);
-        if let Some(sr) = &self.survival {
-            tele.count(CounterId::SurvivalVersionSwitches, sr.version_switches);
-            tele.count(CounterId::SurvivalDutySkippedChunks, sr.duty_skipped_chunks);
-            tele.count(CounterId::SurvivalRetryReconfigs, sr.retry_reconfigs);
-            tele.count(CounterId::SurvivalLowBatteryTicks, sr.low_battery_ticks);
         }
         tele.gauge_set(
             GaugeId::BatteryPermille,

@@ -165,16 +165,14 @@ impl SurvivalRuntime {
     }
 
     /// What the policy did over the session.
-    pub(super) fn into_report(self, faults: &FaultSummary) -> SurvivalReport {
+    pub(super) fn into_report(self) -> SurvivalReport {
         SurvivalReport {
             version_switches: u64::from(self.battery.policy().switches()),
-            duty_skipped_chunks: faults.duty_skipped_chunks,
             retry_reconfigs: self
                 .actions
                 .iter()
                 .filter(|a| matches!(a, SurvivalAction::SetRetry { .. }))
                 .count() as u64,
-            low_battery_ticks: faults.low_battery_ticks,
             final_version: self.battery.policy().version(),
             final_soc_permille: self.battery.soc_permille(),
             cutoff_at_ms: self.cutoff_at_ms,

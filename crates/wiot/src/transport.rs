@@ -212,8 +212,16 @@ impl ArqLink {
     ///
     /// # Errors
     ///
-    /// None at present: every loss is counted in [`TransportStats`].
+    /// None: every loss is counted in [`TransportStats`]. The `Result`
+    /// stays in the public signature because out-of-crate callers match
+    /// it against other fallible link pumps; the device's own delivery
+    /// path pumps without one.
     pub fn pump(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
+        Ok(self.pump_arrivals(now_ms))
+    }
+
+    /// [`ArqLink::pump`] without the `Result`.
+    fn pump_arrivals(&mut self, now_ms: u64) -> Vec<Delivery> {
         let arrivals = self.collect_arrivals(now_ms);
         let mut out = Vec::new();
         for delivery in arrivals {
@@ -231,7 +239,7 @@ impl ArqLink {
         }
         self.detect_tail_losses(now_ms);
         self.service_gaps(now_ms);
-        Ok(out)
+        out
     }
 
     /// Whether the link still has packets in the air, gaps under
@@ -419,14 +427,13 @@ impl Link {
     /// Move everything arriving by `now_ms` into `out`: a raw link in
     /// transmission order, an ARQ link deduplicated and in `at_ms`
     /// order.
-    fn pump_into(&mut self, now_ms: u64, out: &mut Vec<Delivery>) -> Result<(), WiotError> {
+    fn pump_into(&mut self, now_ms: u64, out: &mut Vec<Delivery>) {
         match self {
             Link::Raw { in_flight, .. } => {
                 out.extend(in_flight.extract_if(.., |d| d.at_ms <= now_ms));
             }
-            Link::Arq(link) => out.extend(link.pump(now_ms)?),
+            Link::Arq(link) => out.extend(link.pump_arrivals(now_ms)),
         }
-        Ok(())
     }
 }
 
@@ -472,17 +479,13 @@ impl Links {
     /// Everything arriving on either link by `now_ms`, in delivery-time
     /// order (one stable sort: equal times keep ECG first, then each
     /// link's own order).
-    ///
-    /// # Errors
-    ///
-    /// As [`ArqLink::pump`].
-    pub(crate) fn deliver(&mut self, now_ms: u64) -> Result<Vec<Delivery>, WiotError> {
+    pub(crate) fn deliver(&mut self, now_ms: u64) -> Vec<Delivery> {
         let mut arrivals = Vec::new();
         for link in &mut self.0 {
-            link.pump_into(now_ms, &mut arrivals)?;
+            link.pump_into(now_ms, &mut arrivals);
         }
         arrivals.sort_by_key(|d| d.at_ms);
-        Ok(arrivals)
+        arrivals
     }
 
     /// Whether neither link has anything left to deliver or recover.
@@ -737,10 +740,9 @@ mod tests {
             links.send(Stream::Abp, 0, abp(0));
             links.send(Stream::Ecg, 5, packet(0));
             links.send(Stream::Abp, 5, abp(1));
-            assert!(links.deliver(4).unwrap().is_empty());
+            assert!(links.deliver(4).is_empty());
             let got: Vec<(u64, Stream)> = links
                 .deliver(10)
-                .unwrap()
                 .iter()
                 .map(|d| (d.at_ms, d.packet.stream))
                 .collect();

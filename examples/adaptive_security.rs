@@ -123,7 +123,7 @@ fn closed_loop() {
     }
     println!(
         "  {} version switches, {} chunks duty-skipped, {} s under low battery",
-        sr.version_switches, sr.duty_skipped_chunks, sr.low_battery_ticks
+        sr.version_switches, report.faults.duty_skipped_chunks, report.faults.low_battery_ticks
     );
     let names = ["original", "simplified", "reduced"];
     let occupancy: Vec<String> = names
