@@ -123,6 +123,109 @@ fn embedded_features_are_pinned() {
     assert_eq!(hash, 0x156e_dd36_e6ca_decb, "embedded feature hash");
 }
 
+/// The device's 12-bit ADC code of `v` over the input range `lo..hi`:
+/// clamp, scale to `[0, 4095]`, round half away from zero (DESIGN §3).
+fn adc_code(v: f64, lo: f64, hi: f64) -> i64 {
+    ((v.clamp(lo, hi) - lo) / (hi - lo) * 4095.0).round() as i64
+}
+
+/// The code span `(min, max)` of one channel under the ADC range `lo..hi`.
+fn code_span(signal: &[f64], lo: f64, hi: f64) -> (i64, i64) {
+    let codes = signal.iter().map(|&v| adc_code(v, lo, hi));
+    (codes.clone().min().unwrap(), codes.max().unwrap())
+}
+
+/// `signal` mapped affinely so its smallest sample lands on `t0` and
+/// its largest on `t1`.
+fn rescale(signal: &mut [f64], (t0, t1): (f64, f64)) {
+    let min = signal.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = signal.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let scale = (t1 - t0) / (max - min);
+    signal.iter_mut().for_each(|v| *v = t0 + (*v - min) * scale);
+}
+
+/// `signal` rescaled so its smallest sample sits on the centre of ADC
+/// code `c0` over the input range `lo..hi` and its largest on that of
+/// `c1`.
+fn onto_codes(signal: &mut [f64], lo: f64, hi: f64, (c0, c1): (i64, i64)) {
+    let centre = |c: i64| lo + c as f64 * (hi - lo) / 4095.0;
+    rescale(signal, (centre(c0), centre(c1)));
+}
+
+/// The embedded grid versions pinned to their bits across grid sizes:
+/// an FNV-1a hash over the `to_bits()` of every feature
+/// `extract_amulet_f32` returns for Original and Simplified at grids
+/// {2, 3, 7, 50, 97, 300}. The windows are the 48 bank windows of
+/// `embedded_features_are_pinned` and, derived from one window of each
+/// subject:
+/// * both channels squeezed to a code span of 40, below most grids, so
+///   that whole columns and rows of the grid hold no code;
+/// * both channels stretched to a code span of 2 100, a multiple of
+///   every grid but 97, so that `k · span / n` lands on an integer at
+///   each cell edge;
+/// * ECG stretched past both ±2.5 mV rails and ABP below 0 and above
+///   250 mmHg;
+/// * a 0.5 s chunk of both channels held at the sample before it, as the
+///   base station's zero-order-hold salvage fills a lost chunk.
+///
+/// It moves only if the device's ADC law, normalization, grid binning or
+/// feature arithmetic changed.
+#[test]
+fn embedded_grid_features_are_pinned() {
+    const ECG: (f64, f64) = (-2.5, 2.5);
+    const ABP: (f64, f64) = (0.0, 250.0);
+    let mut snippets = Vec::new();
+    for (i, subject) in bank().iter().enumerate() {
+        let record = Record::synthesize(subject, 12.0, 100 + i as u64);
+        for w in windows(&record, 3.0).unwrap() {
+            snippets.push(Snippet::from_record(&w).unwrap());
+        }
+    }
+    let bank_windows = snippets.len();
+    for k in (0..bank_windows).step_by(4) {
+        let base = snippets[k].clone();
+        let (mut narrow, mut tie, mut clipped, mut held) =
+            (base.clone(), base.clone(), base.clone(), base.clone());
+        onto_codes(&mut narrow.ecg, ECG.0, ECG.1, (1500, 1540));
+        onto_codes(&mut narrow.abp, ABP.0, ABP.1, (1200, 1240));
+        assert_eq!(code_span(&narrow.ecg, ECG.0, ECG.1), (1500, 1540));
+        assert_eq!(code_span(&narrow.abp, ABP.0, ABP.1), (1200, 1240));
+        onto_codes(&mut tie.ecg, ECG.0, ECG.1, (1000, 3100));
+        onto_codes(&mut tie.abp, ABP.0, ABP.1, (900, 3000));
+        assert_eq!(code_span(&tie.ecg, ECG.0, ECG.1), (1000, 3100));
+        assert_eq!(code_span(&tie.abp, ABP.0, ABP.1), (900, 3000));
+        rescale(&mut clipped.ecg, (-4.0, 4.0));
+        rescale(&mut clipped.abp, (-60.0, 310.0));
+        assert_eq!(code_span(&clipped.ecg, ECG.0, ECG.1), (0, 4095));
+        assert_eq!(code_span(&clipped.abp, ABP.0, ABP.1), (0, 4095));
+        for channel in [&mut held.ecg, &mut held.abp] {
+            let hold = channel[359];
+            channel[360..540].fill(hold);
+        }
+        snippets.extend([narrow, tie, clipped, held]);
+    }
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut count = 0;
+    for n in [2, 3, 7, 50, 97, 300] {
+        let cfg = SiftConfig {
+            grid_n: n,
+            ..SiftConfig::default()
+        };
+        for snippet in &snippets {
+            for v in [Version::Original, Version::Simplified] {
+                for f in extract_amulet_f32(v, snippet, &cfg).unwrap() {
+                    for b in f.to_bits().to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                    count += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(count, 6 * (48 + 12 * 4) * (8 + 8));
+    assert_eq!(hash, 0x7b72_ceca_ed5d_4a1e, "embedded grid feature hash");
+}
+
 /// The gold extractor pinned to its bits: an FNV-1a hash over the
 /// `to_bits()` of every feature `features::extract` returns, for all
 /// three versions, over the 48 bank windows of
