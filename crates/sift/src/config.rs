@@ -2,6 +2,13 @@
 
 use crate::SiftError;
 
+/// The largest occupancy grid `n` either extractor accepts: an axis
+/// with one cell per code of the 12-bit ADC, whose `n² = 2²⁴` joint
+/// counts (64 MiB of `u32`) are the most a grid version allocates.
+/// Every cell of such a grid, and so every entry of the Amulet path's
+/// code→cell table, fits a `u16`.
+pub const MAX_GRID_N: usize = 4096;
+
 /// All tunable parameters of the SIFT pipeline, defaulted to the paper's
 /// values.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,7 +18,9 @@ pub struct SiftConfig {
     pub fs: f64,
     /// Detection window `w` in seconds (paper: 3 s).
     pub window_s: f64,
-    /// Occupancy-grid size `n` (paper: n = 50).
+    /// Occupancy-grid size `n` (paper: n = 50), from 2 to
+    /// [`MAX_GRID_N`]: a grid version counts `n²` cells, and the Amulet
+    /// path bins through one cell per ADC code.
     pub grid_n: usize,
     /// Training duration Δ in seconds (paper: 20 minutes).
     pub train_s: f64,
@@ -68,11 +77,7 @@ impl SiftConfig {
                 reason: "window length must be positive",
             });
         }
-        if self.grid_n < 2 {
-            return Err(SiftError::InvalidConfig {
-                reason: "grid size must be at least 2",
-            });
-        }
+        check_grid(self.grid_n)?;
         if self.train_s < self.window_s {
             return Err(SiftError::InvalidConfig {
                 reason: "training duration must cover at least one window",
@@ -90,6 +95,26 @@ impl SiftConfig {
         }
         Ok(())
     }
+}
+
+/// Check that an `n × n` occupancy grid is one the extractors can count:
+/// `2 ≤ n ≤` [`MAX_GRID_N`]. Called before anything is sized by `n`.
+///
+/// # Errors
+///
+/// [`SiftError::InvalidConfig`] naming the violated bound.
+pub(crate) fn check_grid(n: usize) -> Result<(), SiftError> {
+    if n < 2 {
+        return Err(SiftError::InvalidConfig {
+            reason: "grid size must be at least 2",
+        });
+    }
+    if n > MAX_GRID_N {
+        return Err(SiftError::InvalidConfig {
+            reason: "grid size must be at most 4096",
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -112,6 +137,7 @@ mod tests {
             SiftConfig { fs: 0.0, ..base.clone() },
             SiftConfig { window_s: 0.0, ..base.clone() },
             SiftConfig { grid_n: 1, ..base.clone() },
+            SiftConfig { grid_n: MAX_GRID_N + 1, ..base.clone() },
             SiftConfig { train_s: 1.0, ..base.clone() },
             SiftConfig { train_step_s: 0.0, ..base.clone() },
             SiftConfig { svm_c: 0.0, ..base.clone() },
@@ -119,5 +145,15 @@ mod tests {
         for c in cases {
             assert!(c.validate().is_err(), "{c:?}");
         }
+    }
+
+    #[test]
+    fn grid_bounds_are_named() {
+        assert_eq!(check_grid(2), Ok(()));
+        assert_eq!(check_grid(MAX_GRID_N), Ok(()));
+        let Err(SiftError::InvalidConfig { reason }) = check_grid(MAX_GRID_N + 1) else {
+            panic!("grid {} accepted", MAX_GRID_N + 1);
+        };
+        assert!(reason.ends_with(&MAX_GRID_N.to_string()), "{reason}");
     }
 }

@@ -57,8 +57,8 @@ impl<'a> Axis<'a> {
 /// `x · n`, truncated, with the upper edge (`1.0`) in the last cell so
 /// every sample is counted once. `x · n` lies in `[0, n]` (or is NaN,
 /// which casts to 0), so the cast through `u32`, cheaper than a
-/// saturating cast to `usize`, truncates alike for every grid whose
-/// `n²` counts fit in memory.
+/// saturating cast to `usize`, truncates alike for every grid up to
+/// `MAX_GRID_N`.
 pub(crate) fn cell(x: f64, n: usize) -> usize {
     ((x * n as f64) as u32 as usize).min(n - 1)
 }
@@ -77,8 +77,8 @@ pub(crate) struct AbpAxis<'a> {
 #[derive(Debug)]
 struct Columns {
     n: usize,
-    /// A grid with more than `u32::MAX` columns could not hold its
-    /// `n²` counts, so a column always fits.
+    /// A grid has at most `MAX_GRID_N` columns, so a column always
+    /// fits.
     cells: Vec<u32>,
     features: [f64; 2],
 }
@@ -88,17 +88,13 @@ impl<'a> AbpAxis<'a> {
     ///
     /// # Errors
     ///
-    /// [`SiftError::InvalidConfig`] if `version` reads the grid and
-    /// `n < 2`.
+    /// [`SiftError::InvalidConfig`] if `version` reads the grid and `n`
+    /// is outside `2..=MAX_GRID_N`, before anything is sized by `n`.
     pub(crate) fn new(axis: Axis<'a>, version: Version, n: usize) -> Result<Self, SiftError> {
         let grid = match version {
             Version::Reduced => None,
             Version::Original | Version::Simplified => {
-                if n < 2 {
-                    return Err(SiftError::InvalidConfig {
-                        reason: "grid size must be at least 2",
-                    });
-                }
+                crate::config::check_grid(n)?;
                 let cells: Vec<u32> = axis.cells(n).map(|c| c as u32).collect();
                 let features = matrix::column_features(version, &cells, n)?;
                 Some(Columns { n, cells, features })

@@ -118,7 +118,7 @@ impl std::fmt::Display for Version {
 /// breaks [`Snippet::new`]'s invariants, [`SiftError::DegenerateSignal`]
 /// if either channel is constant or non-finite (ABP checked first), and
 /// [`SiftError::InvalidConfig`] if the version reads the grid and
-/// `config.grid_n < 2`.
+/// `config.grid_n` is outside `2..=`[`MAX_GRID_N`](crate::config::MAX_GRID_N).
 pub fn extract(
     version: Version,
     snippet: &Snippet,

@@ -14,9 +14,9 @@
 //!   and its small numeric divergence from the gold path is exactly what
 //!   Table II measures.
 
-use crate::config::SiftConfig;
+use crate::config::{check_grid, SiftConfig};
 use crate::features::Version;
-use crate::snippet::Snippet;
+use crate::snippet::{pair_peaks, Snippet};
 use crate::SiftError;
 use dsp::embedded_math::{atan2_approx, sqrt_newton_f32};
 use dsp::fixed::Q16;
@@ -45,13 +45,14 @@ impl std::fmt::Display for PlatformFlavor {
 ///
 /// One streaming pass per window: a finiteness-and-extremes scan of
 /// each channel fixes the normalization, then every sample is
-/// quantized, normalized and binned into the grid on the fly. The ADC
-/// law is monotone, so the extremes of the samples give the extremes of
-/// the codes. No per-sample buffer is kept.
+/// quantized and binned into the grid on the fly. The ADC law is
+/// monotone, so the extremes of the samples give the extremes of the
+/// codes. No per-sample buffer is kept.
 ///
 /// # Errors
 ///
-/// Returns [`SiftError::InvalidConfig`] for a grid smaller than 2,
+/// Returns [`SiftError::InvalidConfig`] for a grid outside
+/// `2..=`[`MAX_GRID_N`](crate::config::MAX_GRID_N),
 /// [`SiftError::InvalidSnippet`] for a hand-built snippet that breaks
 /// [`Snippet::new`]'s invariants, and [`SiftError::DegenerateSignal`]
 /// for constant/non-finite channels.
@@ -60,11 +61,7 @@ pub fn extract_amulet_f32(
     snippet: &Snippet,
     config: &SiftConfig,
 ) -> Result<Vec<f32>, SiftError> {
-    if config.grid_n < 2 {
-        return Err(SiftError::InvalidConfig {
-            reason: "grid size must be at least 2",
-        });
-    }
+    check_grid(config.grid_n)?;
     // The reduced version never enters the float pipeline at all: it
     // streams the ADC codes through the Q16.16 fixed-point path (which
     // is also what the platform cost model prices for it).
@@ -76,13 +73,13 @@ pub fn extract_amulet_f32(
     // The device never sees the continuous waveform; the gold pipeline
     // skips the ADC — it is one of the real sources of Amulet-vs-MATLAB
     // divergence in Table II.
-    let a = ABP_ADC.normalizer(&snippet.abp)?;
-    let e = ECG_ADC.normalizer(&snippet.ecg)?;
-    let point = |i: usize| (a(snippet.abp[i]), e(snippet.ecg[i]));
+    let a = ABP_ADC.channel(&snippet.abp)?;
+    let e = ECG_ADC.channel(&snippet.ecg)?;
+    let point = |i: usize| (a.at(snippet.abp[i]), e.at(snippet.ecg[i]));
     let r_pts = || snippet.r_peaks.iter().map(|&i| point(i));
     let s_pts = || snippet.sys_peaks.iter().map(|&i| point(i));
-    let pairs = snippet.paired_peaks();
-    let pair_sq = |&(r, s): &(usize, usize)| {
+    let pairs = || pair_peaks(&snippet.r_peaks, &snippet.sys_peaks);
+    let pair_sq = |(r, s): (usize, usize)| {
         let ((xr, yr), (xs, ys)) = (point(r), point(s));
         (xr - xs) * (xr - xs) + (yr - ys) * (yr - ys)
     };
@@ -97,7 +94,7 @@ pub fn extract_amulet_f32(
                 mean_f32(s_pts().map(angle)),
                 mean_f32(r_pts().map(dist)),
                 mean_f32(s_pts().map(dist)),
-                mean_f32(pairs.iter().map(|p| sqrt_newton_f32(pair_sq(p)))),
+                mean_f32(pairs().map(|p| sqrt_newton_f32(pair_sq(p)))),
             ]
         }
         // Reduced was dispatched to the Q16 path above.
@@ -109,37 +106,64 @@ pub fn extract_amulet_f32(
                 mean_f32(s_pts().map(slope)),
                 mean_f32(r_pts().map(sqdist)),
                 mean_f32(s_pts().map(sqdist)),
-                mean_f32(pairs.iter().map(pair_sq)),
+                mean_f32(pairs().map(pair_sq)),
             ]
         }
     };
 
-    // --- matrix features ---------------------------------------------------
-    // Column totals are binned alongside the cells: a column average is
-    // its total over `n`, and no second walk of the grid is needed.
-    let n = config.grid_n;
+    let matrix = grid_features(version, snippet, &a, &e, config.grid_n);
+    Ok(matrix.into_iter().chain(geo).collect())
+}
+
+/// The matrix features of a grid version — SFI, column spread, column
+/// AUC — from the window's samples binned on an `n × n` grid, `n` in
+/// `2..=MAX_GRID_N`.
+///
+/// Each channel's code→cell table is built once, so a sample costs its
+/// two ADC codes and two table loads. The grid is then read through the
+/// bitmap of its occupied cells, in row-major order: the SFI sums
+/// `p²` over them, which is the sum over every cell bit for bit (an
+/// empty cell adds `+0.0`, which leaves a non-negative sum unchanged,
+/// and the window has samples), and the column totals are read off the
+/// same cells.
+fn grid_features(
+    version: Version,
+    snippet: &Snippet,
+    a: &Channel,
+    e: &Channel,
+    n: usize,
+) -> [f32; 3] {
+    let (cols, rows) = (a.cells(n), e.cells(n));
     let mut counts = vec![0u32; n * n];
-    let mut col_counts = vec![0u32; n];
-    // A normalized sample times `n` lies in [0, n], where a `u32` cast
-    // truncates exactly like a `usize` one, in fewer instructions.
+    let mut occupied = vec![0u64; (n * n).div_ceil(64)];
     for (&x, &y) in snippet.abp.iter().zip(&snippet.ecg) {
-        let col = ((a(x) * n as f32) as u32 as usize).min(n - 1);
-        let row = ((e(y) * n as f32) as u32 as usize).min(n - 1);
-        counts[row * n + col] += 1;
-        col_counts[col] += 1;
+        let cell = usize::from(rows[e.index(y)]) * n + usize::from(cols[a.index(x)]);
+        counts[cell] += 1;
+        occupied[cell / 64] |= 1 << (cell % 64);
     }
     let total = snippet.len() as f32;
-    let sfi: f32 = counts
+    let mut sfi = 0.0f32;
+    let mut col_counts = vec![0u32; n];
+    let mut row_start = 0;
+    for (word, &bits) in occupied.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let cell = word * 64 + bits.trailing_zeros() as usize;
+            let p = counts[cell] as f32 / total;
+            sfi += p * p;
+            while cell >= row_start + n {
+                row_start += n;
+            }
+            col_counts[cell - row_start] += counts[cell];
+            bits &= bits - 1;
+        }
+    }
+    // A column's average is its total over the `n` cells.
+    let averages: Vec<f32> = col_counts.iter().map(|&c| c as f32 / n as f32).collect();
+    let mean = averages.iter().sum::<f32>() / n as f32;
+    let variance = averages
         .iter()
-        .map(|&c| {
-            let p = c as f32 / total;
-            p * p
-        })
-        .sum();
-    let col_avg = |col: usize| col_counts[col] as f32 / n as f32;
-    let mean_cols = (0..n).map(col_avg).sum::<f32>() / n as f32;
-    let variance = (0..n)
-        .map(|col| (col_avg(col) - mean_cols) * (col_avg(col) - mean_cols))
+        .map(|&v| (v - mean) * (v - mean))
         .sum::<f32>()
         / n as f32;
     let spread = match version {
@@ -149,11 +173,10 @@ pub fn extract_amulet_f32(
     // Single-pass composite trapezoid over [0, n-1].
     let auc = {
         let n_intervals = (n - 1) as f32;
-        let sum: f32 = (1..n).map(|col| col_avg(col - 1) + col_avg(col)).sum();
+        let sum: f32 = averages.windows(2).map(|w| w[0] + w[1]).sum();
         n_intervals / (2.0 * n_intervals) * sum
     };
-
-    Ok([sfi, spread, auc].into_iter().chain(geo).collect())
+    [sfi, spread, auc]
 }
 
 /// The reduced detector's fixed-point pipeline: the five simplified
@@ -226,13 +249,16 @@ const ECG_ADC: Adc = Adc { lo: -2.5, hi: 2.5 };
 const ABP_ADC: Adc = Adc { lo: 0.0, hi: 250.0 };
 
 impl Adc {
-    /// The raw code of one sample. `x` lies in `[0, 4095]`, where
-    /// truncation is `floor` and `x - floor(x)` is exact, so the last
-    /// line is `x.round()` (half away from zero) without the libm call.
+    /// The raw code of one sample: `x.round()` (half away from zero) of
+    /// `x = (v − lo) / (hi − lo) · 4095`, without the libm call. On
+    /// `x ≥ 0` that is `⌊x + ½⌋ = (⌊2x⌋ + 1) / 2` in integers, and `2x`
+    /// is the same product with the scale doubled: scaling by 2 is
+    /// exact, so `fl(q · 8190) = 2 · fl(q · 4095)` (only a subnormal
+    /// product can differ, and it truncates to 0 either way). One
+    /// truncation of `2x` in `[0, 8190]` then does the rounding.
     fn code(self, v: f64) -> u16 {
-        let x = (v.clamp(self.lo, self.hi) - self.lo) / (self.hi - self.lo) * 4095.0;
-        let t = x as u16;
-        t + u16::from(x - f64::from(t) >= 0.5)
+        let x2 = (v.clamp(self.lo, self.hi) - self.lo) / (self.hi - self.lo) * 8190.0;
+        ((x2 as u32 + 1) >> 1) as u16
     }
 
     /// A code mapped back to the channel's units, in the device's `f32`.
@@ -260,13 +286,101 @@ impl Adc {
         Ok((lo, hi))
     }
 
-    /// The `f32` min–max normalization of this channel's quantized
-    /// samples, as a map from a raw sample into `[0, 1]`. Distinct codes
-    /// have distinct `f32` levels, so the span is positive.
-    fn normalizer(self, signal: &[f64]) -> Result<impl Fn(f64) -> f32, SiftError> {
+    /// The channel of `signal` through this ADC, from one
+    /// [`Adc::extremes`] scan.
+    fn channel(self, signal: &[f64]) -> Result<Channel, SiftError> {
         let (lo, hi) = self.extremes(signal)?;
-        let (min, span) = (self.level(lo), self.level(hi) - self.level(lo));
-        Ok(move |v| (self.level(self.code(v)) - min) / span)
+        Ok(Channel {
+            adc: self,
+            lo,
+            hi,
+            min: self.level(lo),
+            span: self.level(hi) - self.level(lo),
+        })
+    }
+}
+
+/// One channel of a window through its ADC: the codes of its extremes
+/// and the `f32` min–max normalization of its quantized samples.
+/// Distinct codes have distinct `f32` levels, so the span is positive.
+#[derive(Debug, Clone, Copy)]
+struct Channel {
+    adc: Adc,
+    lo: u16,
+    hi: u16,
+    min: f32,
+    span: f32,
+}
+
+impl Channel {
+    /// The portrait coordinate of a code in `lo..=hi`, in `[0, 1]`.
+    fn coordinate(&self, code: u16) -> f32 {
+        (self.adc.level(code) - self.min) / self.span
+    }
+
+    /// The portrait coordinate of one of the window's samples.
+    fn at(&self, v: f64) -> f32 {
+        self.coordinate(self.adc.code(v))
+    }
+
+    /// The device's cell law: a code's coordinate times `n`, truncated,
+    /// with the upper edge (`1.0`) in the last cell. The coordinate
+    /// times `n` lies in `[0, n]`, where a `u32` cast truncates exactly
+    /// like a `usize` one, in fewer instructions.
+    fn cell(&self, code: u16, n: usize) -> usize {
+        ((self.coordinate(code) * n as f32) as u32 as usize).min(n - 1)
+    }
+
+    /// Index into [`Channel::cells`] of one of the window's samples: its
+    /// code less `lo`. Every sample's code is in `lo..=hi`, because the
+    /// ADC law is monotone and `lo`, `hi` are the codes of the extremes.
+    fn index(&self, v: f64) -> usize {
+        usize::from(self.adc.code(v) - self.lo)
+    }
+
+    /// The cell of every code in `lo..=hi` on an axis of `n` cells, `n`
+    /// in `2..=MAX_GRID_N`: entry `c - lo` is [`Channel::cell`] of `c`.
+    ///
+    /// The cell law is monotone in the code, so the table is `n` runs,
+    /// run `k` starting at the smallest code whose cell is at least `k`:
+    /// `lo` for run 0, and at most `hi` for every run, since `hi`'s
+    /// coordinate is `span / span = 1.0` and its cell `n - 1`. A start is
+    /// found next to its linear estimate `lo + ⌈k·w/n⌉`, `w = hi − lo`,
+    /// the exact start were the law linear: one pass evaluates the law
+    /// on both sides of every estimate, and code `c` starts run `k`
+    /// exactly when `cell(c − 1) < k ≤ cell(c)`. Where the pair does not
+    /// bracket `k`, the start is walked to from the estimate. The
+    /// estimate only picks where to evaluate; every entry is the law's
+    /// own value. `lo + 1 ≤` estimate `≤ hi` for `1 ≤ k < n`, and
+    /// `cell(lo) = 0`, so neither walk leaves `lo..=hi`.
+    fn cells(&self, n: usize) -> Vec<u16> {
+        let (lo, w) = (usize::from(self.lo), usize::from(self.hi - self.lo));
+        // `code ≤ hi ≤ 4095` and every cell is below `n ≤ MAX_GRID_N`.
+        let cell = |code: usize| self.cell(code as u16, n);
+        let probes: Vec<[usize; 3]> = (1..n)
+            .map(|k| {
+                let estimate = lo + (k * w).div_ceil(n);
+                [estimate, cell(estimate - 1), cell(estimate)]
+            })
+            .collect();
+        let mut table = Vec::with_capacity(w + 1);
+        for (k, [estimate, below, at]) in (1..n).zip(probes) {
+            let mut start = estimate;
+            if at < k {
+                start += 1;
+                while cell(start) < k {
+                    start += 1;
+                }
+            } else if below >= k {
+                start -= 1;
+                while cell(start - 1) >= k {
+                    start -= 1;
+                }
+            }
+            table.resize(start - lo, (k - 1) as u16);
+        }
+        table.resize(w + 1, (n - 1) as u16);
+        table
     }
 }
 
@@ -567,6 +681,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_GRID_N;
     use physio_sim::dataset::windows;
     use physio_sim::record::Record;
     use physio_sim::subject::bank;
@@ -641,11 +756,34 @@ mod tests {
 
     #[test]
     fn bad_grid_rejected() {
+        // Every grid the counts or the cell table cannot hold is refused
+        // before anything is sized by it: `1 << 20` would ask for 4 TiB of
+        // counts, and `usize::MAX²` wraps.
+        let sn = snippet();
+        fn invalid<T>(r: Result<T, SiftError>) -> bool {
+            matches!(r, Err(SiftError::InvalidConfig { .. }))
+        }
+        for grid_n in [0, 1, MAX_GRID_N + 1, 1 << 20, usize::MAX] {
+            let cfg = SiftConfig {
+                grid_n,
+                ..SiftConfig::default()
+            };
+            assert!(invalid(cfg.validate()), "grid {grid_n}");
+            for v in Version::ALL {
+                assert!(invalid(extract_amulet_f32(v, &sn, &cfg)), "{v}, grid {grid_n}");
+            }
+            for v in [Version::Original, Version::Simplified] {
+                let gold = crate::features::extract(v, &sn, &cfg);
+                assert!(invalid(gold), "gold {v}, grid {grid_n}");
+            }
+        }
+        // The largest grid is counted.
         let cfg = SiftConfig {
-            grid_n: 1,
+            grid_n: MAX_GRID_N,
             ..SiftConfig::default()
         };
-        assert!(extract_amulet_f32(Version::Original, &snippet(), &cfg).is_err());
+        let f = extract_amulet_f32(Version::Simplified, &sn, &cfg).unwrap();
+        assert!(f.iter().all(|x| x.is_finite()));
     }
 }
 
@@ -730,19 +868,29 @@ mod streaming_tests {
     use physio_sim::record::{Record, SynthProfile};
     use physio_sim::subject::bank;
 
+    /// Grid sizes from the smallest to the largest any caller sets, with
+    /// primes among them.
+    const GRIDS: [usize; 6] = [2, 3, 7, 50, 97, 300];
+
     /// The streaming extractors give bit-equal features (`to_bits`) or an
-    /// equal error to the materializing oracle, for every version.
+    /// equal error to the materializing oracle, for every version and
+    /// every grid in [`GRIDS`].
     fn assert_matches_oracle(sn: &Snippet, what: &str) {
-        let cfg = SiftConfig::default();
         let bits = |r: Result<Vec<f32>, SiftError>| {
             r.map(|f| f.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
         };
-        for v in Version::ALL {
-            assert_eq!(
-                bits(extract_amulet_f32(v, sn, &cfg)),
-                bits(oracle::extract_amulet_f32(v, sn, &cfg)),
-                "{what}: {v}"
-            );
+        for n in GRIDS {
+            let cfg = SiftConfig {
+                grid_n: n,
+                ..SiftConfig::default()
+            };
+            for v in Version::ALL {
+                assert_eq!(
+                    bits(extract_amulet_f32(v, sn, &cfg)),
+                    bits(oracle::extract_amulet_f32(v, sn, &cfg)),
+                    "{what}: {v}, grid {n}"
+                );
+            }
         }
         assert_eq!(
             extract_reduced_q16(sn),
@@ -818,6 +966,17 @@ mod streaming_tests {
             *odd.ecg.last_mut().unwrap() = 2.4;
             *odd.abp.last_mut().unwrap() = 1.0;
             assert_matches_oracle(&odd, &format!("odd window {k}"));
+            // Both channels squeezed to a few dozen codes, fewer than most
+            // grids have cells, with a chunk held at one sample as
+            // zero-order-hold salvage fills a lost chunk.
+            let mut narrow = sn.clone();
+            narrow.ecg.iter_mut().for_each(|v| *v *= 0.02);
+            narrow.abp.iter_mut().for_each(|v| *v = 100.0 + (*v - 100.0) * 0.05);
+            for channel in [&mut narrow.ecg, &mut narrow.abp] {
+                let hold = channel[99];
+                channel[100..280].fill(hold);
+            }
+            assert_matches_oracle(&narrow, &format!("narrow window {k}"));
         }
     }
 
@@ -884,6 +1043,40 @@ mod streaming_tests {
                 extract_reduced_q16(&s).unwrap_err(),
                 SiftError::DegenerateSignal
             );
+        }
+    }
+
+    /// The channel of a two-sample window whose samples sit on the
+    /// centres of codes `lo` and `hi`.
+    fn channel(adc: Adc, lo: u16, hi: u16) -> Channel {
+        let centre = |c: u16| adc.lo + f64::from(c) / 4095.0 * (adc.hi - adc.lo);
+        let ch = adc.channel(&[centre(lo), centre(hi)]).unwrap();
+        assert_eq!((ch.lo, ch.hi), (lo, hi), "{adc:?}");
+        ch
+    }
+
+    #[test]
+    fn cell_table_is_the_per_code_law() {
+        // Every span up to 40 codes (shorter than most grids), spans
+        // with many divisors (ties at run starts), primes and the full
+        // range; at the bottom, middle and top of the code range.
+        let spans = (1..=40u16).chain([97, 300, 301, 1077, 2100, 4095]);
+        for adc in [ECG_ADC, ABP_ADC] {
+            for w in spans.clone() {
+                for lo in [0, 5, 1500, 4095 - w] {
+                    let hi = lo + w;
+                    if hi > 4095 {
+                        continue;
+                    }
+                    let ch = channel(adc, lo, hi);
+                    for n in 2..=300 {
+                        let table = ch.cells(n);
+                        let law: Vec<u16> =
+                            (lo..=hi).map(|c| ch.cell(c, n) as u16).collect();
+                        assert_eq!(table, law, "{adc:?}, codes {lo}..={hi}, grid {n}");
+                    }
+                }
+            }
         }
     }
 

@@ -246,4 +246,22 @@ for workload in fleet-turbo fleet-fidelity hostile-link campaign; do
   echo "verify: wearbench $workload round digests match their pins"
 done
 
+# The benchmark's layer replay, at the pinned seed (~3–5 s each):
+# `wearbench trace` re-runs sampled devices layer by layer and checks
+# that the replay reproduces each device, that the replayed fold equals
+# the engine's, and that every dispatched window re-extracts to the
+# identical feature vector. Any `check FAILED` line fails the gate.
+for workload in hostile-link fleet-fidelity; do
+  wb_out=target/verify/wearbench_trace_$workload.txt
+  if ! cargo run --release -q --offline \
+      --manifest-path crates/bench/src/bin/wearbench/Cargo.toml -- \
+      trace --workload "$workload" > "$wb_out" \
+      || grep -q '^check FAILED' "$wb_out"; then
+    echo "verify: FAIL wearbench trace $workload:"
+    grep '^check' "$wb_out" || true
+    exit 1
+  fi
+  echo "verify: wearbench trace $workload replays every layer check"
+done
+
 echo "verify: OK"
