@@ -300,6 +300,13 @@ impl Adc {
     }
 }
 
+/// Codes past `lo` where run `k` of a table over `w + 1` codes and `n`
+/// cells would start were the cell law linear, `cell(lo + j) = ⌊j·n/w⌋`:
+/// the smallest `j` with `j·n ≥ k·w`.
+fn linear_start(k: usize, w: usize, n: usize) -> usize {
+    (k * w).div_ceil(n)
+}
+
 /// One channel of a window through its ADC: the codes of its extremes
 /// and the `f32` min–max normalization of its quantized samples.
 /// Distinct codes have distinct `f32` levels, so the span is positive.
@@ -359,7 +366,7 @@ impl Channel {
         let cell = |code: usize| self.cell(code as u16, n);
         let probes: Vec<[usize; 3]> = (1..n)
             .map(|k| {
-                let estimate = lo + (k * w).div_ceil(n);
+                let estimate = lo + linear_start(k, w, n);
                 [estimate, cell(estimate - 1), cell(estimate)]
             })
             .collect();
@@ -1070,11 +1077,31 @@ mod streaming_tests {
                     }
                     let ch = channel(adc, lo, hi);
                     for n in 2..=300 {
+                        let what = format!("{adc:?}, codes {lo}..={hi}, grid {n}");
                         let table = ch.cells(n);
                         let law: Vec<u16> =
                             (lo..=hi).map(|c| ch.cell(c, n) as u16).collect();
-                        assert_eq!(table, law, "{adc:?}, codes {lo}..={hi}, grid {n}");
+                        assert_eq!(table, law, "{what}");
+                        // Every run starts within one code of its linear
+                        // estimate, the smallest `j` with `j·n ≥ k·w`, so no
+                        // walk takes more than one step.
+                        let w = usize::from(w);
+                        for k in 1..n {
+                            let start = table.partition_point(|&c| usize::from(c) < k);
+                            let j = linear_start(k, w, n);
+                            assert!(j * n >= k * w && (j == 0 || (j - 1) * n < k * w));
+                            assert!(start.abs_diff(j) <= 1, "{what}, run {k}");
+                        }
                     }
+                }
+            }
+            // Grids this fine put some starts before their estimate, where
+            // the walk goes down.
+            for (lo, hi) in [(0, 4000), (700, 3700)] {
+                let ch = channel(adc, lo, hi);
+                for n in [1469, 2867, 3403, 3889, crate::config::MAX_GRID_N] {
+                    let law: Vec<u16> = (lo..=hi).map(|c| ch.cell(c, n) as u16).collect();
+                    assert_eq!(ch.cells(n), law, "{adc:?}, codes {lo}..={hi}, grid {n}");
                 }
             }
         }
