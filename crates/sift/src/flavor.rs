@@ -145,8 +145,7 @@ fn grid_features(
     let mut sfi = 0.0f32;
     let mut col_counts = vec![0u32; n];
     let mut row_start = 0;
-    for (word, &bits) in occupied.iter().enumerate() {
-        let mut bits = bits;
+    for (word, mut bits) in occupied.into_iter().enumerate() {
         while bits != 0 {
             let cell = word * 64 + bits.trailing_zeros() as usize;
             let p = counts[cell] as f32 / total;
