@@ -351,6 +351,33 @@ fn fram_checkpoint_bytes_are_pinned() {
     }
 }
 
+/// The Reference records the first 24 fleet-fidelity devices render at
+/// the benchmark's pinned seed (61455): device `i` wears bank subject
+/// `i % 12` for 30 s from the seed split `wiot::scenario` uses for its
+/// live session. The fleet round digests fold what the detector makes
+/// of these records, and a drift of `e^-20` mV in them moved none of
+/// those digests, so this pins every sample bit and peak annotation.
+#[test]
+fn fleet_fidelity_device_records_are_pinned() {
+    let b = bank();
+    let mut bytes = Vec::new();
+    for i in 0..24 {
+        let seed = wiot::fleet::device_seed(61455, i) ^ 0x11FE;
+        let r = Record::synthesize(&b[i % 12], 30.0, seed);
+        bytes.extend(r.fs.to_bits().to_le_bytes());
+        for channel in [&r.ecg, &r.abp] {
+            bytes.extend((channel.len() as u64).to_le_bytes());
+            channel.iter().for_each(|x| bytes.extend(x.to_bits().to_le_bytes()));
+        }
+        for peaks in [&r.r_peaks, &r.sys_peaks] {
+            bytes.extend((peaks.len() as u64).to_le_bytes());
+            peaks.iter().for_each(|&p| bytes.extend((p as u64).to_le_bytes()));
+        }
+    }
+    let got = fnv1a(&bytes);
+    assert_eq!(got, 0xf00e_152c_c6f8_2134, "{got:#018x}");
+}
+
 #[test]
 fn wiot_scenarios_are_reproducible() {
     let s = Scenario::new(1, Version::Simplified, 30.0);
