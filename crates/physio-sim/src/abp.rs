@@ -51,9 +51,38 @@ impl AbpMorphology {
         self.systolic_mmhg - self.diastolic_mmhg
     }
 
-    /// Evaluate the normalized pulse kernel at `x` seconds from the
-    /// systolic peak (negative = during the upstroke). The kernel peaks
-    /// at `1` at `x = 0` and is `0` before the upstroke begins.
+    /// The normalized pulse kernel at each `x` of the ascending `xs`,
+    /// seconds from the systolic peak (negative = during the upstroke),
+    /// into `k`. The kernel peaks at `1` at `x = 0` and is `0` before the
+    /// upstroke begins; the upstroke ([`Self::upstroke`]) and the
+    /// diastole ([`Self::diastole`]) each run as passes of their own.
+    fn pulse(&self, xs: &[f64], k: &mut [f64]) {
+        let up = xs.partition_point(|&x| x < -self.rise_s);
+        let peak = xs.partition_point(|&x| x < 0.0).max(up);
+        k[..up].fill(0.0);
+        self.upstroke(&xs[up..peak], &mut k[up..peak]);
+        self.diastole(&xs[peak..], &mut k[peak..]);
+    }
+
+    /// The kernel at one `x` ([`Self::pulse`]).
+    #[cfg(test)]
+    fn kernel(&self, x: f64) -> f64 {
+        let mut k = [0.0];
+        self.pulse(&[x], &mut k);
+        k[0]
+    }
+
+    /// The raised-cosine upstroke from 0 to 1 at each `x` of `xs`, into
+    /// `k`: one `cos` per sample, in a loop of its own.
+    fn upstroke(&self, xs: &[f64], k: &mut [f64]) {
+        for (k, &x) in k.iter_mut().zip(xs) {
+            *k = 0.5 * (1.0 + (std::f64::consts::PI * x / self.rise_s).cos());
+        }
+    }
+
+    /// The exponential diastolic decay plus the dicrotic rebound at each
+    /// `x ≥ 0` of `xs`, into `k`: the decay's `exp` in one pass, then
+    /// the notch's `exp` in another over the samples where it is kept.
     ///
     /// The dicrotic-notch Gaussian is left out where it cannot change a
     /// bit of `decay + notch`: where `notch_frac·e^n < 2^-55·e^-1·e^-x/decay_s`
@@ -63,28 +92,37 @@ impl AbpMorphology {
     /// takes no extra `exp` or `ln`. Over a rendered pulse the decay is
     /// at least `e^-5` for every population subject, so the notch is
     /// evaluated only within about 0.28 s of its centre.
-    pub fn kernel(&self, x: f64) -> f64 {
-        if x < -self.rise_s {
-            0.0
-        } else if x < 0.0 {
-            // Raised-cosine upstroke from 0 to 1.
-            0.5 * (1.0 + (std::f64::consts::PI * x / self.rise_s).cos())
-        } else {
-            // Exponential diastolic decay plus the dicrotic rebound.
-            let decay_exp = -x / self.decay_s;
-            let decay = decay_exp.exp();
-            let d = x - self.notch_delay_s;
-            let notch_exp = -d * d / (2.0 * 0.03f64 * 0.03);
-            if self.notch_negligible(notch_exp, decay_exp) {
-                decay
-            } else {
-                decay + self.notch_frac * notch_exp.exp()
+    fn diastole(&self, xs: &[f64], k: &mut [f64]) {
+        for (k, &x) in k.iter_mut().zip(xs) {
+            *k = self.decay_exp(x).exp();
+        }
+        let kept = |x: f64| !self.notch_negligible(self.notch_exp(x), self.decay_exp(x));
+        let Some(from) = xs.iter().position(|&x| kept(x)) else {
+            return;
+        };
+        let to = xs.iter().rposition(|&x| kept(x)).map_or(from, |to| to + 1);
+        for (k, &x) in k[from..to].iter_mut().zip(&xs[from..to]) {
+            let notch_exp = self.notch_exp(x);
+            if !self.notch_negligible(notch_exp, self.decay_exp(x)) {
+                *k += self.notch_frac * notch_exp.exp();
             }
         }
     }
 
+    /// The exponent of the diastolic decay at `x` from the systolic peak.
+    fn decay_exp(&self, x: f64) -> f64 {
+        -x / self.decay_s
+    }
+
+    /// The exponent of the dicrotic-notch Gaussian at `x` from the
+    /// systolic peak.
+    fn notch_exp(&self, x: f64) -> f64 {
+        let d = x - self.notch_delay_s;
+        -d * d / (2.0 * 0.03f64 * 0.03)
+    }
+
     /// Whether the notch term `notch_frac·e^notch_exp` is below
-    /// `2^-55·e^-1` of the decay term `e^decay_exp` ([`Self::kernel`]).
+    /// `2^-55·e^-1` of the decay term `e^decay_exp` ([`Self::diastole`]).
     /// `ln y ≤ y − 1`, so `|notch_frac| − 1` bounds its log from above.
     fn notch_negligible(&self, notch_exp: f64, decay_exp: f64) -> bool {
         notch_exp + (self.notch_frac.abs() - 1.0) < NEGLIGIBLE_LN + decay_exp
@@ -172,6 +210,14 @@ pub fn render_turbo(
 ///
 /// Returns the samples and the ground-truth systolic-peak sample indices
 /// (one per beat whose systolic peak lands inside the rendered range).
+///
+/// Each beat's kernel is evaluated in passes over its support: the
+/// sample offsets `x` from the systolic peak, then the upstroke's `cos`,
+/// the decay's `exp` and the kept notch's `exp`, each in a loop of its
+/// own, then `pp·k` is added to every sample. `x` is monotone in the
+/// sample index, so the support splits once where the upstroke begins
+/// and once at the peak. Every sample is bit for bit the per-sample
+/// kernel sum `oracle::render` keeps.
 pub fn render(
     morph: &AbpMorphology,
     r_times: &[f64],
@@ -183,13 +229,21 @@ pub fn render(
     let pp = morph.pulse_pressure();
     // Kernel support: upstroke before the peak, ~4 decay constants after.
     let tail = 4.0 * morph.decay_s + morph.notch_delay_s;
+    // Each beat's `x` and kernel, reused from beat to beat.
+    let (mut xs, mut ks) = (Vec::new(), Vec::new());
     for &rt in r_times {
         let peak_t = rt + morph.ptt_s;
         let lo = (((peak_t - morph.rise_s) * fs).floor()).max(0.0) as usize;
         let hi = (((peak_t + tail) * fs).ceil() as usize).min(n);
-        for (i, sample) in out.iter_mut().enumerate().take(hi).skip(lo) {
-            let x = i as f64 / fs - peak_t;
-            *sample += pp * morph.kernel(x);
+        if lo >= hi {
+            continue; // pulse support entirely outside the record
+        }
+        xs.clear();
+        xs.extend((lo..hi).map(|i| i as f64 / fs - peak_t));
+        ks.resize(xs.len(), 0.0);
+        morph.pulse(&xs, &mut ks);
+        for (sample, &k) in out[lo..hi].iter_mut().zip(&ks) {
+            *sample += pp * k;
         }
     }
     let sys_peaks = r_times

@@ -144,8 +144,8 @@ impl EcgMorphology {
 
     /// Prepare the five waves for a fixed RR interval, so the per-beat
     /// stretch `powf`s run once here instead of once per sample;
-    /// [`PreparedMorphology::at`] then evaluates the PQRST complex at
-    /// `tau` seconds from the R peak, summing in P, Q, R, S, T order.
+    /// [`PreparedWave::at`] then evaluates each wave at `tau` seconds
+    /// from the R peak.
     fn prepare(&self, rr: f64) -> PreparedMorphology {
         PreparedMorphology {
             // P and T track the beat length; the QRS complex is rigid.
@@ -167,24 +167,15 @@ struct PreparedMorphology {
 }
 
 impl PreparedMorphology {
+    /// The PQRST complex at `tau`, every wave evaluated, summed in P, Q,
+    /// R, S, T order: the sum [`render`] reproduces bit for bit.
+    #[cfg(test)]
     fn at(&self, tau: f64) -> f64 {
         self.waves[0].at(tau)
             + self.waves[1].at(tau)
             + self.waves[2].at(tau)
             + self.waves[3].at(tau)
             + self.waves[4].at(tau)
-    }
-
-    /// The P and T waves alone: what [`PreparedMorphology::at`] sums
-    /// where Q, R and S are negligible (see [`render`]).
-    fn p_t(&self, tau: f64) -> f64 {
-        self.waves[0].at(tau) + self.waves[4].at(tau)
-    }
-
-    /// The T wave alone: what [`PreparedMorphology::at`] sums where P is
-    /// negligible too (see [`render`]).
-    fn t(&self, tau: f64) -> f64 {
-        self.waves[4].at(tau)
     }
 
     /// The hull over Q, R and S of `f`'s `tau` intervals.
@@ -200,8 +191,8 @@ impl PreparedMorphology {
 
 /// Exponent below which a Gaussian term is at most
 /// `|amplitude|·e^-708 ≈ |amplitude|·3.3e-308`, the bottom of libm's
-/// normal range, and exactly ±0 below `-745.2`. [`render`] evaluates Q,
-/// R and S only where one of them is above it: within that reach of
+/// normal range, and exactly ±0 below `-745.2`. [`render`] evaluates
+/// each of Q, R and S only where it is above it: within that reach of
 /// the R peak (±0.41 s) the P and T waves add up to many orders of
 /// magnitude more than the `6e-292` mV such a term could move. These
 /// are also the costly calls: `exp` takes about ten times longer when
@@ -212,8 +203,7 @@ const UNDERFLOW_EXP: f64 = -708.0;
 /// joins cannot change a bit of it: `ulp(x)/2 ≥ 2^-54·|x|` for a normal
 /// `x`, and the spare factor `2e` covers the rounding of the evaluated
 /// terms and of the bounds found from this constant. The Reference
-/// kernels leave out such terms ([`render`],
-/// [`crate::abp::AbpMorphology::kernel`]).
+/// kernels leave out such terms ([`render`], [`crate::abp::render`]).
 pub(crate) const NEGLIGIBLE_LN: f64 = -55.0 * std::f64::consts::LN_2 - 1.0;
 
 /// Add `amp · exp(−(i/fs − center_t)² / (2σ²))` to `out[lo..hi]`,
@@ -327,7 +317,9 @@ pub fn render_turbo(
 ///   and the first bound is the hull of its roots. Outside it Q, R and
 ///   S are below half an ulp of P, and the partial sum stays P. A
 ///   morphology without that order, or with a silent P, falls back to
-///   the −708 reach alone.
+///   the −708 reach alone. Inside the stretch each of Q, R and S is
+///   evaluated only where its own exponent is at least −708, so no
+///   `exp` of theirs is subnormal.
 /// * From the R peak on, past that stretch, T is evaluated alone where
 ///   P is below `2^-55·e^-1` of T (padded by two samples), and P and T
 ///   before. Where T is subnormal, P is below `2^-55·e^-1` of a
@@ -335,6 +327,10 @@ pub fn render_turbo(
 ///   that is never −0, so the sign of a zero cannot show.
 ///
 /// So every sample is bit for bit the sum of all five waves.
+///
+/// Each wave's `exp` runs in a pass of its own over the samples it is
+/// evaluated at, into one sum per beat, and the passes add in P, Q, R,
+/// S, T order (see `Beat::add_to`).
 pub fn render(
     morph: &EcgMorphology,
     r_times: &[f64],
@@ -345,6 +341,8 @@ pub fn render(
     let n = (duration_s * fs).round() as usize;
     let (first, end) = (range.start.min(n), range.end.min(n));
     let mut out = vec![0.0f64; end.saturating_sub(first)];
+    // Each beat's `tau` and sum, reused from beat to beat.
+    let mut scratch = (Vec::new(), Vec::new());
     // Each beat contributes only within ±0.6·RR of its R peak, so render
     // beat-locally instead of summing all beats per sample.
     for (k, &rt) in r_times.iter().enumerate() {
@@ -386,14 +384,23 @@ pub fn render(
         let t_lo = (((rt + t_from) * fs).ceil() + 2.0)
             .min(hi as f64)
             .max(q_hi as f64) as usize;
-        let (pre, rest) = out[lo - first..hi - first].split_at_mut(q_lo - lo);
-        let (qrs, rest) = rest.split_at_mut(q_hi - q_lo);
-        let (p_t, t) = rest.split_at_mut(t_lo - q_hi);
-        let sides = [&before, &after];
-        add_beat(pre, lo, fs, rt, sides, PreparedMorphology::p_t);
-        add_beat(qrs, q_lo, fs, rt, sides, PreparedMorphology::at);
-        add_beat(p_t, q_hi, fs, rt, sides, PreparedMorphology::p_t);
-        add_beat(t, t_lo, fs, rt, sides, PreparedMorphology::t);
+        // Q, R and S each only where its own exponent is at least −708
+        // inside the stretch; they are rigid, so `after`'s reach is
+        // `before`'s.
+        let qrs = [1, 2, 3].map(|k| {
+            let (from, to) = after.waves[k].reach();
+            let from = ((rt + from) * fs).ceil().max(q_lo as f64).min(q_hi as f64);
+            let to = (((rt + to) * fs).floor() + 1.0).min(q_hi as f64).max(from);
+            from as usize - lo..to as usize - lo
+        });
+        let beat = Beat {
+            from: lo,
+            rt,
+            sides: [&before, &after],
+            qrs,
+            t_alone: t_lo - lo,
+        };
+        beat.add_to(&mut out[lo - first..hi - first], fs, &mut scratch);
     }
     let r_peaks = r_times
         .iter()
@@ -403,21 +410,66 @@ pub fn render(
     (out, r_peaks)
 }
 
-/// Add `waves` of the beat whose R peak is at `rt` to `out`, whose
-/// element 0 is trace sample `from`: at the previous beat's stretch
-/// before the R peak and at the next one's from it on.
-fn add_beat(
-    out: &mut [f64],
+/// One beat of [`render`], its bounds relative to sample `from`, the
+/// first sample of its support.
+struct Beat<'a> {
+    /// Trace sample of the support's first element.
     from: usize,
-    fs: f64,
+    /// The R peak, in seconds.
     rt: f64,
-    [before, after]: [&PreparedMorphology; 2],
-    waves: impl Fn(&PreparedMorphology, f64) -> f64,
-) {
-    for (i, sample) in (from..).zip(out) {
-        let tau = i as f64 / fs - rt;
-        let prepared = if tau >= 0.0 { after } else { before };
-        *sample += waves(prepared, tau);
+    /// The waves at the previous beat's stretch and at the next one's.
+    sides: [&'a PreparedMorphology; 2],
+    /// Where Q, R and S are each evaluated.
+    qrs: [Range<usize>; 3],
+    /// Where T is summed alone, from here to the end of the support.
+    t_alone: usize,
+}
+
+impl Beat<'_> {
+    /// Add the beat to `out`, its support, through the reusable
+    /// `(tau, sum)` buffers in `scratch`. Each wave's `exp` runs in a
+    /// pass of its own over the samples it is evaluated at, and the
+    /// passes sum in P, Q, R, S, T order: P then T before `t_alone`, Q,
+    /// R and S in between over their own ranges, T alone from
+    /// `t_alone` on. `tau` is monotone in the sample index, so each pass
+    /// splits once at the R peak: the previous beat's stretch before it,
+    /// the next one's from it on.
+    fn add_to(&self, out: &mut [f64], fs: f64, (tau, sum): &mut (Vec<f64>, Vec<f64>)) {
+        tau.clear();
+        tau.extend((self.from..self.from + out.len()).map(|i| i as f64 / fs - self.rt));
+        sum.resize(out.len(), 0.0);
+        let peak = tau.partition_point(|&t| t < 0.0);
+        let (set, add) = (|s: &mut f64, v| *s = v, |s: &mut f64, v| *s += v);
+        let with_p = 0..self.t_alone;
+        self.pass(sum, tau, peak, 0, with_p.clone(), set);
+        for (k, range) in (1..4).zip(self.qrs.clone()) {
+            self.pass(sum, tau, peak, k, range, add);
+        }
+        self.pass(sum, tau, peak, 4, with_p, add);
+        self.pass(sum, tau, peak, 4, self.t_alone..out.len(), set);
+        for (sample, &s) in out.iter_mut().zip(&*sum) {
+            *sample += s;
+        }
+    }
+
+    /// `op(sum, wave k)` at each sample of `range`, `peak` the first one
+    /// at or after the R peak.
+    fn pass(
+        &self,
+        sum: &mut [f64],
+        tau: &[f64],
+        peak: usize,
+        k: usize,
+        range: Range<usize>,
+        op: impl Fn(&mut f64, f64),
+    ) {
+        let mid = peak.clamp(range.start, range.end);
+        for (side, part) in self.sides.iter().zip([range.start..mid, mid..range.end]) {
+            let wave = &side.waves[k];
+            for (s, &t) in sum[part.clone()].iter_mut().zip(&tau[part]) {
+                op(s, wave.at(t));
+            }
+        }
     }
 }
 
